@@ -6,7 +6,6 @@ from .controller import (
     ControllerState,
     CostSpec,
     InfeasibleProblemError,
-    MpcConfig,
     OcpProblem,
     OcpSolution,
     eval_cost,
@@ -42,7 +41,6 @@ from .scenarios import (
     load_scenario,
     scenario_from_dict,
     scenario_to_dict,
-    total_load,
 )
 from .strategies import (
     CyclicSchedule,
@@ -64,6 +62,7 @@ from .switched import (
     packs,
     simulate,
     step,
+    total_load,
     validate_waiting,
 )
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .controller import InfeasibleProblemError, MpcConfig, run_closed_loop
+from .controller import InfeasibleProblemError, OcpProblem, run_closed_loop
 from .geometry import (
     GeometryCapError,
     controllable_set,
@@ -94,7 +94,7 @@ def _write_schedule(path: Path, signals) -> None:
     _write_csv(path, ["pack", "start", "length", "signal"], rows)
 
 
-def _mpc_config(scen: Scenario, args) -> MpcConfig:
+def _mpc_config(scen: Scenario, args) -> OcpProblem:
     cfg = scen.mpc
     if getattr(args, "horizon", None) is not None:
         cfg = replace(cfg, horizon=args.horizon)

@@ -4,7 +4,8 @@ The horizon-N optimal control problem selects one subsystem per step to
 minimize a sum of weighted set-distances (plus an optional penalty on the
 squared length of constant-signal runs), subject to state constraints, an
 optional terminal-set constraint, and dwell-time bounds that span the seam
-between already-applied signals and the prediction window.
+between already-applied signals and the prediction window.  The dwell and
+cycle rules are those of `switched.SwitchingRule`.
 
 The optimizer is an exact depth-first branch-and-bound over the q-ary
 sequence tree.  Partial costs are accumulated in one canonical left-to-right
@@ -16,7 +17,7 @@ smallest signal sequence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,15 +26,16 @@ from .geometry import Polytope, PolytopeUnion, as_union, _project_onto_polytope
 from .switched import (
     SwitchedSystem,
     SwitchingPath,
+    SwitchingRule,
     _matvec,
-    packs,
+    _trailing_run,
+    validate_waiting,
 )
 
 __all__ = [
     "CostSpec",
     "OcpProblem",
     "OcpSolution",
-    "MpcConfig",
     "ControllerState",
     "ClosedLoopRecord",
     "InfeasibleProblemError",
@@ -99,7 +101,11 @@ class CostSpec:
 
 @dataclass(frozen=True)
 class OcpProblem:
-    """One horizon-N instance: current state, memory of applied signals, constraints."""
+    """One horizon-N instance: current state, memory of applied signals, constraints.
+
+    The receding-horizon loop takes an instance as its template and replaces
+    `x`, `memory` and `cycle_used` with the closed-loop state at every step.
+    """
 
     sys: SwitchedSystem
     x: tuple[float, ...]
@@ -109,7 +115,6 @@ class OcpProblem:
     memory: SwitchingPath = SwitchingPath()
     enforce_waiting: bool = True
     enforce_terminal: bool = True
-    consecutive_includes_memory: bool = True
     cycle_through_all: bool = False
     cycle_used: frozenset[int] = frozenset()
 
@@ -118,6 +123,8 @@ class OcpProblem:
         object.__setattr__(self, "target", as_union(self.target))
         if len(self.x) != self.sys.n:
             raise ValueError(f"state must have dimension {self.sys.n}")
+        if not all(math.isfinite(v) for v in self.x):
+            raise ValueError(f"state must be finite, got {self.x}")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if len(self.cost.stage_weights) != self.sys.q:
@@ -237,19 +244,6 @@ def _build_membership(
 # -- canonical cost ------------------------------------------------------------
 
 
-def _memory_run(memory: SwitchingPath) -> tuple[int | None, int]:
-    sig = memory.signals
-    if not sig:
-        return None, 0
-    s = sig[-1]
-    n = 0
-    for v in reversed(sig):
-        if v != s:
-            break
-        n += 1
-    return s, n
-
-
 def _pack_lengths(
     sigs: Sequence[int], mem_sig: int | None, mem_len: int
 ) -> list[int]:
@@ -300,10 +294,7 @@ def eval_cost(
     dist = _build_distance(problem.target)
     c = problem.cost.stage_weights
     b = problem.cost.consecutive_weights
-    if problem.consecutive_includes_memory:
-        mem_sig, mem_len = _memory_run(problem.memory)
-    else:
-        mem_sig, mem_len = None, 0
+    mem_sig, mem_len = _trailing_run(problem.memory)
 
     x = problem.x
     traj = [x]
@@ -351,44 +342,23 @@ def solve_ocp(problem: OcpProblem) -> OcpSolution:
     b = problem.cost.consecutive_weights
     cterm = problem.cost.terminal_weight
     use_b = any(v != 0.0 for v in b)
-    L = tuple(lo for lo, _ in sys_.waiting)
-    U = tuple(up for _, up in sys_.waiting)
-    enforce_w = problem.enforce_waiting
-    cycle_on = problem.cycle_through_all
-    full_mask = (1 << q) - 1
+    rule = SwitchingRule(sys_, problem.enforce_waiting, problem.cycle_through_all)
+    allowed = rule.next
 
     if not member_state(x0):
         raise InfeasibleProblemError(
             "current state violates the state constraint", reason="state"
         )
 
-    # memory digest: the trailing run straddles the prediction seam
-    mem_sig, mem_len = _memory_run(problem.memory)
-    if enforce_w and len(problem.memory):
-        for p in packs(problem.memory):
-            lo, up = sys_.waiting[p.signal - 1]
-            if p.length > up:
-                raise InfeasibleProblemError(
-                    "memory already violates an upper waiting bound", reason="waiting"
-                )
-            closed = p.stop < len(problem.memory)
-            # the leading pack may have been truncated by the memory window,
-            # so its lower bound is not judged here
-            if closed and p.start > 0 and p.length < lo:
-                raise InfeasibleProblemError(
-                    "memory contains a closed pack shorter than its lower bound",
-                    reason="waiting",
-                )
-    if problem.consecutive_includes_memory:
-        cost_mem_sig, cost_mem_len = mem_sig, mem_len
-    else:
-        cost_mem_sig, cost_mem_len = None, 0
-
-    used0 = 0
-    for s in problem.cycle_used:
-        used0 |= 1 << (s - 1)
-    if cycle_on and mem_sig is not None:
-        used0 |= 1 << (mem_sig - 1)
+    # the memory's leading pack may have been cut off by the memory window, and
+    # its trailing pack straddles the prediction seam: neither is judged for L
+    if problem.enforce_waiting:
+        report = validate_waiting(sys_, problem.memory, relax_trailing=True, relax_leading=True)
+        if not report.ok:
+            raise InfeasibleProblemError(
+                f"memory violates a {report.kind} waiting bound", reason="waiting"
+            )
+    mem_sig, mem_len, used0 = rule.start(problem.memory, problem.cycle_used)
 
     # admissible future-cost bound from minimum singular values
     rmin = min(float(np.linalg.svd(np.asarray(M, float), compute_uv=False)[-1]) for M in sys_.matrices)
@@ -434,38 +404,6 @@ def solve_ocp(problem: OcpProblem) -> OcpSolution:
     d_seq: list[float] = []
     enforce_t = problem.enforce_terminal
 
-    def step_allowed(
-        s: int, run_sig: int | None, run_len: int, used: int, note_flags: bool
-    ) -> tuple[bool, int, int]:
-        """Dwell-time and cycle-coverage admissibility of choosing signal s next."""
-        if enforce_w:
-            if s == run_sig:
-                if run_len + 1 > U[s - 1]:
-                    if note_flags:
-                        flags["waiting"] = True
-                    return False, 0, used
-                new_run = run_len + 1
-            else:
-                if run_sig is not None and run_len < L[run_sig - 1]:
-                    if note_flags:
-                        flags["waiting"] = True
-                    return False, 0, used
-                new_run = 1
-        else:
-            new_run = run_len + 1 if s == run_sig else 1
-        new_used = used
-        if cycle_on and s != run_sig:
-            bit = 1 << (s - 1)
-            if used == full_mask:
-                new_used = bit
-            elif used & bit:
-                if note_flags:
-                    flags["waiting"] = True
-                return False, 0, used
-            else:
-                new_used = used | bit
-        return True, new_run, new_used
-
     def greedy_upper_bound() -> float:
         """Cost of a one-step-lookahead rollout; inf when the rollout dead-ends."""
         x = x0
@@ -477,8 +415,8 @@ def solve_ocp(problem: OcpProblem) -> OcpSolution:
             chosen = None
             chosen_key = math.inf
             for s in range(1, q + 1):
-                ok, nr, nu = step_allowed(s, run_sig, run_len, used, note_flags=False)
-                if not ok:
+                nxt = allowed(s, run_sig, run_len, used)
+                if nxt is None:
                     continue
                 x_next = _matvec(rows[s - 1], x)
                 if depth + 1 < N and not member_state(x_next):
@@ -486,7 +424,7 @@ def solve_ocp(problem: OcpProblem) -> OcpSolution:
                 key = dist(x_next)
                 if key < chosen_key:
                     chosen_key = key
-                    chosen = (s, nr, nu, x_next)
+                    chosen = (s, *nxt, x_next)
             if chosen is None:
                 return math.inf
             s, run_len, used, x = chosen
@@ -495,7 +433,7 @@ def solve_ocp(problem: OcpProblem) -> OcpSolution:
             ds.append(d_here)
         if enforce_t and not member_target(x):
             return math.inf
-        total = _canonical_partial(seq, ds, c, b, cost_mem_sig, cost_mem_len)
+        total = _canonical_partial(seq, ds, c, b, mem_sig, mem_len)
         return total + cterm * dist(x)
 
     warm = greedy_upper_bound()
@@ -507,15 +445,16 @@ def solve_ocp(problem: OcpProblem) -> OcpSolution:
         x: tuple[float, ...],
         run_sig: int | None,
         run_len: int,
-        used: int,
+        used: frozenset[int],
         partial: float,
     ) -> None:
         nonlocal best_cost, best_path, threshold
         d_here = dist(x)
         last = depth + 1 == N
         for s in range(1, q + 1):
-            ok, new_run, new_used = step_allowed(s, run_sig, run_len, used, note_flags=True)
-            if not ok:
+            nxt = allowed(s, run_sig, run_len, used)
+            if nxt is None:
+                flags["waiting"] = True
                 continue
             stats["nodes"] += 1
             x_next = _matvec(rows[s - 1], x)
@@ -525,9 +464,7 @@ def solve_ocp(problem: OcpProblem) -> OcpSolution:
             sig_seq.append(s)
             if use_b:
                 d_seq.append(d_here)
-                new_partial = _canonical_partial(
-                    sig_seq, d_seq, c, b, cost_mem_sig, cost_mem_len
-                )
+                new_partial = _canonical_partial(sig_seq, d_seq, c, b, mem_sig, mem_len)
             else:
                 new_partial = partial + c[s - 1] * d_here
             if last:
@@ -550,7 +487,7 @@ def solve_ocp(problem: OcpProblem) -> OcpSolution:
                 if bound >= threshold:
                     stats["pruned"] += 1
                 else:
-                    dfs(depth + 1, x_next, s, new_run, new_used, new_partial)
+                    dfs(depth + 1, x_next, s, *nxt, new_partial)
             sig_seq.pop()
             if use_b:
                 d_seq.pop()
@@ -587,25 +524,9 @@ def solve_ocp(problem: OcpProblem) -> OcpSolution:
 
 
 @dataclass(frozen=True)
-class MpcConfig:
-    """Problem template for the receding-horizon loop."""
-
-    sys: SwitchedSystem
-    horizon: int
-    target: PolytopeUnion
-    cost: CostSpec
-    enforce_waiting: bool = True
-    enforce_terminal: bool = True
-    consecutive_includes_memory: bool = True
-    cycle_through_all: bool = False
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "target", as_union(self.target))
-
-
-@dataclass(frozen=True)
 class ControllerState:
-    """Single-owner closed-loop state: current x, applied-signal memory, cycle bookkeeping."""
+    """Single-owner closed-loop state: current x, the current run of applied
+    signals (all the dwell and cost rules read), cycle bookkeeping."""
 
     x: tuple[float, ...]
     memory: SwitchingPath = SwitchingPath()
@@ -617,38 +538,24 @@ def initial_state(x0: Sequence[float]) -> ControllerState:
     return ControllerState(x=tuple(float(v) for v in x0))
 
 
-def _memory_window(cfg: MpcConfig) -> int:
-    return max(u for _, u in cfg.sys.waiting)
-
-
 def rhc_step(
-    cfg: MpcConfig, state: ControllerState
+    template: OcpProblem, state: ControllerState
 ) -> tuple[int, ControllerState, OcpSolution]:
     """Solve the horizon problem at the current state and apply its first signal."""
-    problem = OcpProblem(
-        sys=cfg.sys,
-        x=state.x,
-        horizon=cfg.horizon,
-        target=cfg.target,
-        cost=cfg.cost,
-        memory=state.memory,
-        enforce_waiting=cfg.enforce_waiting,
-        enforce_terminal=cfg.enforce_terminal,
-        consecutive_includes_memory=cfg.consecutive_includes_memory,
-        cycle_through_all=cfg.cycle_through_all,
-        cycle_used=state.cycle_used,
-    )
+    problem = replace(template, x=state.x, memory=state.memory, cycle_used=state.cycle_used)
     sol = solve_ocp(problem)
     s0 = sol.path[0]
-    x_next = _matvec(cfg.sys.rows(s0), state.x)
-    memory = (state.memory + [s0]).last(_memory_window(cfg))
-    used = state.cycle_used
-    if cfg.cycle_through_all:
-        last = state.memory.signals[-1] if len(state.memory) else None
-        if s0 != last:
-            all_sigs = frozenset(range(1, cfg.sys.q + 1))
-            used = frozenset({s0}) if used == all_sigs else used | {s0}
-    new_state = ControllerState(x=x_next, memory=memory, cycle_used=used, k=state.k + 1)
+    rule = SwitchingRule(problem.sys, problem.enforce_waiting, problem.cycle_through_all)
+    run_sig, run_len, used = rule.start(state.memory, state.cycle_used)
+    run_len, used = rule.next(s0, run_sig, run_len, used)
+    # the memory window is max U: no admissible run is longer
+    window = max(u for _, u in problem.sys.waiting)
+    new_state = ControllerState(
+        x=_matvec(problem.sys.rows(s0), state.x),
+        memory=SwitchingPath((s0,) * min(run_len, window)),
+        cycle_used=used,
+        k=state.k + 1,
+    )
     return s0, new_state, sol
 
 
@@ -668,7 +575,7 @@ class ClosedLoopRecord:
 
 
 def run_closed_loop(
-    cfg: MpcConfig,
+    cfg: OcpProblem,
     x0: Sequence[float],
     steps: int,
     state: ControllerState | None = None,

@@ -342,7 +342,6 @@ class InvarianceReport:
 
     is_sis: bool
     witness_signal_map: dict[int, tuple[int, ...]] | None = None
-    certificate_depth: int | None = None
     counterexample: np.ndarray | None = None
 
 
@@ -640,7 +639,8 @@ def _project_onto_polytope(P: Polytope, x: np.ndarray) -> np.ndarray:
             f"projection active-set enumeration too large ({combos} candidate sets)"
         )
     H, h = P.H, P.h
-    feas_tol = 1e-9
+    # rounding in H p grows with the magnitudes involved
+    feas_tol = 1e-9 * (1.0 + max(map(abs, [*x.tolist(), *h.tolist()])))
     best: np.ndarray | None = None
     best_d2 = math.inf
     fallback: np.ndarray | None = None

@@ -5,8 +5,9 @@ viral mutation model under two alternating drug regimens (continuous-time rates
 discretized by matrix exponential over the treatment interval) and a two-state
 cancer cell-population model under three drugs with per-drug dwell bounds.
 A `Scenario` bundles the switched system with its initial state, horizons, and
-default controller configuration, and round-trips through a JSON schema so the
-built-in benchmarks can be exported, perturbed, and re-imported.
+the controller's problem template (an `OcpProblem` at the initial state), and
+round-trips through a JSON schema so the built-in benchmarks can be exported,
+perturbed, and re-imported.
 """
 
 from __future__ import annotations
@@ -14,12 +15,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 from scipy.linalg import expm
 
-from .controller import CostSpec, MpcConfig
+from .controller import CostSpec, OcpProblem
 from .geometry import Polytope, PolytopeUnion, as_union
 from .switched import SwitchedSystem, UNBOUNDED_DWELL
 
@@ -30,7 +30,6 @@ __all__ = [
     "build_viral_system",
     "build_cancer_system",
     "build_illustrative_system",
-    "total_load",
     "builtin_names",
     "builtin_scenario",
     "load_scenario",
@@ -111,14 +110,6 @@ class CancerScenario:
 
     def signal(self, drug: str) -> int:
         return self.drugs.index(drug) + 1
-
-
-def total_load(x: Sequence[float]) -> float:
-    """Coordinate sum of a state (total viral copies / total live cells)."""
-    s = 0.0
-    for v in x:
-        s += float(v)
-    return s
 
 
 def _undetectable_set(n: int, limit: float = DETECTION_LIMIT) -> Polytope:
@@ -219,7 +210,7 @@ class Scenario:
     x0: np.ndarray
     tau_days: float
     horizon_steps: int
-    mpc: MpcConfig
+    mpc: OcpProblem
     analysis_target: PolytopeUnion | None = None
     detect_limit: float | None = None
     failure_limit: float | None = None
@@ -246,8 +237,9 @@ def _viral_scenario(scenario_id: int) -> Scenario:
     # detection threshold would zero out every in-window distance right after
     # the first interval and leave the optimizer blind to compounding strains
     target = _low_load_halfspace(4, 0.0)
-    mpc = MpcConfig(
+    mpc = OcpProblem(
         sys=sys_,
+        x=scen.x0,
         horizon=5,
         target=as_union(target),
         cost=CostSpec.uniform(2),
@@ -272,8 +264,9 @@ def _cancer_scenario(case: int | None = None) -> Scenario:
     sys_, scen = build_cancer_system()
     target = _low_load_halfspace(2, 0.0)
     if case is None:
-        mpc = MpcConfig(
+        mpc = OcpProblem(
             sys=sys_,
+            x=scen.x0,
             horizon=8,
             target=as_union(target),
             cost=CostSpec.uniform(3),
@@ -292,8 +285,9 @@ def _cancer_scenario(case: int | None = None) -> Scenario:
             waiting=tuple((lo, UNBOUNDED_DWELL) for lo, _ in sys_.waiting),
         )
         sys_ = relaxed
-        mpc = MpcConfig(
+        mpc = OcpProblem(
             sys=sys_,
+            x=scen.x0,
             horizon=8,
             target=as_union(target),
             cost=CostSpec.uniform(3, consecutive=CANCER_CASE_WEIGHTS[case]),
@@ -317,8 +311,10 @@ def _cancer_scenario(case: int | None = None) -> Scenario:
 def _illustrative_scenario() -> Scenario:
     sys_ = build_illustrative_system()
     target = Polytope.origin(2)
-    mpc = MpcConfig(
+    x0 = np.array([-0.5, 0.5])
+    mpc = OcpProblem(
         sys=sys_,
+        x=x0,
         horizon=15,
         target=as_union(target),
         cost=CostSpec.uniform(4),
@@ -331,7 +327,7 @@ def _illustrative_scenario() -> Scenario:
         name="illustrative",
         kind="custom",
         sys=sys_,
-        x0=np.array([-0.5, 0.5]),
+        x0=x0,
         tau_days=1.0,
         horizon_steps=30,
         mpc=mpc,
@@ -402,7 +398,15 @@ def _target_from_dict(data: dict) -> PolytopeUnion:
     return as_union(Polytope.from_dict(data))
 
 
+_REQUIRED_KEYS = ("matrices", "x0", "horizon_steps", "target")
+
+
 def scenario_from_dict(data: dict, name: str | None = None) -> Scenario:
+    if not isinstance(data, dict):
+        raise ValueError("a scenario must be a JSON object")
+    for key in _REQUIRED_KEYS:
+        if key not in data:
+            raise ValueError(f"scenario is missing the required key {key!r}")
     matrices = tuple(np.asarray(M, dtype=float) for M in data["matrices"])
     n = matrices[0].shape[0]
     if "state_set" in data:
@@ -418,8 +422,10 @@ def scenario_from_dict(data: dict, name: str | None = None) -> Scenario:
         terminal_weight=float(cost_data.get("terminal", 1.0)),
         consecutive_weights=tuple(cost_data.get("consecutive", [])),
     )
-    mpc = MpcConfig(
+    x0 = np.asarray(data["x0"], dtype=float)
+    mpc = OcpProblem(
         sys=sys_,
+        x=x0,
         horizon=int(data.get("mpc_horizon", 5)),
         target=target,
         cost=cost,
@@ -431,7 +437,7 @@ def scenario_from_dict(data: dict, name: str | None = None) -> Scenario:
         name=name or data.get("name", "custom"),
         kind=data.get("kind", "custom"),
         sys=sys_,
-        x0=np.asarray(data["x0"], dtype=float),
+        x0=x0,
         tau_days=float(data.get("tau_days", 1.0)),
         horizon_steps=int(data["horizon_steps"]),
         mpc=mpc,

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .switched import SwitchedSystem, SwitchingPath, _matvec
+from .switched import SwitchedSystem, SwitchingPath, _matvec, simulate, total_load
 
 __all__ = [
     "CyclicSchedule",
@@ -83,31 +83,13 @@ def performance_index(trajectory: Sequence[Sequence[float]]) -> float:
     return total
 
 
-def _state_total(x: Sequence[float]) -> float:
-    s = 0.0
-    for v in x:
-        s += float(v)
-    return s
-
-
-def _rollout(sys: SwitchedSystem, x0: Sequence[float], signals: Sequence[int]) -> list[tuple[float, ...]]:
-    x = tuple(float(v) for v in x0)
-    states = [x]
-    for s in signals:
-        sys._check_signal(s)
-        x = _matvec(sys.rows(s), x)
-        states.append(x)
-    return states
-
-
 def _result(sys: SwitchedSystem, x0: Sequence[float], signals: Sequence[int]) -> StrategyResult:
-    states = _rollout(sys, x0, signals)
-    totals = tuple(_state_total(x) for x in states)
+    states = simulate(sys, x0, signals).states
     return StrategyResult(
         path=SwitchingPath(tuple(signals)),
-        trajectory=np.array(states, dtype=float),
+        trajectory=states,
         index=performance_index(states),
-        per_step_totals=totals,
+        per_step_totals=tuple(total_load(x) for x in states),
     )
 
 
@@ -115,17 +97,12 @@ def brute_force_optimal(
     sys: SwitchedSystem,
     x0: Sequence[float],
     steps: int,
-    objective: str = "index",
-    weights: tuple[np.ndarray, np.ndarray] | None = None,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> StrategyResult:
-    """Exhaustive minimizer over all q^steps signal sequences.
+    """Exhaustive minimizer of the cumulative load (coordinate sum over all
+    decision instants) over all q^steps signal sequences.
 
-    `objective` is either "index" (cumulative coordinate-sum over all decision
-    instants) or "linear" with `weights = (stage, terminal)` where `stage` has
-    one weight row per signal and `terminal` one row, each applied to the state
-    by inner product.  Ties go to the lexicographically smallest sequence; the
-    reported `index` of the winner is always the cumulative load.
+    Ties go to the lexicographically smallest sequence.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -133,37 +110,9 @@ def brute_force_optimal(
         raise EnumerationCapError(
             f"{sys.q}^{steps} sequences exceed the enumeration cap {cap}"
         )
-    if objective == "linear":
-        if weights is None:
-            raise ValueError("objective 'linear' requires weights=(stage, terminal)")
-        stage_w = np.asarray(weights[0], dtype=float)
-        term_w = np.asarray(weights[1], dtype=float)
-        if stage_w.shape != (sys.q, sys.n) or term_w.shape != (sys.n,):
-            raise ValueError("weights must have shapes (q, n) and (n,)")
-        stage_rows = tuple(tuple(float(v) for v in r) for r in stage_w)
-        term_row = tuple(float(v) for v in term_w)
-    elif objective != "index":
-        raise ValueError(f"unknown objective {objective!r}")
-
     x0t = tuple(float(v) for v in x0)
     best_cost = math.inf
     best_path: tuple[int, ...] | None = None
-
-    def leaf_cost(states: list[tuple[float, ...]], sigs: list[int]) -> float:
-        if objective == "index":
-            total = 0.0
-            for x in states:
-                for v in x:
-                    total += v
-            return total
-        total = 0.0
-        for s, x in zip(sigs, states[:-1]):
-            row = stage_rows[s - 1]
-            for a, v in zip(row, x):
-                total += a * v
-        for a, v in zip(term_row, states[-1]):
-            total += a * v
-        return total
 
     sigs: list[int] = []
     states: list[tuple[float, ...]] = [x0t]
@@ -171,7 +120,10 @@ def brute_force_optimal(
     def dfs(depth: int) -> None:
         nonlocal best_cost, best_path
         if depth == steps:
-            cost = leaf_cost(states, sigs)
+            cost = 0.0
+            for x in states:
+                for v in x:
+                    cost += v
             if cost < best_cost:
                 best_cost = cost
                 best_path = tuple(sigs)
@@ -202,7 +154,7 @@ def virologic_failure_strategy(
     sig = 1
     signals: list[int] = []
     for k in range(steps):
-        if k > 0 and _state_total(x) > threshold:
+        if k > 0 and total_load(x) > threshold:
             sig = 2 if sig == 1 else 1
         signals.append(sig)
         x = _matvec(sys.rows(sig), x)

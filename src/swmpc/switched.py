@@ -4,10 +4,13 @@ The plant is x(k+1) = A_{sigma(k)} x(k) where sigma(k) picks one matrix out of
 a finite family at every step; the signal sequence is the only control input.
 Dwell-time ("waiting time") bounds constrain how long each signal must and may
 persist, expressed through maximal constant runs ("packs") of the path.
+`SwitchingRule` states those bounds, and the optional cycle-coverage rule, as
+one automaton that the controller steps through signal by signal.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -21,11 +24,13 @@ __all__ = [
     "JPack",
     "WaitingReport",
     "SimulationResult",
+    "SwitchingRule",
     "step",
     "simulate",
     "j_pack",
     "packs",
     "validate_waiting",
+    "total_load",
 ]
 
 # Upper waiting bound used when a signal has no effective dwell limit.
@@ -45,6 +50,14 @@ def _matvec(rows: Sequence[Sequence[float]], x: Sequence[float]) -> tuple[float,
             s += a * xi
         out.append(s)
     return tuple(out)
+
+
+def total_load(x: Sequence[float]) -> float:
+    """Coordinate sum of a state (total viral copies / total live cells)."""
+    s = 0.0
+    for v in x:
+        s += float(v)
+    return s
 
 
 def _as_rows(matrix: np.ndarray) -> tuple[tuple[float, ...], ...]:
@@ -277,3 +290,71 @@ def validate_waiting(
         if p.length < lo and not relaxed:
             return WaitingReport(ok=False, index=p.start, kind="lower")
     return WaitingReport(ok=True)
+
+
+def _trailing_run(path: SwitchingPath) -> tuple[int | None, int]:
+    """Signal and length of the path's last constant run; (None, 0) when empty."""
+    sig = path.signals
+    if not sig:
+        return None, 0
+    s = sig[-1]
+    n = 0
+    for v in reversed(sig):
+        if v != s:
+            break
+        n += 1
+    return s, n
+
+
+class SwitchingRule:
+    """Dwell-time and cycle-coverage rules as one automaton over constant runs.
+
+    Its state is (run signal, run length, used set): the signal of the current
+    run (None before any signal), the run's length, and the signals used since
+    the coverage cycle last restarted.  Continuing a run may not take it past
+    its upper bound U; switching away requires the run to have reached its
+    lower bound L.  Under cycle coverage a switch may not return to a used
+    signal until every signal has been used, and then the cycle restarts.
+    Without dwell enforcement every run is admissible (L = 1, U unbounded).
+    """
+
+    __slots__ = ("lower", "upper", "cycle", "all_signals")
+
+    def __init__(self, sys: SwitchedSystem, enforce_waiting: bool, cycle_through_all: bool):
+        if enforce_waiting:
+            self.lower = tuple(lo for lo, _ in sys.waiting)
+            self.upper = tuple(up for _, up in sys.waiting)
+        else:
+            self.lower = (1,) * sys.q
+            self.upper = (math.inf,) * sys.q
+        self.cycle = cycle_through_all
+        self.all_signals = frozenset(range(1, sys.q + 1))
+
+    def start(
+        self, memory: SwitchingPath, cycle_used: frozenset[int]
+    ) -> tuple[int | None, int, frozenset[int]]:
+        """State after the applied signals in `memory`: its trailing run, with
+        that run's signal counted as used."""
+        run_sig, run_len = _trailing_run(memory)
+        if self.cycle and run_sig is not None:
+            cycle_used = cycle_used | {run_sig}
+        return run_sig, run_len, cycle_used
+
+    def next(
+        self, s: int, run_sig: int | None, run_len: int, used: frozenset[int]
+    ) -> tuple[int, frozenset[int]] | None:
+        """(run length, used set) after signal s, or None when s is not allowed."""
+        if s == run_sig:
+            if run_len >= self.upper[s - 1]:
+                return None
+            return run_len + 1, used
+        if run_sig is not None and run_len < self.lower[run_sig - 1]:
+            return None
+        if self.cycle:
+            if used == self.all_signals:
+                used = frozenset((s,))
+            elif s in used:
+                return None
+            else:
+                used = used | {s}
+        return 1, used

@@ -12,7 +12,6 @@ import pytest
 from swmpc import (
     CostSpec,
     InfeasibleProblemError,
-    MpcConfig,
     OcpProblem,
     Polytope,
     PolytopeUnion,
@@ -273,26 +272,18 @@ def _random_stabilizable_instance(rng):
         if not is_switched_invariant(sys_, omega).is_sis:
             continue
         N = int(rng.integers(2, 5))
-        cfg = MpcConfig(
-            sys=sys_,
-            horizon=N,
-            target=as_union(omega),
-            cost=CostSpec(
-                stage_weights=tuple(float(v) for v in rng.uniform(0.5, 2.0, size=q)),
-                terminal_weight=float(rng.uniform(0.5, 2.0)),
-            ),
-            enforce_waiting=False,
-            enforce_terminal=True,
+        cost = CostSpec(
+            stage_weights=tuple(float(v) for v in rng.uniform(0.5, 2.0, size=q)),
+            terminal_weight=float(rng.uniform(0.5, 2.0)),
         )
         for _ in range(8):
             x0 = tuple(float(v) for v in rng.uniform(-3.0, 3.0, size=n))
+            cfg = OcpProblem(
+                sys=sys_, x=x0, horizon=N, target=as_union(omega), cost=cost,
+                enforce_waiting=False, enforce_terminal=True,
+            )
             try:
-                solve_ocp(
-                    OcpProblem(
-                        sys=sys_, x=x0, horizon=N, target=cfg.target, cost=cfg.cost,
-                        enforce_waiting=False, enforce_terminal=True,
-                    )
-                )
+                solve_ocp(cfg)
             except InfeasibleProblemError:
                 continue
             return cfg, x0, omega

@@ -155,6 +155,29 @@ class TestSimulate:
         assert rc == 3
         assert "cap" in capsys.readouterr().err
 
+    def test_large_viral_states_project(self, tmp_path):
+        # step 22 of this run predicts a state of norm ~1.7e7, where an absolute
+        # feasibility tolerance rejected the projection onto {sum x <= 0}
+        rc = main(["simulate", "--scenario", "viral-1", "--steps", "30", "--out", str(tmp_path)])
+        assert rc == 0
+        assert len(read_rows(tmp_path / "trajectory.csv")) == 31
+
+    def test_non_finite_x0_is_config_error(self, tmp_path, capsys):
+        scen = write_scenario(tmp_path, x0=[float("nan")])
+        rc = main(["simulate", "--scenario", str(scen), "--out", str(tmp_path)])
+        assert rc == 1
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["x0", "matrices"])
+    def test_missing_required_key_is_config_error(self, tmp_path, capsys, key):
+        scen = write_scenario(tmp_path)
+        data = json.loads(scen.read_text())
+        del data[key]
+        scen.write_text(json.dumps(data))
+        rc = main(["simulate", "--scenario", str(scen), "--out", str(tmp_path)])
+        assert rc == 1
+        assert repr(key) in capsys.readouterr().err
+
 
 class TestCompare:
     def test_index_matches_emitted_trajectories(self, tmp_path):

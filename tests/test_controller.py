@@ -1,24 +1,29 @@
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from swmpc import (
+    ControllerState,
     CostSpec,
     InfeasibleProblemError,
-    MpcConfig,
     OcpProblem,
     Polytope,
     SwitchedSystem,
     SwitchingPath,
+    builtin_scenario,
     eval_cost,
     initial_state,
     rhc_step,
     run_closed_loop,
+    packs,
     solve_ocp,
     validate_waiting,
 )
 from swmpc.geometry import as_union
+from swmpc.switched import UNBOUNDED_DWELL
 
-from .oracles import enumerate_ocp, random_ocp
+from .oracles import _cycle_ok, _waiting_ok, enumerate_ocp, random_ocp
 
 
 def scalar_system(*gains, box=1e9, waiting=()):
@@ -78,15 +83,6 @@ class TestEvalCost:
         cost, _ = eval_cost(prob, [1])
         # the run through memory has length 3: 4 + 3^2
         assert cost == pytest.approx(13.0, abs=1e-12)
-
-    def test_penalty_can_ignore_memory(self):
-        prob = scalar_problem(
-            (2.0,), x=2.0, N=1, consecutive=(1.0,),
-            memory=SwitchingPath((1, 1)), enforce_waiting=False,
-            consecutive_includes_memory=False,
-        )
-        cost, _ = eval_cost(prob, [1])
-        assert cost == pytest.approx(5.0, abs=1e-12)
 
     def test_wrong_length_rejected(self):
         prob = scalar_problem((2.0,), x=2.0, N=2)
@@ -226,6 +222,11 @@ class TestSolveOcp:
             feasible += 1
         assert feasible >= 20 and infeasible >= 5
 
+    def test_non_finite_state_rejected(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                scalar_problem((0.5,), x=bad, N=3)
+
     def test_determinism(self):
         prob = scalar_problem((0.7, 1.3), x=3.0, N=5, enforce_terminal=False)
         a = solve_ocp(prob)
@@ -286,8 +287,9 @@ class TestRecedingHorizon:
             matrices=(np.eye(2), 2.0 * np.eye(2)),
             state_set=Polytope.box([-10, -10], [10, 10]),
         )
-        cfg = MpcConfig(
+        cfg = OcpProblem(
             sys=sys_,
+            x=(0.5, 0.5),
             horizon=3,
             target=as_union(Polytope.box([-1, -1], [1, 1])),
             cost=CostSpec.uniform(2),
@@ -299,8 +301,9 @@ class TestRecedingHorizon:
 
     def test_first_applied_signal_scalar(self):
         sys_ = scalar_system(0.5, 2.0)
-        cfg = MpcConfig(
+        cfg = OcpProblem(
             sys=sys_,
+            x=(2.0,),
             horizon=1,
             target=as_union(Polytope.box([-1.0], [1.0])),
             cost=CostSpec.uniform(2),
@@ -312,8 +315,9 @@ class TestRecedingHorizon:
 
     def test_memory_window_is_bounded(self):
         sys_ = scalar_system(0.9, 0.8, waiting=((1, 3), (1, 2)))
-        cfg = MpcConfig(
+        cfg = OcpProblem(
             sys=sys_,
+            x=(5.0,),
             horizon=2,
             target=as_union(Polytope.box([-1.0], [1.0])),
             cost=CostSpec.uniform(2),
@@ -328,8 +332,9 @@ class TestRecedingHorizon:
 
     def test_infeasibility_carries_step_index(self):
         sys_ = scalar_system(2.0)
-        cfg = MpcConfig(
+        cfg = OcpProblem(
             sys=sys_,
+            x=(4.0,),
             horizon=2,
             target=as_union(Polytope.box([-1.0], [1.0])),
             cost=CostSpec.uniform(1),
@@ -340,8 +345,9 @@ class TestRecedingHorizon:
 
     def test_closed_loop_record_shapes(self):
         sys_ = scalar_system(0.5, 1.1)
-        cfg = MpcConfig(
+        cfg = OcpProblem(
             sys=sys_,
+            x=(8.0,),
             horizon=3,
             target=as_union(Polytope.box([-1.0], [1.0])),
             cost=CostSpec.uniform(2),
@@ -359,8 +365,9 @@ class TestRecedingHorizon:
             state_set=Polytope.box([-50, -50], [50, 50]),
         )
         target = Polytope.box([-1, -1], [1, 1])
-        cfg = MpcConfig(
+        cfg = OcpProblem(
             sys=sys_,
+            x=(3.0, -2.0),
             horizon=4,
             target=as_union(target),
             cost=CostSpec((1.5, 0.7), terminal_weight=1.0),
@@ -374,3 +381,69 @@ class TestRecedingHorizon:
             d = distance_to_set(target, record.states[i])
             decrease = record.costs[i + 1] - record.costs[i]
             assert decrease <= -cfg.cost.stage_weights[sig - 1] * d + 1e-9
+
+    def test_memory_holds_only_the_current_run(self):
+        sys_ = scalar_system(0.9, 0.8, 1.1, waiting=((1, 3), (2, UNBOUNDED_DWELL), (1, 2)))
+        cfg = OcpProblem(
+            sys=sys_,
+            x=(5.0,),
+            horizon=3,
+            target=as_union(Polytope.box([-1.0], [1.0])),
+            cost=CostSpec.uniform(3, consecutive=(0.1, 0.02, 0.1)),
+            enforce_terminal=False,
+        )
+        state = initial_state([5.0])
+        applied = []
+        for _ in range(12):
+            s0, state, _ = rhc_step(cfg, state)
+            applied.append(s0)
+            run = packs(applied)[-1]
+            assert state.memory.signals == (run.signal,) * run.length
+        assert len(packs(applied)) > 1
+
+    def test_non_finite_closed_loop_start_rejected(self):
+        scen = builtin_scenario("cancer")
+        with pytest.raises(ValueError, match="finite"):
+            run_closed_loop(scen.mpc, [float("nan"), 1.0], 2)
+
+    def test_cycle_coverage_counts_the_memory_run(self):
+        # the run of drug 3 in memory uses drug 3: drugs 1 and 2 must both
+        # come before drug 3 is given again
+        scen = builtin_scenario("cancer")
+        start = ControllerState(x=tuple(scen.x0), memory=SwitchingPath((3, 3)))
+        record = run_closed_loop(scen.mpc, scen.x0, 12, state=start)
+        assert _cycle_ok(replace(scen.mpc, memory=start.memory), record.signals)
+
+    def test_closed_loop_matches_enumeration_at_every_step(self):
+        rng = np.random.default_rng(1)
+        loops = steps = 0
+        while loops < 24:
+            template = random_ocp(rng)
+            q = template.sys.q
+            if q >= 2 and loops % 2:
+                used = frozenset(s for s in range(1, q + 1) if rng.random() < 0.4)
+                template = replace(template, cycle_through_all=True, cycle_used=used)
+            state = ControllerState(
+                x=template.x, memory=template.memory, cycle_used=template.cycle_used
+            )
+            applied = []
+            for _ in range(6):
+                problem = replace(
+                    template, x=state.x, memory=state.memory, cycle_used=state.cycle_used
+                )
+                oracle = enumerate_ocp(problem)
+                try:
+                    s0, state, sol = rhc_step(template, state)
+                except InfeasibleProblemError:
+                    assert oracle is None
+                    break
+                assert (sol.cost, sol.path.signals) == oracle
+                applied.append(s0)
+            sigs = tuple(applied)
+            if template.enforce_waiting:
+                assert _waiting_ok(template, sigs)
+            if template.cycle_through_all:
+                assert _cycle_ok(template, sigs)
+            loops += 1
+            steps += len(applied)
+        assert steps >= 60

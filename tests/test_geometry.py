@@ -17,7 +17,7 @@ from swmpc import (
     preimage,
     stabilizability_certificate,
 )
-from swmpc.geometry import as_union
+from swmpc.geometry import _project_onto_polytope, as_union
 
 
 def scalar_system(*gains, box=1e9):
@@ -396,6 +396,15 @@ class TestDistance:
             d_grid = min(np.linalg.norm(x - g) for g in inside)
             assert d <= d_grid + 1e-9
             assert d >= d_grid - 0.02  # grid resolution slack
+
+    def test_projection_of_a_large_state(self):
+        # a state predicted by the viral-1 loop; the only candidate misses an
+        # absolute 1e-9 feasibility check by 1.86e-9
+        x = np.array([122.88523673165328, 283527.56432902114, 6537.535142416123, 16997580.846162435])
+        P = Polytope(np.ones((1, 4)), np.array([0.0]))
+        p = _project_onto_polytope(P, x)
+        assert np.allclose(p, x - x.sum() / 4.0, rtol=1e-12, atol=0.0)
+        assert distance_to_set(P, x) == pytest.approx(x.sum() / 2.0, rel=1e-12)
 
 
 class TestIllustrativeCertificate:

@@ -44,19 +44,6 @@ class TestBruteForce:
         with pytest.raises(EnumerationCapError):
             brute_force_optimal(sys_, [1.0], 21)
 
-    def test_linear_objective_with_ones_matches_index(self):
-        sys_ = scalar_system(0.7, 1.4)
-        weights = (np.ones((2, 1)), np.ones(1))
-        a = brute_force_optimal(sys_, [2.0], 5, objective="index")
-        b = brute_force_optimal(sys_, [2.0], 5, objective="linear", weights=weights)
-        assert a.path.signals == b.path.signals
-        assert a.index == b.index
-
-    def test_linear_objective_weight_validation(self):
-        sys_ = scalar_system(0.7, 1.4)
-        with pytest.raises(ValueError):
-            brute_force_optimal(sys_, [2.0], 3, objective="linear")
-
     def test_oracle_dominance(self):
         rng = np.random.default_rng(21)
         for _ in range(5):
