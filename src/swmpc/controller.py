@@ -168,6 +168,19 @@ def _part_distance(P: Polytope) -> Callable[[tuple[float, ...]], float]:
 
         return ev_box
 
+    half = P.halfspace
+    if half is not None:
+        a, b = half
+
+        def ev_halfspace(x: tuple[float, ...]) -> float:
+            # the row has unit norm, so this is the Euclidean distance
+            s = 0.0
+            for ai, xi in zip(a, x):
+                s += ai * xi
+            return s - b if s > b else 0.0
+
+        return ev_halfspace
+
     rows = tuple(tuple(float(v) for v in r) for r in P.H)
     rhs = tuple(float(v) for v in P.h)
 
@@ -315,6 +328,8 @@ def _target_norm_radius(target: PolytopeUnion) -> float:
     """Upper bound on max ||y|| over the target (bounding-box corner norm)."""
     worst = 0.0
     for P in target.parts:
+        if P.nrows <= P.dim:  # too few rows to be bounded: skip the support LPs
+            return math.inf
         lo, hi = P.coordinate_ranges
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
             return math.inf
@@ -323,13 +338,111 @@ def _target_norm_radius(target: PolytopeUnion) -> float:
     return worst
 
 
+def _no_bound(x: tuple[float, ...], depth: int) -> float:
+    return 0.0
+
+
+def _cost_to_go_bound(problem: OcpProblem) -> Callable[[tuple[float, ...], int], float]:
+    """Admissible lower bound `bound(x, depth)` on the cost of stages depth..N-1
+    plus the terminal term, from state x at `depth`, over every completion.
+
+    Two constructions, each shrunk by (1 - 1e-9) so that rounding never lifts
+    it above a cost the search computes; the bound is the larger one that
+    applies.  They never both apply: the linear one needs a one-row target,
+    which is unbounded, and the singular-value one a bounded target.
+
+    - Singular values: ||A_sigma x|| >= r ||x|| with r the least minimum
+      singular value, and d(y) >= ||y|| - R for a target within norm R.
+    - Linear, for positive systems: when every A_sigma >= 0, x >= 0 and the
+      target is {a.x <= b} with a >= 0 and b <= 0, the orthant is invariant
+      and d(y) >= a.y on it.  So the cost-to-go with j steps left is at least
+      w_j.x, where w_0 = c_term a and w_j = c_min a + min_sigma A_sigma^T w_{j-1}
+      componentwise (Hernandez-Vargas, Colaneri, Middleton & Blanchini,
+      Int. J. Robust Nonlinear Control 21(10), 2011).
+    """
+    sys_ = problem.sys
+    N = problem.horizon
+    cmin = min(problem.cost.stage_weights)
+    cterm = problem.cost.terminal_weight
+    shrink = 1.0 - 1e-9
+
+    target = problem.target.parts
+    half = target[0].halfspace if len(target) == 1 else None
+    if (
+        half is not None
+        and all(v >= 0.0 for v in half[0])
+        and half[1] <= 0.0
+        and all(v >= 0.0 for v in problem.x)
+        and all(np.all(M >= 0.0) for M in sys_.matrices)
+    ):
+        a = np.asarray(half[0])
+        w = [cterm * a]
+        for _ in range(N):
+            w.append(cmin * a + np.min([M.T @ w[-1] for M in sys_.matrices], axis=0))
+        # indexed by depth: N - depth steps left
+        weights = [tuple(float(v) for v in w[N - depth]) for depth in range(N + 1)]
+
+        def linear(x: tuple[float, ...], depth: int) -> float:
+            s = 0.0
+            for wi, xi in zip(weights[depth], x):
+                s += wi * xi
+            return s * shrink
+
+        return linear
+
+    radius = _target_norm_radius(problem.target)
+    if not math.isfinite(radius):
+        return _no_bound
+    rmin = min(float(np.linalg.svd(M, compute_uv=False)[-1]) for M in sys_.matrices)
+    if rmin <= 0.0:
+        return _no_bound
+    rpow = [1.0]
+    for _ in range(N):
+        rpow.append(rpow[-1] * rmin)
+
+    if radius == 0.0:
+        # a plain multiple of ||x||
+        factor = [0.0] * (N + 1)
+        for depth in range(N + 1):
+            acc = 0.0
+            for i in range(N - depth):
+                acc += cmin * rpow[i]
+            acc += cterm * rpow[N - depth]
+            factor[depth] = acc * shrink
+
+        def scaled_norm(x: tuple[float, ...], depth: int) -> float:
+            s = 0.0
+            for v in x:
+                s += v * v
+            return factor[depth] * math.sqrt(s)
+
+        return scaled_norm
+
+    def decayed_norm(x: tuple[float, ...], depth: int) -> float:
+        s = 0.0
+        for v in x:
+            s += v * v
+        xnorm = math.sqrt(s)
+        total = 0.0
+        for i in range(N - depth):
+            v = rpow[i] * xnorm - radius
+            if v > 0.0:
+                total += cmin * v
+        v = rpow[N - depth] * xnorm - radius
+        if v > 0.0:
+            total += cterm * v
+        return total * shrink
+
+    return decayed_norm
+
+
 def solve_ocp(problem: OcpProblem) -> OcpSolution:
     """Exact minimizer over admissible signal sequences of length N.
 
     Depth-first branch-and-bound in ascending signal order; the nonnegative
-    partial cost (optionally sharpened by a singular-value decay bound) is the
-    pruning bound, and only strict improvements replace the incumbent, so the
-    result matches exhaustive lexicographic enumeration bit for bit.
+    partial cost plus `_cost_to_go_bound` is the pruning bound, and only
+    strict improvements replace the incumbent, so the result matches
+    exhaustive lexicographic enumeration bit for bit.
     """
     sys_ = problem.sys
     N, q = problem.horizon, sys_.q
@@ -360,39 +473,7 @@ def solve_ocp(problem: OcpProblem) -> OcpSolution:
             )
     mem_sig, mem_len, used0 = rule.start(problem.memory, problem.cycle_used)
 
-    # admissible future-cost bound from minimum singular values
-    rmin = min(float(np.linalg.svd(np.asarray(M, float), compute_uv=False)[-1]) for M in sys_.matrices)
-    radius = _target_norm_radius(problem.target)
-    cmin = min(c)
-    use_future = math.isfinite(radius) and rmin > 0.0
-    rpow = [1.0]
-    for _ in range(N):
-        rpow.append(rpow[-1] * rmin)
-
-    def future_bound(xnorm: float, depth: int) -> float:
-        # lower bound on cost-to-go from a node at `depth` with state norm xnorm
-        if not use_future:
-            return 0.0
-        total = 0.0
-        for i in range(N - depth):
-            v = rpow[i] * xnorm - radius
-            if v > 0.0:
-                total += cmin * v
-        v = rpow[N - depth] * xnorm - radius
-        if v > 0.0:
-            total += cterm * v
-        return total * (1.0 - 1e-9)
-
-    # with the target's norm radius at zero the bound is a plain multiple of ||x||
-    fb_factor = [0.0] * (N + 1)
-    if use_future and radius == 0.0:
-        for depth in range(N + 1):
-            acc = 0.0
-            for i in range(N - depth):
-                acc += cmin * rpow[i]
-            acc += cterm * rpow[N - depth]
-            fb_factor[depth] = acc * (1.0 - 1e-9)
-    fast_bound = use_future and radius == 0.0
+    future = _cost_to_go_bound(problem)
 
     stats = {"nodes": 0, "pruned": 0}
     flags = {"complete": False, "waiting": False, "state": False}
@@ -477,14 +558,7 @@ def solve_ocp(problem: OcpProblem) -> OcpSolution:
                         if best_cost < threshold:
                             threshold = best_cost
             else:
-                xnorm2 = 0.0
-                for v in x_next:
-                    xnorm2 += v * v
-                if fast_bound:
-                    bound = new_partial + fb_factor[depth + 1] * math.sqrt(xnorm2)
-                else:
-                    bound = new_partial + future_bound(math.sqrt(xnorm2), depth + 1)
-                if bound >= threshold:
+                if new_partial + future(x_next, depth + 1) >= threshold:
                     stats["pruned"] += 1
                 else:
                     dfs(depth + 1, x_next, s, *nxt, new_partial)

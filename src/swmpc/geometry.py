@@ -239,6 +239,13 @@ class Polytope:
                 lb[k] = max(lb[k], rhs / row[k])
         return lb, ub
 
+    @cached_property
+    def halfspace(self) -> tuple[tuple[float, ...], float] | None:
+        """(a, b) when the polytope is one halfspace {a.x <= b}, a its unit-norm row, else None."""
+        if self.nrows != 1 or not np.any(self.H[0]):
+            return None
+        return tuple(float(v) for v in self.H[0]), float(self.h[0])
+
     # -- constructive operations ---------------------------------------------
 
     def with_row(self, a: np.ndarray, b: float) -> "Polytope":
@@ -671,8 +678,8 @@ def _project_onto_polytope(P: Polytope, x: np.ndarray) -> np.ndarray:
 
 def _distance_to_polytope(P: Polytope, x: Sequence[float]) -> float:
     xv = np.asarray(x, dtype=float)
-    if P.contains(xv, tol=0.0):
-        return 0.0
+    # the closed forms give 0.0 inside and sum left to right, as the
+    # controller's distance does, so both agree bit for bit
     bounds = P.box_bounds
     if bounds is not None:
         lb, ub = bounds
@@ -686,6 +693,15 @@ def _distance_to_polytope(P: Polytope, x: Sequence[float]) -> float:
                 d = 0.0
             s += d * d
         return math.sqrt(s)
+    half = P.halfspace
+    if half is not None:
+        a, b = half
+        s = 0.0
+        for ai, xi in zip(a, xv.tolist()):
+            s += ai * xi
+        return s - b if s > b else 0.0
+    if P.contains(xv, tol=0.0):
+        return 0.0
     p = _project_onto_polytope(P, xv)
     s = 0.0
     for xi, pi in zip(xv, p):

@@ -217,3 +217,73 @@ def random_ocp(rng: np.random.Generator) -> OcpProblem:
         enforce_terminal=bool(rng.random() < 0.35),
         cycle_through_all=bool(q >= 2 and rng.random() < 0.2),
     )
+
+
+def random_positive_ocp(rng: np.random.Generator) -> OcpProblem:
+    """A small positive instance: nonnegative matrices, x0 >= 0 and the
+    halfspace target {a.x <= b} with a >= 0 and b <= 0, the shape of the viral
+    and cancer scenarios.  Some draws hold an exact duplicate subsystem (equal
+    matrix, weights and dwell bounds, so costs tie), dwell bounds, cycle
+    coverage, run-length weights or a capped state box; x0 spans 10^-3..10^8."""
+    n = int(rng.integers(1, 5))
+    q = int(rng.integers(1, 4))
+    N = int(rng.integers(1, 7))
+    mats = []
+    for _ in range(q):
+        A = rng.uniform(0.0, 1.0, size=(n, n)) * (rng.random((n, n)) < 0.7)
+        eig = np.max(np.abs(np.linalg.eigvals(A)))
+        if eig > 1e-6:
+            A = A * (float(rng.uniform(0.3, 1.6)) / eig)
+        mats.append(A)
+    stage = [float(v) for v in rng.uniform(0.5, 2.0, size=q)]
+    consecutive = (
+        [float(v) for v in rng.uniform(0.0, 0.5, size=q)] if rng.random() < 0.4 else [0.0] * q
+    )
+    if rng.random() < 0.4:
+        waiting = []
+        for _ in range(q):
+            lo = int(rng.integers(1, 3))
+            waiting.append((lo, lo + int(rng.integers(0, 4))))
+    else:
+        waiting = [(1, 10**6)] * q
+    dup = q >= 2 and rng.random() < 0.3
+    if dup:
+        i, j = (int(v) for v in rng.choice(q, size=2, replace=False))
+        mats[j] = mats[i].copy()
+        stage[j], consecutive[j], waiting[j] = stage[i], consecutive[i], waiting[i]
+
+    scale = 10.0 ** float(rng.uniform(-3.0, 8.0))
+    x0 = tuple(float(v) for v in scale * rng.uniform(0.0, 1.0, size=n))
+    if rng.random() < 0.3:
+        cap = scale * float(rng.uniform(1.0, 4.0))
+        state_set = Polytope.box([0.0] * n, [cap] * n)
+    else:
+        state_set = Polytope.nonnegative_orthant(n)
+    sys_ = SwitchedSystem(matrices=tuple(mats), state_set=state_set, waiting=tuple(waiting))
+
+    a = rng.uniform(0.0, 1.0, size=n) * (rng.random(n) < 0.8)
+    if not np.any(a):
+        a[int(rng.integers(0, n))] = 1.0
+    b = 0.0 if rng.random() < 0.5 else -scale * float(rng.uniform(0.0, 0.2))
+    target = Polytope(a[None, :], np.array([b]))
+
+    memory: list[int] = []
+    if rng.random() < 0.4:
+        s = int(rng.integers(1, q + 1))
+        memory = [s] * int(rng.integers(1, min(waiting[s - 1][1], 3) + 1))
+    cycle = q >= 2 and rng.random() < 0.25
+    return OcpProblem(
+        sys=sys_,
+        x=x0,
+        horizon=N,
+        target=PolytopeUnion((target,)),
+        cost=CostSpec(
+            stage_weights=tuple(stage),
+            terminal_weight=float(rng.uniform(0.5, 2.0)),
+            consecutive_weights=tuple(consecutive),
+        ),
+        memory=SwitchingPath(tuple(memory)),
+        enforce_waiting=bool(rng.random() < 0.8),
+        enforce_terminal=bool(rng.random() < 0.2),
+        cycle_through_all=cycle,
+    )

@@ -17,6 +17,7 @@ from swmpc import (
     preimage,
     stabilizability_certificate,
 )
+from swmpc.controller import _build_distance
 from swmpc.geometry import _project_onto_polytope, as_union
 
 
@@ -405,6 +406,29 @@ class TestDistance:
         p = _project_onto_polytope(P, x)
         assert np.allclose(p, x - x.sum() / 4.0, rtol=1e-12, atol=0.0)
         assert distance_to_set(P, x) == pytest.approx(x.sum() / 2.0, rel=1e-12)
+
+    def test_controller_distance_agrees_bitwise(self):
+        # the solver's distance closures and distance_to_set share their
+        # closed forms and their projection, so they agree bit for bit
+        rng = np.random.default_rng(8)
+        viral_state = [122.88523673165328, 283527.56432902114, 6537.535142416123, 16997580.846162435]
+        polygon = Polytope(np.array([[1.0, 2.0], [-1.0, 0.3], [0.0, -1.0]]), np.array([2.0, 1.0, 1.5]))
+        cases = [
+            (Polytope.box([-1.0, -2.0], [1.0, 3.0]), 2),
+            (Polytope.origin(3), 3),
+            (Polytope(np.ones((1, 4)), np.array([0.0])), 4),
+            (Polytope(np.array([[0.3, -1.2, 2.0]]), np.array([-0.7])), 3),
+            (polygon, 2),
+            (PolytopeUnion((Polytope.box([2.0, 2.0], [3.0, 3.0]), polygon)), 2),
+        ]
+        for U, n in cases:
+            dist = _build_distance(as_union(U))
+            points = [rng.uniform(-4.0, 4.0, size=n) * 10.0 ** rng.uniform(-3, 3) for _ in range(60)]
+            if n == 4:
+                points.append(np.array(viral_state))
+            for x in points:
+                x = tuple(float(v) for v in x)
+                assert dist(x) == distance_to_set(U, x)
 
 
 class TestIllustrativeCertificate:
