@@ -17,6 +17,7 @@ from .controller import (
 from .geometry import (
     GeometryCapError,
     InvarianceReport,
+    NumericalError,
     Polytope,
     PolytopeUnion,
     SingularMatrixError,

@@ -2,7 +2,8 @@
 set-geometry analysis, and scenario export.
 
 Exit codes: 0 success, 1 configuration error, 2 infeasible optimization
-(failing step reported on stderr), 3 resource cap exceeded.
+(failing step reported on stderr), 3 resource cap exceeded, 4 an LP failed
+numerically (no verdict is written).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 from .controller import InfeasibleProblemError, OcpProblem, run_closed_loop
 from .geometry import (
     GeometryCapError,
+    NumericalError,
     controllable_set,
     is_switched_invariant,
     non_stabilizability_certificate,
@@ -327,6 +329,9 @@ def main(argv: list[str] | None = None) -> int:
     except (GeometryCapError, EnumerationCapError) as err:
         print(f"resource cap exceeded: {err}", file=sys.stderr)
         return 3
+    except NumericalError as err:
+        print(f"numerical failure: {err}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -30,6 +30,7 @@ __all__ = [
     "PolytopeUnion",
     "InvarianceReport",
     "GeometryCapError",
+    "NumericalError",
     "SingularMatrixError",
     "preimage",
     "controllable_set",
@@ -44,6 +45,10 @@ __all__ = [
 EMPTY_TOL = 1e-9
 MEMBERSHIP_TOL = 1e-9
 INTERIOR_INFLATION = 1e-6
+PRUNE_TOL = 1e-9
+# a preimage keeps a row without an LP only when its inherited slack clears
+# the pruning tolerance by this much (1000x), so LP rounding cannot flip it
+INHERITED_SLACK_MARGIN = 1e-6
 DEFAULT_PART_CAP = 100_000
 PART_CAP_ENV = "SWMPC_PART_CAP"
 
@@ -56,6 +61,10 @@ class SingularMatrixError(ValueError):
     """A subsystem matrix is numerically singular where invertibility is required."""
 
 
+class NumericalError(RuntimeError):
+    """An LP stopped without a verdict (iteration limit or numerical difficulty)."""
+
+
 def part_cap(override: int | None = None) -> int:
     if override is not None:
         return int(override)
@@ -63,7 +72,11 @@ def part_cap(override: int | None = None) -> int:
 
 
 def _lp(c, A_ub, b_ub):
-    """min c.x s.t. A_ub x <= b_ub with free variables."""
+    """min c.x s.t. A_ub x <= b_ub with free variables.
+
+    The result has status 0 (optimal), 2 (infeasible) or 3 (unbounded); any
+    other HiGHS outcome raises NumericalError rather than pass for a verdict.
+    """
     res = linprog(
         c,
         A_ub=A_ub,
@@ -71,12 +84,20 @@ def _lp(c, A_ub, b_ub):
         bounds=[(None, None)] * len(c),
         method="highs",
     )
+    if res.status not in (0, 2, 3):
+        raise NumericalError(f"LP failed with status {res.status}: {res.message}")
     return res
 
 
 @dataclass(frozen=True)
 class Polytope:
-    """{x : Hx <= h}; rows of nonzero norm are rescaled to unit norm on construction."""
+    """{x : Hx <= h}; rows of nonzero norm are rescaled to unit norm on construction.
+
+    Like the cached properties, two private entries of the instance dict are
+    filled on demand: `_slack`, lower bounds on how far each row lies beyond
+    the set cut by the other rows (recorded by `pruned`), and `_preimages`,
+    the pruned preimages built so far, keyed by the bytes of the map.
+    """
 
     H: np.ndarray
     h: np.ndarray
@@ -262,24 +283,63 @@ class Polytope:
             raise ValueError("scale factor must be positive")
         return Polytope(self.H, self.h * factor)
 
-    def pruned(self, tol: float = 1e-9) -> "Polytope":
-        """Drop inequality rows that are redundant for the feasible set."""
+    def pruned(self, tol: float = PRUNE_TOL) -> "Polytope":
+        """Drop inequality rows that are redundant for the feasible set.
+
+        Each kept row's slack (the LP optimum of its left side over the other
+        rows, minus its right side; inf when unbounded) is recorded on the
+        result.  A row whose slack is already recorded above
+        INHERITED_SLACK_MARGIN, as `preimage` arranges, is kept without an LP.
+        """
         m = self.nrows
         if m <= 1:
             return self
+        known = self.__dict__.get("_slack")
+        # -inf: no bound (the row was not tested, or the other rows are infeasible)
+        slack = np.full(m, -math.inf)
         keep = list(range(m))
         for i in range(m):
             if len(keep) <= 1:
                 break
-            others = [j for j in keep if j != i]
-            if i not in keep:
+            if known is not None and known[i] > INHERITED_SLACK_MARGIN:
+                slack[i] = known[i]
                 continue
+            others = [j for j in keep if j != i]
             res = _lp(-self.H[i], self.H[others], self.h[others])
-            if res.status == 0 and -res.fun <= self.h[i] + tol:
-                keep = others
-        if len(keep) == m:
-            return self
-        return Polytope(self.H[keep], self.h[keep])
+            if res.status == 0:
+                if -res.fun <= self.h[i] + tol:
+                    keep = others
+                    continue
+                slack[i] = -res.fun - self.h[i]
+            elif res.status == 3:
+                slack[i] = math.inf
+        # dropping rows only enlarges the set the other rows cut out, so every
+        # recorded bound stays valid
+        out = self if len(keep) == m else Polytope(self.H[keep], self.h[keep])
+        out.__dict__["_slack"] = slack[keep]
+        return out
+
+    def preimage(self, A: np.ndarray) -> "Polytope":
+        """{x : A x in self} = {x : (H A) x <= h}, pruned, for a nonsingular A.
+
+        Built once per map and cached on this instance.  Since x -> A x is a
+        bijection, row i of the preimage has exactly the slack of row i here,
+        divided by the norm of H_i A, so rows with a recorded slack inherit it.
+        """
+        A = np.asarray(A, dtype=float)
+        cache = self.__dict__.setdefault("_preimages", {})
+        key = A.tobytes()
+        Q = cache.get(key)
+        if Q is None:
+            _require_nonsingular(A)
+            HA = self.H @ A
+            Q = Polytope(HA, self.h)
+            slack = self.__dict__.get("_slack")
+            if slack is not None and Q.nrows == self.nrows:  # no row merged away
+                norms = np.linalg.norm(HA, axis=1)
+                Q.__dict__["_slack"] = slack / np.where(norms > 0.0, norms, 1.0)
+            Q = cache[key] = Q.pruned()
+        return Q
 
     def to_dict(self) -> dict:
         return {"H": self.H.tolist(), "h": self.h.tolist()}
@@ -373,8 +433,7 @@ def preimage(A: np.ndarray, P: Polytope) -> Polytope:
     A = np.asarray(A, dtype=float)
     if A.shape != (P.dim, P.dim):
         raise ValueError(f"matrix must be {P.dim}x{P.dim}, got {A.shape}")
-    _require_nonsingular(A)
-    return Polytope(P.H @ A, P.h).pruned()
+    return P.preimage(A)
 
 
 def controllable_set(
@@ -389,7 +448,7 @@ def controllable_set(
     for i, A in enumerate(sys.matrices, start=1):
         _require_nonsingular(A, label=f"subsystem {i}")
         for P in target.parts:
-            parts.append(Polytope(P.H @ A, P.h).pruned())
+            parts.append(P.preimage(A))
             if len(parts) > limit:
                 raise GeometryCapError(
                     f"controllable set exceeded {limit} parts (see {PART_CAP_ENV})"
@@ -548,7 +607,7 @@ def _chebyshev_center(P: Polytope) -> np.ndarray:
     c[-1] = -1.0
     res = _lp(c, A, P.h)
     if res.status != 0:
-        raise RuntimeError("could not compute a center of a nonempty piece")
+        raise NumericalError("could not compute a center of a nonempty piece")
     return np.asarray(res.x[:n], dtype=float)
 
 

@@ -9,6 +9,10 @@ The minimum-norm oracle computes the smallest ||x(K)|| that any switching
 sequence reaches, using only the matrices; it shares no code with the
 controller, so it can serve as the reference the closed loop is measured
 against.
+
+The certificate falsifier samples points of a polytope {x : Hx <= h} and
+reports those from which no switching sequence of length 1..depth lands in
+the polytope, using only numpy, H, h and the matrices.
 """
 
 from __future__ import annotations
@@ -136,6 +140,61 @@ def min_norm_after(
 
     visit(tuple(float(v) for v in x0), 0)
     return best_norm, best_path
+
+
+def polytope_samples(
+    H: np.ndarray, h: np.ndarray, rng: np.random.Generator, uniform: int, boundary: int
+) -> np.ndarray:
+    """The vertices of the bounded polytope {x : Hx <= h}, `uniform` points drawn
+    uniformly inside it and `boundary` points on rays from its vertex centroid."""
+    H = np.asarray(H, dtype=float)
+    h = np.asarray(h, dtype=float)
+    n = H.shape[1]
+    vertices = []
+    for rows in itertools.combinations(range(H.shape[0]), n):
+        M = H[list(rows)]
+        if abs(np.linalg.det(M)) < 1e-12:
+            continue
+        v = np.linalg.solve(M, h[list(rows)])
+        if np.all(H @ v <= h + 1e-12) and not any(np.allclose(v, w) for w in vertices):
+            vertices.append(v)
+    V = np.array(vertices)
+    lo, hi = V.min(axis=0), V.max(axis=0)
+    inside = []
+    while len(inside) < uniform:
+        x = rng.uniform(lo, hi)
+        if np.all(H @ x <= h):
+            inside.append(x)
+    center = V.mean(axis=0)
+    edge = []
+    for _ in range(boundary):
+        d = rng.normal(size=n)
+        rate = H @ d
+        t = np.min((h - H @ center)[rate > 0] / rate[rate > 0])
+        edge.append(center + t * d)
+    return np.vstack([V, np.array(inside), np.array(edge)])
+
+
+def unreached_within(
+    matrices: Sequence[np.ndarray],
+    H: np.ndarray,
+    h: np.ndarray,
+    points: np.ndarray,
+    depth: int,
+    tol: float = 1e-9,
+) -> np.ndarray:
+    """The points from which no product A_{s_j} ... A_{s_1}, 1 <= j <= depth,
+    maps into {x : Hx <= h + tol}."""
+    H = np.asarray(H, dtype=float)
+    h = np.asarray(h, dtype=float)
+    mats = [np.asarray(A, dtype=float) for A in matrices]
+    states = np.asarray(points, dtype=float)[:, None, :]  # (point, sequence, coordinate)
+    reached = np.zeros(states.shape[0], dtype=bool)
+    for _ in range(depth):
+        states = np.concatenate([states @ A.T for A in mats], axis=1)
+        inside = np.all(states @ H.T <= h + tol, axis=2)
+        reached |= inside.any(axis=1)
+    return np.asarray(points)[~reached]
 
 
 def random_matrix(rng: np.random.Generator, n: int, radius: float) -> np.ndarray:

@@ -1,9 +1,13 @@
 import csv
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
+from scipy.optimize import OptimizeResult
 
+import swmpc.geometry
+from swmpc import Polytope, build_illustrative_system, controllable_set
 from swmpc.cli import main
 from swmpc.strategies import performance_index
 
@@ -26,6 +30,20 @@ def write_scenario(path: Path, **overrides) -> Path:
     file = path / "scenario.json"
     file.write_text(json.dumps(data))
     return file
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """One entry per LP that swmpc.geometry solves while the test runs."""
+    calls = []
+    real = swmpc.geometry.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(swmpc.geometry, "linprog", counting)
+    return calls
 
 
 def read_rows(path: Path):
@@ -234,6 +252,40 @@ class TestAnalyze:
         assert "switched invariant: no" in text
         assert "non-stabilizability: certified at k=" in text
         assert "stabilizability: not certified" in text
+
+    def test_lp_work_and_outputs_are_pinned(self, tmp_path, lp_calls):
+        # each controllable set is built once and preimage rows inherit their
+        # slack; the outputs are those of the code that rebuilt every set
+        rc = main(["analyze", "--scenario", "illustrative", "--kmax", "2", "--out", str(tmp_path)])
+        assert rc == 0
+        assert len(lp_calls) <= 450
+        digest = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("sets.json", "certificate.txt")
+        }
+        assert digest == {
+            "sets.json": "10bf1a0977bfcf0b38a1b2ae0f8c2b1a08056db0e7252c698268803e0abe2edc",
+            "certificate.txt": "130bb2183a95eeb337b0f0b4418c195aef29b6026858c358e9d38bd04ceec973",
+        }
+
+    def test_second_controllable_set_makes_no_lp(self, lp_calls):
+        sys_ = build_illustrative_system()
+        omega = Polytope.box([-0.1, -0.1], [0.1, 0.1])
+        first = controllable_set(sys_, omega)
+        lp_calls.clear()
+        again = controllable_set(sys_, omega)
+        assert lp_calls == []
+        assert all(p is q for p, q in zip(again.parts, first.parts))
+
+    def test_lp_failure_exits_4_without_certificate(self, tmp_path, monkeypatch, capsys):
+        def failing(*args, **kwargs):
+            return OptimizeResult(status=4, message="numerical difficulties", x=None, fun=None)
+
+        monkeypatch.setattr(swmpc.geometry, "linprog", failing)
+        rc = main(["analyze", "--scenario", "illustrative", "--kmax", "1", "--out", str(tmp_path)])
+        assert rc == 4
+        assert "numerical" in capsys.readouterr().err
+        assert not (tmp_path / "certificate.txt").exists()
 
 
 class TestExport:

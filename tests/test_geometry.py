@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
+import swmpc.geometry
 from swmpc import (
     Polytope,
     PolytopeUnion,
@@ -18,7 +20,8 @@ from swmpc import (
     stabilizability_certificate,
 )
 from swmpc.controller import _build_distance
-from swmpc.geometry import _project_onto_polytope, as_union
+from swmpc.geometry import NumericalError, _project_onto_polytope, as_union
+from .oracles import polytope_samples, unreached_within
 
 
 def scalar_system(*gains, box=1e9):
@@ -85,6 +88,19 @@ class TestPolytope:
         # duplicate-direction row with slack 5 is redundant; dedup keeps 4 rows
         assert P.pruned().nrows == 4
 
+    def test_lp_failure_raises(self, monkeypatch):
+        def failing(*args, **kwargs):
+            return OptimizeResult(status=4, message="numerical difficulties", x=None, fun=None)
+
+        monkeypatch.setattr(swmpc.geometry, "linprog", failing)
+        P = Polytope.box([-1, -1], [1, 1])
+        with pytest.raises(NumericalError):
+            P.support([1.0, 0.0])
+        with pytest.raises(NumericalError):
+            P.chebyshev_radius
+        with pytest.raises(NumericalError):
+            P.pruned()
+
     def test_dict_round_trip(self):
         P = Polytope.box([-1, 0], [2, 3])
         Q = Polytope.from_dict(P.to_dict())
@@ -139,6 +155,65 @@ class TestPreimage:
             if P.contains(A @ y, tol=0.0):
                 hits += 1
                 assert Q.contains(y, tol=1e-9)
+
+    def test_preimage_is_built_once(self, monkeypatch):
+        P = Polytope(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 1.0]]),
+                     np.ones(5))
+        A = np.array([[1.2, 0.3], [-0.4, 0.9]])
+        first = P.preimage(A)
+        calls = []
+        real = swmpc.geometry.linprog
+        monkeypatch.setattr(
+            swmpc.geometry, "linprog", lambda *a, **k: calls.append(1) or real(*a, **k)
+        )
+        assert P.preimage(A.copy()) is first
+        assert preimage(A, P) is first
+        assert calls == []
+
+    def test_inherited_slack_matches_fresh_pruning(self, monkeypatch):
+        # Rows cut off a vertex by a parent slack in (1e-9, 1e-6), and maps up
+        # to 1e4 in norm shrink that slack below the 1e-9 pruning tolerance in
+        # many preimages: an inherited row must then still take its LP.
+        rng = np.random.default_rng(5)
+        calls = {"setup": 0, "inherited": 0, "fresh": 0}
+        mode = ["setup"]
+        real = swmpc.geometry.linprog
+
+        def counting(*args, **kwargs):
+            calls[mode[0]] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(swmpc.geometry, "linprog", counting)
+        near_kept = near_dropped = 0
+        for _ in range(60):
+            mode[0] = "setup"
+            n = int(rng.integers(2, 4))
+            P = Polytope(rng.normal(size=(3 * n, n)), np.ones(3 * n))
+            if not P.is_bounded:
+                continue
+            near = []
+            for _ in range(2):
+                a = rng.normal(size=n)
+                a /= np.linalg.norm(a)
+                near.append(a)
+                P = P.with_row(a, P.support(a) - 10.0 ** rng.uniform(-8.5, -6.2))
+            R = P.pruned()
+            kept = [a for a in near if np.any(np.all(np.isclose(R.H, a, atol=1e-12), axis=1))]
+            near_kept += len(kept)
+            for _ in range(3):
+                Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+                A = 10.0 ** rng.uniform(0.0, 4.0) * Q @ np.diag(rng.uniform(0.5, 2.0, size=n))
+                mode[0] = "fresh"
+                expected = Polytope(R.H @ A, R.h).pruned()
+                mode[0] = "inherited"
+                got = R.preimage(A)
+                assert got.H.tobytes() == expected.H.tobytes()
+                assert got.h.tobytes() == expected.h.tobytes()
+                for a in kept:
+                    row = a @ A / np.linalg.norm(a @ A)
+                    near_dropped += not np.any(np.all(np.isclose(got.H, row, atol=1e-12), axis=1))
+        assert near_kept > 40 and near_dropped > 20
+        assert calls["inherited"] < calls["fresh"] / 2
 
 
 class TestControllableSets:
@@ -440,3 +515,18 @@ class TestIllustrativeCertificate:
         sys_ = build_illustrative_system()
         omega = Polytope.box([-0.1, -0.1], [0.1, 0.1])
         assert stabilizability_certificate(sys_, omega, 3) == 3
+
+    def test_certificate_survives_falsification(self):
+        # k = 3 claims every point of (1 + 1e-6) omega reaches omega within
+        # k + 1 = 4 steps; at 3 steps some sampled points must fail, or the
+        # check could not tell a wrong k
+        from swmpc import build_illustrative_system
+
+        sys_ = build_illustrative_system()
+        omega = Polytope.box([-0.1, -0.1], [0.1, 0.1])
+        points = polytope_samples(
+            omega.H, (1.0 + 1e-6) * omega.h, np.random.default_rng(0), 400, 200
+        )
+        assert len(points) == 604
+        assert len(unreached_within(sys_.matrices, omega.H, omega.h, points, 4)) == 0
+        assert len(unreached_within(sys_.matrices, omega.H, omega.h, points, 3)) > 0
