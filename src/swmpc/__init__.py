@@ -8,6 +8,7 @@ from .controller import (
     InfeasibleProblemError,
     OcpProblem,
     OcpSolution,
+    distance_to_set,
     eval_cost,
     initial_state,
     rhc_step,
@@ -22,7 +23,6 @@ from .geometry import (
     PolytopeUnion,
     SingularMatrixError,
     controllable_set,
-    distance_to_set,
     i_step_controllable,
     inclusion_in_union,
     is_switched_invariant,

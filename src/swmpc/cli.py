@@ -2,8 +2,8 @@
 set-geometry analysis, and scenario export.
 
 Exit codes: 0 success, 1 configuration error, 2 infeasible optimization
-(failing step reported on stderr), 3 resource cap exceeded, 4 an LP failed
-numerically (no verdict is written).
+(failing step reported on stderr), 3 resource cap exceeded, 4 an LP or a
+projection failed numerically (no verdict is written).
 """
 
 from __future__ import annotations
@@ -194,19 +194,22 @@ def cmd_compare(args) -> int:
                 index = result.index
             _write_trajectory(out / f"trajectory_{strategy}.csv", scen, states, signals, costs)
             rows.append([strategy, index])
-        except (InfeasibleProblemError, EnumerationCapError, GeometryCapError) as err:
+        except (InfeasibleProblemError, EnumerationCapError) as err:
             rows.append([strategy, f"error: {err}"])
     _write_csv(out / "index.csv", ["strategy", "index"], rows)
     return 0
 
 
 def cmd_analyze(args) -> int:
+    out = Path(args.out)
+    # a run that fails must not leave an earlier run's sets or verdict behind
+    for name in ("sets.json", "certificate.txt"):
+        (out / name).unlink(missing_ok=True)
     scen = load_scenario(args.scenario, case=args.case)
     target = scen.geometry_target()
     for j, part in enumerate(target.parts):
         if not part.is_bounded:
             raise ConfigError(f"analysis target part {j} is unbounded")
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     kmax = args.kmax
 

@@ -21,8 +21,9 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.optimize import nnls
 
-from .geometry import Polytope, PolytopeUnion, as_union, _project_onto_polytope
+from .geometry import NumericalError, Polytope, PolytopeUnion, as_union
 from .switched import (
     SwitchedSystem,
     SwitchingPath,
@@ -39,6 +40,7 @@ __all__ = [
     "ControllerState",
     "ClosedLoopRecord",
     "InfeasibleProblemError",
+    "distance_to_set",
     "eval_cost",
     "solve_ocp",
     "rhc_step",
@@ -145,12 +147,54 @@ class OcpSolution:
     nodes_pruned: int = 0
 
 
-# -- distance / membership closures -------------------------------------------
+# -- set distance, membership and projection ------------------------------------
 
 
-def _part_distance(P: Polytope) -> Callable[[tuple[float, ...]], float]:
+def _project_onto_polytope(P: Polytope, x: np.ndarray) -> np.ndarray:
+    """Euclidean projection of x onto the nonempty polytope P by least-distance
+    programming (Lawson & Hanson, Solving Least Squares Problems, 1974, ch. 23).
+
+    The step z = p - x is the least-norm solution of -H z >= f, f = H x - h.
+    With f scaled by its largest entry s, the largest violation, one
+    nonnegative least-squares problem, min ||[-H^T; f^T / s] u - e_{n+1}||
+    over u >= 0, gives z = -s r[:n] / r[n] from its residual r, and
+    r[n] = -||r||^2 < 0 unless the rows are infeasible.  Since -r[:n] = H^T u,
+    z = -H^T lam with lam >= 0 carried by the rows where u > 0, which are
+    active at p.  Solving those rows as equalities gives p to working
+    accuracy also where r[n] is tiny, as outside the tip of a thin wedge.
+    """
+    n = P.dim
+    f = P.H @ x - P.h
+    s = float(np.max(f))
+    if not s > 0.0:  # x satisfies every row
+        return x.copy()
+    E = np.vstack([-P.H.T, f / s])
+    e = np.zeros(n + 1)
+    e[n] = 1.0
+    try:
+        u, _ = nnls(E, e)
+    except RuntimeError as err:
+        raise NumericalError(f"projection failed: {err}") from err
+    r = E @ u - e
+    if not r[n] < 0.0:
+        raise NumericalError("projection failed: the least-distance residual vanished")
+    active = u > 0.0
+    # x - p is the least-norm solution of H_active (x - p) = f_active
+    shift, *_ = np.linalg.lstsq(P.H[active], f[active], rcond=None)
+    return x - shift
+
+
+def _part_distance(P: Polytope) -> Callable[[tuple[float, ...]], float] | None:
+    """The distance to P as a closure of x, or None when P is empty.
+
+    A box is empty when some lower bound exceeds its upper bound and a
+    halfspace never is, so neither costs an LP; only a general part reads
+    its cached Chebyshev radius.
+    """
     bounds = P.box_bounds
     if bounds is not None:
+        if np.any(bounds[0] > bounds[1]):
+            return None
         lb = tuple(float(v) for v in bounds[0])
         ub = tuple(float(v) for v in bounds[1])
 
@@ -181,23 +225,15 @@ def _part_distance(P: Polytope) -> Callable[[tuple[float, ...]], float]:
 
         return ev_halfspace
 
-    rows = tuple(tuple(float(v) for v in r) for r in P.H)
-    rhs = tuple(float(v) for v in P.h)
+    if P.chebyshev_radius < 0.0:  # no point satisfies every row
+        return None
 
     def ev_general(x: tuple[float, ...]) -> float:
-        inside = True
-        for row, b in zip(rows, rhs):
-            s = 0.0
-            for a, xi in zip(row, x):
-                s += a * xi
-            if s > b:
-                inside = False
-                break
-        if inside:
+        if P.contains(x, 0.0):
             return 0.0
         p = _project_onto_polytope(P, np.asarray(x, dtype=float))
         s = 0.0
-        for xi, pi in zip(x, p):
+        for xi, pi in zip(x, p.tolist()):
             d = xi - pi
             s += d * d
         return math.sqrt(s)
@@ -206,9 +242,10 @@ def _part_distance(P: Polytope) -> Callable[[tuple[float, ...]], float]:
 
 
 def _build_distance(target: PolytopeUnion) -> Callable[[tuple[float, ...]], float]:
-    parts = [_part_distance(P) for P in target.parts]
+    """The distance to a union as a closure of x; empty parts contribute nothing."""
+    parts = [e for e in map(_part_distance, target.parts) if e is not None]
     if not parts:
-        raise ValueError("target set must be nonempty")
+        raise ValueError("distance to the empty set is undefined")
     if len(parts) == 1:
         return parts[0]
 
@@ -225,33 +262,16 @@ def _build_distance(target: PolytopeUnion) -> Callable[[tuple[float, ...]], floa
     return ev
 
 
+def distance_to_set(omega: Polytope | PolytopeUnion, x: Sequence[float]) -> float:
+    """Euclidean distance from x to a union of polytopes (0 when x is a member)."""
+    return _build_distance(as_union(omega))(tuple(float(v) for v in x))
+
+
 def _build_membership(
     region: Polytope | PolytopeUnion, tol: float
 ) -> Callable[[tuple[float, ...]], bool]:
     region = as_union(region)
-    tables = [
-        (
-            tuple(tuple(float(v) for v in r) for r in P.H),
-            tuple(float(v) + tol for v in P.h),
-        )
-        for P in region.parts
-    ]
-
-    def member(x: tuple[float, ...]) -> bool:
-        for rows, rhs in tables:
-            ok = True
-            for row, b in zip(rows, rhs):
-                s = 0.0
-                for a, xi in zip(row, x):
-                    s += a * xi
-                if s > b:
-                    ok = False
-                    break
-            if ok:
-                return True
-        return False
-
-    return member
+    return lambda x: region.contains(x, tol)
 
 
 # -- canonical cost ------------------------------------------------------------

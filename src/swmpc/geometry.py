@@ -3,9 +3,9 @@
 Convex polytopes are kept in H-representation {x : Hx <= h} with rows scaled
 to unit norm; nonconvex regions are finite unions of such polytopes.  On top
 of that this module provides one-step preimages under nonsingular maps,
-controllable sets and their iterates, switched-invariance verification,
-stabilizability / non-stabilizability certificates, and Euclidean distance
-to a union.
+controllable sets and their iterates, switched-invariance verification and
+stabilizability / non-stabilizability certificates.  Distances to a union
+are in `controller`, beside the solver that evaluates them.
 
 Numerical conventions: a polytope counts as empty when its Chebyshev radius
 is below EMPTY_TOL; sets thinner than that tolerance are treated as empty by
@@ -15,7 +15,6 @@ pointwise definition matters).
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -39,7 +38,6 @@ __all__ = [
     "is_switched_invariant",
     "stabilizability_certificate",
     "non_stabilizability_certificate",
-    "distance_to_set",
 ]
 
 EMPTY_TOL = 1e-9
@@ -177,9 +175,19 @@ class Polytope:
     def nrows(self) -> int:
         return self.H.shape[0]
 
+    @cached_property
+    def _rows(self) -> tuple[tuple[tuple[float, ...], float], ...]:
+        return tuple(zip(map(tuple, self.H.tolist()), self.h.tolist()))
+
     def contains(self, x: Sequence[float], tol: float = MEMBERSHIP_TOL) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(self.H @ x - self.h <= tol))
+        """No row sum a.x, taken left to right, exceeds its b + tol (a NaN sum does)."""
+        for row, b in self._rows:
+            s = 0.0
+            for a, xi in zip(row, x):
+                s += a * xi
+            if not s <= b + tol:
+                return False
+        return True
 
     @cached_property
     def chebyshev_radius(self) -> float:
@@ -376,7 +384,10 @@ class PolytopeUnion:
         return all(p.is_empty(eps) for p in self.parts)
 
     def contains(self, x: Sequence[float], tol: float = MEMBERSHIP_TOL) -> bool:
-        return any(p.contains(x, tol) for p in self.parts)
+        for p in self.parts:
+            if p.contains(x, tol):
+                return True
+        return False
 
     def prune_empty(self, eps: float = EMPTY_TOL) -> "PolytopeUnion":
         return PolytopeUnion(tuple(p for p in self.parts if not p.is_empty(eps)))
@@ -574,24 +585,19 @@ def is_switched_invariant(
 
     if regular:
         S = controllable_set(sys, omega, cap=cap)
-        pre_parts = S.parts
-        # per-signal preimage parts, for the witness map
-        per_signal: list[tuple[Polytope, ...]] = [
-            tuple(Polytope(P.H @ np.asarray(A, float), P.h) for P in omega.parts)
-            for A in sys.matrices
-        ]
         for j in regular:
             P = omega.parts[j]
-            piece = _uncovered_piece(P, pre_parts, eps, part_cap(cap))
+            piece = _uncovered_piece(P, S.parts, eps, part_cap(cap))
             if piece is not None:
                 center = _chebyshev_center(piece)
                 return InvarianceReport(is_sis=False, counterexample=center)
             covering = []
-            for i, pres in enumerate(per_signal, start=1):
-                # signal i alone covers P when P fits inside one of its preimage parts
+            for i, A in enumerate(sys.matrices, start=1):
+                # signal i alone covers P when P fits inside one of its preimage
+                # parts, which controllable_set has built and cached
                 if any(
                     all(P.support(a) <= b + eps for a, b in zip(pre.H, pre.h))
-                    for pre in pres
+                    for pre in (Q.preimage(A) for Q in omega.parts)
                 ):
                     covering.append(i)
             witness_map[j] = tuple(covering)
@@ -687,102 +693,3 @@ def non_stabilizability_certificate(
                 f"accumulated union exceeded {limit} parts (see {PART_CAP_ENV})"
             )
     return None
-
-
-# -- distances ----------------------------------------------------------------
-
-
-def _project_onto_polytope(P: Polytope, x: np.ndarray) -> np.ndarray:
-    """Exact Euclidean projection by enumerating candidate active sets.
-
-    Intended for low dimensions / modest row counts: every subset of up to
-    dim(P) rows is tried as the active set of the projection's KKT system.
-    """
-    m, n = P.H.shape
-    combos = sum(math.comb(m, k) for k in range(1, n + 1))
-    if combos > 200_000:
-        raise GeometryCapError(
-            f"projection active-set enumeration too large ({combos} candidate sets)"
-        )
-    H, h = P.H, P.h
-    # rounding in H p grows with the magnitudes involved
-    feas_tol = 1e-9 * (1.0 + max(map(abs, [*x.tolist(), *h.tolist()])))
-    best: np.ndarray | None = None
-    best_d2 = math.inf
-    fallback: np.ndarray | None = None
-    fallback_d2 = math.inf
-    for k in range(1, n + 1):
-        for S in itertools.combinations(range(m), k):
-            Hs = H[list(S)]
-            rhs = Hs @ x - h[list(S)]
-            G = Hs @ Hs.T
-            lam, *_ = np.linalg.lstsq(G, rhs, rcond=None)
-            if np.max(np.abs(G @ lam - rhs)) > 1e-9 * (1.0 + np.max(np.abs(rhs))):
-                continue  # inconsistent active set
-            p = x - Hs.T @ lam
-            if np.any(H @ p - h > feas_tol):
-                continue
-            d2 = float(np.dot(x - p, x - p))
-            if np.min(lam) >= -1e-9:
-                if d2 < best_d2:
-                    best_d2, best = d2, p
-            elif d2 < fallback_d2:
-                fallback_d2, fallback = d2, p
-    if best is not None:
-        return best
-    if fallback is not None:
-        return fallback
-    raise RuntimeError("projection failed: no consistent active set found")
-
-
-def _distance_to_polytope(P: Polytope, x: Sequence[float]) -> float:
-    xv = np.asarray(x, dtype=float)
-    # the closed forms give 0.0 inside and sum left to right, as the
-    # controller's distance does, so both agree bit for bit
-    bounds = P.box_bounds
-    if bounds is not None:
-        lb, ub = bounds
-        s = 0.0
-        for xi, lo, hi in zip(xv, lb, ub):
-            if xi < lo:
-                d = lo - xi
-            elif xi > hi:
-                d = xi - hi
-            else:
-                d = 0.0
-            s += d * d
-        return math.sqrt(s)
-    half = P.halfspace
-    if half is not None:
-        a, b = half
-        s = 0.0
-        for ai, xi in zip(a, xv.tolist()):
-            s += ai * xi
-        return s - b if s > b else 0.0
-    if P.contains(xv, tol=0.0):
-        return 0.0
-    p = _project_onto_polytope(P, xv)
-    s = 0.0
-    for xi, pi in zip(xv, p):
-        d = xi - pi
-        s += d * d
-    return math.sqrt(s)
-
-
-def distance_to_set(omega: Polytope | PolytopeUnion, x: Sequence[float]) -> float:
-    """Euclidean distance from x to a union of polytopes (0 when x is a member)."""
-    omega = as_union(omega)
-    if not omega.parts:
-        raise ValueError("distance to the empty set is undefined")
-    best = math.inf
-    for P in omega.parts:
-        if P.chebyshev_radius == -math.inf:
-            continue  # infeasible part contributes nothing
-        d = _distance_to_polytope(P, x)
-        if d < best:
-            best = d
-        if best == 0.0:
-            return 0.0
-    if best is math.inf:
-        raise ValueError("distance to the empty set is undefined")
-    return best

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from scipy.optimize import OptimizeResult
 
+import swmpc.controller
 import swmpc.geometry
 from swmpc import Polytope, build_illustrative_system, controllable_set
 from swmpc.cli import main
@@ -180,6 +181,22 @@ class TestSimulate:
         assert rc == 0
         assert len(read_rows(tmp_path / "trajectory.csv")) == 31
 
+    def test_failed_projection_exits_4(self, tmp_path, monkeypatch, capsys):
+        def failing(*args, **kwargs):
+            raise RuntimeError("Maximum number of iterations reached.")
+
+        monkeypatch.setattr(swmpc.controller, "nnls", failing)
+        # a rotated square is a general polytope, so its distance projects
+        scen = write_scenario(
+            tmp_path,
+            matrices=[[[0.5, 0.0], [0.0, 0.5]], [[1.2, 0.0], [0.0, 0.9]]],
+            x0=[4.0, 1.0],
+            target={"H": [[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]], "h": [1.0] * 4},
+        )
+        rc = main(["simulate", "--scenario", str(scen), "--out", str(tmp_path)])
+        assert rc == 4
+        assert "projection failed" in capsys.readouterr().err
+
     def test_non_finite_x0_is_config_error(self, tmp_path, capsys):
         scen = write_scenario(tmp_path, x0=[float("nan")])
         rc = main(["simulate", "--scenario", str(scen), "--out", str(tmp_path)])
@@ -285,6 +302,19 @@ class TestAnalyze:
         rc = main(["analyze", "--scenario", "illustrative", "--kmax", "1", "--out", str(tmp_path)])
         assert rc == 4
         assert "numerical" in capsys.readouterr().err
+        assert not (tmp_path / "certificate.txt").exists()
+
+    def test_failed_rerun_leaves_no_stale_verdict(self, tmp_path, monkeypatch):
+        args = ["analyze", "--scenario", "illustrative", "--kmax", "1", "--out", str(tmp_path)]
+        assert main(args) == 0
+        assert (tmp_path / "sets.json").exists() and (tmp_path / "certificate.txt").exists()
+
+        def failing(*args, **kwargs):
+            return OptimizeResult(status=4, message="numerical difficulties", x=None, fun=None)
+
+        monkeypatch.setattr(swmpc.geometry, "linprog", failing)
+        assert main(args) == 4
+        assert not (tmp_path / "sets.json").exists()
         assert not (tmp_path / "certificate.txt").exists()
 
 

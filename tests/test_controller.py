@@ -9,6 +9,7 @@ from swmpc import (
     InfeasibleProblemError,
     OcpProblem,
     Polytope,
+    PolytopeUnion,
     SwitchedSystem,
     SwitchingPath,
     builtin_scenario,
@@ -241,6 +242,35 @@ class TestSolveOcp:
             assert sol.path.signals == oracle[1], f"instance {i}"
             feasible += 1
         assert feasible >= 200 and infeasible >= 10
+
+    def test_general_targets_match_enumeration(self):
+        # rotated polygons, alone or beside random_ocp's box, take the
+        # projection branch of the distance; being bounded, they also take the
+        # singular-value bound with radii from support LPs
+        rng = np.random.default_rng(404)
+        feasible = infeasible = 0
+        while feasible + infeasible < 100:
+            prob = random_ocp(rng)
+            if prob.sys.n != 2:
+                continue
+            sides = int(rng.integers(3, 9))
+            angles = rng.uniform(0.0, 2.0 * np.pi) + 2.0 * np.pi * np.arange(sides) / sides
+            H = np.column_stack([np.cos(angles), np.sin(angles)])
+            polygon = Polytope(H, rng.uniform(0.3, 2.0) + H @ rng.uniform(-1.0, 1.0, size=2))
+            parts = (polygon,) if rng.random() < 0.5 else (prob.target.parts[0], polygon)
+            prob = replace(prob, target=PolytopeUnion(parts))
+            oracle = enumerate_ocp(prob)
+            try:
+                sol = solve_ocp(prob)
+            except InfeasibleProblemError:
+                assert oracle is None
+                infeasible += 1
+                continue
+            assert oracle is not None
+            assert sol.cost == oracle[0]
+            assert sol.path.signals == oracle[1]
+            feasible += 1
+        assert feasible >= 60 and infeasible >= 10
 
     def test_halfspace_target_needs_no_lp(self, monkeypatch):
         import swmpc.geometry

@@ -6,6 +6,8 @@ from scipy.optimize import OptimizeResult
 
 import swmpc.geometry
 from swmpc import (
+    CostSpec,
+    OcpProblem,
     Polytope,
     PolytopeUnion,
     SingularMatrixError,
@@ -17,10 +19,11 @@ from swmpc import (
     is_switched_invariant,
     non_stabilizability_certificate,
     preimage,
+    solve_ocp,
     stabilizability_certificate,
 )
-from swmpc.controller import _build_distance
-from swmpc.geometry import NumericalError, _project_onto_polytope, as_union
+from swmpc.controller import _build_distance, _project_onto_polytope
+from swmpc.geometry import NumericalError, as_union
 from .oracles import polytope_samples, unreached_within
 
 
@@ -504,6 +507,88 @@ class TestDistance:
             for x in points:
                 x = tuple(float(v) for v in x)
                 assert dist(x) == distance_to_set(U, x)
+
+
+    def test_sixty_row_polytope_projects(self):
+        # sum_{k<=4} C(60, k) = 523,685 candidate active sets: more than an
+        # active-set enumeration would try
+        rng = np.random.default_rng(60)
+        P = Polytope(rng.normal(size=(60, 4)), np.ones(60))
+        x = np.full(4, 10.0)
+        p = _project_onto_polytope(P, x)
+        assert np.all(P.H @ p - P.h <= 1e-12)
+        # optimality: x - p is a nonnegative combination of the active rows
+        active = P.H @ p - P.h >= -1e-9
+        lam, *_ = np.linalg.lstsq(P.H[active].T, x - p, rcond=None)
+        assert np.all(lam >= -1e-12)
+        assert np.allclose(P.H[active].T @ lam, x - p, rtol=0.0, atol=1e-12)
+
+    def test_projection_at_the_tip_of_a_thin_wedge(self):
+        # the distance 1 is eps^-1 times the largest violation eps, so the
+        # least-distance residual's last entry is about eps^2; the active rows
+        # still give the apex
+        for eps in (1e-5, 1e-9):
+            P = Polytope(np.array([[-eps, 1.0], [-eps, -1.0]]), np.zeros(2))
+            p = _project_onto_polytope(P, np.array([-1.0, 0.0]))
+            assert np.allclose(p, 0.0, rtol=0.0, atol=1e-12)
+
+    def test_projection_is_feasible_and_nearest(self):
+        # (x - p).(y - p) <= 0 for every y in P characterizes the projection p;
+        # checked on numpy-computed vertices of P, where the left side peaks,
+        # and on a few interior and boundary points
+        rng = np.random.default_rng(12)
+        checked = 0
+        while checked < 60:
+            n = int(rng.integers(2, 5))
+            m = int(rng.integers(2 * n, 11))
+            H = rng.normal(size=(m, n))
+            size = 10.0 ** rng.uniform(-1, 2)
+            center = rng.normal(size=n) * size
+            P = Polytope(H, H @ center + size * np.linalg.norm(H, axis=1) * rng.uniform(0.5, 1.5, size=m))
+            x = center + rng.normal(size=n) * size * 10.0 ** rng.uniform(0, 3)
+            if P.contains(x, tol=0.0) or not P.is_bounded:
+                continue
+            p = _project_onto_polytope(P, x)
+            scale = 1.0 + float(x @ x)
+            assert np.all(P.H @ p - P.h <= 1e-9 * math.sqrt(scale))
+            ys = polytope_samples(P.H, P.h, rng, 4, 20)
+            assert np.all((ys - p) @ (x - p) <= 1e-9 * scale)
+            checked += 1
+
+    def test_empty_general_part_is_skipped(self):
+        empty = Polytope(np.array([[1.0, 1.0], [-1.0, -1.0]]), np.array([-1.0, -1.0]))
+        box = Polytope.box([-1.0, -1.0], [1.0, 1.0])
+        union = PolytopeUnion((empty, box))
+        for x in ([3.0, 0.5], [0.2, -0.4], [-2.0, 5.0]):
+            assert distance_to_set(union, x) == distance_to_set(box, x)
+        sys_ = planar_system([[0.9, 0.3], [-0.2, 1.1]], [[1.2, 0.0], [0.4, 0.5]])
+        problems = [
+            OcpProblem(sys=sys_, x=(2.0, -1.5), horizon=4, target=target,
+                       cost=CostSpec.uniform(2))
+            for target in (union, box)
+        ]
+        with_empty, without = (solve_ocp(prob) for prob in problems)
+        assert with_empty.path == without.path
+        assert with_empty.cost == without.cost
+
+    def test_union_of_empty_parts_rejected(self, monkeypatch):
+        empty_general = Polytope(np.array([[1.0, 1.0], [-1.0, -1.0]]), np.array([-1.0, -1.0]))
+        empty_box = Polytope(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([0.0, -1.0]))
+        union = PolytopeUnion((empty_general, empty_box))
+        with pytest.raises(ValueError, match="empty set"):
+            distance_to_set(union, [0.0, 0.0])
+        sys_ = planar_system([[0.9, 0.3], [-0.2, 1.1]])
+        prob = OcpProblem(sys=sys_, x=(1.0, 1.0), horizon=2, target=union,
+                          cost=CostSpec.uniform(1), enforce_terminal=False)
+        with pytest.raises(ValueError, match="empty set"):
+            solve_ocp(prob)
+        # telling an empty box or a halfspace takes no LP
+        calls = []
+        monkeypatch.setattr(swmpc.geometry, "linprog", lambda *a, **k: calls.append(1))
+        halfspace = Polytope(np.array([[1.0, 2.0]]), np.array([0.5]))
+        d = distance_to_set(PolytopeUnion((empty_box, halfspace)), [0.5, 1.0])
+        assert d == pytest.approx(2.0 / math.sqrt(5.0), rel=1e-15)
+        assert calls == []
 
 
 class TestIllustrativeCertificate:
