@@ -178,6 +178,8 @@ def cmd_compare(args) -> int:
     if scen.sys.q != 2:
         raise ConfigError("compare needs a two-regimen (viral or custom) scenario")
     steps = scen.horizon_steps if args.steps is None else args.steps
+    if steps < 0:
+        raise ConfigError("steps must be >= 0")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -194,7 +196,11 @@ def cmd_compare(args) -> int:
                 index = result.index
             _write_trajectory(out / f"trajectory_{strategy}.csv", scen, states, signals, costs)
             rows.append([strategy, index])
-        except (InfeasibleProblemError, EnumerationCapError) as err:
+        except (InfeasibleProblemError, EnumerationCapError, ValueError) as err:
+            # a ValueError is a configuration error of the whole run, except
+            # that the optimal schedule needs a nonnegative family
+            if isinstance(err, ValueError) and strategy != "optimal":
+                raise
             rows.append([strategy, f"error: {err}"])
     _write_csv(out / "index.csv", ["strategy", "index"], rows)
     return 0

@@ -366,10 +366,10 @@ def _cost_to_go_bound(problem: OcpProblem) -> Callable[[tuple[float, ...], int],
     """Admissible lower bound `bound(x, depth)` on the cost of stages depth..N-1
     plus the terminal term, from state x at `depth`, over every completion.
 
-    Two constructions, each shrunk by (1 - 1e-9) so that rounding never lifts
-    it above a cost the search computes; the bound is the larger one that
-    applies.  They never both apply: the linear one needs a one-row target,
-    which is unbounded, and the singular-value one a bounded target.
+    The bound is admissible in exact arithmetic; `solve_ocp` adds the slack
+    against rounding.  Of two constructions it returns the one that applies;
+    they never both apply: the linear one needs a one-row target, which is
+    unbounded, and the singular-value one a bounded target.
 
     - Singular values: ||A_sigma x|| >= r ||x|| with r the least minimum
       singular value, and d(y) >= ||y|| - R for a target within norm R.
@@ -384,7 +384,6 @@ def _cost_to_go_bound(problem: OcpProblem) -> Callable[[tuple[float, ...], int],
     N = problem.horizon
     cmin = min(problem.cost.stage_weights)
     cterm = problem.cost.terminal_weight
-    shrink = 1.0 - 1e-9
 
     target = problem.target.parts
     half = target[0].halfspace if len(target) == 1 else None
@@ -406,7 +405,7 @@ def _cost_to_go_bound(problem: OcpProblem) -> Callable[[tuple[float, ...], int],
             s = 0.0
             for wi, xi in zip(weights[depth], x):
                 s += wi * xi
-            return s * shrink
+            return s
 
         return linear
 
@@ -428,7 +427,7 @@ def _cost_to_go_bound(problem: OcpProblem) -> Callable[[tuple[float, ...], int],
             for i in range(N - depth):
                 acc += cmin * rpow[i]
             acc += cterm * rpow[N - depth]
-            factor[depth] = acc * shrink
+            factor[depth] = acc
 
         def scaled_norm(x: tuple[float, ...], depth: int) -> float:
             s = 0.0
@@ -451,7 +450,7 @@ def _cost_to_go_bound(problem: OcpProblem) -> Callable[[tuple[float, ...], int],
         v = rpow[N - depth] * xnorm - radius
         if v > 0.0:
             total += cterm * v
-        return total * shrink
+        return total
 
     return decayed_norm
 
@@ -460,9 +459,11 @@ def solve_ocp(problem: OcpProblem) -> OcpSolution:
     """Exact minimizer over admissible signal sequences of length N.
 
     Depth-first branch-and-bound in ascending signal order; the nonnegative
-    partial cost plus `_cost_to_go_bound` is the pruning bound, and only
-    strict improvements replace the incumbent, so the result matches
-    exhaustive lexicographic enumeration bit for bit.
+    partial cost plus `_cost_to_go_bound`, shrunk by (1 - 1e-9) against
+    rounding, is the pruning bound, and only strict improvements replace the
+    incumbent, so the result matches exhaustive lexicographic enumeration bit
+    for bit.  The slack covers the sum: when the partial cost dominates, a
+    tied subtree's sum can round up past the warm start's threshold.
     """
     sys_ = problem.sys
     N, q = problem.horizon, sys_.q
@@ -494,6 +495,7 @@ def solve_ocp(problem: OcpProblem) -> OcpSolution:
     mem_sig, mem_len, used0 = rule.start(problem.memory, problem.cycle_used)
 
     future = _cost_to_go_bound(problem)
+    shrink = 1.0 - 1e-9
 
     stats = {"nodes": 0, "pruned": 0}
     flags = {"complete": False, "waiting": False, "state": False}
@@ -578,7 +580,7 @@ def solve_ocp(problem: OcpProblem) -> OcpSolution:
                         if best_cost < threshold:
                             threshold = best_cost
             else:
-                if new_partial + future(x_next, depth + 1) >= threshold:
+                if (new_partial + future(x_next, depth + 1)) * shrink >= threshold:
                     stats["pruned"] += 1
                 else:
                     dfs(depth + 1, x_next, s, *nxt, new_partial)

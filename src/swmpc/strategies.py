@@ -1,18 +1,20 @@
 """Baseline and oracle schedulers for treatment-switching benchmarks.
 
-Includes exhaustive enumeration (the optimality oracle), the reactive
+Includes the optimal schedule (the exact minimum of the cumulative load for
+a nonnegative family, found by the MPC's own branch-and-bound), the reactive
 switch-on-failure rule, fixed-period alternation, and unrolled cyclic
 schedules, plus the cumulative-load index used to compare them.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
+from .controller import CostSpec, OcpProblem, solve_ocp
+from .geometry import Polytope
 from .switched import SwitchedSystem, SwitchingPath, _matvec, simulate, total_load
 
 __all__ = [
@@ -31,7 +33,7 @@ VIROLOGIC_FAILURE_THRESHOLD = 1000.0
 
 
 class EnumerationCapError(RuntimeError):
-    """Exhaustive enumeration would exceed the configured sequence budget."""
+    """The sequence tree of an exact search would exceed the configured budget."""
 
 
 @dataclass(frozen=True)
@@ -99,10 +101,15 @@ def brute_force_optimal(
     steps: int,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> StrategyResult:
-    """Exhaustive minimizer of the cumulative load (coordinate sum over all
-    decision instants) over all q^steps signal sequences.
+    """Exact minimizer of the cumulative load (coordinate sum over all
+    decision instants) over all q^steps signal sequences, for a nonnegative
+    family and x0.
 
-    Ties go to the lexicographically smallest sequence.
+    On the nonnegative orthant the load of a state is a multiple of its
+    distance to {1.x <= 0}, so the minimizer is the `solve_ocp` optimum for
+    that target with unit weights and no dwell, terminal or state rules.
+    Ties go to the lexicographically smallest sequence.  `cap` bounds
+    q^steps, the size of the sequence tree.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -110,34 +117,20 @@ def brute_force_optimal(
         raise EnumerationCapError(
             f"{sys.q}^{steps} sequences exceed the enumeration cap {cap}"
         )
-    x0t = tuple(float(v) for v in x0)
-    best_cost = math.inf
-    best_path: tuple[int, ...] | None = None
-
-    sigs: list[int] = []
-    states: list[tuple[float, ...]] = [x0t]
-
-    def dfs(depth: int) -> None:
-        nonlocal best_cost, best_path
-        if depth == steps:
-            cost = 0.0
-            for x in states:
-                for v in x:
-                    cost += v
-            if cost < best_cost:
-                best_cost = cost
-                best_path = tuple(sigs)
-            return
-        for s in range(1, sys.q + 1):
-            sigs.append(s)
-            states.append(_matvec(sys.rows(s), states[-1]))
-            dfs(depth + 1)
-            states.pop()
-            sigs.pop()
-
-    dfs(0)
-    assert best_path is not None
-    return _result(sys, x0t, best_path)
+    if any(np.any(M < 0.0) for M in sys.matrices) or any(float(v) < 0.0 for v in x0):
+        raise ValueError("the optimal schedule needs nonnegative matrices and x0")
+    if steps == 0:
+        return _result(sys, x0, ())
+    problem = OcpProblem(
+        replace(sys, state_set=Polytope.nonnegative_orthant(sys.n)),
+        x0,
+        horizon=steps,
+        target=Polytope(np.ones((1, sys.n)), np.zeros(1)),
+        cost=CostSpec.uniform(sys.q),
+        enforce_waiting=False,
+        enforce_terminal=False,
+    )
+    return _result(sys, x0, solve_ocp(problem).path.signals)
 
 
 def virologic_failure_strategy(

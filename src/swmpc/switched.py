@@ -189,16 +189,9 @@ class WaitingReport:
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """States of an open-loop run plus the indices of states outside X."""
+    """States of an open-loop run."""
 
     states: np.ndarray  # (T+1, n)
-    outside: tuple[int, ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-    def __getitem__(self, i):
-        return self.states[i]
 
 
 def step(sys: SwitchedSystem, x: Sequence[float], sigma: int) -> np.ndarray:
@@ -214,9 +207,8 @@ def simulate(
     sys: SwitchedSystem,
     x0: Sequence[float],
     path: SwitchingPath | Iterable[int],
-    membership_tol: float = 1e-9,
 ) -> SimulationResult:
-    """Roll the dynamics along `path`, flagging (not rejecting) states outside X."""
+    """Roll the dynamics along `path`; the state constraint X is not checked."""
     signals = _coerce_path(path)
     xv = np.asarray(x0, dtype=float)
     if xv.shape != (sys.n,):
@@ -227,11 +219,7 @@ def simulate(
         sys._check_signal(sigma)
         x = _matvec(sys.rows(sigma), x)
         states.append(x)
-    arr = np.array(states, dtype=float)
-    outside = tuple(
-        k for k, xs in enumerate(states) if not sys.state_set.contains(xs, tol=membership_tol)
-    )
-    return SimulationResult(states=arr, outside=outside)
+    return SimulationResult(states=np.array(states, dtype=float))
 
 
 def j_pack(path: SwitchingPath | Iterable[int], j: int) -> JPack:

@@ -5,6 +5,10 @@ filters by the same constraint predicates the solver honors, and keeps the
 first strict minimizer of the canonical cost, so solver results must match it
 bit for bit.
 
+The minimum-load oracle enumerates every signal sequence of a family and
+keeps the first strict minimizer of the cumulative load, using only the
+matrices, as the reference for the optimal schedule.
+
 The minimum-norm oracle computes the smallest ||x(K)|| that any switching
 sequence reaches, using only the matrices; it shares no code with the
 controller, so it can serve as the reference the closed loop is measured
@@ -97,6 +101,40 @@ def enumerate_ocp(problem: OcpProblem):
         if best is None or cost < best[0]:
             best = (cost, sigs)
     return best
+
+
+def min_load_path(
+    matrices: Sequence[np.ndarray], x0: Sequence[float], T: int
+) -> tuple[float, tuple[int, ...]]:
+    """(load, signals): the first strict minimum, in lexicographic order, of
+    the cumulative load over all q^T sequences of x(k+1) = A_sigma x(k).
+
+    Each sequence is rolled out left to right, and the load sums every
+    state's coordinates in `performance_index` order.  Signals are 1-based;
+    no dwell bounds or state constraints are imposed.
+    """
+    rows = [[[float(v) for v in row] for row in np.asarray(A)] for A in matrices]
+    start = [float(v) for v in x0]
+    best_load = math.inf
+    best_path: tuple[int, ...] = ()
+    for sigs in itertools.product(range(1, len(rows) + 1), repeat=T):
+        x = start
+        load = 0.0
+        for v in x:
+            load += v
+        for s in sigs:
+            y = []
+            for row in rows[s - 1]:
+                acc = 0.0
+                for a, xi in zip(row, x):
+                    acc += a * xi
+                y.append(acc)
+            x = y
+            for v in x:
+                load += v
+        if load < best_load:
+            best_load, best_path = load, sigs
+    return best_load, best_path
 
 
 def min_norm_after(

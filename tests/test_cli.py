@@ -174,6 +174,22 @@ class TestSimulate:
         assert rc == 3
         assert "cap" in capsys.readouterr().err
 
+    def test_optimal_on_a_negative_entry_is_config_error(self, tmp_path, capsys):
+        scen = write_scenario(tmp_path, matrices=[[[0.5]], [[-1.2]]])
+        rc = main(
+            ["simulate", "--scenario", str(scen), "--strategy", "optimal", "--out", str(tmp_path)]
+        )
+        assert rc == 1
+        assert "nonnegative" in capsys.readouterr().err
+
+    def test_optimal_on_illustrative_hits_the_cap_first(self, tmp_path, capsys):
+        # the family has negative entries, but 4^30 sequences exceed the cap
+        rc = main(
+            ["simulate", "--scenario", "illustrative", "--strategy", "optimal", "--out", str(tmp_path)]
+        )
+        assert rc == 3
+        assert "cap" in capsys.readouterr().err
+
     def test_large_viral_states_project(self, tmp_path):
         # step 22 of this run predicts a state of norm ~1.7e7, where an absolute
         # feasibility tolerance rejected the projection onto {sum x <= 0}
@@ -237,6 +253,21 @@ class TestCompare:
         assert rc == 0
         vals = [float(r["index"]) for r in read_rows(tmp_path / "index.csv")]
         assert all(v == pytest.approx(1000.20002, abs=1e-9) for v in vals)
+
+    def test_negative_entry_gives_an_optimal_error_row(self, tmp_path):
+        scen = write_scenario(tmp_path, matrices=[[[0.5]], [[-1.2]]])
+        rc = main(["compare", "--scenario", str(scen), "--out", str(tmp_path)])
+        assert rc == 0
+        rows = {r["strategy"]: r["index"] for r in read_rows(tmp_path / "index.csv")}
+        assert list(rows) == ["swatch", "vf", "optimal", "swmpc"]
+        assert rows["optimal"].startswith("error: ") and "nonnegative" in rows["optimal"]
+        for strategy in ("swatch", "vf", "swmpc"):
+            float(rows[strategy])
+
+    @pytest.mark.parametrize("flags", [["-N", "0"], ["--steps", "-1"]])
+    def test_other_value_errors_are_config_errors(self, tmp_path, flags):
+        rc = main(["compare", "--scenario", "viral-1", *flags, "--out", str(tmp_path)])
+        assert rc == 1
 
     def test_three_drug_scenario_rejected(self, tmp_path):
         rc = main(["compare", "--scenario", "cancer", "--out", str(tmp_path)])

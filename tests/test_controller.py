@@ -243,6 +243,34 @@ class TestSolveOcp:
             feasible += 1
         assert feasible >= 200 and infeasible >= 10
 
+    def test_tied_decaying_families_match_enumeration(self):
+        # every subsystem is one matrix times a common decay, so subtrees tie,
+        # and a large x0 makes the partial cost dominate the bound: the
+        # rounding slack must cover partial + bound, not the bound alone
+        rng = np.random.default_rng(909)
+        for i in range(200):
+            n, q, N = int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(3, 9))
+            base = rng.uniform(0.0, 1.0, size=(n, n)) * (rng.random((n, n)) < 0.7)
+            eig = np.max(np.abs(np.linalg.eigvals(base)))
+            if eig > 1e-6:
+                base = base / eig
+            mats = [base * 10.0 ** float(rng.uniform(-2.5, 0.0))] * q
+            if rng.random() < 0.5:
+                mats[-1] = rng.uniform(0.0, 1.0, size=(n, n))
+            x0 = 10.0 ** float(rng.uniform(-3.0, 8.0)) * rng.uniform(0.0, 1.0, size=n)
+            prob = OcpProblem(
+                SwitchedSystem(matrices=tuple(mats), state_set=Polytope.nonnegative_orthant(n)),
+                tuple(x0),
+                horizon=N,
+                target=Polytope(np.ones((1, n)), np.zeros(1)),
+                cost=CostSpec.uniform(q),
+                enforce_waiting=False,
+                enforce_terminal=False,
+            )
+            sol = solve_ocp(prob)
+            oracle = enumerate_ocp(prob)
+            assert (sol.cost, sol.path.signals) == oracle, f"instance {i}"
+
     def test_general_targets_match_enumeration(self):
         # rotated polygons, alone or beside random_ocp's box, take the
         # projection branch of the distance; being bounded, they also take the

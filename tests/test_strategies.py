@@ -13,6 +13,8 @@ from swmpc import (
     virologic_failure_strategy,
 )
 
+from .oracles import min_load_path
+
 
 def scalar_system(*gains):
     return SwitchedSystem(
@@ -56,6 +58,56 @@ class TestBruteForce:
             assert best.index <= swatch_strategy(sys_, x0, T).index + 1e-12
             cyc = run_cycle(sys_, x0, CyclicSchedule(((1, 2), (2, 1))), T)
             assert best.index <= cyc.index + 1e-12
+
+
+def random_positive_family(rng):
+    """Nonnegative matrices, some exact duplicates or rounded, T <= 8 and x0
+    over 10^-3..10^8."""
+    n, q, T = int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(0, 9))
+    mats = []
+    for _ in range(q):
+        A = rng.uniform(0.0, 1.0, size=(n, n)) * (rng.random((n, n)) < 0.7)
+        eig = np.max(np.abs(np.linalg.eigvals(A)))
+        if eig > 1e-6:
+            A = A * (float(rng.uniform(0.3, 1.6)) / eig)
+        if rng.random() < 0.2:
+            A = np.round(A, 1)
+        mats.append(A)
+    if q >= 2 and rng.random() < 0.3:
+        i, j = (int(v) for v in rng.choice(q, size=2, replace=False))
+        mats[j] = mats[i].copy()
+    x0 = 10.0 ** float(rng.uniform(-3.0, 8.0)) * rng.uniform(0.0, 1.0, size=n)
+    sys_ = SwitchedSystem(matrices=tuple(mats), state_set=Polytope.nonnegative_orthant(n))
+    return sys_, [float(v) for v in x0], T
+
+
+class TestOptimalAgainstOracle:
+    def test_matches_min_load_path(self):
+        rng = np.random.default_rng(4242)
+        for i in range(300):
+            sys_, x0, T = random_positive_family(rng)
+            load, signals = min_load_path(sys_.matrices, x0, T)
+            res = brute_force_optimal(sys_, x0, T)
+            assert res.path.signals == signals, f"instance {i}"
+            assert res.index == load, f"instance {i}"
+
+    def test_state_constraint_is_ignored(self):
+        # like the exhaustive search it replaces, the optimum ranges over all
+        # q^T sequences, also those that leave the state set
+        sys_ = SwitchedSystem(
+            matrices=(np.array([[3.0]]), np.array([[0.5]])),
+            state_set=Polytope.box([0.0], [2.0]),
+        )
+        assert brute_force_optimal(sys_, [1.0], 3).path.signals == (2, 2, 2)
+        grow = SwitchedSystem(matrices=(np.array([[3.0]]),), state_set=sys_.state_set)
+        res = brute_force_optimal(grow, [1.0], 2)
+        assert res.path.signals == (1, 1) and res.index == 13.0
+
+    def test_negative_entries_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            brute_force_optimal(scalar_system(0.5, -0.5), [1.0], 3)
+        with pytest.raises(ValueError, match="nonnegative"):
+            brute_force_optimal(scalar_system(0.5, 0.7), [-1.0], 3)
 
 
 class TestVirologicFailure:

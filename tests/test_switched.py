@@ -82,13 +82,6 @@ class TestSimulate:
         assert np.allclose(res.states[1], A_P @ [220.0, 612.0])
         assert np.allclose(res.states[2], A_P @ (A_P @ [220.0, 612.0]))
 
-    def test_outside_states_flagged_not_rejected(self):
-        sys_ = SwitchedSystem(
-            matrices=(np.array([[2.0]]),), state_set=Polytope.box([-3.0], [3.0])
-        )
-        res = simulate(sys_, [1.0], [1, 1, 1])  # 1, 2, 4, 8
-        assert res.outside == (2, 3)
-
     def test_composition_is_exact(self):
         rng = np.random.default_rng(5)
         sys_ = SwitchedSystem(
