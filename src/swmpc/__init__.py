@@ -31,9 +31,7 @@ from .geometry import (
     stabilizability_certificate,
 )
 from .scenarios import (
-    CancerScenario,
     Scenario,
-    ViralScenario,
     build_cancer_system,
     build_illustrative_system,
     build_viral_system,

@@ -133,8 +133,7 @@ def _run_strategy(scen: Scenario, strategy: str, steps: int, args) -> StrategyRe
     if strategy == "vf":
         if sys_.q != 2:
             raise ConfigError("strategy vf needs a two-regimen scenario")
-        threshold = scen.failure_limit if scen.failure_limit is not None else 1000.0
-        return virologic_failure_strategy(sys_, x0, steps, threshold=threshold)
+        return virologic_failure_strategy(sys_, x0, steps)
     if strategy == "swatch":
         if sys_.q != 2:
             raise ConfigError("strategy swatch needs a two-regimen scenario")
@@ -212,7 +211,7 @@ def cmd_analyze(args) -> int:
     for name in ("sets.json", "certificate.txt"):
         (out / name).unlink(missing_ok=True)
     scen = load_scenario(args.scenario, case=args.case)
-    target = scen.geometry_target()
+    target = scen.analysis_target
     for j, part in enumerate(target.parts):
         if not part.is_bounded:
             raise ConfigError(f"analysis target part {j} is unbounded")
@@ -283,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
             type=int,
             choices=(1, 2, 3),
             default=None,
-            help="cancer run-length-penalty preset (relaxes upper dwell bounds)",
+            help="cancer run-length-penalty preset (relaxes upper dwell bounds); cancer only",
         )
 
     p_sim = sub.add_parser("simulate", help="run one strategy and write trajectory/schedule CSVs")

@@ -44,6 +44,7 @@ EMPTY_TOL = 1e-9
 MEMBERSHIP_TOL = 1e-9
 INTERIOR_INFLATION = 1e-6
 PRUNE_TOL = 1e-9
+UNIT_NORM_TOL = 4e-16
 # a preimage keeps a row without an LP only when its inherited slack clears
 # the pruning tolerance by this much (1000x), so LP rounding cannot flip it
 INHERITED_SLACK_MARGIN = 1e-6
@@ -63,9 +64,7 @@ class NumericalError(RuntimeError):
     """An LP stopped without a verdict (iteration limit or numerical difficulty)."""
 
 
-def part_cap(override: int | None = None) -> int:
-    if override is not None:
-        return int(override)
+def part_cap() -> int:
     return int(os.environ.get(PART_CAP_ENV, DEFAULT_PART_CAP))
 
 
@@ -110,7 +109,9 @@ class Polytope:
         if not (np.all(np.isfinite(H)) and np.all(np.isfinite(h))):
             raise ValueError("H-representation entries must be finite")
         norms = np.linalg.norm(H, axis=1)
-        scale = np.where(norms > 0.0, norms, 1.0)
+        # a row already of unit norm to a few ulps keeps its bits, so that
+        # normalizing twice (as a to_dict/from_dict round trip does) is exact
+        scale = np.where((norms > 0.0) & (np.abs(norms - 1.0) > UNIT_NORM_TOL), norms, 1.0)
         H = H / scale[:, None]
         h = h / scale
         # drop exact duplicate rows, keeping first occurrences
@@ -217,17 +218,10 @@ class Polytope:
             return -math.inf
         return float(-res.fun)
 
-    @cached_property
+    @property
     def is_bounded(self) -> bool:
-        n = self.dim
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = 1.0
-            if not math.isfinite(self.support(e)):
-                return False
-            if not math.isfinite(self.support(-e)):
-                return False
-        return True
+        lo, hi = self.coordinate_ranges
+        return bool(np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)))
 
     @cached_property
     def coordinate_ranges(self) -> tuple[np.ndarray, np.ndarray]:
@@ -380,9 +374,6 @@ class PolytopeUnion:
     def __len__(self) -> int:
         return len(self.parts)
 
-    def is_empty(self, eps: float = EMPTY_TOL) -> bool:
-        return all(p.is_empty(eps) for p in self.parts)
-
     def contains(self, x: Sequence[float], tol: float = MEMBERSHIP_TOL) -> bool:
         for p in self.parts:
             if p.contains(x, tol):
@@ -447,14 +438,10 @@ def preimage(A: np.ndarray, P: Polytope) -> Polytope:
     return P.preimage(A)
 
 
-def controllable_set(
-    sys,
-    target: Polytope | PolytopeUnion,
-    cap: int | None = None,
-) -> PolytopeUnion:
+def controllable_set(sys, target: Polytope | PolytopeUnion) -> PolytopeUnion:
     """One-step controllable set: union of per-subsystem preimages of the target."""
     target = as_union(target)
-    limit = part_cap(cap)
+    limit = part_cap()
     parts: list[Polytope] = []
     for i, A in enumerate(sys.matrices, start=1):
         _require_nonsingular(A, label=f"subsystem {i}")
@@ -467,18 +454,13 @@ def controllable_set(
     return PolytopeUnion(tuple(parts)).prune_empty()
 
 
-def i_step_controllable(
-    sys,
-    target: Polytope | PolytopeUnion,
-    i: int,
-    cap: int | None = None,
-) -> PolytopeUnion:
+def i_step_controllable(sys, target: Polytope | PolytopeUnion, i: int) -> PolytopeUnion:
     """i-fold iteration of the controllable set."""
     if i < 1:
         raise ValueError("step count must be >= 1")
     current = as_union(target)
     for _ in range(i):
-        current = controllable_set(sys, current, cap=cap)
+        current = controllable_set(sys, current)
     return current
 
 
@@ -530,26 +512,20 @@ def inclusion_in_union(
     P: Polytope,
     U: Polytope | PolytopeUnion,
     eps: float = EMPTY_TOL,
-    cap: int | None = None,
 ) -> bool:
     """True iff P is covered by the union up to eps-deep residuals."""
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     U = as_union(U)
     eps = max(eps, 1e-12)
-    witness = _uncovered_piece(P, U.parts, eps, part_cap(cap))
+    witness = _uncovered_piece(P, U.parts, eps, part_cap())
     return witness is None
 
 
 # -- invariance and stabilizability ------------------------------------------
 
 
-def is_switched_invariant(
-    sys,
-    omega: Polytope | PolytopeUnion,
-    eps: float = EMPTY_TOL,
-    cap: int | None = None,
-) -> InvarianceReport:
+def is_switched_invariant(sys, omega: Polytope | PolytopeUnion) -> InvarianceReport:
     """Decide whether for every x in omega some subsystem keeps A_sigma x in omega."""
     omega = as_union(omega)
     if not omega.parts:
@@ -563,7 +539,7 @@ def is_switched_invariant(
     singleton_points: dict[int, np.ndarray] = {}
     regular: list[int] = []
     for j, P in enumerate(omega.parts):
-        if P.chebyshev_radius < eps:
+        if P.chebyshev_radius < EMPTY_TOL:
             pt = P.singleton_point()
             if pt is None:
                 regular.append(j)  # thin but not a point: fall through to slack semantics
@@ -584,10 +560,10 @@ def is_switched_invariant(
         witness_map[j] = good
 
     if regular:
-        S = controllable_set(sys, omega, cap=cap)
+        S = controllable_set(sys, omega)
         for j in regular:
             P = omega.parts[j]
-            piece = _uncovered_piece(P, S.parts, eps, part_cap(cap))
+            piece = _uncovered_piece(P, S.parts, EMPTY_TOL, part_cap())
             if piece is not None:
                 center = _chebyshev_center(piece)
                 return InvarianceReport(is_sis=False, counterexample=center)
@@ -596,7 +572,7 @@ def is_switched_invariant(
                 # signal i alone covers P when P fits inside one of its preimage
                 # parts, which controllable_set has built and cached
                 if any(
-                    all(P.support(a) <= b + eps for a, b in zip(pre.H, pre.h))
+                    all(P.support(a) <= b + EMPTY_TOL for a, b in zip(pre.H, pre.h))
                     for pre in (Q.preimage(A) for Q in omega.parts)
                 ):
                     covering.append(i)
@@ -629,47 +605,38 @@ def _require_cstar_surrogate(omega: PolytopeUnion) -> None:
 
 
 def stabilizability_certificate(
-    sys,
-    omega: Polytope | PolytopeUnion,
-    kmax: int,
-    cap: int | None = None,
-    eps: float = EMPTY_TOL,
-    interior_inflation: float = INTERIOR_INFLATION,
+    sys, omega: Polytope | PolytopeUnion, kmax: int
 ) -> int | None:
     """Smallest k <= kmax with omega inside the interior of S_1 ∪ ... ∪ S_{k+1}.
 
     A positive answer certifies the existence of a stabilizing switching law;
     None means "not certified within kmax".  The open-interior requirement is
-    realized by covering (1 + interior_inflation) * omega.
+    realized by covering (1 + INTERIOR_INFLATION) * omega.
     """
     omega = as_union(omega)
     _require_cstar_surrogate(omega)
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
-    limit = part_cap(cap)
-    inflated = omega.scale(1.0 + interior_inflation)
+    limit = part_cap()
+    inflated = omega.scale(1.0 + INTERIOR_INFLATION)
     accumulated: list[Polytope] = []
     current = omega
     for k in range(kmax + 1):
-        current = controllable_set(sys, current, cap=cap)  # S_{k+1}
+        current = controllable_set(sys, current)  # S_{k+1}
         accumulated.extend(current.parts)
         if len(accumulated) > limit:
             raise GeometryCapError(
                 f"accumulated controllable sets exceeded {limit} parts (see {PART_CAP_ENV})"
             )
         if all(
-            _uncovered_piece(P, accumulated, eps, limit) is None for P in inflated.parts
+            _uncovered_piece(P, accumulated, EMPTY_TOL, limit) is None for P in inflated.parts
         ):
             return k
     return None
 
 
 def non_stabilizability_certificate(
-    sys,
-    omega: Polytope | PolytopeUnion,
-    kmax: int,
-    cap: int | None = None,
-    eps: float = EMPTY_TOL,
+    sys, omega: Polytope | PolytopeUnion, kmax: int
 ) -> int | None:
     """Smallest k <= kmax with S_{k+1} inside omega ∪ S_1 ∪ ... ∪ S_k.
 
@@ -680,12 +647,12 @@ def non_stabilizability_certificate(
     _require_cstar_surrogate(omega)
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
-    limit = part_cap(cap)
+    limit = part_cap()
     hat: list[Polytope] = list(omega.parts)  # accumulates omega ∪ S_1 ∪ ... ∪ S_k
     current = omega
     for k in range(kmax + 1):
-        current = controllable_set(sys, current, cap=cap)  # S_{k+1}
-        if all(_uncovered_piece(P, hat, eps, limit) is None for P in current.parts):
+        current = controllable_set(sys, current)  # S_{k+1}
+        if all(_uncovered_piece(P, hat, EMPTY_TOL, limit) is None for P in current.parts):
             return k
         hat.extend(current.parts)
         if len(hat) > limit:

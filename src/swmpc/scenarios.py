@@ -4,10 +4,10 @@ Two biomedical benchmarks are built from published parameters: a four-genotype
 viral mutation model under two alternating drug regimens (continuous-time rates
 discretized by matrix exponential over the treatment interval) and a two-state
 cancer cell-population model under three drugs with per-drug dwell bounds.
-A `Scenario` bundles the switched system with its initial state, horizons, and
-the controller's problem template (an `OcpProblem` at the initial state), and
-round-trips through a JSON schema so the built-in benchmarks can be exported,
-perturbed, and re-imported.
+A `Scenario` bundles the controller's problem template (an `OcpProblem`
+holding the switched system and the initial state) with the run's length,
+time step and analysis target, and round-trips through a JSON schema so the
+built-in benchmarks can be exported, perturbed, and re-imported.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from .geometry import Polytope, PolytopeUnion, as_union
 from .switched import SwitchedSystem, UNBOUNDED_DWELL
 
 __all__ = [
-    "ViralScenario",
-    "CancerScenario",
     "Scenario",
     "build_viral_system",
     "build_cancer_system",
@@ -42,7 +40,6 @@ CLEARANCE_RATE = 0.24  # per day
 SAMPLING_DAYS = 28.0
 TREATMENT_DAYS = 336.0
 DETECTION_LIMIT = 50.0  # copies/ml
-FAILURE_LIMIT = 1000.0  # copies/ml
 
 # genotype connection graph: V1<->V2, V2<->V4, V4<->V3, V3<->V1
 MUTATION_GRAPH = np.array(
@@ -59,6 +56,16 @@ VIRAL_RATES: dict[int, tuple[tuple[float, float, float, float], ...]] = {
     1: ((0.05, 0.28, 0.01, 0.27), (0.05, 0.20, 0.25, 0.27)),
     2: ((0.05, 0.40, 0.05, 0.23), (0.05, 0.05, 0.40, 0.23)),
 }
+# 1000 copies/ml of the wild type V1, its one-mutation neighbours V2 and V3 at
+# mu times that, and V4 reached from both of them
+VIRAL_X0 = np.array(
+    [
+        1000.0,
+        MUTATION_RATE * 1000.0,
+        MUTATION_RATE * 1000.0,
+        MUTATION_RATE * (MUTATION_RATE * 1000.0) + MUTATION_RATE * (MUTATION_RATE * 1000.0),
+    ]
+)
 
 CANCER_MATRICES = {
     "P": np.array([[0.755, 0.081], [0.169, 0.843]]),
@@ -78,109 +85,46 @@ CANCER_CASE_WEIGHTS = {
 }
 
 
-@dataclass(frozen=True)
-class ViralScenario:
-    """Parameters of the viral mutation benchmark."""
-
-    scenario_id: int
-    mu: float
-    delta: float
-    M: np.ndarray
-    rates: tuple[tuple[float, float, float, float], ...]
-    tau: float
-    T: float
-    x0: np.ndarray
-    detect_limit: float = DETECTION_LIMIT
-    failure_limit: float = FAILURE_LIMIT
-
-    @property
-    def decision_steps(self) -> int:
-        return int(round(self.T / self.tau))
+def _low_load_halfspace(n: int) -> Polytope:
+    """{x : sum x_i <= 0}: on the orthant its distance is linear in the total
+    load, so stage costs rank predicted states by total burden rather than by
+    the dominant coordinate.  A positive detection threshold would zero out
+    every in-window distance right after the first interval and leave the
+    optimizer blind to compounding strains."""
+    return Polytope(np.ones((1, n)), np.zeros(1))
 
 
-@dataclass(frozen=True)
-class CancerScenario:
-    """Parameters of the cancer drug-scheduling benchmark."""
-
-    drugs: tuple[str, ...]
-    matrices: tuple[np.ndarray, ...]
-    x0: np.ndarray
-    waiting: tuple[tuple[int, int], ...]
-    step_hours: float = CANCER_STEP_HOURS
-
-    def signal(self, drug: str) -> int:
-        return self.drugs.index(drug) + 1
+def _detection_box(n: int) -> PolytopeUnion:
+    """|x_i| <= DETECTION_LIMIT: the bounded target that `analyze` certifies against."""
+    return as_union(Polytope.box([-DETECTION_LIMIT] * n, [DETECTION_LIMIT] * n))
 
 
-def _undetectable_set(n: int, limit: float = DETECTION_LIMIT) -> Polytope:
-    """{x >= 0 : sum x_i <= limit}."""
-    H = np.vstack([np.ones((1, n)), -np.eye(n)])
-    h = np.concatenate([[limit], np.zeros(n)])
-    return Polytope(H, h)
-
-
-def _low_load_halfspace(n: int, limit: float = DETECTION_LIMIT) -> Polytope:
-    """{x : sum x_i <= limit}: on the orthant this is the undetectable region,
-    and its distance is linear in the total load, so stage costs rank predicted
-    states by total burden rather than by the dominant coordinate."""
-    return Polytope(np.ones((1, n)), np.array([limit]))
-
-
-def build_viral_system(scenario_id: int) -> tuple[SwitchedSystem, ViralScenario]:
+def build_viral_system(scenario_id: int) -> SwitchedSystem:
     """Discretize the mutation dynamics for the chronic (1) or acute (2) scenario."""
     if scenario_id not in VIRAL_RATES:
         raise ValueError(f"unknown viral scenario {scenario_id!r}; choose 1 or 2")
-    rates = VIRAL_RATES[scenario_id]
     mats = []
-    for therapy_rates in rates:
+    for therapy_rates in VIRAL_RATES[scenario_id]:
         generator = (
             np.diag(therapy_rates)
             - CLEARANCE_RATE * np.eye(4)
             + MUTATION_RATE * MUTATION_GRAPH
         ) * SAMPLING_DAYS
         mats.append(expm(generator))
-    v1 = 1000.0
-    x0 = np.array(
-        [
-            v1,
-            MUTATION_RATE * v1,
-            MUTATION_RATE * v1,
-            MUTATION_RATE * (MUTATION_RATE * v1) + MUTATION_RATE * (MUTATION_RATE * v1),
-        ]
-    )
-    sys_ = SwitchedSystem(
+    return SwitchedSystem(
         matrices=tuple(mats),
         state_set=Polytope.nonnegative_orthant(4),
         waiting=((1, UNBOUNDED_DWELL), (1, UNBOUNDED_DWELL)),
     )
-    scen = ViralScenario(
-        scenario_id=scenario_id,
-        mu=MUTATION_RATE,
-        delta=CLEARANCE_RATE,
-        M=MUTATION_GRAPH,
-        rates=rates,
-        tau=SAMPLING_DAYS,
-        T=TREATMENT_DAYS,
-        x0=x0,
-    )
-    return sys_, scen
 
 
-def build_cancer_system() -> tuple[SwitchedSystem, CancerScenario]:
+def build_cancer_system() -> SwitchedSystem:
     """The three-drug cancer cell-population model with its dwell bounds."""
-    mats = tuple(CANCER_MATRICES[d] for d in CANCER_DRUGS)
-    sys_ = SwitchedSystem(
-        matrices=mats,
+    return SwitchedSystem(
+        matrices=tuple(CANCER_MATRICES[d] for d in CANCER_DRUGS),
         state_set=Polytope.nonnegative_orthant(2),
         waiting=CANCER_WAITING,
     )
-    scen = CancerScenario(
-        drugs=CANCER_DRUGS,
-        matrices=mats,
-        x0=CANCER_X0.copy(),
-        waiting=CANCER_WAITING,
-    )
-    return sys_, scen
 
 
 def _rotation(theta: float) -> np.ndarray:
@@ -202,19 +146,24 @@ def build_illustrative_system() -> SwitchedSystem:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A named, fully parameterized benchmark run."""
+    """A named benchmark run: its controller problem template at the initial
+    state, the run's length and time scale, and the target `analyze` uses."""
 
     name: str
     kind: str  # "viral" | "cancer" | "custom"
-    sys: SwitchedSystem
-    x0: np.ndarray
     tau_days: float
     horizon_steps: int
     mpc: OcpProblem
-    analysis_target: PolytopeUnion | None = None
-    detect_limit: float | None = None
-    failure_limit: float | None = None
+    analysis_target: PolytopeUnion
     swatch_period: int = 3
+
+    @property
+    def sys(self) -> SwitchedSystem:
+        return self.mpc.sys
+
+    @property
+    def x0(self) -> np.ndarray:
+        return np.array(self.mpc.x)
 
     @property
     def time_unit(self) -> str:
@@ -225,23 +174,13 @@ class Scenario:
             return k * self.tau_days * 24.0
         return k * self.tau_days
 
-    def geometry_target(self) -> PolytopeUnion:
-        if self.analysis_target is not None:
-            return self.analysis_target
-        return self.mpc.target
-
 
 def _viral_scenario(scenario_id: int) -> Scenario:
-    sys_, scen = build_viral_system(scenario_id)
-    # stage costs proportional to the total load itself (limit 0): a positive
-    # detection threshold would zero out every in-window distance right after
-    # the first interval and leave the optimizer blind to compounding strains
-    target = _low_load_halfspace(4, 0.0)
     mpc = OcpProblem(
-        sys=sys_,
-        x=scen.x0,
+        sys=build_viral_system(scenario_id),
+        x=VIRAL_X0,
         horizon=5,
-        target=as_union(target),
+        target=_low_load_halfspace(4),
         cost=CostSpec.uniform(2),
         enforce_waiting=False,
         enforce_terminal=False,
@@ -249,74 +188,54 @@ def _viral_scenario(scenario_id: int) -> Scenario:
     return Scenario(
         name=f"viral-{scenario_id}",
         kind="viral",
-        sys=sys_,
-        x0=scen.x0,
-        tau_days=scen.tau,
-        horizon_steps=scen.decision_steps,
+        tau_days=SAMPLING_DAYS,
+        horizon_steps=round(TREATMENT_DAYS / SAMPLING_DAYS),
         mpc=mpc,
-        analysis_target=as_union(Polytope.box([-scen.detect_limit] * 4, [scen.detect_limit] * 4)),
-        detect_limit=scen.detect_limit,
-        failure_limit=scen.failure_limit,
+        analysis_target=_detection_box(4),
     )
 
 
 def _cancer_scenario(case: int | None = None) -> Scenario:
-    sys_, scen = build_cancer_system()
-    target = _low_load_halfspace(2, 0.0)
-    if case is None:
-        mpc = OcpProblem(
-            sys=sys_,
-            x=scen.x0,
-            horizon=8,
-            target=as_union(target),
-            cost=CostSpec.uniform(3),
-            enforce_waiting=True,
-            enforce_terminal=False,
-            cycle_through_all=True,
-        )
-        name = "cancer"
-    else:
+    sys_ = build_cancer_system()
+    cost = CostSpec.uniform(3)
+    name = "cancer"
+    if case is not None:
         if case not in CANCER_CASE_WEIGHTS:
             raise ValueError(f"unknown cancer case {case!r}; choose 1, 2 or 3")
         # relaxed-dwell study: upper bounds dropped, run lengths priced instead
-        relaxed = SwitchedSystem(
+        sys_ = SwitchedSystem(
             matrices=sys_.matrices,
             state_set=sys_.state_set,
             waiting=tuple((lo, UNBOUNDED_DWELL) for lo, _ in sys_.waiting),
         )
-        sys_ = relaxed
-        mpc = OcpProblem(
-            sys=sys_,
-            x=scen.x0,
-            horizon=8,
-            target=as_union(target),
-            cost=CostSpec.uniform(3, consecutive=CANCER_CASE_WEIGHTS[case]),
-            enforce_waiting=True,
-            enforce_terminal=False,
-            cycle_through_all=False,
-        )
+        cost = CostSpec.uniform(3, consecutive=CANCER_CASE_WEIGHTS[case])
         name = f"cancer-case{case}"
+    mpc = OcpProblem(
+        sys=sys_,
+        x=CANCER_X0,
+        horizon=8,
+        target=_low_load_halfspace(2),
+        cost=cost,
+        enforce_waiting=True,
+        enforce_terminal=False,
+        cycle_through_all=case is None,
+    )
     return Scenario(
         name=name,
         kind="cancer",
-        sys=sys_,
-        x0=scen.x0,
-        tau_days=scen.step_hours / 24.0,
+        tau_days=CANCER_STEP_HOURS / 24.0,
         horizon_steps=72,
         mpc=mpc,
-        analysis_target=as_union(Polytope.box([-DETECTION_LIMIT] * 2, [DETECTION_LIMIT] * 2)),
+        analysis_target=_detection_box(2),
     )
 
 
 def _illustrative_scenario() -> Scenario:
-    sys_ = build_illustrative_system()
-    target = Polytope.origin(2)
-    x0 = np.array([-0.5, 0.5])
     mpc = OcpProblem(
-        sys=sys_,
-        x=x0,
+        sys=build_illustrative_system(),
+        x=(-0.5, 0.5),
         horizon=15,
-        target=as_union(target),
+        target=Polytope.origin(2),
         cost=CostSpec.uniform(4),
         enforce_waiting=False,
         # the origin is unreachable exactly in finite steps under nonsingular
@@ -326,8 +245,6 @@ def _illustrative_scenario() -> Scenario:
     return Scenario(
         name="illustrative",
         kind="custom",
-        sys=sys_,
-        x0=x0,
         tau_days=1.0,
         horizon_steps=30,
         mpc=mpc,
@@ -338,8 +255,8 @@ def _illustrative_scenario() -> Scenario:
 _BUILTINS = {
     "viral-1": lambda: _viral_scenario(1),
     "viral-2": lambda: _viral_scenario(2),
-    "cancer": lambda: _cancer_scenario(),
-    "illustrative": lambda: _illustrative_scenario(),
+    "cancer": _cancer_scenario,
+    "illustrative": _illustrative_scenario,
 }
 
 
@@ -347,15 +264,18 @@ def builtin_names() -> tuple[str, ...]:
     return tuple(_BUILTINS)
 
 
+def _no_case(source: str, case: int | None) -> None:
+    if case is not None:
+        raise ValueError(f"case presets are for the cancer scenario only, not {source!r}")
+
+
 def builtin_scenario(name: str, case: int | None = None) -> Scenario:
-    if name == "cancer" and case is not None:
+    if name not in _BUILTINS:
+        raise ValueError(f"unknown scenario {name!r}; built-ins are {', '.join(_BUILTINS)}")
+    if name == "cancer":
         return _cancer_scenario(case)
-    try:
-        return _BUILTINS[name]()
-    except KeyError:
-        raise ValueError(
-            f"unknown scenario {name!r}; built-ins are {', '.join(_BUILTINS)}"
-        ) from None
+    _no_case(name, case)
+    return _BUILTINS[name]()
 
 
 # -- JSON schema ---------------------------------------------------------------
@@ -367,12 +287,12 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     sys_ = scenario.sys
     cost = scenario.mpc.cost
     target_parts = scenario.mpc.target.parts
-    data = {
+    return {
         "kind": scenario.kind,
         "name": scenario.name,
         "matrices": [np.asarray(M).tolist() for M in sys_.matrices],
         "waiting": [[lo, up] for lo, up in sys_.waiting],
-        "x0": np.asarray(scenario.x0).tolist(),
+        "x0": list(scenario.mpc.x),
         "tau_days": scenario.tau_days,
         "horizon_steps": scenario.horizon_steps,
         "cost": {
@@ -389,7 +309,6 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "enforce_terminal": scenario.mpc.enforce_terminal,
         "cycle_through_all": scenario.mpc.cycle_through_all,
     }
-    return data
 
 
 def _target_from_dict(data: dict) -> PolytopeUnion:
@@ -422,10 +341,9 @@ def scenario_from_dict(data: dict, name: str | None = None) -> Scenario:
         terminal_weight=float(cost_data.get("terminal", 1.0)),
         consecutive_weights=tuple(cost_data.get("consecutive", [])),
     )
-    x0 = np.asarray(data["x0"], dtype=float)
     mpc = OcpProblem(
         sys=sys_,
-        x=x0,
+        x=np.asarray(data["x0"], dtype=float),
         horizon=int(data.get("mpc_horizon", 5)),
         target=target,
         cost=cost,
@@ -436,18 +354,18 @@ def scenario_from_dict(data: dict, name: str | None = None) -> Scenario:
     return Scenario(
         name=name or data.get("name", "custom"),
         kind=data.get("kind", "custom"),
-        sys=sys_,
-        x0=x0,
         tau_days=float(data.get("tau_days", 1.0)),
         horizon_steps=int(data["horizon_steps"]),
         mpc=mpc,
+        analysis_target=target,
     )
 
 
 def load_scenario(source: str, case: int | None = None) -> Scenario:
     """A built-in name or a path to a scenario JSON file."""
-    if source in _BUILTINS or (source == "cancer" and case is not None):
+    if source in _BUILTINS:
         return builtin_scenario(source, case=case)
+    _no_case(source, case)
     path = Path(source)
     if not path.exists():
         raise ValueError(

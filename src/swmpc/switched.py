@@ -89,11 +89,6 @@ class SwitchingPath:
         tail = other.signals if isinstance(other, SwitchingPath) else tuple(other)
         return SwitchingPath(self.signals + tuple(tail))
 
-    def last(self, count: int) -> "SwitchingPath":
-        if count <= 0:
-            return SwitchingPath()
-        return SwitchingPath(self.signals[-count:])
-
 
 def _coerce_path(path: "SwitchingPath | Iterable[int]") -> tuple[int, ...]:
     if isinstance(path, SwitchingPath):

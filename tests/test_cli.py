@@ -219,6 +219,15 @@ class TestSimulate:
         assert rc == 1
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["viral-1", "file"])
+    def test_case_outside_cancer_is_config_error(self, tmp_path, capsys, source):
+        scenario = str(write_scenario(tmp_path)) if source == "file" else source
+        out = tmp_path / "run"
+        rc = main(["simulate", "--scenario", scenario, "--case", "2", "--out", str(out)])
+        assert rc == 1
+        assert "cancer" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key", ["x0", "matrices"])
     def test_missing_required_key_is_config_error(self, tmp_path, capsys, key):
         scen = write_scenario(tmp_path)
@@ -361,6 +370,13 @@ class TestExport:
         rc = main(["simulate", "--scenario", str(exported), "--strategy", "swmpc", "--out", str(out)])
         assert rc == 0
         assert (out / "trajectory.csv").exists()
+
+    def test_exported_cancer_reruns_byte_identical(self, tmp_path):
+        assert main(["export-scenario", "--scenario", "cancer", "--out", str(tmp_path)]) == 0
+        for source, out in (("cancer", "builtin"), (str(tmp_path / "cancer.json"), "exported")):
+            assert main(["simulate", "--scenario", source, "--out", str(tmp_path / out)]) == 0
+        builtin = (tmp_path / "builtin" / "trajectory.csv").read_bytes()
+        assert (tmp_path / "exported" / "trajectory.csv").read_bytes() == builtin
 
 
 class TestPartCap:

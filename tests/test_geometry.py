@@ -109,6 +109,18 @@ class TestPolytope:
         Q = Polytope.from_dict(P.to_dict())
         assert np.array_equal(P.H, Q.H) and np.array_equal(P.h, Q.h)
 
+    def test_dict_round_trip_is_bit_identical(self):
+        # normalizing rows that are already of unit norm must not move them by an ulp
+        rng = np.random.default_rng(0)
+        polytopes = [Polytope(np.ones((1, n)), np.ones(1)) for n in range(1, 17)]
+        for _ in range(2000):
+            n, m = rng.integers(1, 9), rng.integers(1, 10)
+            H = rng.normal(size=(m, n)) * rng.uniform(0.1, 10.0)
+            polytopes.append(Polytope(H, rng.normal(size=m)))
+        for P in polytopes:
+            Q = Polytope.from_dict(P.to_dict())
+            assert P.H.tobytes() == Q.H.tobytes() and P.h.tobytes() == Q.h.tobytes()
+
 
 class TestPreimage:
     def test_identity_preimage_is_identical(self):

@@ -14,11 +14,14 @@ from swmpc import (
     total_load,
 )
 from swmpc.scenarios import (
+    CANCER_DRUGS,
+    CANCER_X0,
     CLEARANCE_RATE,
     MUTATION_GRAPH,
     MUTATION_RATE,
     SAMPLING_DAYS,
     VIRAL_RATES,
+    VIRAL_X0,
 )
 
 SCHEMA_KEYS = {
@@ -64,13 +67,11 @@ class TestViralSystem:
             build_viral_system(3)
 
     def test_initial_condition_formula(self):
-        _, scen = build_viral_system(1)
-        assert np.allclose(scen.x0, [1000.0, 0.1, 0.1, 2e-5])
-        assert total_load(scen.x0) == pytest.approx(1000.20002, abs=1e-9)
+        assert np.allclose(VIRAL_X0, [1000.0, 0.1, 0.1, 2e-5])
+        assert total_load(VIRAL_X0) == pytest.approx(1000.20002, abs=1e-9)
 
     def test_mutation_graph_pattern(self):
-        _, scen = build_viral_system(1)
-        M = scen.M
+        M = MUTATION_GRAPH
         assert np.array_equal(M, M.T)
         assert np.all(np.diag(M) == 0)
         assert np.array_equal(
@@ -79,36 +80,35 @@ class TestViralSystem:
         assert np.all(M.sum(axis=1) == 2)
 
     def test_dominant_diagonal_matches_scalar_exponential(self):
-        sys_, _ = build_viral_system(1)
+        sys_ = build_viral_system(1)
         a11 = sys_.matrices[0][0, 0]
         # mutation coupling perturbs the decoupled exponential by ~1.2e-4 relative
         assert a11 == pytest.approx(np.exp((0.05 - 0.24) * 28.0), rel=2e-4)
 
     def test_off_diagonal_mass_small_but_positive(self):
-        sys_, _ = build_viral_system(1)
+        sys_ = build_viral_system(1)
         for A in sys_.matrices:
             off = A - np.diag(np.diag(A))
             assert np.all(A > 0.0)  # Metzler generator: strictly positive propagator
             assert np.max(off.sum(axis=1)) < 1e-2
 
     def test_decision_steps(self):
-        _, scen = build_viral_system(2)
-        assert scen.decision_steps == 12
+        assert builtin_scenario("viral-2").horizon_steps == 12
 
 
 class TestCancerSystem:
     def test_matrix_literals_bit_exact(self):
-        sys_, scen = build_cancer_system()
+        sys_ = build_cancer_system()
         assert np.array_equal(
             sys_.matrices[0], [[0.755, 0.081], [0.169, 0.843]]
         )
         assert np.array_equal(sys_.matrices[1], [[0.896, 0.0], [0.186, 1.083]])
         assert np.array_equal(sys_.matrices[2], [[1.030, 0.231], [0.022, 0.821]])
-        assert scen.drugs == ("P", "B", "T")
+        assert CANCER_DRUGS == ("P", "B", "T")
         assert sys_.waiting == ((2, 4), (2, 8), (2, 6))
 
     def test_stability_classification(self):
-        sys_, _ = build_cancer_system()
+        sys_ = build_cancer_system()
         radii = [np.max(np.abs(np.linalg.eigvals(A))) for A in sys_.matrices]
         assert radii[0] == pytest.approx(0.924, abs=5e-4)
         assert radii[0] < 1.0
@@ -116,8 +116,8 @@ class TestCancerSystem:
         assert radii[2] > 1.0
 
     def test_one_step_of_combination_drug(self):
-        sys_, scen = build_cancer_system()
-        res = simulate(sys_, scen.x0, [scen.signal("P")])
+        sys_ = build_cancer_system()
+        res = simulate(sys_, CANCER_X0, [CANCER_DRUGS.index("P") + 1])
         assert np.allclose(res.states[1], [215.672, 553.096], atol=1e-12)
 
     def test_total_load_sum(self):
