@@ -53,6 +53,7 @@ from .strategies import (
 )
 from .switched import (
     JPack,
+    RuleState,
     SimulationResult,
     SwitchedSystem,
     SwitchingPath,

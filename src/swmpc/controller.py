@@ -5,7 +5,8 @@ minimize a sum of weighted set-distances (plus an optional penalty on the
 squared length of constant-signal runs), subject to state constraints, an
 optional terminal-set constraint, and dwell-time bounds that span the seam
 between already-applied signals and the prediction window.  The dwell and
-cycle rules are those of `switched.SwitchingRule`.
+cycle rules are those of `switched.SwitchingRule`, and its state, a
+`switched.RuleState`, is all that a problem records of the applied signals.
 
 The optimizer is an exact depth-first branch-and-bound over the q-ary
 sequence tree.  Partial costs are accumulated in one canonical left-to-right
@@ -24,14 +25,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .geometry import NumericalError, Polytope, PolytopeUnion, as_union
-from .switched import (
-    SwitchedSystem,
-    SwitchingPath,
-    SwitchingRule,
-    _matvec,
-    _trailing_run,
-    validate_waiting,
-)
+from .switched import RuleState, SwitchedSystem, SwitchingPath, SwitchingRule, _matvec
 
 __all__ = [
     "CostSpec",
@@ -77,19 +71,20 @@ class CostSpec:
 
     def __post_init__(self) -> None:
         cs = tuple(float(v) for v in self.stage_weights)
-        if not cs or any(v <= 0 for v in cs):
-            raise ValueError("stage weights must be positive")
-        if self.terminal_weight <= 0:
-            raise ValueError("terminal weight must be positive")
+        if not cs or not all(0 < v < math.inf for v in cs):
+            raise ValueError("stage weights must be positive and finite")
+        tw = float(self.terminal_weight)
+        if not 0 < tw < math.inf:
+            raise ValueError("terminal weight must be positive and finite")
         bs = tuple(float(v) for v in self.consecutive_weights)
         if not bs:
             bs = tuple(0.0 for _ in cs)
         if len(bs) != len(cs):
             raise ValueError("need one consecutive weight per signal")
-        if any(v < 0 for v in bs):
-            raise ValueError("consecutive weights must be nonnegative")
+        if not all(0 <= v < math.inf for v in bs):
+            raise ValueError("consecutive weights must be nonnegative and finite")
         object.__setattr__(self, "stage_weights", cs)
-        object.__setattr__(self, "terminal_weight", float(self.terminal_weight))
+        object.__setattr__(self, "terminal_weight", tw)
         object.__setattr__(self, "consecutive_weights", bs)
 
     @classmethod
@@ -103,10 +98,14 @@ class CostSpec:
 
 @dataclass(frozen=True)
 class OcpProblem:
-    """One horizon-N instance: current state, memory of applied signals, constraints.
+    """One horizon-N instance: current state, current run, constraints.
 
-    The receding-horizon loop takes an instance as its template and replaces
-    `x`, `memory` and `cycle_used` with the closed-loop state at every step.
+    `run` is the `SwitchingRule` state that the applied signals left: the
+    signal and length of their last constant run, which the dwell bounds and
+    the run-length cost continue across the seam, and the signals used in the
+    current coverage cycle.  Under cycle coverage the run's signal counts as
+    used.  The receding-horizon loop takes an instance as its template and
+    replaces `x` and `run` with the closed-loop state at every step.
     """
 
     sys: SwitchedSystem
@@ -114,11 +113,10 @@ class OcpProblem:
     horizon: int
     target: PolytopeUnion
     cost: CostSpec
-    memory: SwitchingPath = SwitchingPath()
+    run: RuleState = RuleState()
     enforce_waiting: bool = True
     enforce_terminal: bool = True
     cycle_through_all: bool = False
-    cycle_used: frozenset[int] = frozenset()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "x", tuple(float(v) for v in self.x))
@@ -131,11 +129,16 @@ class OcpProblem:
             raise ValueError("horizon must be >= 1")
         if len(self.cost.stage_weights) != self.sys.q:
             raise ValueError("cost needs one stage weight per subsystem")
-        umax = max(u for _, u in self.sys.waiting)
-        if len(self.memory) > umax:
-            raise ValueError("memory may hold at most max_sigma U_sigma signals")
-        if any(not 1 <= s <= self.sys.q for s in self.cycle_used):
-            raise ValueError("cycle_used must contain signal indices in range")
+        sig, length, used = self.run
+        if length < 0 or (sig is None) != (length == 0):
+            raise ValueError("run needs a signal exactly when its length is positive")
+        used = frozenset(used)
+        signals = used if sig is None else used | {sig}
+        if any(not 1 <= s <= self.sys.q for s in signals):
+            raise ValueError(f"run signals must lie in 1..{self.sys.q}")
+        if self.cycle_through_all:
+            used = signals
+        object.__setattr__(self, "run", RuleState(sig, length, used))
 
 
 @dataclass(frozen=True)
@@ -281,7 +284,7 @@ def _pack_lengths(
     sigs: Sequence[int], mem_sig: int | None, mem_len: int
 ) -> list[int]:
     """Current run length at each decided position, with the first run extended
-    by the memory run it continues."""
+    by the applied run (`mem_sig`, `mem_len`) that it continues."""
     out: list[int] = []
     i = 0
     T = len(sigs)
@@ -327,7 +330,7 @@ def eval_cost(
     dist = _build_distance(problem.target)
     c = problem.cost.stage_weights
     b = problem.cost.consecutive_weights
-    mem_sig, mem_len = _trailing_run(problem.memory)
+    mem_sig, mem_len, _ = problem.run
 
     x = problem.x
     traj = [x]
@@ -484,15 +487,12 @@ def solve_ocp(problem: OcpProblem) -> OcpSolution:
             "current state violates the state constraint", reason="state"
         )
 
-    # the memory's leading pack may have been cut off by the memory window, and
-    # its trailing pack straddles the prediction seam: neither is judged for L
-    if problem.enforce_waiting:
-        report = validate_waiting(sys_, problem.memory, relax_trailing=True, relax_leading=True)
-        if not report.ok:
-            raise InfeasibleProblemError(
-                f"memory violates a {report.kind} waiting bound", reason="waiting"
-            )
-    mem_sig, mem_len, used0 = rule.start(problem.memory, problem.cycle_used)
+    # the applied run straddles the prediction seam, so only U can judge it yet
+    mem_sig, mem_len, used0 = problem.run
+    if mem_sig is not None and mem_len > rule.upper[mem_sig - 1]:
+        raise InfeasibleProblemError(
+            "the applied run violates an upper waiting bound", reason="waiting"
+        )
 
     future = _cost_to_go_bound(problem)
     shrink = 1.0 - 1e-9
@@ -621,13 +621,12 @@ def solve_ocp(problem: OcpProblem) -> OcpSolution:
 
 @dataclass(frozen=True)
 class ControllerState:
-    """Single-owner closed-loop state: current x, the current run of applied
-    signals (all the dwell and cost rules read), cycle bookkeeping."""
+    """Single-owner closed-loop state: the current x and the `SwitchingRule`
+    state of the applied signals, the only past that the dwell, coverage and
+    run-length cost rules read."""
 
     x: tuple[float, ...]
-    memory: SwitchingPath = SwitchingPath()
-    cycle_used: frozenset[int] = frozenset()
-    k: int = 0
+    run: RuleState = RuleState()
 
 
 def initial_state(x0: Sequence[float]) -> ControllerState:
@@ -638,19 +637,13 @@ def rhc_step(
     template: OcpProblem, state: ControllerState
 ) -> tuple[int, ControllerState, OcpSolution]:
     """Solve the horizon problem at the current state and apply its first signal."""
-    problem = replace(template, x=state.x, memory=state.memory, cycle_used=state.cycle_used)
+    problem = replace(template, x=state.x, run=state.run)
     sol = solve_ocp(problem)
     s0 = sol.path[0]
     rule = SwitchingRule(problem.sys, problem.enforce_waiting, problem.cycle_through_all)
-    run_sig, run_len, used = rule.start(state.memory, state.cycle_used)
-    run_len, used = rule.next(s0, run_sig, run_len, used)
-    # the memory window is max U: no admissible run is longer
-    window = max(u for _, u in problem.sys.waiting)
+    run_len, used = rule.next(s0, *problem.run)
     new_state = ControllerState(
-        x=_matvec(problem.sys.rows(s0), state.x),
-        memory=SwitchingPath((s0,) * min(run_len, window)),
-        cycle_used=used,
-        k=state.k + 1,
+        x=_matvec(problem.sys.rows(s0), state.x), run=RuleState(s0, run_len, used)
     )
     return s0, new_state, sol
 

@@ -327,6 +327,8 @@ def scenario_from_dict(data: dict, name: str | None = None) -> Scenario:
         if key not in data:
             raise ValueError(f"scenario is missing the required key {key!r}")
     matrices = tuple(np.asarray(M, dtype=float) for M in data["matrices"])
+    if not matrices:
+        raise ValueError("scenario key 'matrices' must list at least one matrix")
     n = matrices[0].shape[0]
     if "state_set" in data:
         state_set = Polytope.from_dict(data["state_set"])

@@ -5,14 +5,15 @@ a finite family at every step; the signal sequence is the only control input.
 Dwell-time ("waiting time") bounds constrain how long each signal must and may
 persist, expressed through maximal constant runs ("packs") of the path.
 `SwitchingRule` states those bounds, and the optional cycle-coverage rule, as
-one automaton that the controller steps through signal by signal.
+one automaton that the controller steps through signal by signal; its state,
+a `RuleState`, is all of the past that the rules read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -24,6 +25,7 @@ __all__ = [
     "JPack",
     "WaitingReport",
     "SimulationResult",
+    "RuleState",
     "SwitchingRule",
     "step",
     "simulate",
@@ -116,7 +118,8 @@ class SwitchedSystem:
     waiting: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        mats = tuple(np.asarray(M, dtype=float) for M in self.matrices)
+        # copies, so that freezing them leaves the caller's arrays writable
+        mats = tuple(np.array(M, dtype=float) for M in self.matrices)
         if not mats:
             raise ValueError("at least one subsystem matrix is required")
         n = mats[0].shape[0]
@@ -250,15 +253,12 @@ def validate_waiting(
     sys: SwitchedSystem,
     path: SwitchingPath | Iterable[int],
     relax_trailing: bool = False,
-    relax_leading: bool = False,
 ) -> WaitingReport:
     """Check L_sigma <= |pack| <= U_sigma for every pack of the path.
 
     With `relax_trailing` the lower bound is not enforced on the pack touching
     the final index: inside a prediction window that pack may legitimately
-    continue beyond the horizon.  With `relax_leading` the same applies to the
-    pack touching index 0, for windows whose past was truncated mid-pack
-    (e.g. a bounded memory of applied signals).
+    continue beyond the horizon.
     """
     signals = _coerce_path(path)
     for p in packs(signals):
@@ -267,36 +267,29 @@ def validate_waiting(
         lo, up = sys.waiting[p.signal - 1]
         if p.length > up:
             return WaitingReport(ok=False, index=p.start, kind="upper")
-        relaxed = (relax_trailing and p.stop == len(signals)) or (
-            relax_leading and p.start == 0
-        )
+        relaxed = relax_trailing and p.stop == len(signals)
         if p.length < lo and not relaxed:
             return WaitingReport(ok=False, index=p.start, kind="lower")
     return WaitingReport(ok=True)
 
 
-def _trailing_run(path: SwitchingPath) -> tuple[int | None, int]:
-    """Signal and length of the path's last constant run; (None, 0) when empty."""
-    sig = path.signals
-    if not sig:
-        return None, 0
-    s = sig[-1]
-    n = 0
-    for v in reversed(sig):
-        if v != s:
-            break
-        n += 1
-    return s, n
+class RuleState(NamedTuple):
+    """State of a `SwitchingRule`: the signal of the current run (None before
+    any signal), the run's length, and the signals used since the coverage
+    cycle last restarted."""
+
+    signal: int | None = None
+    length: int = 0
+    used: frozenset[int] = frozenset()
 
 
 class SwitchingRule:
     """Dwell-time and cycle-coverage rules as one automaton over constant runs.
 
-    Its state is (run signal, run length, used set): the signal of the current
-    run (None before any signal), the run's length, and the signals used since
-    the coverage cycle last restarted.  Continuing a run may not take it past
-    its upper bound U; switching away requires the run to have reached its
-    lower bound L.  Under cycle coverage a switch may not return to a used
+    Its state is a `RuleState`, passed unpacked to `next` so that the search
+    keeps it in plain locals; under cycle coverage the run's own signal counts
+    as used.  Continuing a run may not take it past its upper bound U;
+    switching away requires the run to have reached its lower bound L.  Under cycle coverage a switch may not return to a used
     signal until every signal has been used, and then the cycle restarts.
     Without dwell enforcement every run is admissible (L = 1, U unbounded).
     """
@@ -312,16 +305,6 @@ class SwitchingRule:
             self.upper = (math.inf,) * sys.q
         self.cycle = cycle_through_all
         self.all_signals = frozenset(range(1, sys.q + 1))
-
-    def start(
-        self, memory: SwitchingPath, cycle_used: frozenset[int]
-    ) -> tuple[int | None, int, frozenset[int]]:
-        """State after the applied signals in `memory`: its trailing run, with
-        that run's signal counted as used."""
-        run_sig, run_len = _trailing_run(memory)
-        if self.cycle and run_sig is not None:
-            cycle_used = cycle_used | {run_sig}
-        return run_sig, run_len, cycle_used
 
     def next(
         self, s: int, run_sig: int | None, run_len: int, used: frozenset[int]

@@ -36,14 +36,18 @@ from swmpc.controller import (
     eval_cost,
 )
 from swmpc.geometry import Polytope, PolytopeUnion
-from swmpc.switched import SwitchedSystem, SwitchingPath, packs
+from swmpc.switched import RuleState, SwitchedSystem, packs
+
+
+def _applied_run(problem: OcpProblem) -> tuple[int, ...]:
+    """The problem's current run, written out as the path of its signals."""
+    return (problem.run.signal,) * problem.run.length
 
 
 def _cycle_ok(problem: OcpProblem, sigs: tuple[int, ...]) -> bool:
     q = problem.sys.q
-    mem = problem.memory.signals
-    used = set(problem.cycle_used)
-    prev = mem[-1] if mem else None
+    used = set(problem.run.used)
+    prev = problem.run.signal
     if prev is not None:
         used.add(prev)
     for s in sigs:
@@ -59,22 +63,18 @@ def _cycle_ok(problem: OcpProblem, sigs: tuple[int, ...]) -> bool:
 
 
 def _waiting_ok(problem: OcpProblem, sigs: tuple[int, ...]) -> bool:
-    """Dwell-bound admissibility of memory ++ path.
+    """Dwell-bound admissibility of the current run ++ path.
 
-    The trailing pack may still extend beyond the horizon, and a pack closed
-    strictly inside the memory window may have been truncated on the left;
-    both get their lower bound relaxed.  Every other pack, including the one
-    straddling the seam, must meet both bounds with its full visible length.
+    The trailing pack may still extend beyond the horizon and gets its lower
+    bound relaxed.  Every other pack, including the one straddling the seam,
+    must meet both bounds with its full length.
     """
-    concat = (problem.memory + SwitchingPath(sigs)).signals
-    mlen = len(problem.memory)
+    concat = _applied_run(problem) + tuple(sigs)
     for p in packs(concat):
         lo, up = problem.sys.waiting[p.signal - 1]
         if p.length > up:
             return False
-        trailing = p.stop == len(concat)
-        truncated_leading = p.start == 0 and p.stop < mlen
-        if p.length < lo and not trailing and not truncated_leading:
+        if p.length < lo and p.stop != len(concat):
             return False
     return True
 
@@ -244,9 +244,19 @@ def random_matrix(rng: np.random.Generator, n: int, radius: float) -> np.ndarray
             return A * (radius / eig)
 
 
+def _trailing_run_state(memory: list[int]) -> RuleState:
+    """The rule state that a drawn path of applied signals leaves: its last
+    constant run.  Draws still make the whole path, so that every later draw
+    of the random stream stays where it was."""
+    if not memory:
+        return RuleState()
+    last = packs(memory)[-1]
+    return RuleState(last.signal, last.length)
+
+
 def random_ocp(rng: np.random.Generator) -> OcpProblem:
-    """A small randomized instance exercising waiting bounds, memory seams,
-    unions, run-length costs, and both enforcement flags."""
+    """A small randomized instance exercising waiting bounds, the seam with an
+    applied run, unions, run-length costs, and both enforcement flags."""
     n = int(rng.integers(1, 4))
     q = int(rng.integers(1, 4))
     N = int(rng.integers(1, 7))
@@ -299,8 +309,6 @@ def random_ocp(rng: np.random.Generator) -> OcpProblem:
         if s != prev:
             lo, up = waiting[s - 1]
             memory.extend([s] * int(rng.integers(1, min(up, 3) + 1)))
-        umax = max(u for _, u in waiting)
-        memory = memory[-umax:]
 
     x0 = tuple(float(v) for v in rng.uniform(-box / 3.0, box / 3.0, size=n))
     return OcpProblem(
@@ -309,7 +317,7 @@ def random_ocp(rng: np.random.Generator) -> OcpProblem:
         horizon=N,
         target=target,
         cost=cost,
-        memory=SwitchingPath(tuple(memory)),
+        run=_trailing_run_state(memory),
         enforce_waiting=bool(rng.random() < 0.8),
         enforce_terminal=bool(rng.random() < 0.35),
         cycle_through_all=bool(q >= 2 and rng.random() < 0.2),
@@ -379,7 +387,7 @@ def random_positive_ocp(rng: np.random.Generator) -> OcpProblem:
             terminal_weight=float(rng.uniform(0.5, 2.0)),
             consecutive_weights=tuple(consecutive),
         ),
-        memory=SwitchingPath(tuple(memory)),
+        run=_trailing_run_state(memory),
         enforce_waiting=bool(rng.random() < 0.8),
         enforce_terminal=bool(rng.random() < 0.2),
         cycle_through_all=cycle,

@@ -213,8 +213,18 @@ class TestSimulate:
         assert rc == 4
         assert "projection failed" in capsys.readouterr().err
 
-    def test_non_finite_x0_is_config_error(self, tmp_path, capsys):
-        scen = write_scenario(tmp_path, x0=[float("nan")])
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"x0": [float("nan")]},
+            {"cost": {"stage": [float("nan"), 1.0], "terminal": 1.0}},
+            {"cost": {"stage": [1.0, 1.0], "terminal": float("nan")}},
+            {"cost": {"stage": [1.0, 1.0], "consecutive": [0.0, float("nan")]}},
+        ],
+        ids=["x0", "stage", "terminal", "consecutive"],
+    )
+    def test_non_finite_value_is_config_error(self, tmp_path, capsys, overrides):
+        scen = write_scenario(tmp_path, **overrides)
         rc = main(["simulate", "--scenario", str(scen), "--out", str(tmp_path)])
         assert rc == 1
         assert "finite" in capsys.readouterr().err
@@ -228,11 +238,17 @@ class TestSimulate:
         assert "cancer" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("key", ["x0", "matrices"])
-    def test_missing_required_key_is_config_error(self, tmp_path, capsys, key):
+    @pytest.mark.parametrize(
+        "key, empty", [("x0", False), ("matrices", False), ("matrices", True)],
+        ids=["x0", "matrices", "empty-matrices"],
+    )
+    def test_missing_required_key_is_config_error(self, tmp_path, capsys, key, empty):
         scen = write_scenario(tmp_path)
         data = json.loads(scen.read_text())
-        del data[key]
+        if empty:
+            data[key] = []
+        else:
+            del data[key]
         scen.write_text(json.dumps(data))
         rc = main(["simulate", "--scenario", str(scen), "--out", str(tmp_path)])
         assert rc == 1

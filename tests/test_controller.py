@@ -10,8 +10,8 @@ from swmpc import (
     OcpProblem,
     Polytope,
     PolytopeUnion,
+    RuleState,
     SwitchedSystem,
-    SwitchingPath,
     builtin_scenario,
     eval_cost,
     initial_state,
@@ -24,7 +24,14 @@ from swmpc import (
 from swmpc.geometry import as_union
 from swmpc.switched import UNBOUNDED_DWELL
 
-from .oracles import _cycle_ok, _waiting_ok, enumerate_ocp, random_ocp, random_positive_ocp
+from .oracles import (
+    _applied_run,
+    _cycle_ok,
+    _waiting_ok,
+    enumerate_ocp,
+    random_ocp,
+    random_positive_ocp,
+)
 
 
 def scalar_system(*gains, box=1e9, waiting=()):
@@ -79,10 +86,10 @@ class TestEvalCost:
     def test_penalty_spans_memory(self):
         prob = scalar_problem(
             (2.0,), x=2.0, N=1, consecutive=(1.0,),
-            memory=SwitchingPath((1, 1)), enforce_waiting=False,
+            run=RuleState(1, 2), enforce_waiting=False,
         )
         cost, _ = eval_cost(prob, [1])
-        # the run through memory has length 3: 4 + 3^2
+        # the run through the applied run has length 3: 4 + 3^2
         assert cost == pytest.approx(13.0, abs=1e-12)
 
     def test_wrong_length_rejected(self):
@@ -108,34 +115,44 @@ class TestSolveOcp:
     def test_waiting_deadlock_reported(self):
         prob = scalar_problem(
             (0.5,), x=2.0, N=2, waiting=((2, 2),),
-            memory=SwitchingPath((1, 1)), enforce_terminal=False,
+            run=RuleState(1, 2), enforce_terminal=False,
         )
         with pytest.raises(InfeasibleProblemError) as err:
             solve_ocp(prob)
         assert err.value.reason == "waiting"
 
-    def test_memory_with_broken_inner_pack_is_infeasible(self):
+    def test_run_past_its_upper_bound_is_waiting_infeasible(self):
+        # signal 2 could follow the run, but the run itself already broke U = 3
         prob = scalar_problem(
-            (0.5, 0.5), x=2.0, N=2, waiting=((1, 9), (2, 9)),
-            memory=SwitchingPath((1, 2, 1)), enforce_terminal=False,
+            (0.5, 0.5), x=2.0, N=2, waiting=((1, 3), (1, 9)),
+            run=RuleState(1, 4), enforce_terminal=False,
         )
-        # the middle pack (2,) is closed, starts past 0, and is shorter than L=2
         with pytest.raises(InfeasibleProblemError) as err:
             solve_ocp(prob)
         assert err.value.reason == "waiting"
+        assert solve_ocp(replace(prob, run=RuleState(1, 3))).path.signals == (2, 1)
 
-    def test_truncated_leading_memory_pack_accepted(self):
-        prob = scalar_problem(
-            (0.5, 0.5), x=2.0, N=2, waiting=((4, 9), (1, 9)),
-            memory=SwitchingPath((1, 2, 2)), enforce_terminal=False,
-        )
-        sol = solve_ocp(prob)  # leading pack (1,) may extend into the cut past
-        assert len(sol.path) == 2
+    @pytest.mark.parametrize(
+        "run",
+        [
+            RuleState(1, 0),
+            RuleState(None, 2),
+            RuleState(3, 1),
+            RuleState(0, 1),
+            RuleState(1, 1, frozenset({3})),
+            RuleState(None, 0, frozenset({0})),
+        ],
+        ids=["signal-without-length", "length-without-signal", "signal-above-q",
+             "signal-below-1", "used-above-q", "used-below-1"],
+    )
+    def test_malformed_run_rejected(self, run):
+        with pytest.raises(ValueError, match="run"):
+            scalar_problem((0.5, 0.5), x=2.0, N=2, run=run)
 
     def test_started_pack_must_be_extended(self):
         prob = scalar_problem(
             (0.5, 0.6), x=2.0, N=2, waiting=((3, 5), (1, 5)),
-            memory=SwitchingPath((1,)), enforce_terminal=False,
+            run=RuleState(1, 1), enforce_terminal=False,
         )
         sol = solve_ocp(prob)
         assert sol.path.signals == (1, 1)
@@ -195,8 +212,7 @@ class TestSolveOcp:
             checked += 1
             if prob.enforce_waiting:
                 rep = validate_waiting(
-                    prob.sys, prob.memory + sol.path,
-                    relax_trailing=True, relax_leading=True,
+                    prob.sys, _applied_run(prob) + sol.path.signals, relax_trailing=True
                 )
                 assert rep.ok
             for j in range(prob.horizon):
@@ -403,7 +419,7 @@ class TestRecedingHorizon:
         sig, state, _ = rhc_step(cfg, initial_state([2.0]))
         assert sig == 1
         assert state.x == (1.0,)
-        assert state.memory.signals == (1,)
+        assert state.run == RuleState(1, 1)
 
     def test_memory_window_is_bounded(self):
         sys_ = scalar_system(0.9, 0.8, waiting=((1, 3), (1, 2)))
@@ -420,7 +436,7 @@ class TestRecedingHorizon:
         state = initial_state([5.0])
         for _ in range(8):
             _, state, _ = rhc_step(cfg, state)
-        assert len(state.memory) <= 3
+            assert 1 <= state.run.length <= sys_.waiting[state.run.signal - 1][1]
 
     def test_infeasibility_carries_step_index(self):
         sys_ = scalar_system(2.0)
@@ -490,7 +506,7 @@ class TestRecedingHorizon:
             s0, state, _ = rhc_step(cfg, state)
             applied.append(s0)
             run = packs(applied)[-1]
-            assert state.memory.signals == (run.signal,) * run.length
+            assert state.run[:2] == (run.signal, run.length)
         assert len(packs(applied)) > 1
 
     def test_non_finite_closed_loop_start_rejected(self):
@@ -499,12 +515,30 @@ class TestRecedingHorizon:
             run_closed_loop(scen.mpc, [float("nan"), 1.0], 2)
 
     def test_cycle_coverage_counts_the_memory_run(self):
-        # the run of drug 3 in memory uses drug 3: drugs 1 and 2 must both
+        # the applied run of drug 3 uses drug 3: drugs 1 and 2 must both
         # come before drug 3 is given again
         scen = builtin_scenario("cancer")
-        start = ControllerState(x=tuple(scen.x0), memory=SwitchingPath((3, 3)))
+        start = ControllerState(x=tuple(scen.x0), run=RuleState(3, 2))
         record = run_closed_loop(scen.mpc, scen.x0, 12, state=start)
-        assert _cycle_ok(replace(scen.mpc, memory=start.memory), record.signals)
+        assert _cycle_ok(replace(scen.mpc, run=start.run), record.signals)
+
+    def test_run_reaches_unbounded_dwell_then_must_stop(self):
+        # one signal, U = UNBOUNDED_DWELL: a run length no path of applied
+        # signals could hold in memory
+        sys_ = scalar_system(0.5)
+        cfg = OcpProblem(
+            sys=sys_,
+            x=(2.0,),
+            horizon=1,
+            target=as_union(Polytope.box([-1.0], [1.0])),
+            cost=CostSpec.uniform(1),
+        )
+        state = ControllerState(x=(2.0,), run=RuleState(1, UNBOUNDED_DWELL - 1))
+        s0, state, _ = rhc_step(cfg, state)
+        assert (s0, state.run[:2]) == (1, (1, UNBOUNDED_DWELL))
+        with pytest.raises(InfeasibleProblemError) as err:
+            rhc_step(cfg, state)
+        assert err.value.reason == "waiting"
 
     def test_closed_loop_matches_enumeration_at_every_step(self):
         rng = np.random.default_rng(1)
@@ -514,15 +548,13 @@ class TestRecedingHorizon:
             q = template.sys.q
             if q >= 2 and loops % 2:
                 used = frozenset(s for s in range(1, q + 1) if rng.random() < 0.4)
-                template = replace(template, cycle_through_all=True, cycle_used=used)
-            state = ControllerState(
-                x=template.x, memory=template.memory, cycle_used=template.cycle_used
-            )
+                template = replace(
+                    template, cycle_through_all=True, run=template.run._replace(used=used)
+                )
+            state = ControllerState(x=template.x, run=template.run)
             applied = []
             for _ in range(6):
-                problem = replace(
-                    template, x=state.x, memory=state.memory, cycle_used=state.cycle_used
-                )
+                problem = replace(template, x=state.x, run=state.run)
                 oracle = enumerate_ocp(problem)
                 try:
                     s0, state, sol = rhc_step(template, state)

@@ -15,6 +15,7 @@ from swmpc import (
 )
 from swmpc.scenarios import (
     CANCER_DRUGS,
+    CANCER_MATRICES,
     CANCER_X0,
     CLEARANCE_RATE,
     MUTATION_GRAPH,
@@ -123,6 +124,11 @@ class TestCancerSystem:
     def test_total_load_sum(self):
         assert total_load([0.0, 0.0, 0.0, 0.0]) == 0.0
         assert total_load([220.0, 612.0]) == 832.0
+
+    def test_building_leaves_the_module_matrices_writable(self):
+        scen = builtin_scenario("cancer")
+        assert all(M.flags.writeable for M in CANCER_MATRICES.values())
+        assert not any(M.flags.writeable for M in scen.sys.matrices)
 
 
 class TestIllustrativeSystem:
