@@ -22,9 +22,8 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import nnls
 
-from .geometry import NumericalError, Polytope, PolytopeUnion, as_union
+from .geometry import NumericalError, Polytope, PolytopeUnion, _least_distance, as_union
 from .switched import RuleState, SwitchedSystem, SwitchingPath, SwitchingRule, _matvec
 
 __all__ = [
@@ -155,31 +154,22 @@ class OcpSolution:
 
 def _project_onto_polytope(P: Polytope, x: np.ndarray) -> np.ndarray:
     """Euclidean projection of x onto the nonempty polytope P by least-distance
-    programming (Lawson & Hanson, Solving Least Squares Problems, 1974, ch. 23).
+    programming, `geometry._least_distance`.
 
-    The step z = p - x is the least-norm solution of -H z >= f, f = H x - h.
-    With f scaled by its largest entry s, the largest violation, one
-    nonnegative least-squares problem, min ||[-H^T; f^T / s] u - e_{n+1}||
-    over u >= 0, gives z = -s r[:n] / r[n] from its residual r, and
-    r[n] = -||r||^2 < 0 unless the rows are infeasible.  Since -r[:n] = H^T u,
-    z = -H^T lam with lam >= 0 carried by the rows where u > 0, which are
-    active at p.  Solving those rows as equalities gives p to working
-    accuracy also where r[n] is tiny, as outside the tip of a thin wedge.
+    The step z = p - x is the least-norm solution of H z <= -f, f = H x - h.
+    The NNLS vector u is positive only on rows active at p, and z = -H^T lam
+    with lam >= 0 carried by those rows.  Solving them as equalities gives p
+    to working accuracy also where the LDP residual is tiny, as outside the
+    tip of a thin wedge.
     """
-    n = P.dim
     f = P.H @ x - P.h
-    s = float(np.max(f))
-    if not s > 0.0:  # x satisfies every row
+    if not np.max(f) > 0.0:  # x satisfies every row
         return x.copy()
-    E = np.vstack([-P.H.T, f / s])
-    e = np.zeros(n + 1)
-    e[n] = 1.0
     try:
-        u, _ = nnls(E, e)
+        u, z = _least_distance(P.H, -f)
     except RuntimeError as err:
         raise NumericalError(f"projection failed: {err}") from err
-    r = E @ u - e
-    if not r[n] < 0.0:
+    if z is None:
         raise NumericalError("projection failed: the least-distance residual vanished")
     active = u > 0.0
     # x - p is the least-norm solution of H_active (x - p) = f_active

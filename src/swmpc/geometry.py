@@ -10,7 +10,13 @@ are in `controller`, beside the solver that evaluates them.
 Numerical conventions: a polytope counts as empty when its Chebyshev radius
 is below EMPTY_TOL; sets thinner than that tolerance are treated as empty by
 the union-inclusion machinery (exact singletons are special-cased where the
-pointwise definition matters).
+pointwise definition matters).  The region difference decides each of its
+emptiness tests, radius >= eps, by a least-distance (NNLS) solve whose
+answer is checked in plain numpy: a Farkas vector for "empty", a point
+checked row by row for "nonempty".  A radius within BAND of eps, a failed
+check or an unbounded region falls back to the Chebyshev LP, which also
+gives every radius whose value is used: `Polytope.is_empty`, the part
+ordering and the counterexample center.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linprog, nnls
 
 __all__ = [
     "Polytope",
@@ -45,6 +51,9 @@ MEMBERSHIP_TOL = 1e-9
 INTERIOR_INFLATION = 1e-6
 PRUNE_TOL = 1e-9
 UNIT_NORM_TOL = 4e-16
+# a least-distance emptiness decision needs its certificate to hold with this
+# margin on either side of eps; closer to eps it falls back to the LP
+BAND = 1e-7
 # a preimage keeps a row without an LP only when its inherited slack clears
 # the pruning tolerance by this much (1000x), so LP rounding cannot flip it
 INHERITED_SLACK_MARGIN = 1e-6
@@ -84,6 +93,59 @@ def _lp(c, A_ub, b_ub):
     if res.status not in (0, 2, 3):
         raise NumericalError(f"LP failed with status {res.status}: {res.message}")
     return res
+
+
+def _least_distance(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Least-distance programming, min ||z|| s.t. H z <= g, by one NNLS solve
+    (Lawson & Hanson, Solving Least Squares Problems, 1974, ch. 23).
+
+    When g >= 0, z = 0.  Otherwise, with g scaled by its most negative entry
+    -s, u >= 0 minimizes ||[-H^T; -g^T / s] u - e_{n+1}|| and r is that
+    residual; r[n] = -||r||^2, and z = -s r[:n] / r[n] unless r vanishes, in
+    which case the rows are infeasible and z is None.  Returns (u, z); any u
+    with H^T u small and u.g negative is a Farkas certificate of
+    infeasibility.  NNLS's RuntimeError (iteration limit) propagates.
+    """
+    n = H.shape[1]
+    s = -float(np.min(g))
+    if not s > 0.0:
+        return np.zeros(H.shape[0]), np.zeros(n)
+    E = np.vstack([-H.T, -g / s])
+    e = np.zeros(n + 1)
+    e[n] = 1.0
+    u, _ = nnls(E, e)
+    r = E @ u - e
+    if not r[n] < 0.0:
+        return u, None
+    return u, -s * r[:n] / r[n]
+
+
+def _radius_at_least(P: "Polytope", eps: float, R: float) -> bool:
+    """P.chebyshev_radius >= eps, i.e. {x : Hx <= h - eps} is nonempty, for P
+    inside the ball of radius R.
+
+    One least-distance solve decides each side when its certificate checks
+    in plain numpy: a Farkas vector u for {Hx <= h - eps + BAND} with
+    u.(h - eps + BAND) + ||H^T u|| R < 0 proves that no point of that set,
+    and so none of the smaller {Hx <= h - eps}, lies in the ball; a point of
+    {Hx <= h - eps - BAND} that satisfies Hx <= h - eps row by row proves the
+    converse.  A radius within about BAND of eps, a failed check or solve,
+    a zero row (whose LP constraint is not shifted by eps), an unbounded R
+    and an already cached radius all read the Chebyshev LP.
+    """
+    if "chebyshev_ball" not in P.__dict__ and math.isfinite(R) and P.H.any(axis=1).all():
+        d = P.h - eps
+        g = d + BAND
+        try:
+            u, _ = _least_distance(P.H, g)
+            if u @ g + np.linalg.norm(P.H.T @ u) * R < 0.0:
+                return False
+            _, x = _least_distance(P.H, d - BAND)
+            if x is not None and np.all(P.H @ x <= d):
+                return True
+        except RuntimeError:
+            pass
+    return P.chebyshev_radius >= eps
 
 
 @dataclass(frozen=True)
@@ -191,8 +253,12 @@ class Polytope:
         return True
 
     @cached_property
-    def chebyshev_radius(self) -> float:
-        """Radius of the largest inscribed ball; -inf if infeasible, inf if unbounded."""
+    def chebyshev_ball(self) -> tuple[float, np.ndarray | None]:
+        """(radius, center) of the largest inscribed ball, from one LP.
+
+        The radius is -inf if the polytope is infeasible and inf if it is
+        unbounded; the center is None in both cases.
+        """
         n = self.dim
         r_col = np.where(np.linalg.norm(self.H, axis=1) > 0.0, 1.0, 0.0)
         A = np.hstack([self.H, r_col[:, None]])
@@ -200,10 +266,15 @@ class Polytope:
         c[-1] = -1.0
         res = _lp(c, A, self.h)
         if res.status == 3:  # unbounded radius
-            return math.inf
+            return math.inf, None
         if res.status != 0:
-            return -math.inf
-        return float(res.x[-1])
+            return -math.inf, None
+        return float(res.x[-1]), np.asarray(res.x[:n], dtype=float)
+
+    @property
+    def chebyshev_radius(self) -> float:
+        """Radius of the largest inscribed ball; -inf if infeasible, inf if unbounded."""
+        return self.chebyshev_ball[0]
 
     def is_empty(self, eps: float = EMPTY_TOL) -> bool:
         return self.chebyshev_radius < eps
@@ -480,6 +551,9 @@ def _uncovered_piece(
     """
     if P.chebyshev_radius < eps:
         return None
+    # every piece lies in P, so P's box, padded by BAND, bounds the norm of its points
+    lo, hi = P.coordinate_ranges
+    R = float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi)) + BAND))
     order = sorted(range(len(parts)), key=lambda i: -min(parts[i].chebyshev_radius, 1e300))
     parts = [parts[i] for i in order]
     stack: list[tuple[Polytope, int]] = [(P, 0)]
@@ -492,7 +566,7 @@ def _uncovered_piece(
                 f"region difference exceeded {budget} pieces (see {PART_CAP_ENV})"
             )
         while idx < len(parts):
-            if not piece.intersect(parts[idx]).is_empty(eps):
+            if _radius_at_least(piece.intersect(parts[idx]), eps, R):
                 break
             idx += 1
         if idx == len(parts):
@@ -501,7 +575,7 @@ def _uncovered_piece(
         current = piece
         for a, b in zip(Q.H, Q.h):
             outside = current.with_row(-a, -b)
-            if outside.chebyshev_radius >= eps:
+            if _radius_at_least(outside, eps, R):
                 stack.append((outside, idx + 1))
             current = current.with_row(a, b)
         # current == piece ∩ Q is covered by Q and needs no further work
@@ -565,7 +639,9 @@ def is_switched_invariant(sys, omega: Polytope | PolytopeUnion) -> InvarianceRep
             P = omega.parts[j]
             piece = _uncovered_piece(P, S.parts, EMPTY_TOL, part_cap())
             if piece is not None:
-                center = _chebyshev_center(piece)
+                center = piece.chebyshev_ball[1]
+                if center is None:
+                    raise NumericalError("could not compute a center of a nonempty piece")
                 return InvarianceReport(is_sis=False, counterexample=center)
             covering = []
             for i, A in enumerate(sys.matrices, start=1):
@@ -579,18 +655,6 @@ def is_switched_invariant(sys, omega: Polytope | PolytopeUnion) -> InvarianceRep
             witness_map[j] = tuple(covering)
 
     return InvarianceReport(is_sis=True, witness_signal_map=witness_map)
-
-
-def _chebyshev_center(P: Polytope) -> np.ndarray:
-    n = P.dim
-    r_col = np.where(np.linalg.norm(P.H, axis=1) > 0.0, 1.0, 0.0)
-    A = np.hstack([P.H, r_col[:, None]])
-    c = np.zeros(n + 1)
-    c[-1] = -1.0
-    res = _lp(c, A, P.h)
-    if res.status != 0:
-        raise NumericalError("could not compute a center of a nonempty piece")
-    return np.asarray(res.x[:n], dtype=float)
 
 
 def _require_cstar_surrogate(omega: PolytopeUnion) -> None:

@@ -38,6 +38,8 @@ from swmpc.controller import (
 from swmpc.geometry import Polytope, PolytopeUnion
 from swmpc.switched import RuleState, SwitchedSystem, packs
 
+HIT_AND_RUN_BURN_IN = 100
+
 
 def _applied_run(problem: OcpProblem) -> tuple[int, ...]:
     """The problem's current run, written out as the path of its signals."""
@@ -183,8 +185,18 @@ def min_norm_after(
 def polytope_samples(
     H: np.ndarray, h: np.ndarray, rng: np.random.Generator, uniform: int, boundary: int
 ) -> np.ndarray:
-    """The vertices of the bounded polytope {x : Hx <= h}, `uniform` points drawn
-    uniformly inside it and `boundary` points on rays from its vertex centroid."""
+    """The vertices of the bounded polytope {x : Hx <= h}, `uniform` points
+    inside it and `boundary` points on rays from its vertex centroid.
+
+    The inside points are states of a hit-and-run chain started at the vertex
+    centroid, taken every n-th step after HIT_AND_RUN_BURN_IN steps.  Each step
+    moves to a uniform point of the chord through the current state along
+    the difference of two random vertices.  That direction law is symmetric
+    and spans R^n, so the uniform distribution on the polytope is the
+    chain's stationary law and the points are approximately uniform; unlike
+    rejection from the vertex box, a step costs the same however thin the
+    polytope is, and the directions follow its long axes.
+    """
     H = np.asarray(H, dtype=float)
     h = np.asarray(h, dtype=float)
     n = H.shape[1]
@@ -197,20 +209,34 @@ def polytope_samples(
         if np.all(H @ v <= h + 1e-12) and not any(np.allclose(v, w) for w in vertices):
             vertices.append(v)
     V = np.array(vertices)
-    lo, hi = V.min(axis=0), V.max(axis=0)
-    inside = []
-    while len(inside) < uniform:
-        x = rng.uniform(lo, hi)
-        if np.all(H @ x <= h):
-            inside.append(x)
     center = V.mean(axis=0)
+
+    def hit_and_run(x: np.ndarray, steps: int) -> np.ndarray:
+        for _ in range(steps):
+            i, j = rng.choice(len(V), size=2, replace=False)
+            d = V[i] - V[j]
+            rate = H @ d
+            room = h - H @ x
+            # the chord {x + t d} of the bounded polytope, x being inside
+            t = rng.uniform(np.max(room[rate < 0] / rate[rate < 0]),
+                            np.min(room[rate > 0] / rate[rate > 0]))
+            y = x + t * d
+            if np.all(H @ y <= h):  # rounding at an end of the chord can leave it
+                x = y
+        return x
+
+    x = hit_and_run(center, HIT_AND_RUN_BURN_IN)
+    inside = []
+    for _ in range(uniform):
+        x = hit_and_run(x, n)
+        inside.append(x)
     edge = []
     for _ in range(boundary):
         d = rng.normal(size=n)
         rate = H @ d
         t = np.min((h - H @ center)[rate > 0] / rate[rate > 0])
         edge.append(center + t * d)
-    return np.vstack([V, np.array(inside), np.array(edge)])
+    return np.vstack([V, *inside, *edge])
 
 
 def unreached_within(

@@ -201,7 +201,7 @@ class TestSimulate:
         def failing(*args, **kwargs):
             raise RuntimeError("Maximum number of iterations reached.")
 
-        monkeypatch.setattr(swmpc.controller, "nnls", failing)
+        monkeypatch.setattr(swmpc.geometry, "nnls", failing)
         # a rotated square is a general polytope, so its distance projects
         scen = write_scenario(
             tmp_path,
@@ -331,7 +331,7 @@ class TestAnalyze:
         # slack; the outputs are those of the code that rebuilt every set
         rc = main(["analyze", "--scenario", "illustrative", "--kmax", "2", "--out", str(tmp_path)])
         assert rc == 0
-        assert len(lp_calls) <= 450
+        assert len(lp_calls) <= 150
         digest = {
             name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in ("sets.json", "certificate.txt")
@@ -339,6 +339,22 @@ class TestAnalyze:
         assert digest == {
             "sets.json": "10bf1a0977bfcf0b38a1b2ae0f8c2b1a08056db0e7252c698268803e0abe2edc",
             "certificate.txt": "130bb2183a95eeb337b0f0b4418c195aef29b6026858c358e9d38bd04ceec973",
+        }
+
+    def test_lp_work_and_outputs_are_pinned_at_kmax_3(self, tmp_path, lp_calls):
+        # the region-difference emptiness tests are least-distance decisions,
+        # so the LPs left are the radii, the pruning and the fallbacks; the
+        # outputs are those of the code that made a Chebyshev LP per test
+        rc = main(["analyze", "--scenario", "illustrative", "--kmax", "3", "--out", str(tmp_path)])
+        assert rc == 0
+        assert len(lp_calls) <= 500
+        digest = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("sets.json", "certificate.txt")
+        }
+        assert digest == {
+            "sets.json": "8a388fa347c543164b653c3cb4e6f2436af2db3299d2fc2db77a5aeb76344625",
+            "certificate.txt": "44deb3df3b267b8575544fa16dd4392bf9edd490cfb302648acbcda253281c90",
         }
 
     def test_second_controllable_set_makes_no_lp(self, lp_calls):

@@ -12,6 +12,7 @@ from swmpc import (
     PolytopeUnion,
     SingularMatrixError,
     SwitchedSystem,
+    build_illustrative_system,
     controllable_set,
     distance_to_set,
     i_step_controllable,
@@ -23,7 +24,7 @@ from swmpc import (
     stabilizability_certificate,
 )
 from swmpc.controller import _build_distance, _project_onto_polytope
-from swmpc.geometry import NumericalError, as_union
+from swmpc.geometry import BAND, EMPTY_TOL, NumericalError, _radius_at_least, as_union
 from .oracles import polytope_samples, unreached_within
 
 
@@ -39,6 +40,16 @@ def planar_system(*mats, box=1e6):
         matrices=tuple(np.asarray(M, dtype=float) for M in mats),
         state_set=Polytope.box([-box, -box], [box, box]),
     )
+
+
+def regular_polygon(sides, inradius, rotation):
+    angles = rotation + 2.0 * np.pi * np.arange(sides) / sides
+    return Polytope(np.column_stack([np.cos(angles), np.sin(angles)]), np.full(sides, inradius))
+
+
+def rotation_matrix(theta):
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array([[c, -s], [s, c]])
 
 
 def sample_in_union(rng, union, count):
@@ -421,6 +432,27 @@ class TestCertificates:
             if non is not None:
                 assert not truly_stabilizable
 
+    def test_expansive_certificate_survives_falsification(self):
+        # every subsystem is a rotation scaled by more than the hexagon's
+        # outer-to-inner radius ratio, so S_1 lies inside omega and the
+        # non-stabilizability certificate holds at k = 0: every sampled point
+        # of S_1 must lie in omega
+        rng = np.random.default_rng(5)
+        omega = regular_polygon(6, 1.0, rng.uniform(0.0, 2.0 * np.pi))
+        rho_min = 1.2 / np.cos(np.pi / 6)
+        sys_ = planar_system(
+            *(
+                rho_min * rng.uniform(1.0, 1.5) * rotation_matrix(rng.uniform(0.0, 2.0 * np.pi))
+                for _ in range(3)
+            ),
+            box=100.0,
+        )
+        assert non_stabilizability_certificate(sys_, omega, 2) == 0
+        S1 = controllable_set(sys_, omega)
+        assert len(S1) == 3
+        points = np.vstack([polytope_samples(P.H, P.h, rng, 200, 100) for P in S1.parts])
+        assert np.all(points @ omega.H.T <= omega.h + 1e-9)
+
 
 class TestDistance:
     def test_member_has_zero_distance(self):
@@ -627,3 +659,128 @@ class TestIllustrativeCertificate:
         assert len(points) == 604
         assert len(unreached_within(sys_.matrices, omega.H, omega.h, points, 4)) == 0
         assert len(unreached_within(sys_.matrices, omega.H, omega.h, points, 3)) > 0
+
+    def test_hexagon_certificate_survives_falsification(self):
+        # the same claim for a regular 6-gon: every point of (1 + 1e-6) omega
+        # reaches omega within k + 1 steps, and some point not within k
+        sys_ = build_illustrative_system()
+        omega = regular_polygon(6, 0.1, 0.3)
+        k = stabilizability_certificate(sys_, omega, 3)
+        assert k == 3
+        points = polytope_samples(
+            omega.H, (1.0 + 1e-6) * omega.h, np.random.default_rng(1), 400, 200
+        )
+        assert len(unreached_within(sys_.matrices, omega.H, omega.h, points, k + 1)) == 0
+        assert len(unreached_within(sys_.matrices, omega.H, omega.h, points, k)) > 0
+
+
+def _bound(P):
+    """The radius R that `_uncovered_piece` derives from the region P."""
+    lo, hi = P.coordinate_ranges
+    return float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi)) + BAND))
+
+
+def _cubes(width):
+    """{n: the cube [-width, width]^n} for n = 2, 3, 4."""
+    return {n: Polytope.box(-width * np.ones(n), width * np.ones(n)) for n in (2, 3, 4)}
+
+
+def _random_rows(rng, n, m, center, low, high):
+    """m random unit rows, each leaving `center` at a depth drawn from U(low, high)."""
+    H = rng.normal(size=(m, n))
+    H /= np.linalg.norm(H, axis=1)[:, None]
+    return H, H @ center + rng.uniform(low, high, size=m)
+
+
+class TestRadiusDecision:
+    """`_radius_at_least` against the Chebyshev LP it replaces."""
+
+    @pytest.fixture
+    def lp_count(self, monkeypatch):
+        calls = []
+        real = swmpc.geometry.linprog
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(swmpc.geometry, "linprog", counting)
+        return calls
+
+    @staticmethod
+    def _decide(P, R, lp_count):
+        """(decision, reference, whether the decision made an LP), on fresh copies."""
+        before = len(lp_count)
+        got = _radius_at_least(Polytope(P.H, P.h), EMPTY_TOL, R)
+        used_lp = len(lp_count) > before
+        return got, Polytope(P.H, P.h).chebyshev_radius >= EMPTY_TOL, used_lp
+
+    def test_agrees_on_random_pieces_of_a_box(self, lp_count):
+        rng = np.random.default_rng(12)
+        cubes = _cubes(1.0)
+        outcomes, by_lp = [], 0
+        for _ in range(240):
+            n = int(rng.integers(2, 5))
+            box = cubes[n]
+            H, h = _random_rows(rng, n, int(rng.integers(n + 1, 2 * n + 5)),
+                                rng.uniform(-1.0, 1.0, size=n), -0.45, 0.6)
+            got, want, used_lp = self._decide(box.intersect(Polytope(H, h)), _bound(box), lp_count)
+            assert got == want
+            outcomes.append(want)
+            by_lp += used_lp
+        assert 0.2 < np.mean(outcomes) < 0.8  # both answers are exercised
+        assert by_lp <= 0.05 * len(outcomes)
+
+    def test_agrees_on_region_difference_intersections(self, lp_count):
+        # a region-difference piece: the region, the outside of one row of a
+        # part, then another part, all overlapping near the region's center
+        rng = np.random.default_rng(21)
+        cubes = _cubes(2.0)
+        outcomes, by_lp = [], 0
+        for _ in range(240):
+            n = int(rng.integers(2, 5))
+            region = Polytope(*_random_rows(rng, n, 2 * n + 2, np.zeros(n), 0.5, 1.0))
+            region = region.intersect(cubes[n])
+            Q1 = Polytope(*_random_rows(rng, n, n + 2, rng.normal(scale=0.3, size=n), -0.1, 0.5))
+            Q2 = Polytope(*_random_rows(rng, n, n + 2, rng.normal(scale=0.3, size=n), -0.1, 0.5))
+            i = int(rng.integers(Q1.nrows))
+            piece = region.with_row(-Q1.H[i], -Q1.h[i]).intersect(Q2)
+            # the region lies in the cube, so the cube's bound is a valid R
+            got, want, used_lp = self._decide(piece, _bound(cubes[n]), lp_count)
+            assert got == want
+            outcomes.append(want)
+            by_lp += used_lp
+        assert 0.2 < np.mean(outcomes) < 0.8
+        assert by_lp <= 0.05 * len(outcomes)
+
+    def test_agrees_within_a_hair_of_eps_and_falls_back_in_band(self, lp_count):
+        # shifting every row by c shifts the radius of a unit-row polytope by
+        # c, so these radii sit at eps -/+ 10^U(-10, -6); the shift shrinks
+        # the polytope, so the cube it was cut from still bounds it
+        rng = np.random.default_rng(33)
+        cubes = _cubes(1.0)
+        in_band = by_ldp = 0
+        for _ in range(120):
+            n = int(rng.integers(2, 5))
+            H, h = _random_rows(rng, n, int(rng.integers(n + 1, 2 * n + 3)), np.zeros(n), 0.1, 1.0)
+            P = Polytope(H, h).intersect(cubes[n])
+            delta = 10.0 ** rng.uniform(-10.0, -6.0) * rng.choice([-1.0, 1.0])
+            shift = EMPTY_TOL + delta - P.chebyshev_radius
+            assert shift < 0.0
+            got, want, used_lp = self._decide(Polytope(P.H, P.h + shift), _bound(cubes[n]), lp_count)
+            assert got == want
+            if abs(delta) < BAND:
+                in_band += 1
+                assert used_lp
+            else:
+                by_ldp += not used_lp
+        assert in_band >= 40 and by_ldp >= 20
+
+    def test_zero_row_and_unbounded_region_read_the_lp(self, lp_count):
+        # a zero row's LP constraint 0 <= h is not shifted by eps
+        P = Polytope(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [0.0, 0.0]]),
+                     np.array([1.0, 1.0, 1.0, 1.0, 0.5]))
+        assert self._decide(P, 10.0, lp_count) == (True, True, True)
+        assert self._decide(Polytope.box([-1, -1], [1, 1]), math.inf, lp_count) == (True, True, True)
+        assert self._decide(Polytope.box([-1, -1], [1, 1]), 10.0, lp_count) == (True, True, False)
+

@@ -1,11 +1,12 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
 
-from swmpc import build_illustrative_system
+from swmpc import Polytope, build_illustrative_system
 
-from .oracles import min_norm_after, random_matrix
+from .oracles import min_norm_after, polytope_samples, random_matrix
 
 
 def enumerate_min_norm(matrices, x0, K):
@@ -48,3 +49,23 @@ def test_min_norm_matches_enumeration_on_random_planar_families(seed):
     x0 = tuple(rng.uniform(-2.0, 2.0, size=2))
     for K in range(7 if q == 3 else 9):
         _check(matrices, x0, K)
+
+
+def test_samples_of_a_long_thin_polytope_are_inside_and_fast():
+    # six random rows in R^4, stretched tenfold along a random axis: the
+    # polytope fills little of its vertex box, so rejection from that box
+    # took seconds for 40 points
+    rng = np.random.default_rng(1)
+    H = rng.normal(size=(6, 4))
+    Q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    H = H @ np.linalg.inv(Q @ np.diag([10.0, 1.0, 1.0, 1.0]) @ Q.T)
+    h = np.ones(6)
+    assert Polytope(H, h).is_bounded
+    t0 = time.perf_counter()
+    points = polytope_samples(H, h, np.random.default_rng(0), 40, 0)
+    elapsed = time.perf_counter() - t0
+    drawn = points[-40:]
+    assert len(np.unique(drawn, axis=0)) == 40
+    assert np.all(drawn @ H.T <= h)
+    assert np.all(points @ H.T <= h + 1e-12)
+    assert elapsed < 0.5
