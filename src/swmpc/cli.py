@@ -152,9 +152,16 @@ def _run_strategy(scen: Scenario, strategy: str, steps: int, args) -> StrategyRe
     raise ConfigError(f"unknown strategy {strategy!r}")
 
 
+def _steps(scen: Scenario, args) -> int:
+    steps = scen.horizon_steps if args.steps is None else args.steps
+    if steps < 0:
+        raise ConfigError("steps must be >= 0")
+    return steps
+
+
 def cmd_simulate(args) -> int:
     scen = load_scenario(args.scenario, case=args.case)
-    steps = scen.horizon_steps if args.steps is None else args.steps
+    steps = _steps(scen, args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.strategy == "swmpc":
@@ -176,9 +183,7 @@ def cmd_compare(args) -> int:
     scen = load_scenario(args.scenario, case=args.case)
     if scen.sys.q != 2:
         raise ConfigError("compare needs a two-regimen (viral or custom) scenario")
-    steps = scen.horizon_steps if args.steps is None else args.steps
-    if steps < 0:
-        raise ConfigError("steps must be >= 0")
+    steps = _steps(scen, args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []

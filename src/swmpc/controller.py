@@ -448,7 +448,7 @@ def _cost_to_go_bound(problem: OcpProblem) -> Callable[[tuple[float, ...], int],
     return decayed_norm
 
 
-def solve_ocp(problem: OcpProblem) -> OcpSolution:
+def solve_ocp(problem: OcpProblem, *, plan: Sequence[int] = ()) -> OcpSolution:
     """Exact minimizer over admissible signal sequences of length N.
 
     Depth-first branch-and-bound in ascending signal order; the nonnegative
@@ -457,6 +457,12 @@ def solve_ocp(problem: OcpProblem) -> OcpSolution:
     incumbent, so the result matches exhaustive lexicographic enumeration bit
     for bit.  The slack covers the sum: when the partial cost dominates, a
     tied subtree's sum can round up past the warm start's threshold.
+
+    `plan` guides the warm-start rollout: at depth d it takes plan[d] where
+    the rules and the state set admit it, else the one-step-lookahead choice;
+    if that rollout fails, the unguided one is used.  Either way the warm cost
+    is an admissible path's, so no plan, however wrong, changes the path, cost
+    or trajectory, only the node counts.
     """
     sys_ = problem.sys
     N, q = problem.horizon, sys_.q
@@ -497,8 +503,9 @@ def solve_ocp(problem: OcpProblem) -> OcpSolution:
     d_seq: list[float] = []
     enforce_t = problem.enforce_terminal
 
-    def greedy_upper_bound() -> float:
-        """Cost of a one-step-lookahead rollout; inf when the rollout dead-ends."""
+    def rollout(guide: Sequence[int]) -> float:
+        """Cost of a rollout that takes guide[depth] where admissible and looks
+        one step ahead elsewhere; inf on a dead end or a terminal miss."""
         x = x0
         run_sig, run_len, used = mem_sig, mem_len, used0
         seq: list[int] = []
@@ -507,6 +514,7 @@ def solve_ocp(problem: OcpProblem) -> OcpSolution:
             d_here = dist(x)
             chosen = None
             chosen_key = math.inf
+            hint = guide[depth] if depth < len(guide) else None
             for s in range(1, q + 1):
                 nxt = allowed(s, run_sig, run_len, used)
                 if nxt is None:
@@ -514,6 +522,9 @@ def solve_ocp(problem: OcpProblem) -> OcpSolution:
                 x_next = _matvec(rows[s - 1], x)
                 if depth + 1 < N and not member_state(x_next):
                     continue
+                if s == hint:
+                    chosen = (s, *nxt, x_next)
+                    break
                 key = dist(x_next)
                 if key < chosen_key:
                     chosen_key = key
@@ -529,7 +540,9 @@ def solve_ocp(problem: OcpProblem) -> OcpSolution:
         total = _canonical_partial(seq, ds, c, b, mem_sig, mem_len)
         return total + cterm * dist(x)
 
-    warm = greedy_upper_bound()
+    warm = rollout(plan)
+    if len(plan) and not math.isfinite(warm):
+        warm = rollout(())
     if math.isfinite(warm):
         threshold = math.nextafter(warm, math.inf)
 
@@ -613,10 +626,12 @@ def solve_ocp(problem: OcpProblem) -> OcpSolution:
 class ControllerState:
     """Single-owner closed-loop state: the current x and the `SwitchingRule`
     state of the applied signals, the only past that the dwell, coverage and
-    run-length cost rules read."""
+    run-length cost rules read, and the last optimal plan, which only guides
+    the next warm start and so cannot change what is applied."""
 
     x: tuple[float, ...]
     run: RuleState = RuleState()
+    plan: tuple[int, ...] = ()
 
 
 def initial_state(x0: Sequence[float]) -> ControllerState:
@@ -626,14 +641,15 @@ def initial_state(x0: Sequence[float]) -> ControllerState:
 def rhc_step(
     template: OcpProblem, state: ControllerState
 ) -> tuple[int, ControllerState, OcpSolution]:
-    """Solve the horizon problem at the current state and apply its first signal."""
+    """Solve the horizon problem at the current state and apply its first
+    signal; the previous plan, shifted by one step, guides the warm start."""
     problem = replace(template, x=state.x, run=state.run)
-    sol = solve_ocp(problem)
+    sol = solve_ocp(problem, plan=state.plan[1:])
     s0 = sol.path[0]
     rule = SwitchingRule(problem.sys, problem.enforce_waiting, problem.cycle_through_all)
     run_len, used = rule.next(s0, *problem.run)
     new_state = ControllerState(
-        x=_matvec(problem.sys.rows(s0), state.x), run=RuleState(s0, run_len, used)
+        _matvec(problem.sys.rows(s0), state.x), RuleState(s0, run_len, used), sol.path.signals
     )
     return s0, new_state, sol
 
@@ -660,6 +676,8 @@ def run_closed_loop(
     state: ControllerState | None = None,
 ) -> ClosedLoopRecord:
     """Iterate rhc_step `steps` times, recording the optimal-cost sequence."""
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
     st = state if state is not None else initial_state(x0)
     states = [st.x]
     signals: list[int] = []

@@ -289,8 +289,9 @@ class SwitchingRule:
     Its state is a `RuleState`, passed unpacked to `next` so that the search
     keeps it in plain locals; under cycle coverage the run's own signal counts
     as used.  Continuing a run may not take it past its upper bound U;
-    switching away requires the run to have reached its lower bound L.  Under cycle coverage a switch may not return to a used
-    signal until every signal has been used, and then the cycle restarts.
+    switching away requires the run to have reached its lower bound L.
+    Under cycle coverage a switch may not return to a used signal until
+    every signal has been used, and then the cycle restarts.
     Without dwell enforcement every run is admissible (L = 1, U unbounded).
     """
 

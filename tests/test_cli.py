@@ -123,6 +123,17 @@ class TestSimulate:
             (2, 2),
         ] * 2
 
+    @pytest.mark.parametrize(
+        "strategy",
+        [["swmpc"], ["vf"], ["swatch"], ["cycle", "--blocks", "1:2,2:2"], ["optimal"]],
+        ids=["swmpc", "vf", "swatch", "cycle", "optimal"],
+    )
+    def test_negative_steps_is_config_error(self, tmp_path, strategy):
+        argv = ["simulate", "--scenario", "viral-1", "--steps", "-1", "--strategy", *strategy]
+        rc = main([*argv, "--out", str(tmp_path)])
+        assert rc == 1
+        assert not (tmp_path / "trajectory.csv").exists()
+
     def test_time_column_units(self, tmp_path):
         main(["simulate", "--scenario", "cancer", "--strategy", "cycle", "--steps", "4", "--out", str(tmp_path)])
         rows = read_rows(tmp_path / "trajectory.csv")

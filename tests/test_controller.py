@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swmpc import (
     ControllerState,
@@ -21,6 +23,7 @@ from swmpc import (
     solve_ocp,
     validate_waiting,
 )
+from swmpc.controller import STATE_TOL, TERMINAL_TOL
 from swmpc.geometry import as_union
 from swmpc.switched import UNBOUNDED_DWELL
 
@@ -509,6 +512,11 @@ class TestRecedingHorizon:
             assert state.run[:2] == (run.signal, run.length)
         assert len(packs(applied)) > 1
 
+    def test_negative_steps_rejected(self):
+        scen = builtin_scenario("illustrative")
+        with pytest.raises(ValueError, match="steps"):
+            run_closed_loop(scen.mpc, scen.x0, -1)
+
     def test_non_finite_closed_loop_start_rejected(self):
         scen = builtin_scenario("cancer")
         with pytest.raises(ValueError, match="finite"):
@@ -580,3 +588,175 @@ class TestRecedingHorizon:
         assert sum(record.nodes_explored) <= 3000
         expected = "111133221111332211113322111133221111332211113322111133221111332211113322"
         assert "".join(map(str, record.signals)) == expected
+
+
+def _broken_rule(problem, sigs):
+    """The first rule that the full-length path `sigs` breaks, or None."""
+    if problem.enforce_waiting and not _waiting_ok(problem, sigs):
+        return "dwell"
+    if problem.cycle_through_all and not _cycle_ok(problem, sigs):
+        return "cycle"
+    _, traj = eval_cost(problem, sigs)
+    if not all(problem.sys.state_set.contains(x, STATE_TOL) for x in traj[1:-1]):
+        return "state"
+    if problem.enforce_terminal and not problem.target.contains(traj[-1], TERMINAL_TOL):
+        return "terminal"
+    return None
+
+
+# dyadic entries tie exactly; the others round, so that mathematically equal
+# costs of different paths can differ in the last bits
+TIE_ENTRIES = (-1.0, -0.5, -0.3, 0.0, 0.1, 0.3, 0.5, 0.7, 1.0)
+
+
+@st.composite
+def near_tie_problems(draw, max_leaves=4096):
+    """General families with q <= 4 and q^N <= max_leaves whose costs tie or
+    nearly tie: rounded entries, optionally diagonal (commuting) matrices,
+    and optionally one subsystem duplicated with its weights and dwell bounds."""
+    n = draw(st.integers(1, 3))
+    q = draw(st.integers(1, 4))
+    N = draw(st.integers(1, max(k for k in range(1, 9) if q**k <= max_leaves)))
+    # positive families with the halfspace target take the linear bound
+    positive = draw(st.booleans())
+    entry = st.sampled_from([v for v in TIE_ENTRIES if v >= 0.0 or not positive])
+    diagonal = draw(st.booleans())
+    mats = []
+    for _ in range(q):
+        if diagonal:
+            mats.append(np.diag(draw(st.lists(entry, min_size=n, max_size=n))))
+        else:
+            flat = draw(st.lists(entry, min_size=n * n, max_size=n * n))
+            mats.append(np.array(flat).reshape(n, n))
+    stage = [draw(st.sampled_from((0.5, 1.0, 2.0))) for _ in range(q)]
+    consecutive = [draw(st.sampled_from((0.0, 0.0, 0.25))) for _ in range(q)]
+    waiting = []
+    for _ in range(q):
+        lo = draw(st.integers(1, 2))
+        waiting.append((lo, draw(st.sampled_from((lo, lo + 1, lo + 3, UNBOUNDED_DWELL)))))
+    if q >= 2 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(q)))[:2]
+        for values in (mats, stage, consecutive, waiting):
+            values[j] = values[i]
+    # at large scales the partial cost dwarfs the cost-to-go bound
+    scale = draw(st.sampled_from((1.0, 1e3, 1e7)))
+    box = scale * draw(st.sampled_from((3.0, 1e3)))
+    sys_ = SwitchedSystem(
+        matrices=tuple(mats),
+        state_set=Polytope.box([-box] * n, [box] * n),
+        waiting=tuple(waiting),
+    )
+    w = draw(st.sampled_from((0.25, 0.5, 1.0)))
+    box_part, half_part = Polytope.box([-w] * n, [w] * n), Polytope(np.ones((1, n)), np.zeros(1))
+    parts = draw(st.sampled_from(((box_part,), (half_part,), (box_part, half_part))))
+    x0 = draw(st.lists(st.sampled_from((-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)), min_size=n, max_size=n))
+    sig = draw(st.sampled_from((None, *range(1, q + 1))))
+    return OcpProblem(
+        sys=sys_,
+        x=tuple(scale * (abs(v) if positive else v) for v in x0),
+        horizon=N,
+        target=PolytopeUnion(parts),
+        cost=CostSpec(tuple(stage), draw(st.sampled_from((0.5, 1.0))), tuple(consecutive)),
+        run=RuleState() if sig is None else RuleState(sig, draw(st.integers(1, 3))),
+        enforce_waiting=draw(st.booleans()),
+        enforce_terminal=draw(st.booleans()),
+        cycle_through_all=q >= 2 and draw(st.booleans()),
+    )
+
+
+class TestNearTies:
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(near_tie_problems())
+    def test_solve_matches_enumeration(self, prob):
+        oracle = enumerate_ocp(prob)
+        try:
+            sol = solve_ocp(prob)
+        except InfeasibleProblemError:
+            assert oracle is None
+            return
+        assert (sol.cost, sol.path.signals) == oracle
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(near_tie_problems(max_leaves=256))
+    def test_closed_loop_matches_enumeration(self, template):
+        # each step after the first is warm-started from the shifted plan
+        state = ControllerState(x=template.x, run=template.run)
+        for _ in range(4):
+            oracle = enumerate_ocp(replace(template, x=state.x, run=state.run))
+            try:
+                _, state, sol = rhc_step(template, state)
+            except InfeasibleProblemError:
+                assert oracle is None
+                return
+            assert (sol.cost, sol.path.signals) == oracle
+
+
+class TestWarmStartPlan:
+    def test_planted_plans_match_enumeration(self):
+        # a plan only guides the warm-start rollout: the true shifted plan,
+        # noise, plans that break each rule, wrong lengths and signals outside
+        # 1..q must all give the enumeration optimum bit for bit
+        rng = np.random.default_rng(31)
+        planted = dict.fromkeys(
+            ("shifted", "random", "dwell", "cycle", "state", "terminal", "length", "range"), 0
+        )
+        for loop in range(48):
+            template = random_ocp(rng)
+            if loop % 2:
+                template = replace(template, enforce_terminal=True)
+            elif loop % 4 == 0:
+                template = replace(template, cycle_through_all=template.sys.q >= 2)
+            else:
+                # X keeps the states before the last away from the origin, so
+                # plans that leave X can be cheaper than every admissible path
+                box, x0 = template.sys.state_set, np.asarray(template.x)
+                cut = Polytope(np.vstack([box.H, -x0]), np.append(box.h, -0.25 * x0 @ x0))
+                template = replace(template, sys=replace(template.sys, state_set=cut))
+            q, N = template.sys.q, template.horizon
+            state = ControllerState(x=template.x, run=template.run)
+            for _ in range(6):
+                problem = replace(template, x=state.x, run=state.run)
+                plans = {
+                    "shifted": state.plan[1:],
+                    "random": tuple(int(v) for v in rng.integers(1, q + 1, size=N - 1)),
+                    "length": tuple(
+                        int(v) for v in rng.integers(1, q + 1, size=N + 1 + int(rng.integers(0, N)))
+                    ),
+                    "range": tuple(int(v) for v in rng.integers(-1, q + 3, size=N)),
+                }
+                # constant paths break dwell bounds and run off along the
+                # most expansive subsystem
+                pool = [(s,) * N for s in range(1, q + 1)]
+                pool += [tuple(int(v) for v in rng.integers(1, q + 1, size=N)) for _ in range(40)]
+                for sigs in pool:
+                    plans.setdefault(_broken_rule(problem, sigs), sigs)
+                plans.pop(None, None)
+                oracle = enumerate_ocp(problem)
+                if oracle is None:
+                    with pytest.raises(InfeasibleProblemError) as unplanned:
+                        solve_ocp(problem)
+                    for kind, plan in plans.items():
+                        with pytest.raises(InfeasibleProblemError) as err:
+                            solve_ocp(problem, plan=plan)
+                        assert err.value.reason == unplanned.value.reason
+                        planted[kind] += 1
+                    break
+                plain = solve_ocp(problem)
+                assert (plain.cost, plain.path.signals) == oracle
+                assert np.array_equal(plain.trajectory, eval_cost(problem, oracle[1])[1])
+                for kind, plan in plans.items():
+                    sol = solve_ocp(problem, plan=plan)
+                    assert (sol.cost, sol.path.signals) == oracle, (kind, plan)
+                    assert np.array_equal(sol.trajectory, plain.trajectory), (kind, plan)
+                    planted[kind] += 1
+                _, state, sol = rhc_step(template, state)
+                assert (sol.cost, sol.path.signals) == oracle
+                assert state.plan == oracle[1]
+        assert min(planted.values()) >= 10, planted
+
+    def test_illustrative_loop_node_pin(self):
+        # the shifted plan cuts the 30-step loop from 44,388 nodes to 16,116
+        scen = builtin_scenario("illustrative")
+        record = run_closed_loop(scen.mpc, scen.x0, 30)
+        assert sum(record.nodes_explored) <= 20_000
+        assert "".join(map(str, record.signals)) == "421131113131111113131111113111"
