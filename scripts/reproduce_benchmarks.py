@@ -14,7 +14,6 @@ from swmpc import (
     brute_force_optimal,
     builtin_scenario,
     packs,
-    performance_index,
     run_closed_loop,
     swatch_strategy,
     virologic_failure_strategy,
@@ -32,7 +31,7 @@ def viral_tables():
             "OPTIMAL": brute_force_optimal(sys_, x0, T).index,
         }
         record = run_closed_loop(scen.mpc, x0, T)
-        rows["SwMPC"] = performance_index(record.states)
+        rows["SwMPC"] = record.index
         label = "chronic" if sid == 1 else "acute"
         print(f"\nviral scenario {sid} ({label}), {time.time() - t0:.1f}s")
         for name, value in rows.items():

@@ -2,7 +2,6 @@
 geometry, an exact sequence optimizer, baseline schedulers, and biomedical benchmarks."""
 
 from .controller import (
-    ClosedLoopRecord,
     ControllerState,
     CostSpec,
     InfeasibleProblemError,
@@ -44,9 +43,7 @@ from .scenarios import (
 from .strategies import (
     CyclicSchedule,
     EnumerationCapError,
-    StrategyResult,
     brute_force_optimal,
-    performance_index,
     run_cycle,
     swatch_strategy,
     virologic_failure_strategy,
@@ -60,6 +57,7 @@ from .switched import (
     WaitingReport,
     j_pack,
     packs,
+    performance_index,
     simulate,
     step,
     total_load,

@@ -15,8 +15,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .controller import InfeasibleProblemError, OcpProblem, run_closed_loop
 from .geometry import (
     GeometryCapError,
@@ -36,14 +34,12 @@ from .scenarios import (
 from .strategies import (
     EnumerationCapError,
     CyclicSchedule,
-    StrategyResult,
     brute_force_optimal,
-    performance_index,
     run_cycle,
     swatch_strategy,
     virologic_failure_strategy,
 )
-from .switched import packs
+from .switched import SimulationResult, packs, total_load
 
 STRATEGIES = ("swmpc", "vf", "swatch", "optimal", "cycle")
 EQ22_BLOCKS = ((1, 4), (3, 2), (2, 2))  # P four times, T twice, B twice
@@ -67,28 +63,16 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _trajectory_rows(scen: Scenario, states: np.ndarray, signals, costs=None):
-    rows = []
-    for k, x in enumerate(states):
-        sig = signals[k] if k < len(signals) else ""
-        cost = ""
-        if costs is not None and k < len(costs):
-            cost = costs[k]
-        rows.append([k, scen.time_of_step(k), *map(float, x), float(np.sum(x)), sig, cost])
-    return rows
-
-
-def _trajectory_header(scen: Scenario, n: int) -> list[str]:
+def _write_trajectory(path: Path, scen: Scenario, run: SimulationResult) -> None:
     time_col = "time_hours" if scen.time_unit == "hours" else "time_days"
-    return ["step", time_col, *[f"x{i + 1}" for i in range(n)], "total", "signal", "cost"]
-
-
-def _write_trajectory(path: Path, scen: Scenario, states, signals, costs=None) -> None:
-    _write_csv(
-        path,
-        _trajectory_header(scen, states.shape[1]),
-        _trajectory_rows(scen, states, signals, costs),
-    )
+    n = run.states.shape[1]
+    rows = []
+    for k, x in enumerate(run.states):
+        sig = run.signals[k] if k < len(run.signals) else ""
+        cost = run.costs[k] if k < len(run.costs) else ""
+        rows.append([k, scen.time_of_step(k), *map(float, x), total_load(x), sig, cost])
+    header = ["step", time_col, *[f"x{i + 1}" for i in range(n)], "total", "signal", "cost"]
+    _write_csv(path, header, rows)
 
 
 def _write_schedule(path: Path, signals) -> None:
@@ -128,8 +112,10 @@ def _parse_blocks(spec: str, scen: Scenario) -> CyclicSchedule:
     return CyclicSchedule(tuple(blocks))
 
 
-def _run_strategy(scen: Scenario, strategy: str, steps: int, args) -> StrategyResult:
+def _run_strategy(scen: Scenario, strategy: str, steps: int, args) -> SimulationResult:
     sys_, x0 = scen.sys, scen.x0
+    if strategy == "swmpc":
+        return run_closed_loop(_mpc_config(scen, args), x0, steps)
     if strategy == "vf":
         if sys_.q != 2:
             raise ConfigError("strategy vf needs a two-regimen scenario")
@@ -164,18 +150,11 @@ def cmd_simulate(args) -> int:
     steps = _steps(scen, args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.strategy == "swmpc":
-        cfg = _mpc_config(scen, args)
-        record = run_closed_loop(cfg, scen.x0, steps)
-        _write_trajectory(
-            out / "trajectory.csv", scen, record.states, record.signals, record.costs
-        )
-        _write_schedule(out / "schedule.csv", record.signals)
-    else:
-        result = _run_strategy(scen, args.strategy, steps, args)
-        _write_trajectory(out / "trajectory.csv", scen, result.trajectory, result.path.signals)
-        _write_schedule(out / "schedule.csv", result.path.signals)
-        print(f"index {result.index!r}")
+    run = _run_strategy(scen, args.strategy, steps, args)
+    _write_trajectory(out / "trajectory.csv", scen, run)
+    _write_schedule(out / "schedule.csv", run.signals)
+    if args.strategy != "swmpc":
+        print(f"index {run.index!r}")
     return 0
 
 
@@ -189,17 +168,9 @@ def cmd_compare(args) -> int:
     rows = []
     for strategy in ("swatch", "vf", "optimal", "swmpc"):
         try:
-            if strategy == "swmpc":
-                cfg = _mpc_config(scen, args)
-                record = run_closed_loop(cfg, scen.x0, steps)
-                states, signals, costs = record.states, record.signals, record.costs
-                index = performance_index(states)
-            else:
-                result = _run_strategy(scen, strategy, steps, args)
-                states, signals, costs = result.trajectory, result.path.signals, None
-                index = result.index
-            _write_trajectory(out / f"trajectory_{strategy}.csv", scen, states, signals, costs)
-            rows.append([strategy, index])
+            run = _run_strategy(scen, strategy, steps, args)
+            _write_trajectory(out / f"trajectory_{strategy}.csv", scen, run)
+            rows.append([strategy, run.index])
         except (InfeasibleProblemError, EnumerationCapError, ValueError) as err:
             # a ValueError is a configuration error of the whole run, except
             # that the optimal schedule needs a nonnegative family

@@ -24,14 +24,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .geometry import NumericalError, Polytope, PolytopeUnion, _least_distance, as_union
-from .switched import RuleState, SwitchedSystem, SwitchingPath, SwitchingRule, _matvec
+from .switched import (
+    RuleState, SimulationResult, SwitchedSystem, SwitchingPath, SwitchingRule, _matvec
+)
 
 __all__ = [
     "CostSpec",
     "OcpProblem",
     "OcpSolution",
     "ControllerState",
-    "ClosedLoopRecord",
     "InfeasibleProblemError",
     "distance_to_set",
     "eval_cost",
@@ -654,28 +655,14 @@ def rhc_step(
     return s0, new_state, sol
 
 
-@dataclass(frozen=True)
-class ClosedLoopRecord:
-    """States, applied signals, per-step optimal costs, and solver effort of a run."""
-
-    states: np.ndarray  # (T+1, n)
-    signals: tuple[int, ...]
-    costs: tuple[float, ...]
-    nodes_explored: tuple[int, ...]
-    nodes_pruned: tuple[int, ...]
-
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
-
-
 def run_closed_loop(
     cfg: OcpProblem,
     x0: Sequence[float],
     steps: int,
     state: ControllerState | None = None,
-) -> ClosedLoopRecord:
-    """Iterate rhc_step `steps` times, recording the optimal-cost sequence."""
+) -> SimulationResult:
+    """Iterate rhc_step `steps` times, recording the optimal-cost sequence
+    and the search effort of every step."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     st = state if state is not None else initial_state(x0)
@@ -696,7 +683,7 @@ def run_closed_loop(
         explored.append(sol.nodes_explored)
         pruned.append(sol.nodes_pruned)
         states.append(st.x)
-    return ClosedLoopRecord(
+    return SimulationResult(
         states=np.array(states, dtype=float),
         signals=tuple(signals),
         costs=tuple(costs),

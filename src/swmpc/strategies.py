@@ -3,7 +3,8 @@
 Includes the optimal schedule (the exact minimum of the cumulative load for
 a nonnegative family, found by the MPC's own branch-and-bound), the reactive
 switch-on-failure rule, fixed-period alternation, and unrolled cyclic
-schedules, plus the cumulative-load index used to compare them.
+schedules.  Each returns the `switched.SimulationResult` of its signals,
+whose `index` is the cumulative-load index used to compare them.
 """
 
 from __future__ import annotations
@@ -15,17 +16,17 @@ import numpy as np
 
 from .controller import CostSpec, OcpProblem, solve_ocp
 from .geometry import Polytope
-from .switched import SwitchedSystem, SwitchingPath, _matvec, simulate, total_load
+from .switched import (
+    SimulationResult, SwitchedSystem, SwitchingPath, _matvec, simulate, total_load
+)
 
 __all__ = [
     "CyclicSchedule",
-    "StrategyResult",
     "EnumerationCapError",
     "brute_force_optimal",
     "virologic_failure_strategy",
     "swatch_strategy",
     "run_cycle",
-    "performance_index",
 ]
 
 DEFAULT_ENUMERATION_CAP = 2**20
@@ -63,44 +64,11 @@ class CyclicSchedule:
         return SwitchingPath(tuple(out[:steps]))
 
 
-@dataclass(frozen=True)
-class StrategyResult:
-    """Applied path, closed trajectory, cumulative-load index, per-step totals."""
-
-    path: SwitchingPath
-    trajectory: np.ndarray  # (T+1, n)
-    index: float
-    per_step_totals: tuple[float, ...]
-
-
-def performance_index(trajectory: Sequence[Sequence[float]]) -> float:
-    """Sum of the coordinate sums of every state in the trajectory."""
-    total = 0.0
-    rows = list(trajectory)
-    if not rows:
-        raise ValueError("trajectory must contain at least one state")
-    for row in rows:
-        for v in row:
-            total += float(v)
-    return total
-
-
-def _result(sys: SwitchedSystem, x0: Sequence[float], signals: Sequence[int]) -> StrategyResult:
-    states = simulate(sys, x0, signals).states
-    return StrategyResult(
-        path=SwitchingPath(tuple(signals)),
-        trajectory=states,
-        index=performance_index(states),
-        per_step_totals=tuple(total_load(x) for x in states),
-    )
-
-
 def brute_force_optimal(
     sys: SwitchedSystem,
     x0: Sequence[float],
     steps: int,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> StrategyResult:
+) -> SimulationResult:
     """Exact minimizer of the cumulative load (coordinate sum over all
     decision instants) over all q^steps signal sequences, for a nonnegative
     family and x0.
@@ -108,19 +76,19 @@ def brute_force_optimal(
     On the nonnegative orthant the load of a state is a multiple of its
     distance to {1.x <= 0}, so the minimizer is the `solve_ocp` optimum for
     that target with unit weights and no dwell, terminal or state rules.
-    Ties go to the lexicographically smallest sequence.  `cap` bounds
-    q^steps, the size of the sequence tree.
+    Ties go to the lexicographically smallest sequence.  q^steps, the size
+    of the sequence tree, may not exceed `DEFAULT_ENUMERATION_CAP`.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    if sys.q**steps > cap:
+    if sys.q**steps > DEFAULT_ENUMERATION_CAP:
         raise EnumerationCapError(
-            f"{sys.q}^{steps} sequences exceed the enumeration cap {cap}"
+            f"{sys.q}^{steps} sequences exceed the enumeration cap {DEFAULT_ENUMERATION_CAP}"
         )
     if any(np.any(M < 0.0) for M in sys.matrices) or any(float(v) < 0.0 for v in x0):
         raise ValueError("the optimal schedule needs nonnegative matrices and x0")
     if steps == 0:
-        return _result(sys, x0, ())
+        return simulate(sys, x0, ())
     problem = OcpProblem(
         replace(sys, state_set=Polytope.nonnegative_orthant(sys.n)),
         x0,
@@ -130,28 +98,27 @@ def brute_force_optimal(
         enforce_waiting=False,
         enforce_terminal=False,
     )
-    return _result(sys, x0, solve_ocp(problem).path.signals)
+    return simulate(sys, x0, solve_ocp(problem).path)
 
 
 def virologic_failure_strategy(
     sys: SwitchedSystem,
     x0: Sequence[float],
     steps: int,
-    threshold: float = VIROLOGIC_FAILURE_THRESHOLD,
-) -> StrategyResult:
+) -> SimulationResult:
     """Start on regimen 1; switch to the other regimen at any decision instant
-    where the total load strictly exceeds the threshold."""
+    where the total load strictly exceeds `VIROLOGIC_FAILURE_THRESHOLD`."""
     if sys.q != 2:
         raise ValueError("the virologic-failure rule alternates between exactly 2 regimens")
     x = tuple(float(v) for v in x0)
     sig = 1
     signals: list[int] = []
     for k in range(steps):
-        if k > 0 and total_load(x) > threshold:
+        if k > 0 and total_load(x) > VIROLOGIC_FAILURE_THRESHOLD:
             sig = 2 if sig == 1 else 1
         signals.append(sig)
         x = _matvec(sys.rows(sig), x)
-    return _result(sys, x0, signals)
+    return simulate(sys, x0, signals)
 
 
 def swatch_strategy(
@@ -159,14 +126,14 @@ def swatch_strategy(
     x0: Sequence[float],
     steps: int,
     period: int = 3,
-) -> StrategyResult:
+) -> SimulationResult:
     """Deterministic alternation 1,..,1,2,..,2 with `period` instants per block."""
     if sys.q != 2:
         raise ValueError("alternation is defined for exactly 2 regimens")
     if period < 1:
         raise ValueError("period must be >= 1")
     signals = [1 if (k // period) % 2 == 0 else 2 for k in range(steps)]
-    return _result(sys, x0, signals)
+    return simulate(sys, x0, signals)
 
 
 def run_cycle(
@@ -174,9 +141,8 @@ def run_cycle(
     x0: Sequence[float],
     schedule: CyclicSchedule,
     steps: int,
-) -> StrategyResult:
+) -> SimulationResult:
     """Unroll the cyclic schedule to `steps` instants and simulate it."""
     for s, _ in schedule.blocks:
         sys._check_signal(s)
-    path = schedule.unroll(steps)
-    return _result(sys, x0, path.signals)
+    return simulate(sys, x0, schedule.unroll(steps))

@@ -33,6 +33,7 @@ __all__ = [
     "packs",
     "validate_waiting",
     "total_load",
+    "performance_index",
 ]
 
 # Upper waiting bound used when a signal has no effective dwell limit.
@@ -54,12 +55,20 @@ def _matvec(rows: Sequence[Sequence[float]], x: Sequence[float]) -> tuple[float,
     return tuple(out)
 
 
-def total_load(x: Sequence[float]) -> float:
+def total_load(x: Iterable[float]) -> float:
     """Coordinate sum of a state (total viral copies / total live cells)."""
     s = 0.0
     for v in x:
         s += float(v)
     return s
+
+
+def performance_index(trajectory: Sequence[Sequence[float]]) -> float:
+    """Cumulative load: the sum of every entry of the trajectory, in row order."""
+    rows = list(trajectory)
+    if not rows:
+        raise ValueError("trajectory must contain at least one state")
+    return total_load(v for row in rows for v in row)
 
 
 def _as_rows(matrix: np.ndarray) -> tuple[tuple[float, ...], ...]:
@@ -86,10 +95,6 @@ class SwitchingPath:
 
     def __getitem__(self, i):
         return self.signals[i]
-
-    def __add__(self, other: "SwitchingPath | Iterable[int]") -> "SwitchingPath":
-        tail = other.signals if isinstance(other, SwitchingPath) else tuple(other)
-        return SwitchingPath(self.signals + tuple(tail))
 
 
 def _coerce_path(path: "SwitchingPath | Iterable[int]") -> tuple[int, ...]:
@@ -187,9 +192,22 @@ class WaitingReport:
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """States of an open-loop run."""
+    """One run of a schedule: the states x(0..T) and the applied signals.
+
+    A receding-horizon run also records, per step, the optimal cost and the
+    nodes the search explored and pruned; other runs leave them empty.
+    """
 
     states: np.ndarray  # (T+1, n)
+    signals: tuple[int, ...]
+    costs: tuple[float, ...] = ()
+    nodes_explored: tuple[int, ...] = ()
+    nodes_pruned: tuple[int, ...] = ()
+
+    @property
+    def index(self) -> float:
+        """The cumulative-load performance index of the states."""
+        return performance_index(self.states)
 
 
 def step(sys: SwitchedSystem, x: Sequence[float], sigma: int) -> np.ndarray:
@@ -217,7 +235,7 @@ def simulate(
         sys._check_signal(sigma)
         x = _matvec(sys.rows(sigma), x)
         states.append(x)
-    return SimulationResult(states=np.array(states, dtype=float))
+    return SimulationResult(states=np.array(states, dtype=float), signals=signals)
 
 
 def j_pack(path: SwitchingPath | Iterable[int], j: int) -> JPack:

@@ -22,7 +22,6 @@ from swmpc import (
     is_switched_invariant,
     non_stabilizability_certificate,
     packs,
-    performance_index,
     run_closed_loop,
     solve_ocp,
     stabilizability_certificate,
@@ -65,7 +64,7 @@ def viral_results(scenario_id: int):
         "OPTIMAL": optimal.index,
         "SWATCH": swatch.index,
         "VF": vf.index,
-        "SwMPC": performance_index(record.states),
+        "SwMPC": record.index,
         "record": record,
         "swatch_period": scen.swatch_period,
     }

@@ -3,14 +3,22 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult
 
 import swmpc.controller
 import swmpc.geometry
-from swmpc import Polytope, build_illustrative_system, controllable_set
-from swmpc.cli import main
-from swmpc.strategies import performance_index
+from swmpc import (
+    Polytope,
+    build_illustrative_system,
+    controllable_set,
+    load_scenario,
+    performance_index,
+    simulate,
+    total_load,
+)
+from swmpc.cli import _build_parser, _run_strategy, _steps, main
 
 
 def write_scenario(path: Path, **overrides) -> Path:
@@ -264,6 +272,44 @@ class TestSimulate:
         rc = main(["simulate", "--scenario", str(scen), "--out", str(tmp_path)])
         assert rc == 1
         assert repr(key) in capsys.readouterr().err
+
+
+class TestRunRecord:
+    @pytest.mark.parametrize(
+        "scenario, strategy",
+        [("viral-1", s) for s in ("swmpc", "vf", "swatch", "optimal")]
+        + [("cancer", "cycle"), ("illustrative", "swmpc"), ("cancer --case 3", "swmpc")],
+    )
+    def test_every_run_is_the_rollout_of_its_signals(self, scenario, strategy):
+        # the CLI dispatches all five strategies through one path to one record
+        argv = ["simulate", "--scenario", *scenario.split(), "--strategy", strategy]
+        args = _build_parser().parse_args(argv)
+        scen = load_scenario(args.scenario, case=args.case)
+        run = _run_strategy(scen, args.strategy, _steps(scen, args), args)
+        assert len(run.signals) == scen.horizon_steps
+        assert len(run.costs) == (len(run.signals) if args.strategy == "swmpc" else 0)
+        rollout = simulate(scen.sys, scen.x0, run.signals).states
+        assert run.states.shape == rollout.shape
+        assert run.states.tobytes() == rollout.tobytes()
+        assert run.index == performance_index(run.states)
+
+    def test_total_column_is_the_load_sum_of_eight_coordinates(self, tmp_path):
+        # numpy sums eight or more entries pairwise, and this state rounds
+        # to 1 + 3 ulp that way but to 1.0 left to right, as the index adds
+        n = 8
+        scen = write_scenario(
+            tmp_path,
+            matrices=[np.eye(n).tolist(), (0.5 * np.eye(n)).tolist()],
+            x0=[1.0] + [1e-16] * (n - 1),
+            target=Polytope.box(-np.ones(n), np.ones(n)).to_dict(),
+        )
+        argv = ["simulate", "--scenario", str(scen), "--strategy", "swatch", "--steps", "4"]
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        rows = read_rows(tmp_path / "trajectory.csv")
+        assert len(rows) == 5
+        for row in rows:
+            x = [float(row[f"x{i}"]) for i in range(1, n + 1)]
+            assert row["total"] == repr(total_load(x))
 
 
 class TestCompare:

@@ -10,6 +10,7 @@ from swmpc import (
     performance_index,
     run_cycle,
     swatch_strategy,
+    total_load,
     virologic_failure_strategy,
 )
 
@@ -27,19 +28,19 @@ class TestBruteForce:
     def test_zero_steps(self):
         sys_ = scalar_system(0.5, 2.0)
         res = brute_force_optimal(sys_, [3.0], 0)
-        assert len(res.path) == 0
+        assert len(res.signals) == 0
         assert res.index == 3.0
 
     def test_scalar_four_leaf_enumeration(self):
         sys_ = scalar_system(0.5, 2.0)
         res = brute_force_optimal(sys_, [1.0], 2)
-        assert res.path.signals == (1, 1)
+        assert res.signals == (1, 1)
         assert res.index == pytest.approx(1.75, abs=1e-12)
 
     def test_lexicographic_tie_break(self):
         sys_ = scalar_system(0.5, 0.5)
         res = brute_force_optimal(sys_, [1.0], 3)
-        assert res.path.signals == (1, 1, 1)
+        assert res.signals == (1, 1, 1)
 
     def test_cap_exceeded(self):
         sys_ = scalar_system(0.5, 2.0)
@@ -88,7 +89,7 @@ class TestOptimalAgainstOracle:
             sys_, x0, T = random_positive_family(rng)
             load, signals = min_load_path(sys_.matrices, x0, T)
             res = brute_force_optimal(sys_, x0, T)
-            assert res.path.signals == signals, f"instance {i}"
+            assert res.signals == signals, f"instance {i}"
             assert res.index == load, f"instance {i}"
 
     def test_state_constraint_is_ignored(self):
@@ -98,10 +99,10 @@ class TestOptimalAgainstOracle:
             matrices=(np.array([[3.0]]), np.array([[0.5]])),
             state_set=Polytope.box([0.0], [2.0]),
         )
-        assert brute_force_optimal(sys_, [1.0], 3).path.signals == (2, 2, 2)
+        assert brute_force_optimal(sys_, [1.0], 3).signals == (2, 2, 2)
         grow = SwitchedSystem(matrices=(np.array([[3.0]]),), state_set=sys_.state_set)
         res = brute_force_optimal(grow, [1.0], 2)
-        assert res.path.signals == (1, 1) and res.index == 13.0
+        assert res.signals == (1, 1) and res.index == 13.0
 
     def test_negative_entries_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -113,31 +114,31 @@ class TestOptimalAgainstOracle:
 class TestVirologicFailure:
     def test_quiet_trajectory_keeps_first_regimen(self):
         sys_ = scalar_system(0.5, 2.0)
-        res = virologic_failure_strategy(sys_, [100.0], 6, threshold=1000.0)
-        assert res.path.signals == (1,) * 6
+        res = virologic_failure_strategy(sys_, [100.0], 6)
+        assert res.signals == (1,) * 6
 
     def test_strictly_above_threshold_switches(self):
         sys_ = scalar_system(1000.01, 0.5)
-        res = virologic_failure_strategy(sys_, [1.0], 3, threshold=1000.0)
-        assert res.path.signals[0] == 1
-        assert res.path.signals[1] == 2  # total hits 1000.01 > 1000 at step 1
+        res = virologic_failure_strategy(sys_, [1.0], 3)
+        assert res.signals[0] == 1
+        assert res.signals[1] == 2  # total hits 1000.01 > 1000 at step 1
 
     def test_threshold_is_strict(self):
         sys_ = scalar_system(1000.0, 0.5)
-        res = virologic_failure_strategy(sys_, [1.0], 2, threshold=1000.0)
-        assert res.path.signals[1] == 1  # exactly 1000 does not trigger
+        res = virologic_failure_strategy(sys_, [1.0], 2)
+        assert res.signals[1] == 1  # exactly 1000 does not trigger
 
     def test_initial_instant_never_switches(self):
         sys_ = scalar_system(0.001, 2.0)
-        res = virologic_failure_strategy(sys_, [5000.0], 2, threshold=1000.0)
-        assert res.path.signals[0] == 1
+        res = virologic_failure_strategy(sys_, [5000.0], 2)
+        assert res.signals[0] == 1
 
     def test_changes_only_when_threshold_exceeded(self):
         sys_ = scalar_system(1.4, 0.5)
-        res = virologic_failure_strategy(sys_, [300.0], 10, threshold=1000.0)
-        for k in range(1, len(res.path)):
-            if res.path[k] != res.path[k - 1]:
-                assert res.per_step_totals[k] > 1000.0
+        res = virologic_failure_strategy(sys_, [300.0], 10)
+        for k in range(1, len(res.signals)):
+            if res.signals[k] != res.signals[k - 1]:
+                assert total_load(res.states[k]) > 1000.0
 
     def test_requires_two_regimens(self):
         sys_ = scalar_system(0.5)
@@ -149,12 +150,12 @@ class TestSwatch:
     def test_period_one(self):
         sys_ = scalar_system(1.0, 1.0)
         res = swatch_strategy(sys_, [1.0], 4, period=1)
-        assert res.path.signals == (1, 2, 1, 2)
+        assert res.signals == (1, 2, 1, 2)
 
     def test_period_three_full_year(self):
         sys_ = scalar_system(1.0, 1.0)
         res = swatch_strategy(sys_, [1.0], 12)
-        assert res.path.signals == (1, 1, 1, 2, 2, 2, 1, 1, 1, 2, 2, 2)
+        assert res.signals == (1, 1, 1, 2, 2, 2, 1, 1, 1, 2, 2, 2)
 
     def test_period_validation(self):
         sys_ = scalar_system(1.0, 1.0)
@@ -166,12 +167,12 @@ class TestRunCycle:
     def test_single_block_constant(self):
         sys_ = scalar_system(0.9, 1.1)
         res = run_cycle(sys_, [1.0], CyclicSchedule(((1, 1),)), 5)
-        assert res.path.signals == (1,) * 5
+        assert res.signals == (1,) * 5
 
     def test_truncated_unroll(self):
         sys_ = scalar_system(0.9, 1.1)
         res = run_cycle(sys_, [1.0], CyclicSchedule(((1, 2), (2, 1))), 5)
-        assert res.path.signals == (1, 1, 2, 1, 1)
+        assert res.signals == (1, 1, 2, 1, 1)
 
     def test_cancer_reference_cycle_two_rounds(self):
         mats = (
@@ -183,7 +184,7 @@ class TestRunCycle:
             matrices=mats, state_set=Polytope.nonnegative_orthant(2)
         )
         res = run_cycle(sys_, [220.0, 612.0], CyclicSchedule(((1, 4), (3, 2), (2, 2))), 16)
-        assert res.path.signals == (1, 1, 1, 1, 3, 3, 2, 2) * 2
+        assert res.signals == (1, 1, 1, 1, 3, 3, 2, 2) * 2
 
     def test_block_validation(self):
         with pytest.raises(ValueError):
