@@ -447,6 +447,65 @@ class TestAnalyze:
         assert not (tmp_path / "certificate.txt").exists()
 
 
+class TestPinnedOutputs:
+    # sha256 of every file that `simulate` (default strategy) and `compare`
+    # write; a refactor of the controller or the strategies must not move a byte
+    DIGESTS = {
+        "simulate --scenario cancer": {
+            "trajectory.csv": "f019b186b12ab14e14be60258094c326bfac19fdcfeea54fef720cacbeca6da3",
+            "schedule.csv": "de7e8c75998af1133af7eaa0b64bf0d80a43a6e16bc960dfa4a15f48048679be",
+        },
+        "simulate --scenario cancer --case 1": {
+            "trajectory.csv": "30032413e3b54e353687b5f105fe30bb7ac1291e5d74e6000f573a1b322af9c6",
+            "schedule.csv": "5cef45e6900a1c50f3fadbc0135b38ed24e86d9adebe1b23aac6ef5db8c7b0f6",
+        },
+        "simulate --scenario cancer --case 2": {
+            "trajectory.csv": "3aafde627235f291fe61a07f6182bbfbb6a5b8ffa48067f0af3275153dd79ea1",
+            "schedule.csv": "40d4aceb6422c38607c9a4fcd678fd6d71dc3ec0c2b6ce0f732b06ff451846c4",
+        },
+        "simulate --scenario cancer --case 3": {
+            "trajectory.csv": "2b44ed98d0ed0216850ac9cbd947dc4fe0c907473d2c210f9e9b8151cfe43ed6",
+            "schedule.csv": "da9209115a3e4fd3691eb2539be08c6f3e837023b331d278a2e1a65a6bf66907",
+        },
+        "simulate --scenario viral-1": {
+            "trajectory.csv": "f7f95551d5d006103b85f2f6ba353dcb67c39993753bd30e1007f79fed2aef9f",
+            "schedule.csv": "81a89a8c9d9771394fdf097d1c4b546cac1d812a111940f4c7a273a47242da27",
+        },
+        "simulate --scenario viral-2": {
+            "trajectory.csv": "d809bb58e5c988351628f356b48b108fff71587b780f29084701ee1ca383527a",
+            "schedule.csv": "db27335efdacc8fd583ee292fe3dde94f3923913e96e1c1805a5bc00eeb79f39",
+        },
+        "simulate --scenario illustrative": {
+            "trajectory.csv": "d2128cbb8dd0a0dc0202ba68be336225e5324798a8ec73031f13a0d7e96351fd",
+            "schedule.csv": "dd25d9cbcb5de319abb2b75dbb418768479900d5ac063d22f6a60f461b5e1604",
+        },
+        "compare --scenario viral-1": {
+            "trajectory_swatch.csv": "62664abef7148dcde27c3b2247b6131815910e8ea6a82c4aa3475fe7cde9a7f5",
+            "trajectory_vf.csv": "a3c136060aed336ea10583c99b9c369d53cbca74bdca401fcda4c4baaaac250c",
+            "trajectory_optimal.csv": "d797b2e31039da3b2f0abfd2d4ce5649d48047657f7ee9ddf69f7d61f878c1f2",
+            "trajectory_swmpc.csv": "f7f95551d5d006103b85f2f6ba353dcb67c39993753bd30e1007f79fed2aef9f",
+            "index.csv": "6c5c2628feb133cb03e880ef5127aa8c4e9e94d0cf1465f9e33d36a3bb9950a4",
+        },
+        "compare --scenario viral-2": {
+            "trajectory_swatch.csv": "f7200803d9db2a987c7bdfa6f159268727637fc30e5d55e915a0797aa3bceae6",
+            "trajectory_vf.csv": "3d665718aec7b8b4e7d83027c35c6086f7b7eb3bdec07e558b67426b67532eb9",
+            "trajectory_optimal.csv": "e89dce5c504b1745db5105a774ce667088fa9822593c0275b05242b9ae5268ec",
+            "trajectory_swmpc.csv": "d809bb58e5c988351628f356b48b108fff71587b780f29084701ee1ca383527a",
+            "index.csv": "6aa5eb2271272bd0fe947872d99a6cd5a99819ca7170b9d9b052761a38293f79",
+        },
+    }
+
+    @pytest.mark.parametrize("command", list(DIGESTS))
+    def test_simulate_and_compare_outputs_are_pinned(self, tmp_path, command):
+        assert main([*command.split(), "--out", str(tmp_path)]) == 0
+        expected = self.DIGESTS[command]
+        digest = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in expected
+        }
+        assert digest == expected
+
+
 class TestExport:
     def test_export_then_simulate_round_trip(self, tmp_path):
         rc = main(["export-scenario", "--scenario", "viral-1", "--out", str(tmp_path)])
