@@ -22,11 +22,9 @@ from .geometry import (
     PolytopeUnion,
     SingularMatrixError,
     controllable_set,
-    i_step_controllable,
     inclusion_in_union,
     is_switched_invariant,
     non_stabilizability_certificate,
-    preimage,
     stabilizability_certificate,
 )
 from .scenarios import (
@@ -53,13 +51,10 @@ from .switched import (
     RuleState,
     SimulationResult,
     SwitchedSystem,
-    SwitchingPath,
     WaitingReport,
-    j_pack,
     packs,
     performance_index,
     simulate,
-    step,
     total_load,
     validate_waiting,
 )

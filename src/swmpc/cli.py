@@ -123,7 +123,7 @@ def _run_strategy(scen: Scenario, strategy: str, steps: int, args) -> Simulation
     if strategy == "swatch":
         if sys_.q != 2:
             raise ConfigError("strategy swatch needs a two-regimen scenario")
-        return swatch_strategy(sys_, x0, steps, period=scen.swatch_period)
+        return swatch_strategy(sys_, x0, steps)
     if strategy == "optimal":
         return brute_force_optimal(sys_, x0, steps)
     if strategy == "cycle":

@@ -24,9 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .geometry import NumericalError, Polytope, PolytopeUnion, _least_distance, as_union
-from .switched import (
-    RuleState, SimulationResult, SwitchedSystem, SwitchingPath, SwitchingRule, _matvec
-)
+from .switched import RuleState, SimulationResult, SwitchedSystem, SwitchingRule, _matvec
 
 __all__ = [
     "CostSpec",
@@ -143,7 +141,7 @@ class OcpProblem:
 
 @dataclass(frozen=True)
 class OcpSolution:
-    path: SwitchingPath
+    path: tuple[int, ...]
     trajectory: np.ndarray  # (N+1, n)
     cost: float
     nodes_explored: int = 0
@@ -307,11 +305,9 @@ def _canonical_partial(
     return total
 
 
-def eval_cost(
-    problem: OcpProblem, path: SwitchingPath | Sequence[int]
-) -> tuple[float, np.ndarray]:
+def eval_cost(problem: OcpProblem, path: Sequence[int]) -> tuple[float, np.ndarray]:
     """Cost and predicted trajectory of a candidate path (no constraints applied)."""
-    sigs = path.signals if isinstance(path, SwitchingPath) else tuple(int(s) for s in path)
+    sigs = tuple(path)
     N = problem.horizon
     if len(sigs) != N:
         raise ValueError(f"path length {len(sigs)} does not match horizon {N}")
@@ -612,7 +608,7 @@ def solve_ocp(problem: OcpProblem, *, plan: Sequence[int] = ()) -> OcpSolution:
         x = _matvec(rows[s - 1], x)
         traj.append(x)
     return OcpSolution(
-        path=SwitchingPath(best_path),
+        path=best_path,
         trajectory=np.array(traj, dtype=float),
         cost=best_cost,
         nodes_explored=stats["nodes"],
@@ -650,7 +646,7 @@ def rhc_step(
     rule = SwitchingRule(problem.sys, problem.enforce_waiting, problem.cycle_through_all)
     run_len, used = rule.next(s0, *problem.run)
     new_state = ControllerState(
-        _matvec(problem.sys.rows(s0), state.x), RuleState(s0, run_len, used), sol.path.signals
+        _matvec(problem.sys.rows(s0), state.x), RuleState(s0, run_len, used), sol.path
     )
     return s0, new_state, sol
 

@@ -2,8 +2,8 @@
 
 Convex polytopes are kept in H-representation {x : Hx <= h} with rows scaled
 to unit norm; nonconvex regions are finite unions of such polytopes.  On top
-of that this module provides one-step preimages under nonsingular maps,
-controllable sets and their iterates, switched-invariance verification and
+of that this module provides one-step preimages under nonsingular maps
+(`Polytope.preimage`), controllable sets, switched-invariance verification and
 stabilizability / non-stabilizability certificates.  Distances to a union
 are in `controller`, beside the solver that evaluates them.
 
@@ -37,9 +37,7 @@ __all__ = [
     "GeometryCapError",
     "NumericalError",
     "SingularMatrixError",
-    "preimage",
     "controllable_set",
-    "i_step_controllable",
     "inclusion_in_union",
     "is_switched_invariant",
     "stabilizability_certificate",
@@ -393,13 +391,16 @@ class Polytope:
         return out
 
     def preimage(self, A: np.ndarray) -> "Polytope":
-        """{x : A x in self} = {x : (H A) x <= h}, pruned, for a nonsingular A.
+        """{x : A x in self} = {x : (H A) x <= h}, pruned, for a nonsingular A,
+        computed without inverting A.
 
         Built once per map and cached on this instance.  Since x -> A x is a
         bijection, row i of the preimage has exactly the slack of row i here,
         divided by the norm of H_i A, so rows with a recorded slack inherit it.
         """
         A = np.asarray(A, dtype=float)
+        if A.shape != (self.dim, self.dim):
+            raise ValueError(f"matrix must be {self.dim}x{self.dim}, got {A.shape}")
         cache = self.__dict__.setdefault("_preimages", {})
         key = A.tobytes()
         Q = cache.get(key)
@@ -473,15 +474,10 @@ def as_union(target: "Polytope | PolytopeUnion") -> PolytopeUnion:
 
 @dataclass(frozen=True)
 class InvarianceReport:
-    """Verdict of a switched-invariance check.
-
-    `witness_signal_map` maps part index -> signals whose single preimage
-    already covers that part (empty tuple when only the union does);
-    `counterexample` is a point of omega that no subsystem keeps inside.
-    """
+    """Verdict of a switched-invariance check; when it fails, `counterexample`
+    is a point of omega that no subsystem keeps inside."""
 
     is_sis: bool
-    witness_signal_map: dict[int, tuple[int, ...]] | None = None
     counterexample: np.ndarray | None = None
 
 
@@ -501,14 +497,6 @@ def _require_nonsingular(A: np.ndarray, label: str = "matrix") -> None:
         )
 
 
-def preimage(A: np.ndarray, P: Polytope) -> Polytope:
-    """Exact preimage {x : A x in P} = {x : (H A) x <= h}, computed without inverting A."""
-    A = np.asarray(A, dtype=float)
-    if A.shape != (P.dim, P.dim):
-        raise ValueError(f"matrix must be {P.dim}x{P.dim}, got {A.shape}")
-    return P.preimage(A)
-
-
 def controllable_set(sys, target: Polytope | PolytopeUnion) -> PolytopeUnion:
     """One-step controllable set: union of per-subsystem preimages of the target."""
     target = as_union(target)
@@ -523,16 +511,6 @@ def controllable_set(sys, target: Polytope | PolytopeUnion) -> PolytopeUnion:
                     f"controllable set exceeded {limit} parts (see {PART_CAP_ENV})"
                 )
     return PolytopeUnion(tuple(parts)).prune_empty()
-
-
-def i_step_controllable(sys, target: Polytope | PolytopeUnion, i: int) -> PolytopeUnion:
-    """i-fold iteration of the controllable set."""
-    if i < 1:
-        raise ValueError("step count must be >= 1")
-    current = as_union(target)
-    for _ in range(i):
-        current = controllable_set(sys, current)
-    return current
 
 
 # -- union inclusion via recursive region difference -------------------------
@@ -610,51 +588,30 @@ def is_switched_invariant(sys, omega: Polytope | PolytopeUnion) -> InvarianceRep
 
     # Degenerate parts are checked pointwise (the region-difference slack would
     # otherwise treat them as vacuously covered).
-    singleton_points: dict[int, np.ndarray] = {}
-    regular: list[int] = []
-    for j, P in enumerate(omega.parts):
-        if P.chebyshev_radius < EMPTY_TOL:
-            pt = P.singleton_point()
-            if pt is None:
-                regular.append(j)  # thin but not a point: fall through to slack semantics
-            else:
-                singleton_points[j] = pt
+    singleton_points: list[np.ndarray] = []
+    regular: list[Polytope] = []
+    for P in omega.parts:
+        pt = P.singleton_point() if P.chebyshev_radius < EMPTY_TOL else None
+        if pt is None:
+            regular.append(P)  # a thin part that is not a point takes the slack semantics
         else:
-            regular.append(j)
+            singleton_points.append(pt)
 
-    witness_map: dict[int, tuple[int, ...]] = {}
-    for j, pt in singleton_points.items():
-        good = tuple(
-            i
-            for i, A in enumerate(sys.matrices, start=1)
-            if omega.contains(np.asarray(A, dtype=float) @ pt)
-        )
-        if not good:
+    for pt in singleton_points:
+        if not any(omega.contains(A @ pt) for A in sys.matrices):
             return InvarianceReport(is_sis=False, counterexample=pt)
-        witness_map[j] = good
 
     if regular:
         S = controllable_set(sys, omega)
-        for j in regular:
-            P = omega.parts[j]
+        for P in regular:
             piece = _uncovered_piece(P, S.parts, EMPTY_TOL, part_cap())
             if piece is not None:
                 center = piece.chebyshev_ball[1]
                 if center is None:
                     raise NumericalError("could not compute a center of a nonempty piece")
                 return InvarianceReport(is_sis=False, counterexample=center)
-            covering = []
-            for i, A in enumerate(sys.matrices, start=1):
-                # signal i alone covers P when P fits inside one of its preimage
-                # parts, which controllable_set has built and cached
-                if any(
-                    all(P.support(a) <= b + EMPTY_TOL for a, b in zip(pre.H, pre.h))
-                    for pre in (Q.preimage(A) for Q in omega.parts)
-                ):
-                    covering.append(i)
-            witness_map[j] = tuple(covering)
 
-    return InvarianceReport(is_sis=True, witness_signal_map=witness_map)
+    return InvarianceReport(is_sis=True)
 
 
 def _require_cstar_surrogate(omega: PolytopeUnion) -> None:

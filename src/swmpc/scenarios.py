@@ -155,7 +155,6 @@ class Scenario:
     horizon_steps: int
     mpc: OcpProblem
     analysis_target: PolytopeUnion
-    swatch_period: int = 3
 
     @property
     def sys(self) -> SwitchedSystem:
@@ -320,6 +319,13 @@ def _target_from_dict(data: dict) -> PolytopeUnion:
 _REQUIRED_KEYS = ("matrices", "x0", "horizon_steps", "target")
 
 
+def _typed(value, key: str, kind: type):
+    # the exact type: bool is a subclass of int, and int() or bool() would coerce
+    if type(value) is not kind:
+        raise ValueError(f"scenario key {key!r} needs {kind.__name__} values, got {value!r}")
+    return value
+
+
 def scenario_from_dict(data: dict, name: str | None = None) -> Scenario:
     if not isinstance(data, dict):
         raise ValueError("a scenario must be a JSON object")
@@ -334,7 +340,10 @@ def scenario_from_dict(data: dict, name: str | None = None) -> Scenario:
         state_set = Polytope.from_dict(data["state_set"])
     else:
         state_set = Polytope.nonnegative_orthant(n)
-    waiting = tuple((int(lo), int(up)) for lo, up in data.get("waiting", []))
+    waiting = tuple(
+        (_typed(lo, "waiting", int), _typed(up, "waiting", int))
+        for lo, up in data.get("waiting", [])
+    )
     sys_ = SwitchedSystem(matrices=matrices, state_set=state_set, waiting=waiting)
     target = _target_from_dict(data["target"])
     cost_data = data.get("cost", {})
@@ -346,18 +355,18 @@ def scenario_from_dict(data: dict, name: str | None = None) -> Scenario:
     mpc = OcpProblem(
         sys=sys_,
         x=np.asarray(data["x0"], dtype=float),
-        horizon=int(data.get("mpc_horizon", 5)),
+        horizon=_typed(data.get("mpc_horizon", 5), "mpc_horizon", int),
         target=target,
         cost=cost,
-        enforce_waiting=bool(data.get("enforce_waiting", True)),
-        enforce_terminal=bool(data.get("enforce_terminal", False)),
-        cycle_through_all=bool(data.get("cycle_through_all", False)),
+        enforce_waiting=_typed(data.get("enforce_waiting", True), "enforce_waiting", bool),
+        enforce_terminal=_typed(data.get("enforce_terminal", False), "enforce_terminal", bool),
+        cycle_through_all=_typed(data.get("cycle_through_all", False), "cycle_through_all", bool),
     )
     return Scenario(
         name=name or data.get("name", "custom"),
         kind=data.get("kind", "custom"),
         tau_days=float(data.get("tau_days", 1.0)),
-        horizon_steps=int(data["horizon_steps"]),
+        horizon_steps=_typed(data["horizon_steps"], "horizon_steps", int),
         mpc=mpc,
         analysis_target=target,
     )

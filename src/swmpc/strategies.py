@@ -2,9 +2,10 @@
 
 Includes the optimal schedule (the exact minimum of the cumulative load for
 a nonnegative family, found by the MPC's own branch-and-bound), the reactive
-switch-on-failure rule, fixed-period alternation, and unrolled cyclic
-schedules.  Each returns the `switched.SimulationResult` of its signals,
-whose `index` is the cumulative-load index used to compare them.
+switch-on-failure rule, fixed-period alternation (a two-block cyclic
+schedule), and unrolled cyclic schedules.  Each returns the
+`switched.SimulationResult` of its signals, whose `index` is the
+cumulative-load index used to compare them.
 """
 
 from __future__ import annotations
@@ -16,9 +17,7 @@ import numpy as np
 
 from .controller import CostSpec, OcpProblem, solve_ocp
 from .geometry import Polytope
-from .switched import (
-    SimulationResult, SwitchedSystem, SwitchingPath, _matvec, simulate, total_load
-)
+from .switched import SimulationResult, SwitchedSystem, _matvec, simulate, total_load
 
 __all__ = [
     "CyclicSchedule",
@@ -31,6 +30,8 @@ __all__ = [
 
 DEFAULT_ENUMERATION_CAP = 2**20
 VIROLOGIC_FAILURE_THRESHOLD = 1000.0
+# instants per SWATCH block; it stays 3 until the paper's protocol is at hand
+SWATCH_PERIOD = 3
 
 
 class EnumerationCapError(RuntimeError):
@@ -47,21 +48,16 @@ class CyclicSchedule:
         blocks = tuple((int(s), int(r)) for s, r in self.blocks)
         if not blocks:
             raise ValueError("a cyclic schedule needs at least one block")
-        for s, r in blocks:
-            if s < 1:
-                raise ValueError("signals are 1-based")
-            if r < 1:
-                raise ValueError("block repeat counts must be >= 1")
+        if any(r < 1 for _, r in blocks):
+            raise ValueError("block repeat counts must be >= 1")
         object.__setattr__(self, "blocks", blocks)
 
-    def unroll(self, steps: int) -> SwitchingPath:
+    def unroll(self, steps: int) -> tuple[int, ...]:
         out: list[int] = []
         while len(out) < steps:
             for s, r in self.blocks:
-                out.extend([s] * r)
-                if len(out) >= steps:
-                    break
-        return SwitchingPath(tuple(out[:steps]))
+                out.extend([s] * min(r, steps - len(out)))
+        return tuple(out)
 
 
 def brute_force_optimal(
@@ -110,6 +106,8 @@ def virologic_failure_strategy(
     where the total load strictly exceeds `VIROLOGIC_FAILURE_THRESHOLD`."""
     if sys.q != 2:
         raise ValueError("the virologic-failure rule alternates between exactly 2 regimens")
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
     x = tuple(float(v) for v in x0)
     sig = 1
     signals: list[int] = []
@@ -125,15 +123,14 @@ def swatch_strategy(
     sys: SwitchedSystem,
     x0: Sequence[float],
     steps: int,
-    period: int = 3,
+    period: int = SWATCH_PERIOD,
 ) -> SimulationResult:
     """Deterministic alternation 1,..,1,2,..,2 with `period` instants per block."""
     if sys.q != 2:
         raise ValueError("alternation is defined for exactly 2 regimens")
     if period < 1:
         raise ValueError("period must be >= 1")
-    signals = [1 if (k // period) % 2 == 0 else 2 for k in range(steps)]
-    return simulate(sys, x0, signals)
+    return run_cycle(sys, x0, CyclicSchedule(((1, period), (2, period))), steps)
 
 
 def run_cycle(
@@ -143,6 +140,8 @@ def run_cycle(
     steps: int,
 ) -> SimulationResult:
     """Unroll the cyclic schedule to `steps` instants and simulate it."""
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
     for s, _ in schedule.blocks:
         sys._check_signal(s)
     return simulate(sys, x0, schedule.unroll(steps))

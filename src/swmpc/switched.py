@@ -2,6 +2,8 @@
 
 The plant is x(k+1) = A_{sigma(k)} x(k) where sigma(k) picks one matrix out of
 a finite family at every step; the signal sequence is the only control input.
+A path is a plain sequence of 1-based signals; its range is checked where it
+meets a system (`simulate`, `validate_waiting`).
 Dwell-time ("waiting time") bounds constrain how long each signal must and may
 persist, expressed through maximal constant runs ("packs") of the path.
 `SwitchingRule` states those bounds, and the optional cycle-coverage rule, as
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -21,15 +23,12 @@ from .geometry import Polytope
 
 __all__ = [
     "SwitchedSystem",
-    "SwitchingPath",
     "JPack",
     "WaitingReport",
     "SimulationResult",
     "RuleState",
     "SwitchingRule",
-    "step",
     "simulate",
-    "j_pack",
     "packs",
     "validate_waiting",
     "total_load",
@@ -73,34 +72,6 @@ def performance_index(trajectory: Sequence[Sequence[float]]) -> float:
 
 def _as_rows(matrix: np.ndarray) -> tuple[tuple[float, ...], ...]:
     return tuple(tuple(float(v) for v in row) for row in np.asarray(matrix, dtype=float))
-
-
-@dataclass(frozen=True)
-class SwitchingPath:
-    """A finite sequence of subsystem indices, 1-based."""
-
-    signals: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        sig = tuple(int(s) for s in self.signals)
-        if any(s < 1 for s in sig):
-            raise ValueError("signal indices are 1-based and must be >= 1")
-        object.__setattr__(self, "signals", sig)
-
-    def __len__(self) -> int:
-        return len(self.signals)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.signals)
-
-    def __getitem__(self, i):
-        return self.signals[i]
-
-
-def _coerce_path(path: "SwitchingPath | Iterable[int]") -> tuple[int, ...]:
-    if isinstance(path, SwitchingPath):
-        return path.signals
-    return SwitchingPath(tuple(path)).signals
 
 
 @dataclass(frozen=True)
@@ -210,52 +181,26 @@ class SimulationResult:
         return performance_index(self.states)
 
 
-def step(sys: SwitchedSystem, x: Sequence[float], sigma: int) -> np.ndarray:
-    """One transition x -> A_sigma x."""
-    sys._check_signal(sigma)
-    xv = np.asarray(x, dtype=float)
-    if xv.shape != (sys.n,):
-        raise ValueError(f"state must have dimension {sys.n}, got shape {xv.shape}")
-    return np.array(_matvec(sys.rows(sigma), tuple(xv)))
-
-
 def simulate(
     sys: SwitchedSystem,
     x0: Sequence[float],
-    path: SwitchingPath | Iterable[int],
+    path: Iterable[int],
 ) -> SimulationResult:
     """Roll the dynamics along `path`; the state constraint X is not checked."""
-    signals = _coerce_path(path)
+    signals = tuple(path)
     xv = np.asarray(x0, dtype=float)
     if xv.shape != (sys.n,):
         raise ValueError(f"initial state must have dimension {sys.n}, got shape {xv.shape}")
     x = tuple(float(v) for v in xv)
     states = [x]
     for sigma in signals:
-        sys._check_signal(sigma)
         x = _matvec(sys.rows(sigma), x)
         states.append(x)
     return SimulationResult(states=np.array(states, dtype=float), signals=signals)
 
 
-def j_pack(path: SwitchingPath | Iterable[int], j: int) -> JPack:
-    """The maximal constant run containing position j (0-based)."""
-    signals = _coerce_path(path)
-    if not 0 <= j < len(signals):
-        raise IndexError(f"index {j} out of range for path of length {len(signals)}")
-    sig = signals[j]
-    start = j
-    while start > 0 and signals[start - 1] == sig:
-        start -= 1
-    stop = j + 1
-    while stop < len(signals) and signals[stop] == sig:
-        stop += 1
-    return JPack(start=start, length=stop - start, signal=sig)
-
-
-def packs(path: SwitchingPath | Iterable[int]) -> list[JPack]:
+def packs(signals: Sequence[int]) -> list[JPack]:
     """Decompose a path into its ordered maximal constant runs."""
-    signals = _coerce_path(path)
     out: list[JPack] = []
     i = 0
     while i < len(signals):
@@ -269,7 +214,7 @@ def packs(path: SwitchingPath | Iterable[int]) -> list[JPack]:
 
 def validate_waiting(
     sys: SwitchedSystem,
-    path: SwitchingPath | Iterable[int],
+    path: Iterable[int],
     relax_trailing: bool = False,
 ) -> WaitingReport:
     """Check L_sigma <= |pack| <= U_sigma for every pack of the path.
@@ -278,10 +223,9 @@ def validate_waiting(
     the final index: inside a prediction window that pack may legitimately
     continue beyond the horizon.
     """
-    signals = _coerce_path(path)
+    signals = tuple(path)
     for p in packs(signals):
-        if p.signal > sys.q:
-            raise ValueError(f"signal {p.signal} out of range 1..{sys.q}")
+        sys._check_signal(p.signal)
         lo, up = sys.waiting[p.signal - 1]
         if p.length > up:
             return WaitingReport(ok=False, index=p.start, kind="upper")

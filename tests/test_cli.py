@@ -248,6 +248,24 @@ class TestSimulate:
         assert rc == 1
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("enforce_waiting", "false"),
+            ("cycle_through_all", "no"),
+            ("waiting", [[2.7, 4.9], [1, 1000]]),
+            ("horizon_steps", 11.6),
+            ("mpc_horizon", 4.5),
+        ],
+        ids=["enforce_waiting", "cycle_through_all", "waiting", "horizon_steps", "mpc_horizon"],
+    )
+    def test_untyped_flag_or_count_is_config_error(self, tmp_path, capsys, key, value):
+        # a string flag would read as true and a fractional count be truncated
+        scen = write_scenario(tmp_path, **{key: value})
+        rc = main(["simulate", "--scenario", str(scen), "--out", str(tmp_path)])
+        assert rc == 1
+        assert repr(key) in capsys.readouterr().err
+
     @pytest.mark.parametrize("source", ["viral-1", "file"])
     def test_case_outside_cancer_is_config_error(self, tmp_path, capsys, source):
         scenario = str(write_scenario(tmp_path)) if source == "file" else source

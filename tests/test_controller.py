@@ -105,7 +105,7 @@ class TestSolveOcp:
     def test_single_step_picks_contracting_branch(self):
         prob = scalar_problem((0.5, 2.0), x=2.0, N=1)
         sol = solve_ocp(prob)
-        assert sol.path.signals == (1,)
+        assert sol.path == (1,)
         assert sol.cost == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(sol.trajectory[:, 0], [2.0, 1.0])
 
@@ -133,7 +133,7 @@ class TestSolveOcp:
         with pytest.raises(InfeasibleProblemError) as err:
             solve_ocp(prob)
         assert err.value.reason == "waiting"
-        assert solve_ocp(replace(prob, run=RuleState(1, 3))).path.signals == (2, 1)
+        assert solve_ocp(replace(prob, run=RuleState(1, 3))).path == (2, 1)
 
     @pytest.mark.parametrize(
         "run",
@@ -158,7 +158,7 @@ class TestSolveOcp:
             run=RuleState(1, 1), enforce_terminal=False,
         )
         sol = solve_ocp(prob)
-        assert sol.path.signals == (1, 1)
+        assert sol.path == (1, 1)
 
     def test_state_constraint_prunes(self):
         sys_ = scalar_system(3.0, 0.5, box=5.0)
@@ -171,7 +171,7 @@ class TestSolveOcp:
             enforce_terminal=False,
         )
         sol = solve_ocp(prob)
-        assert 1 not in sol.path.signals[:2]  # 3 * 2 = 6 > 5 violates X
+        assert 1 not in sol.path[:2]  # 3 * 2 = 6 > 5 violates X
 
     def test_current_state_outside_x_is_state_infeasible(self):
         sys_ = scalar_system(0.5, box=1.0)
@@ -189,7 +189,7 @@ class TestSolveOcp:
     def test_lexicographic_tie_break(self):
         prob = scalar_problem((0.5, 0.5, 0.5), x=2.0, N=3, enforce_terminal=False)
         sol = solve_ocp(prob)
-        assert sol.path.signals == (1, 1, 1)
+        assert sol.path == (1, 1, 1)
 
     def test_solution_cost_matches_eval_cost_bitwise(self):
         rng = np.random.default_rng(12)
@@ -215,7 +215,7 @@ class TestSolveOcp:
             checked += 1
             if prob.enforce_waiting:
                 rep = validate_waiting(
-                    prob.sys, _applied_run(prob) + sol.path.signals, relax_trailing=True
+                    prob.sys, _applied_run(prob) + sol.path, relax_trailing=True
                 )
                 assert rep.ok
             for j in range(prob.horizon):
@@ -238,7 +238,7 @@ class TestSolveOcp:
                 continue
             assert oracle is not None
             assert sol.cost == oracle[0]
-            assert sol.path.signals == oracle[1]
+            assert sol.path == oracle[1]
             feasible += 1
         assert feasible >= 20 and infeasible >= 5
 
@@ -258,7 +258,7 @@ class TestSolveOcp:
                 continue
             assert oracle is not None, f"instance {i}"
             assert sol.cost == oracle[0], f"instance {i}"
-            assert sol.path.signals == oracle[1], f"instance {i}"
+            assert sol.path == oracle[1], f"instance {i}"
             feasible += 1
         assert feasible >= 200 and infeasible >= 10
 
@@ -288,7 +288,7 @@ class TestSolveOcp:
             )
             sol = solve_ocp(prob)
             oracle = enumerate_ocp(prob)
-            assert (sol.cost, sol.path.signals) == oracle, f"instance {i}"
+            assert (sol.cost, sol.path) == oracle, f"instance {i}"
 
     def test_general_targets_match_enumeration(self):
         # rotated polygons, alone or beside random_ocp's box, take the
@@ -315,7 +315,7 @@ class TestSolveOcp:
                 continue
             assert oracle is not None
             assert sol.cost == oracle[0]
-            assert sol.path.signals == oracle[1]
+            assert sol.path == oracle[1]
             feasible += 1
         assert feasible >= 60 and infeasible >= 10
 
@@ -342,7 +342,7 @@ class TestSolveOcp:
         prob = scalar_problem((0.7, 1.3), x=3.0, N=5, enforce_terminal=False)
         a = solve_ocp(prob)
         b = solve_ocp(prob)
-        assert a.path.signals == b.path.signals
+        assert a.path == b.path
         assert a.cost == b.cost
 
 
@@ -364,11 +364,11 @@ class TestCycleCoverage:
         )
         sol = solve_ocp(prob)
         oracle = enumerate_ocp(prob)
-        assert sol.path.signals == oracle[1]
+        assert sol.path == oracle[1]
         # within six steps with U=2 the path must open at least three packs,
         # and coverage forbids reusing a signal before all three appeared
         first_three = []
-        for s in sol.path.signals:
+        for s in sol.path:
             if not first_three or first_three[-1] != s:
                 first_three.append(s)
         assert set(first_three[:3]) == {1, 2, 3}
@@ -388,7 +388,7 @@ class TestCycleCoverage:
                 checked += 1
                 continue
             assert oracle is not None and sol.cost == oracle[0]
-            assert sol.path.signals == oracle[1]
+            assert sol.path == oracle[1]
             checked += 1
 
 
@@ -569,7 +569,7 @@ class TestRecedingHorizon:
                 except InfeasibleProblemError:
                     assert oracle is None
                     break
-                assert (sol.cost, sol.path.signals) == oracle
+                assert (sol.cost, sol.path) == oracle
                 applied.append(s0)
             sigs = tuple(applied)
             if template.enforce_waiting:
@@ -674,7 +674,7 @@ class TestNearTies:
         except InfeasibleProblemError:
             assert oracle is None
             return
-        assert (sol.cost, sol.path.signals) == oracle
+        assert (sol.cost, sol.path) == oracle
 
     @settings(max_examples=40, derandomize=True, deadline=None, database=None)
     @given(near_tie_problems(max_leaves=256))
@@ -688,7 +688,7 @@ class TestNearTies:
             except InfeasibleProblemError:
                 assert oracle is None
                 return
-            assert (sol.cost, sol.path.signals) == oracle
+            assert (sol.cost, sol.path) == oracle
 
 
 class TestWarmStartPlan:
@@ -742,15 +742,15 @@ class TestWarmStartPlan:
                         planted[kind] += 1
                     break
                 plain = solve_ocp(problem)
-                assert (plain.cost, plain.path.signals) == oracle
+                assert (plain.cost, plain.path) == oracle
                 assert np.array_equal(plain.trajectory, eval_cost(problem, oracle[1])[1])
                 for kind, plan in plans.items():
                     sol = solve_ocp(problem, plan=plan)
-                    assert (sol.cost, sol.path.signals) == oracle, (kind, plan)
+                    assert (sol.cost, sol.path) == oracle, (kind, plan)
                     assert np.array_equal(sol.trajectory, plain.trajectory), (kind, plan)
                     planted[kind] += 1
                 _, state, sol = rhc_step(template, state)
-                assert (sol.cost, sol.path.signals) == oracle
+                assert (sol.cost, sol.path) == oracle
                 assert state.plan == oracle[1]
         assert min(planted.values()) >= 10, planted
 

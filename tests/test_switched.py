@@ -3,16 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swmpc import (
-    Polytope,
-    SwitchedSystem,
-    SwitchingPath,
-    j_pack,
-    packs,
-    simulate,
-    step,
-    validate_waiting,
-)
+from swmpc import JPack, Polytope, SwitchedSystem, packs, simulate, validate_waiting
 from swmpc.strategies import CyclicSchedule
 
 
@@ -36,6 +27,11 @@ def scalar_system(*gains, waiting=()):
         state_set=Polytope.box([-1e9], [1e9]),
         waiting=waiting,
     )
+
+
+def step(sys_, x, sigma):
+    """One transition x -> A_sigma x."""
+    return simulate(sys_, x, [sigma]).states[-1]
 
 
 class TestStep:
@@ -106,21 +102,13 @@ class TestSimulate:
 
 class TestJPack:
     def test_reference_path_inner_pack(self):
-        path = SwitchingPath((1, 2, 2, 2, 3, 3, 2))
-        p = j_pack(path, 1)
-        assert (p.start, p.length, p.signal) == (1, 3, 2)
+        assert packs((1, 2, 2, 2, 3, 3, 2))[1] == JPack(start=1, length=3, signal=2)
 
     def test_reference_path_final_pack(self):
-        p = j_pack((1, 2, 2, 2, 3, 3, 2), 6)
-        assert (p.start, p.length, p.signal) == (6, 1, 2)
+        assert packs((1, 2, 2, 2, 3, 3, 2))[-1] == JPack(start=6, length=1, signal=2)
 
     def test_singleton_path(self):
-        p = j_pack((5,), 0)
-        assert (p.start, p.length, p.signal) == (0, 1, 5)
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            j_pack((1, 2), 2)
+        assert packs((5,)) == [JPack(start=0, length=1, signal=5)]
 
     @given(st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=24))
     def test_packs_partition_the_index_range(self, sigs):
@@ -129,13 +117,6 @@ class TestJPack:
         for p in ps:
             covered.extend(range(p.start, p.stop))
         assert covered == list(range(len(sigs)))
-
-    @given(st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=24))
-    def test_pack_idempotence(self, sigs):
-        for j in range(len(sigs)):
-            p = j_pack(sigs, j)
-            for j2 in range(p.start, p.stop):
-                assert j_pack(sigs, j2) == p
 
 
 class TestValidateWaiting:
@@ -217,6 +198,8 @@ class TestSwitchedSystemValidation:
                 waiting=((3, 2),),
             )
 
-    def test_path_signals_one_based(self):
+    def test_path_signals_one_based(self, cancer_like):
         with pytest.raises(ValueError):
-            SwitchingPath((0, 1))
+            simulate(cancer_like, [1.0, 1.0], (0, 1))
+        with pytest.raises(ValueError):
+            validate_waiting(cancer_like, (0, 1))
