@@ -116,7 +116,9 @@ class TestJPack:
         covered = []
         for p in ps:
             covered.extend(range(p.start, p.stop))
+            assert set(sigs[p.start:p.stop]) == {p.signal}
         assert covered == list(range(len(sigs)))
+        assert all(a.signal != b.signal for a, b in zip(ps, ps[1:]))  # maximal runs
 
 
 class TestValidateWaiting:
