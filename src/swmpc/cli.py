@@ -186,13 +186,15 @@ def cmd_analyze(args) -> int:
     # a run that fails must not leave an earlier run's sets or verdict behind
     for name in ("sets.json", "certificate.txt"):
         (out / name).unlink(missing_ok=True)
+    kmax = args.kmax
+    if kmax < 0:
+        raise ConfigError("kmax must be >= 0")
     scen = load_scenario(args.scenario, case=args.case)
     target = scen.analysis_target
     for j, part in enumerate(target.parts):
         if not part.is_bounded:
             raise ConfigError(f"analysis target part {j} is unbounded")
     out.mkdir(parents=True, exist_ok=True)
-    kmax = args.kmax
 
     sets = {}
     current = target

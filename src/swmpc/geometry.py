@@ -10,13 +10,13 @@ are in `controller`, beside the solver that evaluates them.
 Numerical conventions: a polytope counts as empty when its Chebyshev radius
 is below EMPTY_TOL; sets thinner than that tolerance are treated as empty by
 the union-inclusion machinery (exact singletons are special-cased where the
-pointwise definition matters).  The region difference decides each of its
-emptiness tests, radius >= eps, by a least-distance (NNLS) solve whose
-answer is checked in plain numpy: a Farkas vector for "empty", a point
-checked row by row for "nonempty".  A radius within BAND of eps, a failed
-check or an unbounded region falls back to the Chebyshev LP, which also
-gives every radius whose value is used: `Polytope.is_empty`, the part
-ordering and the counterexample center.
+pointwise definition matters).  The region difference and `prune_empty`
+decide radius >= eps by a least-distance (NNLS) solve checked in plain numpy:
+a Farkas vector for "empty" within a norm bound R, a point checked row by row
+for "nonempty".  R is the target box's, divided by sigma_min(A) at each
+preimage.  A radius within BAND of eps, a failed check or an unknown R reads
+the Chebyshev LP, as does every radius whose value is used: `is_empty`, the
+invariance check's part order (no other caller sorts) and its counterexample.
 """
 
 from __future__ import annotations
@@ -118,6 +118,18 @@ def _least_distance(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return u, -s * r[:n] / r[n]
 
 
+def _norm_bound(P: "Polytope", solve: bool = False) -> float:
+    """A bound on the norm of P's points: carried by `preimage`, `scale` and
+    `pruned`, else read from P's box or its cached coordinate ranges (with
+    solve, from its 2n support LPs) and padded by BAND; inf if none is known."""
+    R = P.__dict__.get("_norm_bound", math.inf)
+    known = solve or "coordinate_ranges" in P.__dict__
+    if R == math.inf and (ranges := P.box_bounds or (P.coordinate_ranges if known else None)):
+        lo, hi = ranges
+        R = P.__dict__["_norm_bound"] = float(np.linalg.norm(np.maximum(-lo, hi) + BAND))
+    return R
+
+
 def _radius_at_least(P: "Polytope", eps: float, R: float) -> bool:
     """P.chebyshev_radius >= eps, i.e. {x : Hx <= h - eps} is nonempty, for P
     inside the ball of radius R.
@@ -150,10 +162,10 @@ def _radius_at_least(P: "Polytope", eps: float, R: float) -> bool:
 class Polytope:
     """{x : Hx <= h}; rows of nonzero norm are rescaled to unit norm on construction.
 
-    Like the cached properties, two private entries of the instance dict are
-    filled on demand: `_slack`, lower bounds on how far each row lies beyond
-    the set cut by the other rows (recorded by `pruned`), and `_preimages`,
-    the pruned preimages built so far, keyed by the bytes of the map.
+    Like the cached properties, private entries of the instance dict are filled
+    on demand: `_slack`, lower bounds on how far each row lies beyond the set
+    cut by the other rows (recorded by `pruned`), `_norm_bound` (see there),
+    and `_preimages`, the pruned preimages built so far, keyed by the map.
     """
 
     H: np.ndarray
@@ -352,7 +364,9 @@ class Polytope:
         """factor * P with scaling about the origin (valid for any H-rep)."""
         if factor <= 0:
             raise ValueError("scale factor must be positive")
-        return Polytope(self.H, self.h * factor)
+        out = Polytope(self.H, self.h * factor)
+        out.__dict__["_norm_bound"] = factor * _norm_bound(self)
+        return out
 
     def pruned(self, tol: float = PRUNE_TOL) -> "Polytope":
         """Drop inequality rows that are redundant for the feasible set.
@@ -388,7 +402,13 @@ class Polytope:
         # recorded bound stays valid
         out = self if len(keep) == m else Polytope(self.H[keep], self.h[keep])
         out.__dict__["_slack"] = slack[keep]
+        out.__dict__["_norm_bound"] = _norm_bound(self)  # the same set
         return out
+
+    @cached_property
+    def _pruned(self) -> "Polytope":
+        """This polytope pruned, once."""
+        return self.pruned()
 
     def preimage(self, A: np.ndarray) -> "Polytope":
         """{x : A x in self} = {x : (H A) x <= h}, pruned, for a nonsingular A,
@@ -397,6 +417,8 @@ class Polytope:
         Built once per map and cached on this instance.  Since x -> A x is a
         bijection, row i of the preimage has exactly the slack of row i here,
         divided by the norm of H_i A, so rows with a recorded slack inherit it.
+        Its points x have ||x|| <= ||A x|| / sigma_min(A), so a norm bound R
+        here gives R / sigma_min(A) there, with sigma_min(A) padded down.
         """
         A = np.asarray(A, dtype=float)
         if A.shape != (self.dim, self.dim):
@@ -412,6 +434,9 @@ class Polytope:
             if slack is not None and Q.nrows == self.nrows:  # no row merged away
                 norms = np.linalg.norm(HA, axis=1)
                 Q.__dict__["_slack"] = slack / np.where(norms > 0.0, norms, 1.0)
+            s = np.linalg.svd(A, compute_uv=False)
+            s_min = s[-1] - 1e-12 * s[0]  # thousands of times the SVD's rounding error
+            Q.__dict__["_norm_bound"] = _norm_bound(self) / s_min if s_min > 0.0 else math.inf
             Q = cache[key] = Q.pruned()
         return Q
 
@@ -453,10 +478,9 @@ class PolytopeUnion:
         return False
 
     def prune_empty(self, eps: float = EMPTY_TOL) -> "PolytopeUnion":
-        return PolytopeUnion(tuple(p for p in self.parts if not p.is_empty(eps)))
-
-    def scale(self, factor: float) -> "PolytopeUnion":
-        return PolytopeUnion(tuple(p.scale(factor) for p in self.parts))
+        """The parts of radius >= eps, by the checked least-distance solve where R is known."""
+        kept = (p for p in self.parts if _radius_at_least(p, eps, _norm_bound(p)))
+        return PolytopeUnion(tuple(kept))
 
     def to_dict(self) -> dict:
         return {"parts": [p.to_dict() for p in self.parts]}
@@ -498,14 +522,16 @@ def _require_nonsingular(A: np.ndarray, label: str = "matrix") -> None:
 
 
 def controllable_set(sys, target: Polytope | PolytopeUnion) -> PolytopeUnion:
-    """One-step controllable set: union of per-subsystem preimages of the target."""
+    """One-step controllable set: union of per-subsystem preimages of the
+    target, each taken of the part pruned once so that it inherits the slack."""
     target = as_union(target)
     limit = part_cap()
     parts: list[Polytope] = []
     for i, A in enumerate(sys.matrices, start=1):
         _require_nonsingular(A, label=f"subsystem {i}")
         for P in target.parts:
-            parts.append(P.preimage(A))
+            pruned = P if "_slack" in P.__dict__ else P._pruned  # no self-reference
+            parts.append(pruned.preimage(A))
             if len(parts) > limit:
                 raise GeometryCapError(
                     f"controllable set exceeded {limit} parts (see {PART_CAP_ENV})"
@@ -521,19 +547,19 @@ def _uncovered_piece(
     parts: Sequence[Polytope],
     eps: float,
     budget: int,
+    _by_radius: bool = False,
 ) -> Polytope | None:
     """A piece of P not covered by the union, or None when P is covered up to eps.
 
     Depth-first region difference: each part either misses the current piece,
-    covers it, or splits it along the part's violated half-spaces.
+    covers it, or splits it along the part's violated half-spaces.  Parts are
+    tried in list order, or with _by_radius largest Chebyshev ball first.
     """
-    if P.chebyshev_radius < eps:
+    R = _norm_bound(P, solve=True)  # every piece lies in P, so R bounds its norm
+    if not _radius_at_least(P, eps, R):
         return None
-    # every piece lies in P, so P's box, padded by BAND, bounds the norm of its points
-    lo, hi = P.coordinate_ranges
-    R = float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi)) + BAND))
-    order = sorted(range(len(parts)), key=lambda i: -min(parts[i].chebyshev_radius, 1e300))
-    parts = [parts[i] for i in order]
+    if _by_radius:
+        parts = sorted(parts, key=lambda p: -min(p.chebyshev_radius, 1e300))
     stack: list[tuple[Polytope, int]] = [(P, 0)]
     processed = 0
     while stack:
@@ -604,7 +630,7 @@ def is_switched_invariant(sys, omega: Polytope | PolytopeUnion) -> InvarianceRep
     if regular:
         S = controllable_set(sys, omega)
         for P in regular:
-            piece = _uncovered_piece(P, S.parts, EMPTY_TOL, part_cap())
+            piece = _uncovered_piece(P, S.parts, EMPTY_TOL, part_cap(), _by_radius=True)
             if piece is not None:
                 center = piece.chebyshev_ball[1]
                 if center is None:
@@ -639,7 +665,7 @@ def stabilizability_certificate(
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
     limit = part_cap()
-    inflated = omega.scale(1.0 + INTERIOR_INFLATION)
+    inflated = [P.scale(1.0 + INTERIOR_INFLATION) for P in omega.parts]
     accumulated: list[Polytope] = []
     current = omega
     for k in range(kmax + 1):
@@ -650,7 +676,7 @@ def stabilizability_certificate(
                 f"accumulated controllable sets exceeded {limit} parts (see {PART_CAP_ENV})"
             )
         if all(
-            _uncovered_piece(P, accumulated, EMPTY_TOL, limit) is None for P in inflated.parts
+            _uncovered_piece(P, accumulated, EMPTY_TOL, limit) is None for P in inflated
         ):
             return k
     return None

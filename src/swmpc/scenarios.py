@@ -317,6 +317,8 @@ def _target_from_dict(data: dict) -> PolytopeUnion:
 
 
 _REQUIRED_KEYS = ("matrices", "x0", "horizon_steps", "target")
+# keys whose every entry, through nested lists and objects, is a JSON number
+_NUMBER_KEYS = ("matrices", "x0", "tau_days", "cost", "target", "state_set")
 
 
 def _typed(value, key: str, kind: type):
@@ -326,12 +328,22 @@ def _typed(value, key: str, kind: type):
     return value
 
 
+def _require_numbers(value, key: str) -> None:
+    if isinstance(value, (list, dict)):
+        for v in value.values() if isinstance(value, dict) else value:
+            _require_numbers(v, key)
+    elif type(value) not in (int, float):  # bool is a subclass of int
+        raise ValueError(f"scenario key {key!r} needs numbers, got {value!r}")
+
+
 def scenario_from_dict(data: dict, name: str | None = None) -> Scenario:
     if not isinstance(data, dict):
         raise ValueError("a scenario must be a JSON object")
     for key in _REQUIRED_KEYS:
         if key not in data:
             raise ValueError(f"scenario is missing the required key {key!r}")
+    for key in _NUMBER_KEYS:
+        _require_numbers(data.get(key, 0), key)
     matrices = tuple(np.asarray(M, dtype=float) for M in data["matrices"])
     if not matrices:
         raise ValueError("scenario key 'matrices' must list at least one matrix")

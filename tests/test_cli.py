@@ -266,6 +266,31 @@ class TestSimulate:
         assert rc == 1
         assert repr(key) in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("x0", ["4"]),
+            ("x0", [True]),
+            ("tau_days", "2"),
+            ("cost", {"stage": ["1", True], "terminal": 1.0, "consecutive": [0.0, 0.0]}),
+            ("cost", {"stage": [1.0, 1.0], "terminal": True, "consecutive": [0.0, 0.0]}),
+            ("cost", {"stage": [1.0, 1.0], "terminal": 1.0, "consecutive": ["0", 0.0]}),
+            ("matrices", [[["0.5"]], [[1.2]]]),
+            ("matrices", [[[0.5]], [[True]]]),
+            ("target", {"H": [["1"], [-1.0]], "h": [1.0, 1.0]}),
+            ("target", {"parts": [{"H": [[1.0], [-1.0]], "h": [1.0, True]}]}),
+            ("state_set", {"H": [[1.0], [-1.0]], "h": ["1e6", 1e6]}),
+        ],
+        ids=["x0-str", "x0-bool", "tau_days", "stage", "terminal", "consecutive",
+             "matrix-str", "matrix-bool", "target-H", "target-parts-h", "state_set-h"],
+    )
+    def test_non_number_is_config_error(self, tmp_path, capsys, key, value):
+        # float() and numpy would read "4" as 4.0 and true as 1.0
+        scen = write_scenario(tmp_path, **{key: value})
+        rc = main(["simulate", "--scenario", str(scen), "--out", str(tmp_path)])
+        assert rc == 1
+        assert repr(key) in capsys.readouterr().err
+
     @pytest.mark.parametrize("source", ["viral-1", "file"])
     def test_case_outside_cancer_is_config_error(self, tmp_path, capsys, source):
         scenario = str(write_scenario(tmp_path)) if source == "file" else source
@@ -401,12 +426,27 @@ class TestAnalyze:
         assert "non-stabilizability: certified at k=" in text
         assert "stabilizability: not certified" in text
 
+    def test_lp_work_and_outputs_are_pinned_at_kmax_1(self, tmp_path, lp_calls):
+        # 4 support LPs for the target's box check, 4 to prune it once, and
+        # the invariance check's radii and counterexample center
+        rc = main(["analyze", "--scenario", "illustrative", "--kmax", "1", "--out", str(tmp_path)])
+        assert rc == 0
+        assert len(lp_calls) <= 16
+        digest = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("sets.json", "certificate.txt")
+        }
+        assert digest == {
+            "sets.json": "81a7170622d236dc71152c31ae6b21360c7e67de96caa36f64bc66688fadf434",
+            "certificate.txt": "8b520cffbc44313d49f8640be4a7d9efc66a7091f2447844e6ed3bc05d2ece5c",
+        }
+
     def test_lp_work_and_outputs_are_pinned(self, tmp_path, lp_calls):
         # each controllable set is built once and preimage rows inherit their
         # slack; the outputs are those of the code that rebuilt every set
         rc = main(["analyze", "--scenario", "illustrative", "--kmax", "2", "--out", str(tmp_path)])
         assert rc == 0
-        assert len(lp_calls) <= 150
+        assert len(lp_calls) <= 16
         digest = {
             name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in ("sets.json", "certificate.txt")
@@ -417,12 +457,14 @@ class TestAnalyze:
         }
 
     def test_lp_work_and_outputs_are_pinned_at_kmax_3(self, tmp_path, lp_calls):
-        # the region-difference emptiness tests are least-distance decisions,
-        # so the LPs left are the radii, the pruning and the fallbacks; the
-        # outputs are those of the code that made a Chebyshev LP per test
+        # the emptiness tests of the region difference and of `prune_empty`
+        # are least-distance decisions within a carried norm bound, so the LPs
+        # left are the box check, the pruning, the invariance check's radii and
+        # the fallbacks; the outputs are those of the code that made a
+        # Chebyshev LP per test
         rc = main(["analyze", "--scenario", "illustrative", "--kmax", "3", "--out", str(tmp_path)])
         assert rc == 0
-        assert len(lp_calls) <= 500
+        assert len(lp_calls) <= 20
         digest = {
             name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in ("sets.json", "certificate.txt")
@@ -440,6 +482,27 @@ class TestAnalyze:
         again = controllable_set(sys_, omega)
         assert lp_calls == []
         assert all(p is q for p, q in zip(again.parts, first.parts))
+
+    def test_target_is_pruned_once_and_its_preimages_inherit(self, lp_calls):
+        # a redundant fifth row: the target is pruned once (5 LPs), not once
+        # per subsystem, and a second call makes no LP at all
+        sys_ = build_illustrative_system()
+        omega = Polytope.box([-0.1, -0.1], [0.1, 0.1]).with_row(np.array([1.0, 1.0]), 1.0)
+        first = controllable_set(sys_, omega)
+        assert len(lp_calls) <= omega.nrows
+        assert all(p.nrows == 4 for p in first.parts)
+        lp_calls.clear()
+        again = controllable_set(sys_, omega)
+        assert lp_calls == []
+        assert all(p is q for p, q in zip(again.parts, first.parts))
+
+    def test_negative_kmax_rejected_before_any_work(self, tmp_path, lp_calls, capsys):
+        out = tmp_path / "run"
+        rc = main(["analyze", "--scenario", "illustrative", "--kmax", "-1", "--out", str(out)])
+        assert rc == 1
+        assert "kmax" in capsys.readouterr().err
+        assert not (out / "sets.json").exists()
+        assert lp_calls == []
 
     def test_lp_failure_exits_4_without_certificate(self, tmp_path, monkeypatch, capsys):
         def failing(*args, **kwargs):

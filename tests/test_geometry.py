@@ -22,7 +22,14 @@ from swmpc import (
     stabilizability_certificate,
 )
 from swmpc.controller import _build_distance, _project_onto_polytope
-from swmpc.geometry import BAND, EMPTY_TOL, NumericalError, _radius_at_least, as_union
+from swmpc.geometry import (
+    BAND,
+    EMPTY_TOL,
+    NumericalError,
+    _norm_bound,
+    _radius_at_least,
+    as_union,
+)
 from .oracles import polytope_samples, unreached_within
 
 
@@ -780,3 +787,118 @@ class TestRadiusDecision:
         assert self._decide(Polytope.box([-1, -1], [1, 1]), math.inf, lp_count) == (True, True, True)
         assert self._decide(Polytope.box([-1, -1], [1, 1]), 10.0, lp_count) == (True, True, False)
 
+
+
+def _max_vertex_norm(P):
+    """The largest norm of a vertex of the planar polygon P, each vertex found
+    by intersecting a pair of its rows (independent of `coordinate_ranges`)."""
+    scale = max(1.0, float(np.max(np.abs(P.h))))
+    best = -math.inf
+    for i in range(P.nrows):
+        for j in range(i + 1, P.nrows):
+            M = P.H[[i, j]]
+            if abs(np.linalg.det(M)) < 1e-9:
+                continue
+            x = np.linalg.solve(M, P.h[[i, j]])
+            if np.all(P.H @ x <= P.h + 1e-9 * scale):
+                best = max(best, float(np.linalg.norm(x)))
+    return best
+
+
+class TestNormBound:
+    """The bound `preimage`, `scale` and `pruned` carry for `_uncovered_piece` and `prune_empty`."""
+
+    def test_bound_holds_along_random_preimage_chains(self):
+        rng = np.random.default_rng(16)
+        steps = 0
+        for _ in range(40):
+            P = regular_polygon(int(rng.integers(3, 9)), rng.uniform(0.05, 2.0), rng.uniform(0, 7))
+            P = P.with_row(rng.normal(size=2), rng.uniform(0.5, 2.0))  # sometimes redundant
+            R = _norm_bound(P, solve=True)
+            assert R >= _max_vertex_norm(P)
+            for _ in range(4):
+                A = rng.normal(size=(2, 2))
+                if abs(np.linalg.det(A)) < 0.05:
+                    continue
+                P = P.preimage(A)
+                R = _norm_bound(P)
+                assert math.isfinite(R) and R >= _max_vertex_norm(P)
+                f = rng.uniform(0.5, 2.0)
+                assert _norm_bound(P.scale(f)) >= _max_vertex_norm(P.scale(f))
+                steps += 1
+        assert steps > 100
+
+    def test_bound_is_tight_and_still_holds_under_scaled_rotations(self):
+        # x -> c Rot(t) maps the corners of a box onto the norm ball's edge,
+        # so R / sigma_min is exact along these chains and only the padding
+        # keeps the carried bound above the vertex norms; the box is large
+        # so that BAND adds nothing measurable to the box's own bound
+        rng = np.random.default_rng(61)
+        width = 1e10
+        for _ in range(30):
+            P = Polytope.box([-width, -width], [width, width])
+            for _ in range(5):
+                P = P.preimage(rng.uniform(0.5, 2.0) * rotation_matrix(rng.uniform(0, 7)))
+                for Q in (P, P.scale(rng.uniform(0.5, 2.0))):
+                    vertex = _max_vertex_norm(Q)
+                    assert vertex <= _norm_bound(Q) <= vertex * (1.0 + 1e-9)
+
+
+class TestPruneEmpty:
+    """`PolytopeUnion.prune_empty`'s decisions against `Polytope.is_empty`."""
+
+    @staticmethod
+    def _parts(rng, n, count):
+        """Parts in R^n of three kinds, radius drawn about EMPTY_TOL (cut cubes
+        with cached coordinate ranges, thin boxes, and preimages), each with
+        `not is_empty()` of a fresh copy."""
+        parts, nonempty = [], []
+        while len(parts) < count:
+            delta = 10.0 ** rng.uniform(-6.5, -1.0) * rng.choice([-1.0, 1.0])
+            kind = len(parts) % 3
+            if kind == 0:
+                H, h = _random_rows(rng, n, n + 3, np.zeros(n), 0.1, 1.0)
+                P = Polytope(H, h).intersect(_cubes(1.0)[n])
+                P = Polytope(P.H, P.h + EMPTY_TOL + delta - P.chebyshev_radius)
+                P.coordinate_ranges
+            else:
+                half = np.full(n, rng.uniform(0.5, 1.0))
+                half[int(rng.integers(n))] = EMPTY_TOL + delta
+                P = Polytope(np.vstack([np.eye(n), -np.eye(n)]), np.concatenate([half, half]))
+                if kind == 2:
+                    A = rng.normal(size=(n, n))
+                    if abs(np.linalg.det(A)) < 0.1:
+                        continue
+                    P = P.preimage(A)
+            radius = Polytope(P.H, P.h).chebyshev_radius
+            if abs(radius - EMPTY_TOL) > BAND:
+                parts.append(P)
+                nonempty.append(radius >= EMPTY_TOL)
+        return parts, nonempty
+
+    def test_decisions_equal_is_empty_outside_the_band(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        calls = []
+        real = swmpc.geometry.linprog
+        counting = lambda *a, **k: calls.append(1) or real(*a, **k)  # noqa: E731
+        unknown = 0
+        for n in (2, 3):
+            parts, want = self._parts(rng, n, 120)
+            # an empty cut cube has infinite coordinate ranges, so no bound
+            unknown += sum(not math.isfinite(_norm_bound(P)) for P in parts)
+            with monkeypatch.context() as m:
+                m.setattr(swmpc.geometry, "linprog", counting)
+                kept = PolytopeUnion(tuple(parts)).prune_empty().parts
+            assert [any(P is K for K in kept) for P in parts] == want
+            assert 0.2 < np.mean(want) < 0.8
+        assert unknown < 50 and len(calls) <= unknown + 0.05 * 240
+
+    def test_part_without_a_known_bound_reads_the_lp(self, monkeypatch):
+        calls = []
+        real = swmpc.geometry.linprog
+        monkeypatch.setattr(
+            swmpc.geometry, "linprog", lambda *a, **k: calls.append(1) or real(*a, **k)
+        )
+        hexagon = regular_polygon(6, 1e-3, 0.2)
+        assert PolytopeUnion((hexagon,)).prune_empty().parts == (hexagon,)
+        assert calls == [1]
