@@ -530,7 +530,7 @@ def controllable_set(sys, target: Polytope | PolytopeUnion) -> PolytopeUnion:
     for i, A in enumerate(sys.matrices, start=1):
         _require_nonsingular(A, label=f"subsystem {i}")
         for P in target.parts:
-            pruned = P if "_slack" in P.__dict__ else P._pruned  # no self-reference
+            pruned = P if "_slack" in P.__dict__ else P._pruned  # a slack marks a pruned part
             parts.append(pruned.preimage(A))
             if len(parts) > limit:
                 raise GeometryCapError(

@@ -860,7 +860,7 @@ class TestPruneEmpty:
                 H, h = _random_rows(rng, n, n + 3, np.zeros(n), 0.1, 1.0)
                 P = Polytope(H, h).intersect(_cubes(1.0)[n])
                 P = Polytope(P.H, P.h + EMPTY_TOL + delta - P.chebyshev_radius)
-                P.coordinate_ranges
+                P.coordinate_ranges  # cached, so the part has a known bound
             else:
                 half = np.full(n, rng.uniform(0.5, 1.0))
                 half[int(rng.integers(n))] = EMPTY_TOL + delta
