@@ -14,9 +14,13 @@ pointwise definition matters).  The region difference and `prune_empty`
 decide radius >= eps by a least-distance (NNLS) solve checked in plain numpy:
 a Farkas vector for "empty" within a norm bound R, a point checked row by row
 for "nonempty".  R is the target box's, divided by sigma_min(A) at each
-preimage.  A radius within BAND of eps, a failed check or an unknown R reads
-the Chebyshev LP, as does every radius whose value is used: `is_empty`, the
-invariance check's part order (no other caller sorts) and its counterexample.
+preimage, and is -inf for a box or cached coordinate ranges with hi < lo.  A
+radius within BAND of eps, a failed check or an unknown R reads the Chebyshev
+LP, as does every radius whose value is used: `is_empty`, the invariance
+check's part order (no other caller sorts) and its counterexample.  The
+region difference keeps its pieces as raw (H, h) arrays of unit rows and
+builds a Polytope only for that LP and for the piece it returns.  Every LP is
+HiGHS through `scipy.optimize.milp`, bound here as `linprog`.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog, nnls
+from scipy.optimize import LinearConstraint, milp as linprog, nnls
 
 __all__ = [
     "Polytope",
@@ -76,18 +80,12 @@ def part_cap() -> int:
 
 
 def _lp(c, A_ub, b_ub):
-    """min c.x s.t. A_ub x <= b_ub with free variables.
+    """min c.x s.t. A_ub x <= b_ub, x free, by HiGHS through `milp` (bound as `linprog`).
 
     The result has status 0 (optimal), 2 (infeasible) or 3 (unbounded); any
     other HiGHS outcome raises NumericalError rather than pass for a verdict.
     """
-    res = linprog(
-        c,
-        A_ub=A_ub,
-        b_ub=b_ub,
-        bounds=[(None, None)] * len(c),
-        method="highs",
-    )
+    res = linprog(c, bounds=(-np.inf, np.inf), constraints=LinearConstraint(A_ub, -np.inf, b_ub))
     if res.status not in (0, 2, 3):
         raise NumericalError(f"LP failed with status {res.status}: {res.message}")
     return res
@@ -121,18 +119,21 @@ def _least_distance(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def _norm_bound(P: "Polytope", solve: bool = False) -> float:
     """A bound on the norm of P's points: carried by `preimage`, `scale` and
     `pruned`, else read from P's box or its cached coordinate ranges (with
-    solve, from its 2n support LPs) and padded by BAND; inf if none is known."""
+    solve, from its 2n support LPs) and padded by BAND, or -inf when they show
+    P empty (hi < lo); inf if none is known."""
     R = P.__dict__.get("_norm_bound", math.inf)
     known = solve or "coordinate_ranges" in P.__dict__
     if R == math.inf and (ranges := P.box_bounds or (P.coordinate_ranges if known else None)):
         lo, hi = ranges
-        R = P.__dict__["_norm_bound"] = float(np.linalg.norm(np.maximum(-lo, hi) + BAND))
+        R = float(np.linalg.norm(np.maximum(-lo, hi) + BAND)) if np.all(lo <= hi) else -math.inf
+        P.__dict__["_norm_bound"] = R
     return R
 
 
-def _radius_at_least(P: "Polytope", eps: float, R: float) -> bool:
+def _radius_at_least(P: "Polytope | tuple[np.ndarray, np.ndarray]", eps: float, R: float) -> bool:
     """P.chebyshev_radius >= eps, i.e. {x : Hx <= h - eps} is nonempty, for P
-    inside the ball of radius R.
+    inside the ball of radius R (empty if R < 0).  P may also be the raw (H, h)
+    of a region-difference piece, made a Polytope only for the LP.
 
     One least-distance solve decides each side when its certificate checks
     in plain numpy: a Farkas vector u for {Hx <= h - eps + BAND} with
@@ -143,19 +144,23 @@ def _radius_at_least(P: "Polytope", eps: float, R: float) -> bool:
     a zero row (whose LP constraint is not shifted by eps), an unbounded R
     and an already cached radius all read the Chebyshev LP.
     """
-    if "chebyshev_ball" not in P.__dict__ and math.isfinite(R) and P.H.any(axis=1).all():
-        d = P.h - eps
+    if R < 0.0:
+        return False
+    H, h = P if isinstance(P, tuple) else (P.H, P.h)
+    uncached = isinstance(P, tuple) or "chebyshev_ball" not in P.__dict__
+    if uncached and math.isfinite(R) and H.any(axis=1).all():
+        d = h - eps
         g = d + BAND
         try:
-            u, _ = _least_distance(P.H, g)
-            if u @ g + np.linalg.norm(P.H.T @ u) * R < 0.0:
+            u, _ = _least_distance(H, g)
+            if u @ g + np.linalg.norm(H.T @ u) * R < 0.0:
                 return False
-            _, x = _least_distance(P.H, d - BAND)
-            if x is not None and np.all(P.H @ x <= d):
+            _, x = _least_distance(H, d - BAND)
+            if x is not None and np.all(H @ x <= d):
                 return True
         except RuntimeError:
             pass
-    return P.chebyshev_radius >= eps
+    return (Polytope(H, h) if isinstance(P, tuple) else P).chebyshev_radius >= eps
 
 
 @dataclass(frozen=True)
@@ -301,8 +306,8 @@ class Polytope:
 
     @property
     def is_bounded(self) -> bool:
-        lo, hi = self.coordinate_ranges
-        return bool(np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)))
+        lo, hi = self.box_bounds or self.coordinate_ranges  # an empty one's ranges are infinite
+        return bool(np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)) and np.all(lo <= hi))
 
     @cached_property
     def coordinate_ranges(self) -> tuple[np.ndarray, np.ndarray]:
@@ -351,14 +356,6 @@ class Polytope:
         return tuple(float(v) for v in self.H[0]), float(self.h[0])
 
     # -- constructive operations ---------------------------------------------
-
-    def with_row(self, a: np.ndarray, b: float) -> "Polytope":
-        return Polytope(np.vstack([self.H, a[None, :]]), np.append(self.h, b))
-
-    def intersect(self, other: "Polytope") -> "Polytope":
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch in intersection")
-        return Polytope(np.vstack([self.H, other.H]), np.concatenate([self.h, other.h]))
 
     def scale(self, factor: float) -> "Polytope":
         """factor * P with scaling about the origin (valid for any H-rep)."""
@@ -554,35 +551,35 @@ def _uncovered_piece(
     Depth-first region difference: each part either misses the current piece,
     covers it, or splits it along the part's violated half-spaces.  Parts are
     tried in list order, or with _by_radius largest Chebyshev ball first.
+    Pieces are raw (H, h) stacks of unit rows; only the one returned becomes a Polytope.
     """
     R = _norm_bound(P, solve=True)  # every piece lies in P, so R bounds its norm
     if not _radius_at_least(P, eps, R):
         return None
     if _by_radius:
         parts = sorted(parts, key=lambda p: -min(p.chebyshev_radius, 1e300))
-    stack: list[tuple[Polytope, int]] = [(P, 0)]
+    stack: list[tuple[np.ndarray, np.ndarray, int]] = [(P.H, P.h, 0)]
     processed = 0
     while stack:
-        piece, idx = stack.pop()
+        H, h, idx = stack.pop()
         processed += 1
         if processed > budget:
             raise GeometryCapError(
                 f"region difference exceeded {budget} pieces (see {PART_CAP_ENV})"
             )
-        while idx < len(parts):
-            if _radius_at_least(piece.intersect(parts[idx]), eps, R):
+        for idx in range(idx, len(parts)):
+            Q = parts[idx]
+            HQ, hQ = np.vstack([H, Q.H]), np.concatenate([h, Q.h])  # piece ∩ Q
+            if _radius_at_least((HQ, hQ), eps, R):
                 break
-            idx += 1
-        if idx == len(parts):
-            return piece
-        Q = parts[idx]
-        current = piece
-        for a, b in zip(Q.H, Q.h):
-            outside = current.with_row(-a, -b)
+        else:
+            return Polytope(H, h)
+        # the piece minus Q: the pieces inside Q's rows before k and outside row k
+        m = h.size
+        for k in range(Q.nrows):
+            outside = np.vstack([HQ[: m + k], -Q.H[k]]), np.append(hQ[: m + k], -Q.h[k])
             if _radius_at_least(outside, eps, R):
-                stack.append((outside, idx + 1))
-            current = current.with_row(a, b)
-        # current == piece ∩ Q is covered by Q and needs no further work
+                stack.append((*outside, idx + 1))
     return None
 
 
@@ -617,7 +614,8 @@ def is_switched_invariant(sys, omega: Polytope | PolytopeUnion) -> InvarianceRep
     singleton_points: list[np.ndarray] = []
     regular: list[Polytope] = []
     for P in omega.parts:
-        pt = P.singleton_point() if P.chebyshev_radius < EMPTY_TOL else None
+        thin = not _radius_at_least(P, EMPTY_TOL, _norm_bound(P, solve=True))
+        pt = P.singleton_point() if thin else None
         if pt is None:
             regular.append(P)  # a thin part that is not a point takes the slack semantics
         else:

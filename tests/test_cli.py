@@ -427,11 +427,11 @@ class TestAnalyze:
         assert "stabilizability: not certified" in text
 
     def test_lp_work_and_outputs_are_pinned_at_kmax_1(self, tmp_path, lp_calls):
-        # 4 support LPs for the target's box check, 4 to prune it once, and
-        # the invariance check's radii and counterexample center
+        # 4 LPs to prune the target once, and the invariance check's radii and
+        # counterexample center; the box's boundedness is read from its rows
         rc = main(["analyze", "--scenario", "illustrative", "--kmax", "1", "--out", str(tmp_path)])
         assert rc == 0
-        assert len(lp_calls) <= 16
+        assert len(lp_calls) <= 11
         digest = {
             name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in ("sets.json", "certificate.txt")
@@ -446,7 +446,7 @@ class TestAnalyze:
         # slack; the outputs are those of the code that rebuilt every set
         rc = main(["analyze", "--scenario", "illustrative", "--kmax", "2", "--out", str(tmp_path)])
         assert rc == 0
-        assert len(lp_calls) <= 16
+        assert len(lp_calls) <= 11
         digest = {
             name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in ("sets.json", "certificate.txt")
@@ -459,12 +459,11 @@ class TestAnalyze:
     def test_lp_work_and_outputs_are_pinned_at_kmax_3(self, tmp_path, lp_calls):
         # the emptiness tests of the region difference and of `prune_empty`
         # are least-distance decisions within a carried norm bound, so the LPs
-        # left are the box check, the pruning, the invariance check's radii and
-        # the fallbacks; the outputs are those of the code that made a
-        # Chebyshev LP per test
+        # left are the pruning, the invariance check's radii and the fallbacks;
+        # the outputs are those of the code that made a Chebyshev LP per test
         rc = main(["analyze", "--scenario", "illustrative", "--kmax", "3", "--out", str(tmp_path)])
         assert rc == 0
-        assert len(lp_calls) <= 20
+        assert len(lp_calls) <= 15
         digest = {
             name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in ("sets.json", "certificate.txt")
@@ -487,7 +486,8 @@ class TestAnalyze:
         # a redundant fifth row: the target is pruned once (5 LPs), not once
         # per subsystem, and a second call makes no LP at all
         sys_ = build_illustrative_system()
-        omega = Polytope.box([-0.1, -0.1], [0.1, 0.1]).with_row(np.array([1.0, 1.0]), 1.0)
+        box = Polytope.box([-0.1, -0.1], [0.1, 0.1])
+        omega = Polytope(np.vstack([box.H, [1.0, 1.0]]), np.append(box.h, 1.0))
         first = controllable_set(sys_, omega)
         assert len(lp_calls) <= omega.nrows
         assert all(p.nrows == 4 for p in first.parts)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult
+from scipy.optimize import OptimizeResult, linprog
 
 import swmpc.geometry
 from swmpc import (
@@ -28,6 +28,7 @@ from swmpc.geometry import (
     NumericalError,
     _norm_bound,
     _radius_at_least,
+    _uncovered_piece,
     as_union,
 )
 from .oracles import polytope_samples, unreached_within
@@ -50,6 +51,11 @@ def planar_system(*mats, box=1e6):
 def regular_polygon(sides, inradius, rotation):
     angles = rotation + 2.0 * np.pi * np.arange(sides) / sides
     return Polytope(np.column_stack([np.cos(angles), np.sin(angles)]), np.full(sides, inradius))
+
+
+def cut(P, H, h):
+    """P intersected with {x : H x <= h}; a 1-d H is one row."""
+    return Polytope(np.vstack([P.H, H]), np.append(P.h, h))
 
 
 def rotation_matrix(theta):
@@ -93,6 +99,15 @@ class TestPolytope:
         orthant = Polytope.nonnegative_orthant(2)
         assert not orthant.is_bounded
         assert Polytope.box([-1, -1], [1, 1]).is_bounded
+
+    def test_box_boundedness_needs_no_lp(self, monkeypatch):
+        monkeypatch.setattr(swmpc.geometry, "linprog", lambda *a, **k: pytest.fail("an LP"))
+        assert Polytope.box([-1, -2], [1, 2]).is_bounded
+        assert not Polytope.nonnegative_orthant(2).is_bounded
+        # 1 <= x1 <= 0: as with the LPs, whose supports of an empty set are
+        # infeasible, an empty box does not count as bounded
+        H = np.vstack([np.eye(2), -np.eye(2)])
+        assert not Polytope(H, np.array([0.0, 1.0, -1.0, 1.0])).is_bounded
 
     def test_singleton_point(self):
         P = Polytope.origin(3)
@@ -232,7 +247,7 @@ class TestPreimage:
                 a = rng.normal(size=n)
                 a /= np.linalg.norm(a)
                 near.append(a)
-                P = P.with_row(a, P.support(a) - 10.0 ** rng.uniform(-8.5, -6.2))
+                P = cut(P, a, P.support(a) - 10.0 ** rng.uniform(-8.5, -6.2))
             R = P.pruned()
             kept = [a for a in near if np.any(np.all(np.isclose(R.H, a, atol=1e-12), axis=1))]
             near_kept += len(kept)
@@ -302,13 +317,13 @@ class TestInclusion:
 
     def test_overlapping_cover(self):
         box = Polytope.box([-1, -1], [1, 1])
-        left = box.with_row(np.array([1.0, 0.0]), 0.0)  # x1 <= 0
-        right = box.with_row(np.array([-1.0, 0.0]), 0.1)  # x1 >= -0.1
+        left = cut(box, [1.0, 0.0], 0.0)  # x1 <= 0
+        right = cut(box, [-1.0, 0.0], 0.1)  # x1 >= -0.1
         assert inclusion_in_union(box, PolytopeUnion((left, right)))
 
     def test_missing_half_detected(self):
         box = Polytope.box([-1, -1], [1, 1])
-        left = box.with_row(np.array([1.0, 0.0]), 0.0)
+        left = cut(box, [1.0, 0.0], 0.0)
         assert not inclusion_in_union(box, PolytopeUnion((left,)))
 
     def test_eps_validation(self):
@@ -727,7 +742,8 @@ class TestRadiusDecision:
             box = cubes[n]
             H, h = _random_rows(rng, n, int(rng.integers(n + 1, 2 * n + 5)),
                                 rng.uniform(-1.0, 1.0, size=n), -0.45, 0.6)
-            got, want, used_lp = self._decide(box.intersect(Polytope(H, h)), _bound(box), lp_count)
+            Q = Polytope(H, h)
+            got, want, used_lp = self._decide(cut(box, Q.H, Q.h), _bound(box), lp_count)
             assert got == want
             outcomes.append(want)
             by_lp += used_lp
@@ -743,11 +759,11 @@ class TestRadiusDecision:
         for _ in range(240):
             n = int(rng.integers(2, 5))
             region = Polytope(*_random_rows(rng, n, 2 * n + 2, np.zeros(n), 0.5, 1.0))
-            region = region.intersect(cubes[n])
+            region = cut(region, cubes[n].H, cubes[n].h)
             Q1 = Polytope(*_random_rows(rng, n, n + 2, rng.normal(scale=0.3, size=n), -0.1, 0.5))
             Q2 = Polytope(*_random_rows(rng, n, n + 2, rng.normal(scale=0.3, size=n), -0.1, 0.5))
             i = int(rng.integers(Q1.nrows))
-            piece = region.with_row(-Q1.H[i], -Q1.h[i]).intersect(Q2)
+            piece = cut(cut(region, -Q1.H[i], -Q1.h[i]), Q2.H, Q2.h)
             # the region lies in the cube, so the cube's bound is a valid R
             got, want, used_lp = self._decide(piece, _bound(cubes[n]), lp_count)
             assert got == want
@@ -766,7 +782,7 @@ class TestRadiusDecision:
         for _ in range(120):
             n = int(rng.integers(2, 5))
             H, h = _random_rows(rng, n, int(rng.integers(n + 1, 2 * n + 3)), np.zeros(n), 0.1, 1.0)
-            P = Polytope(H, h).intersect(cubes[n])
+            P = cut(Polytope(H, h), cubes[n].H, cubes[n].h)
             delta = 10.0 ** rng.uniform(-10.0, -6.0) * rng.choice([-1.0, 1.0])
             shift = EMPTY_TOL + delta - P.chebyshev_radius
             assert shift < 0.0
@@ -813,7 +829,7 @@ class TestNormBound:
         steps = 0
         for _ in range(40):
             P = regular_polygon(int(rng.integers(3, 9)), rng.uniform(0.05, 2.0), rng.uniform(0, 7))
-            P = P.with_row(rng.normal(size=2), rng.uniform(0.5, 2.0))  # sometimes redundant
+            P = cut(P, rng.normal(size=2), rng.uniform(0.5, 2.0))  # sometimes redundant
             R = _norm_bound(P, solve=True)
             assert R >= _max_vertex_norm(P)
             for _ in range(4):
@@ -858,7 +874,7 @@ class TestPruneEmpty:
             kind = len(parts) % 3
             if kind == 0:
                 H, h = _random_rows(rng, n, n + 3, np.zeros(n), 0.1, 1.0)
-                P = Polytope(H, h).intersect(_cubes(1.0)[n])
+                P = cut(Polytope(H, h), _cubes(1.0)[n].H, _cubes(1.0)[n].h)
                 P = Polytope(P.H, P.h + EMPTY_TOL + delta - P.chebyshev_radius)
                 P.coordinate_ranges  # cached, so the part has a known bound
             else:
@@ -881,17 +897,18 @@ class TestPruneEmpty:
         calls = []
         real = swmpc.geometry.linprog
         counting = lambda *a, **k: calls.append(1) or real(*a, **k)  # noqa: E731
-        unknown = 0
         for n in (2, 3):
             parts, want = self._parts(rng, n, 120)
-            # an empty cut cube has infinite coordinate ranges, so no bound
-            unknown += sum(not math.isfinite(_norm_bound(P)) for P in parts)
+            # an empty part's cached ranges or box have hi < lo, so its bound is
+            # -inf and it is dropped without a solve; every other bound is finite
+            bounds = [_norm_bound(P) for P in parts]
+            assert all(math.isfinite(R) if w else R == -math.inf for R, w in zip(bounds, want))
             with monkeypatch.context() as m:
                 m.setattr(swmpc.geometry, "linprog", counting)
                 kept = PolytopeUnion(tuple(parts)).prune_empty().parts
             assert [any(P is K for K in kept) for P in parts] == want
             assert 0.2 < np.mean(want) < 0.8
-        assert unknown < 50 and len(calls) <= unknown + 0.05 * 240
+        assert len(calls) <= 0.05 * 240
 
     def test_part_without_a_known_bound_reads_the_lp(self, monkeypatch):
         calls = []
@@ -902,3 +919,78 @@ class TestPruneEmpty:
         hexagon = regular_polygon(6, 1e-3, 0.2)
         assert PolytopeUnion((hexagon,)).prune_empty().parts == (hexagon,)
         assert calls == [1]
+
+
+class TestLpKernel:
+    """`_lp` (HiGHS through `milp`) against `linprog(method="highs")`, bit for bit."""
+
+    @staticmethod
+    def _recorded(monkeypatch):
+        """The (c, A_ub, b_ub) of each LP that geometry solves, with `_lp`'s result."""
+        lps = []
+        real = swmpc.geometry._lp
+
+        def recording(c, A_ub, b_ub):
+            res = real(c, A_ub, b_ub)
+            lps.append((c, A_ub, b_ub, res))
+            return res
+
+        monkeypatch.setattr(swmpc.geometry, "_lp", recording)
+        return lps
+
+    def test_same_status_x_and_fun_as_linprog(self, monkeypatch):
+        lps = self._recorded(monkeypatch)
+        rng = np.random.default_rng(17)
+        for _ in range(60):
+            n = int(rng.integers(2, 5))
+            H, h = _random_rows(rng, n, int(rng.integers(n + 1, 3 * n)),
+                                rng.normal(scale=0.3, size=n), -0.2, 1.0)
+            P = cut(Polytope(H, h), _cubes(1.0)[n].H, _cubes(1.0)[n].h)
+            P.chebyshev_ball  # noqa: B018
+            P.support(rng.normal(size=n))
+            P.pruned()
+        kinds = len(lps)
+        empty = Polytope(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([0.0, -1.0]))
+        halfplane = Polytope(np.array([[1.0, 1.0]]), np.array([1.0]))
+        assert empty.support([0.0, 1.0]) == -math.inf  # infeasible
+        assert halfplane.support([1.0, 0.0]) == math.inf  # unbounded
+        assert halfplane.chebyshev_radius == math.inf  # unbounded
+        statuses = [res.status for *_, res in lps]
+        assert kinds > 600 and statuses[kinds:] == [2, 3, 3]
+        for c, A_ub, b_ub, res in lps:
+            ref = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=[(None, None)] * len(c), method="highs")
+            assert res.status == ref.status
+            if ref.status == 0:
+                assert np.array_equal(res.x, ref.x) and res.fun == ref.fun
+
+
+class TestRegionDifference:
+    """`_uncovered_piece` on random planar regions and unions of 1-4 polygons."""
+
+    @staticmethod
+    def _polygon(rng, scale, inradius):
+        center = rng.normal(scale=scale, size=2)
+        P = regular_polygon(int(rng.integers(3, 9)), rng.uniform(*inradius), rng.uniform(0, 7))
+        return Polytope(P.H, P.h + P.H @ center)
+
+    def test_pieces_lie_outside_the_union_and_cover_verdicts_hold(self):
+        rng = np.random.default_rng(23)
+        verdicts = []
+        for trial in range(200):
+            P = self._polygon(rng, 0.1, (0.2, 0.6))
+            parts = [self._polygon(rng, 0.4, (0.3, 1.0)) for _ in range(int(rng.integers(1, 5)))]
+            piece = _uncovered_piece(P, parts, EMPTY_TOL, 10_000, _by_radius=trial % 2 == 1)
+            verdicts.append(piece is None)
+            if piece is None:
+                axes = [np.linspace(a, b, 41) for a, b in zip(*P.coordinate_ranges)]
+                grid = np.stack(np.meshgrid(*axes), -1).reshape(-1, 2)
+                inner = grid[np.all(grid @ P.H.T <= P.h - 1e-6, axis=1)]  # P shrunk by 1e-6
+                assert len(inner) > 400
+                assert all(any(Q.contains(x) for Q in parts) for x in inner)
+                continue
+            rebuilt = Polytope(piece.H, piece.h)
+            assert np.array_equal(rebuilt.H, piece.H) and np.array_equal(rebuilt.h, piece.h)
+            center = piece.chebyshev_ball[1]
+            assert P.contains(center)
+            assert not any(Q.contains(center) for Q in parts)
+        assert 0.2 < np.mean(verdicts) < 0.8
