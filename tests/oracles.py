@@ -2,8 +2,14 @@
 
 The enumeration oracle walks every signal sequence in lexicographic order,
 filters by the same constraint predicates the solver honors, and keeps the
-first strict minimizer of the canonical cost, so solver results must match it
-bit for bit.
+first strict minimizer of the canonical cost.  It shares no cost, distance or
+membership code with the controller: it rolls out its own states, tests
+membership row by row from each polytope's H and h, takes box and halfspace
+distances in closed form and sums the stages in the canonical order of the
+`controller` docstring, so on box and halfspace targets solver results must
+match it bit for bit.  A general polytope's distance comes from projecting
+onto the affine hull of every set of at most n rows, so there costs agree to
+a relative GENERAL_RTOL.
 
 The minimum-load oracle enumerates every signal sequence of a family and
 keeps the first strict minimizer of the cumulative load, using only the
@@ -23,18 +29,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
-from swmpc.controller import (
-    STATE_TOL,
-    TERMINAL_TOL,
-    CostSpec,
-    OcpProblem,
-    _build_membership,
-    eval_cost,
-)
+from swmpc.controller import STATE_TOL, TERMINAL_TOL, CostSpec, OcpProblem
 from swmpc.geometry import Polytope, PolytopeUnion
 from swmpc.switched import RuleState, SwitchedSystem, packs
 
@@ -71,35 +70,197 @@ def _waiting_ok(problem: OcpProblem, sigs: tuple[int, ...]) -> bool:
     bound relaxed.  Every other pack, including the one straddling the seam,
     must meet both bounds with its full length.
     """
-    concat = _applied_run(problem) + tuple(sigs)
-    for p in packs(concat):
-        lo, up = problem.sys.waiting[p.signal - 1]
-        if p.length > up:
+    sig, length, _ = problem.run
+    runs = [[p.signal, p.length] for p in packs(sigs)]
+    if sig is not None:
+        if runs and runs[0][0] == sig:
+            runs[0][1] += length
+        else:
+            runs.insert(0, [sig, length])
+    for i, (s, ln) in enumerate(runs):
+        lo, up = problem.sys.waiting[s - 1]
+        if ln > up:
             return False
-        if p.length < lo and p.stop != len(concat):
+        if ln < lo and i + 1 < len(runs):
             return False
     return True
 
 
-def enumerate_ocp(problem: OcpProblem):
-    """(cost, path) of the best admissible sequence, or None when infeasible."""
+# relative agreement of costs on general polytope targets, whose distances
+# the oracle computes by another projection than the controller's
+GENERAL_RTOL = 1e-12
+
+
+def close(a: float, b: float) -> bool:
+    """a and b agree to GENERAL_RTOL relative to the larger."""
+    return abs(a - b) <= GENERAL_RTOL * max(abs(a), abs(b))
+
+
+def _row_sums_within(rows: list[tuple[list[float], float]], x: Sequence[float], tol: float) -> bool:
+    for row, b in rows:
+        s = 0.0
+        for a, xi in zip(row, x):
+            s += a * xi
+        if not s <= b + tol:
+            return False
+    return True
+
+
+def _member(region: PolytopeUnion | Polytope, tol: float) -> Callable[[Sequence[float]], bool]:
+    """x -> whether some part of the region has no row sum a.x, taken left to
+    right in pure Python from its H and h, above b + tol."""
+    parts = region.parts if isinstance(region, PolytopeUnion) else (region,)
+    rows = [list(zip(P.H.tolist(), P.h.tolist())) for P in parts]
+    return lambda x: any(_row_sums_within(r, x, tol) for r in rows)
+
+
+def _box_distance(lo: list[float], hi: list[float]) -> Callable[[Sequence[float]], float]:
+    def dist(x: Sequence[float]) -> float:
+        s = 0.0
+        for xi, lower, upper in zip(x, lo, hi):
+            d = lower - xi if xi < lower else xi - upper if xi > upper else 0.0
+            s += d * d
+        return math.sqrt(s)
+
+    return dist
+
+
+def _halfspace_distance(a: list[float], b: float) -> Callable[[Sequence[float]], float]:
+    def dist(x: Sequence[float]) -> float:
+        s = 0.0
+        for ai, xi in zip(a, x):
+            s += ai * xi
+        return s - b if s > b else 0.0
+
+    return dist
+
+
+def _face_distance(H: np.ndarray, h: np.ndarray) -> Callable[[Sequence[float]], float] | None:
+    """Distance to {x : Hx <= h}, or None when it is empty.
+
+    The projection of x is the projection onto the affine hull
+    {y : H_S y = h_S} of some set S of at most n well-conditioned rows, so the
+    distance is the least ||x - y|| over those projections y that are
+    feasible; a set with no feasible one is empty.
+    """
+    m, n = H.shape
+    faces = []  # per size k: the stacked H_S, h_S and H_S^T (H_S H_S^T)^-1
+    for k in range(1, n + 1):
+        sets = [list(S) for S in itertools.combinations(range(m), k)]
+        # nearly dependent rows meet far outside the set, if at all
+        sets = [S for S in sets if np.linalg.cond(H[S]) < 1e8]
+        if sets:
+            HS = np.stack([H[S] for S in sets])
+            M = np.stack([H[S].T @ np.linalg.inv(H[S] @ H[S].T) for S in sets])
+            faces.append((HS, np.stack([h[S] for S in sets]), M))
+
+    def dist(x: Sequence[float]) -> float:
+        x = np.asarray(x, dtype=float)
+        if np.all(H @ x <= h):
+            return 0.0
+        best = math.inf
+        for HS, hS, M in faces:
+            steps = np.einsum("fnk,fk->fn", M, HS @ x - hS)
+            ys = x - steps
+            slack = 1e-14 * (1.0 + np.max(np.abs(h)) + np.max(np.abs(ys), axis=1))
+            feasible = np.all(ys @ H.T <= h + slack[:, None], axis=1)
+            if feasible.any():
+                best = min(best, float(np.min(np.linalg.norm(steps[feasible], axis=1))))
+        return best
+
+    return None if dist(np.zeros(n)) == math.inf else dist
+
+
+def _part_distance(P: Polytope) -> Callable[[Sequence[float]], float] | None:
+    """Distance to one polytope from its H and h, or None when it is empty: a
+    box (every row on one axis) and a halfspace (one row) in closed form."""
+    H, h = P.H.tolist(), P.h.tolist()
+    axes = [[j for j, a in enumerate(row) if a != 0.0] for row in H]
+    if all(len(nz) == 1 for nz in axes):
+        lo = [-math.inf] * P.dim
+        hi = [math.inf] * P.dim
+        for row, b, (j,) in zip(H, h, axes):
+            if row[j] > 0.0:
+                hi[j] = min(hi[j], b / row[j])
+            else:
+                lo[j] = max(lo[j], b / row[j])
+        if any(lower > upper for lower, upper in zip(lo, hi)):
+            return None
+        return _box_distance(lo, hi)
+    if len(H) == 1:
+        return _halfspace_distance(H[0], h[0])
+    return _face_distance(P.H, P.h)
+
+
+def _distance(target: PolytopeUnion) -> Callable[[Sequence[float]], float]:
+    """Least distance over the target's nonempty parts."""
+    parts = [d for d in map(_part_distance, target.parts) if d is not None]
+    return lambda x: min(d(x) for d in parts)
+
+
+def _path_cost(problem: OcpProblem, sigs: tuple[int, ...], dists: list[float]) -> float:
+    """The canonical cost: c.d + b.L^2 over the stages, left to right, where L
+    is the length of the stage's whole run and the first run continues the
+    applied one; then the terminal term."""
+    c = problem.cost.stage_weights
+    b = problem.cost.consecutive_weights
+    total = 0.0
+    for p in packs(sigs):
+        length = p.length
+        if p.start == 0 and p.signal == problem.run.signal:
+            length += problem.run.length
+        fl = float(length)
+        for d in dists[p.start : p.stop]:
+            total += c[p.signal - 1] * d + b[p.signal - 1] * (fl * fl)
+    return total + problem.cost.terminal_weight * dists[-1]
+
+
+def admissible_costs(problem: OcpProblem) -> list[tuple[float, tuple[int, ...]]]:
+    """(cost, path) of every admissible sequence, in lexicographic order."""
     sys_ = problem.sys
-    member_state = _build_membership(sys_.state_set, STATE_TOL)
-    member_target = _build_membership(problem.target, TERMINAL_TOL)
-    if not member_state(problem.x):
-        return None
-    best = None
-    for sigs in itertools.product(range(1, sys_.q + 1), repeat=problem.horizon):
+    N = problem.horizon
+    matrices = [np.asarray(A).tolist() for A in sys_.matrices]
+    member_state = _member(sys_.state_set, STATE_TOL)
+    member_target = _member(problem.target, TERMINAL_TOL)
+    dist = _distance(problem.target)
+    x0 = problem.x
+    if not member_state(x0):
+        return []
+    # (state, distance) after each prefix, each rolled out once
+    seen: dict[tuple[int, ...], tuple[tuple[float, ...], float]] = {(): (x0, dist(x0))}
+
+    def after(prefix: tuple[int, ...]) -> tuple[tuple[float, ...], float]:
+        if prefix not in seen:
+            x, _ = after(prefix[:-1])
+            y = []
+            for row in matrices[prefix[-1] - 1]:
+                s = 0.0
+                for a, xi in zip(row, x):
+                    s += a * xi
+                y.append(s)
+            y = tuple(y)
+            seen[prefix] = (y, dist(y))
+        return seen[prefix]
+
+    out = []
+    for sigs in itertools.product(range(1, sys_.q + 1), repeat=N):
         if problem.enforce_waiting and not _waiting_ok(problem, sigs):
             continue
         if problem.cycle_through_all and not _cycle_ok(problem, sigs):
             continue
-        cost, traj = eval_cost(problem, sigs)
-        states = [tuple(float(v) for v in row) for row in traj]
-        if not all(member_state(states[j]) for j in range(problem.horizon)):
+        steps = [after(sigs[:j]) for j in range(N + 1)]
+        if not all(member_state(x) for x, _ in steps[1:N]):
             continue
-        if problem.enforce_terminal and not member_target(states[-1]):
+        if problem.enforce_terminal and not member_target(steps[N][0]):
             continue
+        out.append((_path_cost(problem, sigs, [d for _, d in steps]), sigs))
+    return out
+
+
+def enumerate_ocp(problem: OcpProblem):
+    """(cost, path) of the best admissible sequence, or None when infeasible."""
+    best = None
+    for cost, sigs in admissible_costs(problem):
         if best is None or cost < best[0]:
             best = (cost, sigs)
     return best

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,8 @@ from .oracles import (
     _applied_run,
     _cycle_ok,
     _waiting_ok,
+    admissible_costs,
+    close,
     enumerate_ocp,
     random_ocp,
     random_positive_ocp,
@@ -295,7 +299,7 @@ class TestSolveOcp:
         # projection branch of the distance; being bounded, they also take the
         # singular-value bound with radii from support LPs
         rng = np.random.default_rng(404)
-        feasible = infeasible = 0
+        feasible = infeasible = clear = 0
         while feasible + infeasible < 100:
             prob = random_ocp(rng)
             if prob.sys.n != 2:
@@ -306,18 +310,26 @@ class TestSolveOcp:
             polygon = Polytope(H, rng.uniform(0.3, 2.0) + H @ rng.uniform(-1.0, 1.0, size=2))
             parts = (polygon,) if rng.random() < 0.5 else (prob.target.parts[0], polygon)
             prob = replace(prob, target=PolytopeUnion(parts))
-            oracle = enumerate_ocp(prob)
+            ranked = admissible_costs(prob)
             try:
                 sol = solve_ocp(prob)
             except InfeasibleProblemError:
-                assert oracle is None
+                assert not ranked
                 infeasible += 1
                 continue
-            assert oracle is not None
-            assert sol.cost == oracle[0]
-            assert sol.path == oracle[1]
+            # the oracle projects by another method, so costs agree to its
+            # relative tolerance, and the path must be the oracle's unless the
+            # runner-up lies within that tolerance of the optimum
+            assert ranked
+            best, path = min(ranked)
+            costs = {p: c for c, p in ranked}
+            assert sol.path in costs
+            assert close(sol.cost, costs[sol.path]) and close(costs[sol.path], best)
+            if not close(min((c for c, p in ranked if p != path), default=math.inf), best):
+                assert sol.path == path
+                clear += 1
             feasible += 1
-        assert feasible >= 60 and infeasible >= 10
+        assert feasible >= 60 and infeasible >= 10 and clear >= 40
 
     def test_halfspace_target_needs_no_lp(self, monkeypatch):
         import swmpc.geometry
@@ -607,6 +619,11 @@ def _broken_rule(problem, sigs):
 # dyadic entries tie exactly; the others round, so that mathematically equal
 # costs of different paths can differ in the last bits
 TIE_ENTRIES = (-1.0, -0.5, -0.3, 0.0, 0.1, 0.3, 0.5, 0.7, 1.0)
+# applied run lengths: runs longer than any horizon make a priced run across
+# the seam pay (length + w)^2, w its steps inside the window; at 10**6 the
+# search prices it and switches away where it can, at 20 the optimum
+# sometimes continues it
+SEAM_RUNS = (1, 2, 3, 20, 10**6)
 
 
 @st.composite
@@ -657,7 +674,7 @@ def near_tie_problems(draw, max_leaves=4096):
         horizon=N,
         target=PolytopeUnion(parts),
         cost=CostSpec(tuple(stage), draw(st.sampled_from((0.5, 1.0))), tuple(consecutive)),
-        run=RuleState() if sig is None else RuleState(sig, draw(st.integers(1, 3))),
+        run=RuleState() if sig is None else RuleState(sig, draw(st.sampled_from(SEAM_RUNS))),
         enforce_waiting=draw(st.booleans()),
         enforce_terminal=draw(st.booleans()),
         cycle_through_all=q >= 2 and draw(st.booleans()),
