@@ -9,10 +9,14 @@ cycle rules are those of `switched.SwitchingRule`, and its state, a
 `switched.RuleState`, is all that a problem records of the applied signals.
 
 The optimizer is an exact depth-first branch-and-bound over the q-ary
-sequence tree.  Partial costs are accumulated in one canonical left-to-right
-order (shared with `eval_cost`) so that the returned optimum is bit-identical
-to exhaustive enumeration, with ties broken toward the lexicographically
-smallest signal sequence.
+sequence tree.  A path costs one canonical sum, `_canonical_partial`:
+c_sigma * d + b_sigma * L^2 per stage, left to right, with d the stage's
+distance to the target and L the length of its whole run (`switched.packs`),
+the first run extended by the applied one; then the terminal term.  The
+search extends it node by node: b_sigma = 0 adds c_sigma * d, and b_sigma > 0
+re-sums only the stage's run, from the partial cost where the run began.  So
+the returned optimum is bit-identical to exhaustive enumeration, with ties
+broken toward the lexicographically smallest signal sequence.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .geometry import NumericalError, Polytope, PolytopeUnion, _least_distance, as_union
-from .switched import RuleState, SimulationResult, SwitchedSystem, SwitchingRule, _matvec
+from .switched import RuleState, SimulationResult, SwitchedSystem, SwitchingRule, _matvec, packs
 
 __all__ = [
     "CostSpec",
@@ -259,49 +263,28 @@ def distance_to_set(omega: Polytope | PolytopeUnion, x: Sequence[float]) -> floa
     return _build_distance(as_union(omega))(tuple(float(v) for v in x))
 
 
-def _build_membership(
-    region: Polytope | PolytopeUnion, tol: float
-) -> Callable[[tuple[float, ...]], bool]:
-    region = as_union(region)
-    return lambda x: region.contains(x, tol)
-
-
 # -- canonical cost ------------------------------------------------------------
 
 
-def _pack_lengths(
-    sigs: Sequence[int], mem_sig: int | None, mem_len: int
-) -> list[int]:
-    """Current run length at each decided position, with the first run extended
-    by the applied run (`mem_sig`, `mem_len`) that it continues."""
-    out: list[int] = []
-    i = 0
-    T = len(sigs)
-    while i < T:
-        j = i + 1
-        while j < T and sigs[j] == sigs[i]:
-            j += 1
-        length = j - i
-        if i == 0 and mem_sig is not None and sigs[0] == mem_sig:
-            length += mem_len
-        out.extend([length] * (j - i))
-        i = j
-    return out
+def _run_cost(total: float, dists: Sequence[float], c: float, b: float, length: int) -> float:
+    """total plus c*d + b*L^2 for each stage distance d of one run of length L,
+    left to right."""
+    fl = float(length)
+    penalty = b * (fl * fl)
+    for d in dists:
+        total += c * d + penalty
+    return total
 
 
-def _canonical_partial(
-    sigs: Sequence[int],
-    dists: Sequence[float],
-    c: Sequence[float],
-    b: Sequence[float],
-    mem_sig: int | None,
-    mem_len: int,
-) -> float:
-    lens = _pack_lengths(sigs, mem_sig, mem_len)
+def _canonical_partial(problem: OcpProblem, sigs: Sequence[int], dists: Sequence[float]) -> float:
+    """The stage costs of a path, run by run, the first run extended by the
+    applied run that it continues."""
+    c, b = problem.cost.stage_weights, problem.cost.consecutive_weights
+    mem_sig, mem_len, _ = problem.run
     total = 0.0
-    for s, d, ln in zip(sigs, dists, lens):
-        fl = float(ln)
-        total += c[s - 1] * d + b[s - 1] * (fl * fl)
+    for p in packs(sigs):
+        length = p.length + (mem_len if p.start == 0 and p.signal == mem_sig else 0)
+        total = _run_cost(total, dists[p.start : p.stop], c[p.signal - 1], b[p.signal - 1], length)
     return total
 
 
@@ -315,9 +298,6 @@ def eval_cost(problem: OcpProblem, path: Sequence[int]) -> tuple[float, np.ndarr
     for s in sigs:
         sys_._check_signal(s)
     dist = _build_distance(problem.target)
-    c = problem.cost.stage_weights
-    b = problem.cost.consecutive_weights
-    mem_sig, mem_len, _ = problem.run
 
     x = problem.x
     traj = [x]
@@ -326,7 +306,7 @@ def eval_cost(problem: OcpProblem, path: Sequence[int]) -> tuple[float, np.ndarr
         dists.append(dist(x))
         x = _matvec(sys_.rows(s), x)
         traj.append(x)
-    total = _canonical_partial(sigs, dists, c, b, mem_sig, mem_len)
+    total = _canonical_partial(problem, sigs, dists)
     total += problem.cost.terminal_weight * dist(x)
     return total, np.array(traj, dtype=float)
 
@@ -335,12 +315,13 @@ def eval_cost(problem: OcpProblem, path: Sequence[int]) -> tuple[float, np.ndarr
 
 
 def _target_norm_radius(target: PolytopeUnion) -> float:
-    """Upper bound on max ||y|| over the target (bounding-box corner norm)."""
+    """Upper bound on max ||y|| over the target (bounding-box corner norm); a
+    box reads its bounds from its rows, any other part from its support LPs."""
     worst = 0.0
     for P in target.parts:
         if P.nrows <= P.dim:  # too few rows to be bounded: skip the support LPs
             return math.inf
-        lo, hi = P.coordinate_ranges
+        lo, hi = P.box_bounds or P.coordinate_ranges
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
             return math.inf
         corner = np.maximum(np.abs(lo), np.abs(hi))
@@ -466,16 +447,15 @@ def solve_ocp(problem: OcpProblem, *, plan: Sequence[int] = ()) -> OcpSolution:
     x0 = problem.x
     rows = [sys_.rows(s) for s in range(1, q + 1)]
     dist = _build_distance(problem.target)
-    member_target = _build_membership(problem.target, TERMINAL_TOL)
-    member_state = _build_membership(sys_.state_set, STATE_TOL)
+    in_target = problem.target.contains
+    in_states = sys_.state_set.contains
     c = problem.cost.stage_weights
     b = problem.cost.consecutive_weights
     cterm = problem.cost.terminal_weight
-    use_b = any(v != 0.0 for v in b)
     rule = SwitchingRule(sys_, problem.enforce_waiting, problem.cycle_through_all)
     allowed = rule.next
 
-    if not member_state(x0):
+    if not in_states(x0, STATE_TOL):
         raise InfeasibleProblemError(
             "current state violates the state constraint", reason="state"
         )
@@ -497,7 +477,9 @@ def solve_ocp(problem: OcpProblem, *, plan: Sequence[int] = ()) -> OcpSolution:
     threshold = math.inf
 
     sig_seq: list[int] = []
-    d_seq: list[float] = []
+    # per depth of the current branch: the distance, and the partial cost before it
+    dists = [0.0] * N
+    partials = [0.0] * N
     enforce_t = problem.enforce_terminal
 
     def rollout(guide: Sequence[int]) -> float:
@@ -517,7 +499,7 @@ def solve_ocp(problem: OcpProblem, *, plan: Sequence[int] = ()) -> OcpSolution:
                 if nxt is None:
                     continue
                 x_next = _matvec(rows[s - 1], x)
-                if depth + 1 < N and not member_state(x_next):
+                if depth + 1 < N and not in_states(x_next, STATE_TOL):
                     continue
                 if s == hint:
                     chosen = (s, *nxt, x_next)
@@ -532,10 +514,9 @@ def solve_ocp(problem: OcpProblem, *, plan: Sequence[int] = ()) -> OcpSolution:
             run_sig = s
             seq.append(s)
             ds.append(d_here)
-        if enforce_t and not member_target(x):
+        if enforce_t and not in_target(x, TERMINAL_TOL):
             return math.inf
-        total = _canonical_partial(seq, ds, c, b, mem_sig, mem_len)
-        return total + cterm * dist(x)
+        return _canonical_partial(problem, seq, ds) + cterm * dist(x)
 
     warm = rollout(plan)
     if len(plan) and not math.isfinite(warm):
@@ -552,7 +533,8 @@ def solve_ocp(problem: OcpProblem, *, plan: Sequence[int] = ()) -> OcpSolution:
         partial: float,
     ) -> None:
         nonlocal best_cost, best_path, threshold
-        d_here = dist(x)
+        d_here = dists[depth] = dist(x)
+        partials[depth] = partial
         last = depth + 1 == N
         for s in range(1, q + 1):
             nxt = allowed(s, run_sig, run_len, used)
@@ -561,18 +543,20 @@ def solve_ocp(problem: OcpProblem, *, plan: Sequence[int] = ()) -> OcpSolution:
                 continue
             stats["nodes"] += 1
             x_next = _matvec(rows[s - 1], x)
-            if not last and not member_state(x_next):
+            if not last and not in_states(x_next, STATE_TOL):
                 flags["state"] = True
                 continue
             sig_seq.append(s)
-            if use_b:
-                d_seq.append(d_here)
-                new_partial = _canonical_partial(sig_seq, d_seq, c, b, mem_sig, mem_len)
+            if b[s - 1]:  # re-sum the run from where it began: nothing before it changes
+                k = max(depth + 1 - nxt[0], 0)
+                new_partial = _run_cost(
+                    partials[k], dists[k : depth + 1], c[s - 1], b[s - 1], nxt[0]
+                )
             else:
                 new_partial = partial + c[s - 1] * d_here
             if last:
                 flags["complete"] = True
-                if not enforce_t or member_target(x_next):
+                if not enforce_t or in_target(x_next, TERMINAL_TOL):
                     leaf = new_partial + cterm * dist(x_next)
                     if leaf < best_cost:
                         best_cost = leaf
@@ -585,8 +569,6 @@ def solve_ocp(problem: OcpProblem, *, plan: Sequence[int] = ()) -> OcpSolution:
                 else:
                     dfs(depth + 1, x_next, s, *nxt, new_partial)
             sig_seq.pop()
-            if use_b:
-                d_seq.pop()
 
     dfs(0, x0, mem_sig, mem_len, used0, 0.0)
 

@@ -323,8 +323,9 @@ class Polytope:
         return lo, hi
 
     def singleton_point(self, tol: float = 1e-9) -> np.ndarray | None:
-        """The unique point of the polytope when its extent is below tol in every coordinate."""
-        lo, hi = self.coordinate_ranges
+        """The unique point of the polytope when its extent is below tol in every
+        coordinate; a box reads its extents from its rows, with no LP."""
+        lo, hi = self.box_bounds or self.coordinate_ranges
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
             return None
         if np.any(hi - lo > tol) or np.any(hi < lo):  # hi < lo: empty
@@ -610,12 +611,12 @@ def is_switched_invariant(sys, omega: Polytope | PolytopeUnion) -> InvarianceRep
             raise ValueError(f"omega part {j} is unbounded; invariance check needs bounded parts")
 
     # Degenerate parts are checked pointwise (the region-difference slack would
-    # otherwise treat them as vacuously covered).
+    # otherwise treat them as vacuously covered).  A part narrower than 1e-9 in
+    # every coordinate has a radius below EMPTY_TOL, so it is thin.
     singleton_points: list[np.ndarray] = []
     regular: list[Polytope] = []
     for P in omega.parts:
-        thin = not _radius_at_least(P, EMPTY_TOL, _norm_bound(P, solve=True))
-        pt = P.singleton_point() if thin else None
+        pt = P.singleton_point()
         if pt is None:
             regular.append(P)  # a thin part that is not a point takes the slack semantics
         else:

@@ -61,6 +61,21 @@ def scalar_problem(gains, x, N, lo=-1.0, hi=1.0, consecutive=(), **kw):
     )
 
 
+def lp_calls(monkeypatch) -> list:
+    """A list that gains one entry per LP that geometry solves from now on."""
+    import swmpc.geometry
+
+    calls = []
+    real = swmpc.geometry.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(swmpc.geometry, "linprog", counting)
+    return calls
+
+
 class TestEvalCost:
     def test_zero_inside_invariant_target(self):
         sys_ = SwitchedSystem(
@@ -332,17 +347,14 @@ class TestSolveOcp:
         assert feasible >= 60 and infeasible >= 10 and clear >= 40
 
     def test_halfspace_target_needs_no_lp(self, monkeypatch):
-        import swmpc.geometry
-
-        calls = []
-        real = swmpc.geometry.linprog
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(swmpc.geometry, "linprog", counting)
+        calls = lp_calls(monkeypatch)
         solve_ocp(builtin_scenario("viral-1").mpc)
+        assert calls == []
+
+    def test_box_target_needs_no_lp(self, monkeypatch):
+        # the singular-value bound reads the box's radius from its rows
+        calls = lp_calls(monkeypatch)
+        solve_ocp(builtin_scenario("illustrative").mpc)
         assert calls == []
 
     def test_non_finite_state_rejected(self):

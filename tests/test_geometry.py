@@ -114,6 +114,15 @@ class TestPolytope:
         assert np.allclose(P.singleton_point(), [0.0, 0.0, 0.0])
         assert Polytope.box([-1], [1]).singleton_point() is None
 
+    def test_box_singleton_needs_no_lp(self, monkeypatch):
+        monkeypatch.setattr(swmpc.geometry, "linprog", lambda *a, **k: pytest.fail("an LP"))
+        point = Polytope.box([1.0, -2.0], [1.0, -2.0 + 1e-10]).singleton_point()
+        assert np.allclose(point, [1.0, -2.0], rtol=0.0, atol=1e-10)
+        assert Polytope.box([0.0, 0.0], [0.0, 1e-8]).singleton_point() is None
+        # 1 <= x1 <= 0 is empty, not a point
+        H = np.vstack([np.eye(2), -np.eye(2)])
+        assert Polytope(H, np.array([0.0, 0.0, -1.0, 0.0])).singleton_point() is None
+
     def test_pruned_drops_redundant_rows(self):
         P = Polytope(
             np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 0.0]]),
