@@ -119,6 +119,19 @@ class TestEvalCost:
         with pytest.raises(ValueError):
             eval_cost(prob, [1])
 
+    def test_every_admissible_path_costs_what_the_oracle_says(self):
+        # box and halfspace targets, so bit for bit; applied runs up to 10**6
+        rng = np.random.default_rng(77)
+        paths = 0
+        for i in range(60):
+            prob = random_ocp(rng) if i % 2 else random_positive_ocp(rng)
+            if i % 3 == 0 and prob.run.signal is not None:
+                prob = replace(prob, run=prob.run._replace(length=10**6), enforce_waiting=False)
+            for cost, path in admissible_costs(prob):
+                assert eval_cost(prob, path)[0] == cost, (i, path)
+                paths += 1
+        assert paths >= 1000
+
 
 class TestSolveOcp:
     def test_single_step_picks_contracting_branch(self):
