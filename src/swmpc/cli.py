@@ -50,9 +50,7 @@ class ConfigError(ValueError):
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:

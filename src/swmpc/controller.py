@@ -17,18 +17,26 @@ search extends it node by node: b_sigma = 0 adds c_sigma * d, and b_sigma > 0
 re-sums only the stage's run, from the partial cost where the run began.  So
 the returned optimum is bit-identical to exhaustive enumeration, with ties
 broken toward the lexicographically smallest signal sequence.
+
+What a closed loop's template fixes, `_context` builds once and keeps in the
+problem's instance dict: the row tuples, the target distance, membership of the
+target and of X (a box's reads its rows, one axis each), the rule and both
+cost-to-go bounds.  `rhc_step` hands it to every step; each solve picks the
+bound, as the linear one needs x0 >= 0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .geometry import NumericalError, Polytope, PolytopeUnion, _least_distance, as_union
-from .switched import RuleState, SimulationResult, SwitchedSystem, SwitchingRule, _matvec, packs
+from .switched import (
+    RuleState, SimulationResult, SwitchedSystem, SwitchingRule, _matvec, packs, simulate
+)
 
 __all__ = [
     "CostSpec",
@@ -46,6 +54,7 @@ __all__ = [
 
 TERMINAL_TOL = 1e-9
 STATE_TOL = 1e-9
+Bound = Callable[[tuple[float, ...], int], float]  # a cost-to-go bound of (x, depth)
 
 
 class InfeasibleProblemError(RuntimeError):
@@ -141,6 +150,10 @@ class OcpProblem:
         if self.cycle_through_all:
             used = signals
         object.__setattr__(self, "run", RuleState(sig, length, used))
+
+    def __getstate__(self) -> dict:
+        # the search context holds closures; unpickled, it is rebuilt on first use
+        return {k: v for k, v in self.__dict__.items() if k != "_context"}
 
 
 @dataclass(frozen=True)
@@ -263,6 +276,39 @@ def distance_to_set(omega: Polytope | PolytopeUnion, x: Sequence[float]) -> floa
     return _build_distance(as_union(omega))(tuple(float(v) for v in x))
 
 
+def _part_member(P: Polytope, tol: float) -> Callable[[tuple[float, ...]], bool]:
+    """`P.contains(x, tol)` as a closure of x, with its verdict on every x.
+
+    A box compares a * x[k] with b + tol, k the row's one axis: for finite x
+    the other terms of `contains`' row sum are +-0.  An infinite or NaN x[k]
+    can pass rows that do not bound k on both sides; `contains` decides it.
+    """
+    bounds = P.box_bounds
+    if bounds is None:
+        return lambda x: P.contains(x, tol)
+    axes = np.nonzero(P.H)[1].tolist()  # one per row, in row order
+    checks = [(k, row[k], b + tol) for k, (row, b) in zip(axes, P._rows)]
+    loose = np.flatnonzero(np.isinf(bounds).any(axis=0)).tolist()
+    isfinite = math.isfinite
+
+    def in_box(x: tuple[float, ...]) -> bool:
+        for k, a, bt in checks:
+            if not a * x[k] <= bt:
+                return False
+        for k in loose:
+            if not isfinite(x[k]):
+                return P.contains(x, tol)
+        return True
+
+    return in_box
+
+
+def _member(region: PolytopeUnion, tol: float) -> Callable[[tuple[float, ...]], bool]:
+    """`region.contains(x, tol)` as a closure of x, part by part."""
+    parts = [_part_member(P, tol) for P in region.parts]
+    return parts[0] if len(parts) == 1 else lambda x: any(m(x) for m in parts)
+
+
 # -- canonical cost ------------------------------------------------------------
 
 
@@ -291,24 +337,13 @@ def _canonical_partial(problem: OcpProblem, sigs: Sequence[int], dists: Sequence
 def eval_cost(problem: OcpProblem, path: Sequence[int]) -> tuple[float, np.ndarray]:
     """Cost and predicted trajectory of a candidate path (no constraints applied)."""
     sigs = tuple(path)
-    N = problem.horizon
-    if len(sigs) != N:
-        raise ValueError(f"path length {len(sigs)} does not match horizon {N}")
-    sys_ = problem.sys
-    for s in sigs:
-        sys_._check_signal(s)
+    if len(sigs) != problem.horizon:
+        raise ValueError(f"path length {len(sigs)} does not match horizon {problem.horizon}")
+    traj = simulate(problem.sys, problem.x, sigs).states
     dist = _build_distance(problem.target)
-
-    x = problem.x
-    traj = [x]
-    dists = []
-    for s in sigs:
-        dists.append(dist(x))
-        x = _matvec(sys_.rows(s), x)
-        traj.append(x)
+    dists = [dist(tuple(x)) for x in traj.tolist()]
     total = _canonical_partial(problem, sigs, dists)
-    total += problem.cost.terminal_weight * dist(x)
-    return total, np.array(traj, dtype=float)
+    return total + problem.cost.terminal_weight * dists[-1], traj
 
 
 # -- exact solver ---------------------------------------------------------------
@@ -324,8 +359,7 @@ def _target_norm_radius(target: PolytopeUnion) -> float:
         lo, hi = P.box_bounds or P.coordinate_ranges
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
             return math.inf
-        corner = np.maximum(np.abs(lo), np.abs(hi))
-        worst = max(worst, float(np.linalg.norm(corner)))
+        worst = max(worst, float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi)))))
     return worst
 
 
@@ -333,14 +367,14 @@ def _no_bound(x: tuple[float, ...], depth: int) -> float:
     return 0.0
 
 
-def _cost_to_go_bound(problem: OcpProblem) -> Callable[[tuple[float, ...], int], float]:
-    """Admissible lower bound `bound(x, depth)` on the cost of stages depth..N-1
-    plus the terminal term, from state x at `depth`, over every completion.
+def _cost_to_go_bound(problem: OcpProblem) -> tuple[Bound | None, Bound]:
+    """Admissible lower bounds `bound(x, depth)` on the cost of stages depth..N-1
+    plus the terminal term from x at `depth`: the linear one, for x >= 0 only
+    (None if the family or target does not qualify), and the singular-value one.
 
-    The bound is admissible in exact arithmetic; `solve_ocp` adds the slack
-    against rounding.  Of two constructions it returns the one that applies;
-    they never both apply: the linear one needs a one-row target, which is
-    unbounded, and the singular-value one a bounded target.
+    Both are admissible in exact arithmetic; `solve_ocp` adds the slack
+    against rounding.  They never both apply: the linear one needs a one-row
+    target, which is unbounded, and the singular-value one a bounded target.
 
     - Singular values: ||A_sigma x|| >= r ||x|| with r the least minimum
       singular value, and d(y) >= ||y|| - R for a target within norm R.
@@ -362,7 +396,6 @@ def _cost_to_go_bound(problem: OcpProblem) -> Callable[[tuple[float, ...], int],
         half is not None
         and all(v >= 0.0 for v in half[0])
         and half[1] <= 0.0
-        and all(v >= 0.0 for v in problem.x)
         and all(np.all(M >= 0.0) for M in sys_.matrices)
     ):
         a = np.asarray(half[0])
@@ -378,14 +411,14 @@ def _cost_to_go_bound(problem: OcpProblem) -> Callable[[tuple[float, ...], int],
                 s += wi * xi
             return s
 
-        return linear
+        return linear, _no_bound  # a one-row target is unbounded
 
     radius = _target_norm_radius(problem.target)
     if not math.isfinite(radius):
-        return _no_bound
+        return None, _no_bound
     rmin = min(float(np.linalg.svd(M, compute_uv=False)[-1]) for M in sys_.matrices)
     if rmin <= 0.0:
-        return _no_bound
+        return None, _no_bound
     rpow = [1.0]
     for _ in range(N):
         rpow.append(rpow[-1] * rmin)
@@ -406,7 +439,7 @@ def _cost_to_go_bound(problem: OcpProblem) -> Callable[[tuple[float, ...], int],
                 s += v * v
             return factor[depth] * math.sqrt(s)
 
-        return scaled_norm
+        return None, scaled_norm
 
     def decayed_norm(x: tuple[float, ...], depth: int) -> float:
         s = 0.0
@@ -423,7 +456,35 @@ def _cost_to_go_bound(problem: OcpProblem) -> Callable[[tuple[float, ...], int],
             total += cterm * v
         return total
 
-    return decayed_norm
+    return None, decayed_norm
+
+
+class _SearchContext(NamedTuple):
+    """The set-up that a template fixes for the search (see the module docstring)."""
+
+    rows: tuple[tuple[tuple[float, ...], ...], ...]
+    dist: Callable[[tuple[float, ...]], float]
+    in_target: Callable[[tuple[float, ...]], bool]
+    in_states: Callable[[tuple[float, ...]], bool]
+    rule: SwitchingRule
+    linear: Bound | None
+    fallback: Bound
+
+
+def _context(problem: OcpProblem) -> _SearchContext:
+    """The problem's `_SearchContext`, built on first use and kept in its instance dict."""
+    ctx = problem.__dict__.get("_context")
+    if ctx is None:
+        sys_ = problem.sys
+        ctx = problem.__dict__["_context"] = _SearchContext(
+            tuple(sys_.rows(s) for s in range(1, sys_.q + 1)),
+            _build_distance(problem.target),
+            _member(problem.target, TERMINAL_TOL),
+            _part_member(sys_.state_set, STATE_TOL),
+            SwitchingRule(sys_, problem.enforce_waiting, problem.cycle_through_all),
+            *_cost_to_go_bound(problem),
+        )
+    return ctx
 
 
 def solve_ocp(problem: OcpProblem, *, plan: Sequence[int] = ()) -> OcpSolution:
@@ -442,23 +503,15 @@ def solve_ocp(problem: OcpProblem, *, plan: Sequence[int] = ()) -> OcpSolution:
     is an admissible path's, so no plan, however wrong, changes the path, cost
     or trajectory, only the node counts.
     """
-    sys_ = problem.sys
-    N, q = problem.horizon, sys_.q
-    x0 = problem.x
-    rows = [sys_.rows(s) for s in range(1, q + 1)]
-    dist = _build_distance(problem.target)
-    in_target = problem.target.contains
-    in_states = sys_.state_set.contains
+    rows, dist, in_target, in_states, rule, linear, future = _context(problem)
+    N, q, x0 = problem.horizon, problem.sys.q, problem.x
     c = problem.cost.stage_weights
     b = problem.cost.consecutive_weights
     cterm = problem.cost.terminal_weight
-    rule = SwitchingRule(sys_, problem.enforce_waiting, problem.cycle_through_all)
     allowed = rule.next
 
-    if not in_states(x0, STATE_TOL):
-        raise InfeasibleProblemError(
-            "current state violates the state constraint", reason="state"
-        )
+    if not in_states(x0):
+        raise InfeasibleProblemError("current state violates the state constraint", reason="state")
 
     # the applied run straddles the prediction seam, so only U can judge it yet
     mem_sig, mem_len, used0 = problem.run
@@ -467,7 +520,8 @@ def solve_ocp(problem: OcpProblem, *, plan: Sequence[int] = ()) -> OcpSolution:
             "the applied run violates an upper waiting bound", reason="waiting"
         )
 
-    future = _cost_to_go_bound(problem)
+    if linear is not None and all(v >= 0.0 for v in x0):
+        future = linear
     shrink = 1.0 - 1e-9
 
     stats = {"nodes": 0, "pruned": 0}
@@ -499,7 +553,7 @@ def solve_ocp(problem: OcpProblem, *, plan: Sequence[int] = ()) -> OcpSolution:
                 if nxt is None:
                     continue
                 x_next = _matvec(rows[s - 1], x)
-                if depth + 1 < N and not in_states(x_next, STATE_TOL):
+                if depth + 1 < N and not in_states(x_next):
                     continue
                 if s == hint:
                     chosen = (s, *nxt, x_next)
@@ -514,7 +568,7 @@ def solve_ocp(problem: OcpProblem, *, plan: Sequence[int] = ()) -> OcpSolution:
             run_sig = s
             seq.append(s)
             ds.append(d_here)
-        if enforce_t and not in_target(x, TERMINAL_TOL):
+        if enforce_t and not in_target(x):
             return math.inf
         return _canonical_partial(problem, seq, ds) + cterm * dist(x)
 
@@ -543,7 +597,7 @@ def solve_ocp(problem: OcpProblem, *, plan: Sequence[int] = ()) -> OcpSolution:
                 continue
             stats["nodes"] += 1
             x_next = _matvec(rows[s - 1], x)
-            if not last and not in_states(x_next, STATE_TOL):
+            if not last and not in_states(x_next):
                 flags["state"] = True
                 continue
             sig_seq.append(s)
@@ -556,7 +610,7 @@ def solve_ocp(problem: OcpProblem, *, plan: Sequence[int] = ()) -> OcpSolution:
                 new_partial = partial + c[s - 1] * d_here
             if last:
                 flags["complete"] = True
-                if not enforce_t or in_target(x_next, TERMINAL_TOL):
+                if not enforce_t or in_target(x_next):
                     leaf = new_partial + cterm * dist(x_next)
                     if leaf < best_cost:
                         best_cost = leaf
@@ -583,15 +637,9 @@ def solve_ocp(problem: OcpProblem, *, plan: Sequence[int] = ()) -> OcpSolution:
             f"no admissible sequence exists ({reason} constraints)", reason=reason
         )
 
-    # canonical re-roll of the optimal trajectory
-    x = x0
-    traj = [x]
-    for s in best_path:
-        x = _matvec(rows[s - 1], x)
-        traj.append(x)
     return OcpSolution(
         path=best_path,
-        trajectory=np.array(traj, dtype=float),
+        trajectory=simulate(problem.sys, x0, best_path).states,
         cost=best_cost,
         nodes_explored=stats["nodes"],
         nodes_pruned=stats["pruned"],
@@ -622,13 +670,14 @@ def rhc_step(
 ) -> tuple[int, ControllerState, OcpSolution]:
     """Solve the horizon problem at the current state and apply its first
     signal; the previous plan, shifted by one step, guides the warm start."""
+    ctx = _context(template)
     problem = replace(template, x=state.x, run=state.run)
+    problem.__dict__["_context"] = ctx
     sol = solve_ocp(problem, plan=state.plan[1:])
     s0 = sol.path[0]
-    rule = SwitchingRule(problem.sys, problem.enforce_waiting, problem.cycle_through_all)
-    run_len, used = rule.next(s0, *problem.run)
+    run_len, used = ctx.rule.next(s0, *problem.run)
     new_state = ControllerState(
-        _matvec(problem.sys.rows(s0), state.x), RuleState(s0, run_len, used), sol.path
+        _matvec(ctx.rows[s0 - 1], state.x), RuleState(s0, run_len, used), sol.path
     )
     return s0, new_state, sol
 
@@ -645,26 +694,20 @@ def run_closed_loop(
         raise ValueError("steps must be >= 0")
     st = state if state is not None else initial_state(x0)
     states = [st.x]
-    signals: list[int] = []
-    costs: list[float] = []
-    explored: list[int] = []
-    pruned: list[int] = []
+    sols: list[OcpSolution] = []
     for k in range(steps):
         try:
-            s0, st, sol = rhc_step(cfg, st)
+            _, st, sol = rhc_step(cfg, st)
         except InfeasibleProblemError as err:
             raise InfeasibleProblemError(
                 f"infeasible at closed-loop step {k}: {err}", reason=err.reason, step=k
             ) from err
-        signals.append(s0)
-        costs.append(sol.cost)
-        explored.append(sol.nodes_explored)
-        pruned.append(sol.nodes_pruned)
+        sols.append(sol)
         states.append(st.x)
     return SimulationResult(
         states=np.array(states, dtype=float),
-        signals=tuple(signals),
-        costs=tuple(costs),
-        nodes_explored=tuple(explored),
-        nodes_pruned=tuple(pruned),
+        signals=tuple(sol.path[0] for sol in sols),
+        costs=tuple(sol.cost for sol in sols),
+        nodes_explored=tuple(sol.nodes_explored for sol in sols),
+        nodes_pruned=tuple(sol.nodes_pruned for sol in sols),
     )

@@ -192,13 +192,10 @@ class Polytope:
         H = H / scale[:, None]
         h = h / scale
         # drop exact duplicate rows, keeping first occurrences
-        seen: set[bytes] = set()
-        keep: list[int] = []
+        first: dict[bytes, int] = {}
         for i in range(H.shape[0]):
-            key = H[i].tobytes() + h[i].tobytes()
-            if key not in seen:
-                seen.add(key)
-                keep.append(i)
+            first.setdefault(H[i].tobytes() + h[i].tobytes(), i)
+        keep = list(first.values())
         H = np.ascontiguousarray(H[keep])
         h = np.ascontiguousarray(h[keep])
         H.setflags(write=False)
@@ -220,16 +217,12 @@ class Polytope:
         n = lb.size
         rows, rhs = [], []
         for i in range(n):
-            if np.isfinite(ub[i]):
-                e = np.zeros(n)
-                e[i] = 1.0
-                rows.append(e)
-                rhs.append(ub[i])
-            if np.isfinite(lb[i]):
-                e = np.zeros(n)
-                e[i] = -1.0
-                rows.append(e)
-                rhs.append(-lb[i])
+            for sign, bound in ((1.0, ub[i]), (-1.0, -lb[i])):
+                if np.isfinite(bound):
+                    e = np.zeros(n)
+                    e[i] = sign
+                    rows.append(e)
+                    rhs.append(bound)
         if not rows:
             raise ValueError("box must be bounded in at least one direction")
         return cls(np.array(rows), np.array(rhs))
@@ -470,10 +463,7 @@ class PolytopeUnion:
         return len(self.parts)
 
     def contains(self, x: Sequence[float], tol: float = MEMBERSHIP_TOL) -> bool:
-        for p in self.parts:
-            if p.contains(x, tol):
-                return True
-        return False
+        return any(p.contains(x, tol) for p in self.parts)
 
     def prune_empty(self, eps: float = EMPTY_TOL) -> "PolytopeUnion":
         """The parts of radius >= eps, by the checked least-distance solve where R is known."""
@@ -489,9 +479,7 @@ class PolytopeUnion:
 
 
 def as_union(target: "Polytope | PolytopeUnion") -> PolytopeUnion:
-    if isinstance(target, Polytope):
-        return PolytopeUnion((target,))
-    return target
+    return PolytopeUnion((target,)) if isinstance(target, Polytope) else target
 
 
 @dataclass(frozen=True)

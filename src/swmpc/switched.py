@@ -70,10 +70,6 @@ def performance_index(trajectory: Sequence[Sequence[float]]) -> float:
     return total_load(v for row in rows for v in row)
 
 
-def _as_rows(matrix: np.ndarray) -> tuple[tuple[float, ...], ...]:
-    return tuple(tuple(float(v) for v in row) for row in np.asarray(matrix, dtype=float))
-
-
 @dataclass(frozen=True)
 class SwitchedSystem:
     """A finite family of n x n transition matrices plus state and dwell constraints.
@@ -119,7 +115,7 @@ class SwitchedSystem:
                 raise ValueError(f"signal {s + 1}: need 1 <= L <= U, got ({lo}, {up})")
         object.__setattr__(self, "matrices", mats)
         object.__setattr__(self, "waiting", waits)
-        object.__setattr__(self, "_rows", tuple(_as_rows(M) for M in mats))
+        object.__setattr__(self, "_rows", tuple(tuple(map(tuple, M.tolist())) for M in mats))
 
     @property
     def n(self) -> int:

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -25,8 +27,8 @@ from swmpc import (
     solve_ocp,
     validate_waiting,
 )
-from swmpc.controller import STATE_TOL, TERMINAL_TOL
-from swmpc.geometry import as_union
+from swmpc.controller import STATE_TOL, TERMINAL_TOL, _context, _member, _part_member
+from swmpc.geometry import UNIT_NORM_TOL, as_union
 from swmpc.switched import UNBOUNDED_DWELL
 
 from .oracles import (
@@ -802,3 +804,175 @@ class TestWarmStartPlan:
         record = run_closed_loop(scen.mpc, scen.x0, 30)
         assert sum(record.nodes_explored) <= 20_000
         assert "".join(map(str, record.signals)) == "421131113131111113131111113111"
+
+
+# the seven built-in closed loops: scenario, cancer case, steps
+BUILTIN_LOOPS = (
+    ("cancer", None, 72),
+    ("cancer", 1, 72),
+    ("cancer", 2, 72),
+    ("cancer", 3, 72),
+    ("viral-1", None, 12),
+    ("viral-2", None, 12),
+    ("illustrative", None, 30),
+)
+
+
+def _membership_boxes() -> list[Polytope]:
+    inf, eps = math.inf, 2.0**-52
+    return [
+        Polytope.box([-1.0], [2.0]),
+        Polytope.box([-1.0], [inf]),
+        Polytope.box([-inf], [0.5]),
+        Polytope.nonnegative_orthant(1),
+        Polytope.nonnegative_orthant(2),
+        Polytope.nonnegative_orthant(3),
+        Polytope.box([-1.0, -2.0, 0.0], [3.0, 2.0, 0.0]),
+        Polytope.box([-1.0, -inf], [inf, 4.0]),
+        Polytope.box([0.5, -inf, -inf], [inf, inf, inf]),
+        # rows within UNIT_NORM_TOL of unit norm keep their bits
+        Polytope(np.array([[1.0 + eps, 0.0], [0.0, -(1.0 - eps / 2)]]), np.array([0.3, 0.7])),
+        Polytope(np.array([[-(1.0 + eps)], [1.0 - eps / 2]]), np.array([-0.1, 1e-3])),
+    ]
+
+
+def _membership_points(P: Polytope, tol: float, rng: np.random.Generator) -> list[tuple]:
+    """Points a few ulps either side of every row's b + tol, with the other
+    coordinates inside, zero, huge, infinite or NaN, and random mixes."""
+    n = P.dim
+    lo, hi = P.box_bounds
+    base = [min(max(0.0, lo[k]), hi[k]) for k in range(n)]
+    special = [0.0, -0.0, 1e300, -1e300, math.inf, -math.inf, math.nan]
+    values = [list(special) for _ in range(n)]
+    for row, b in zip(P.H.tolist(), P.h.tolist()):
+        k = next(i for i, a in enumerate(row) if a)
+        v = (b + tol) / row[k]
+        for _ in range(4):
+            v = math.nextafter(v, -math.inf)
+        for _ in range(9):
+            values[k].append(v)
+            v = math.nextafter(v, math.inf)
+    points = []
+    for k in range(n):
+        for v in values[k]:
+            points.append(tuple(v if i == k else base[i] for i in range(n)))
+    for _ in range(400):
+        points.append(tuple(values[k][int(rng.integers(len(values[k])))] for k in range(n)))
+    return points
+
+
+class TestSearchContext:
+    def test_box_membership_matches_contains(self):
+        rng = np.random.default_rng(19)
+        boxes = _membership_boxes()
+        assert boxes[-2].H[0, 0] == 1.0 + 2.0**-52 and boxes[-1].H[1, 0] == 1.0 - 2.0**-53
+        assert all(P.box_bounds is not None for P in boxes)
+        assert 0.0 < abs(np.linalg.norm(boxes[-2].H[0]) - 1.0) <= UNIT_NORM_TOL
+        verdicts = set()
+        for tol in (STATE_TOL, TERMINAL_TOL):
+            for P in boxes:
+                member, union_member = _part_member(P, tol), _member(as_union(P), tol)
+                for x in _membership_points(P, tol, rng):
+                    expected = P.contains(x, tol)
+                    assert member(x) is expected, (P.H.tolist(), P.h.tolist(), x)
+                    assert union_member(x) is expected
+                    verdicts.add((expected, all(map(math.isfinite, x))))
+        assert verdicts == {(True, True), (False, True), (True, False), (False, False)}
+        # 0 * inf = NaN in another row's sum rejects any non-finite coordinate
+        # in n >= 2; in 1-D, +inf passes a lower-bound-only row
+        orthant = Polytope.nonnegative_orthant(2)
+        assert not _part_member(orthant, STATE_TOL)((math.inf, 1.0))
+        assert _part_member(Polytope.box([-1.0], [math.inf]), STATE_TOL)((math.inf,))
+
+    def test_union_membership_matches_contains(self):
+        rng = np.random.default_rng(7)
+        union = PolytopeUnion(
+            (
+                Polytope.box([-1.0, 0.0], [0.0, 1.0]),
+                Polytope(np.array([[1.0, 1.0]]), np.array([-2.0])),
+                Polytope.nonnegative_orthant(2),
+            )
+        )
+        member = _member(union, TERMINAL_TOL)
+        for _ in range(2000):
+            values = rng.choice([-3.0, -1.0, -1e-10, 0.0, 1e-10, 0.5, 1.0, math.inf, math.nan], 2)
+            x = tuple(float(v) for v in values)
+            assert member(x) is union.contains(x, TERMINAL_TOL), x
+
+    @staticmethod
+    def _loop_matches_fresh_solves(template, state, steps) -> int:
+        """Step one context through rhc_step and compare every step with a
+        fresh solve of the same problem; returns the number of steps made."""
+        ctx = None
+        for k in range(steps):
+            plan = state.plan[1:]
+            try:
+                fresh = solve_ocp(replace(template, x=state.x, run=state.run), plan=plan)
+            except InfeasibleProblemError as err:
+                with pytest.raises(InfeasibleProblemError) as looped:
+                    rhc_step(template, state)
+                assert looped.value.reason == err.reason
+                return k
+            _, state, sol = rhc_step(template, state)
+            assert (sol.path, sol.cost, sol.nodes_explored, sol.nodes_pruned) == (
+                fresh.path,
+                fresh.cost,
+                fresh.nodes_explored,
+                fresh.nodes_pruned,
+            )
+            assert sol.trajectory.tobytes() == fresh.trajectory.tobytes()
+            ctx = ctx or template.__dict__["_context"]
+            assert template.__dict__["_context"] is ctx
+        return steps
+
+    def test_loop_through_one_context_matches_fresh_solves(self):
+        for name, case, steps in BUILTIN_LOOPS:
+            scen = builtin_scenario(name, case=case)
+            assert self._loop_matches_fresh_solves(scen.mpc, initial_state(scen.x0), steps) == steps
+        rng = np.random.default_rng(19)
+        made = 0
+        for _ in range(24):
+            for template in (random_ocp(rng), random_positive_ocp(rng)):
+                state = ControllerState(x=template.x, run=template.run)
+                made += self._loop_matches_fresh_solves(template, state, 6)
+        assert made >= 150
+
+    def test_linear_bound_is_chosen_per_solve(self):
+        # the template qualifies for the linear bound from its x >= 0; a
+        # state with a negative coordinate must not take it
+        rng = np.random.default_rng(23)
+        made = 0
+        for k in range(16):
+            template = random_positive_ocp(rng)
+            n = template.sys.n
+            big = 1e6 * (1.0 + max(template.x))
+            wide = replace(template.sys, state_set=Polytope.box([-big] * n, [big] * n))
+            template = replace(template, sys=wide, enforce_terminal=False)
+            x = list(template.x)
+            x[k % n] = -1.0 - x[k % n]
+            assert _context(template).linear is not None
+            made += self._loop_matches_fresh_solves(template, ControllerState(tuple(x), template.run), 4)
+        assert made >= 40
+
+    def test_context_is_not_pickled(self):
+        scen = builtin_scenario("cancer")
+        before = run_closed_loop(scen.mpc, scen.x0, 4)
+        assert "_context" in scen.mpc.__dict__
+        copy = pickle.loads(pickle.dumps(scen.mpc))
+        assert "_context" not in copy.__dict__
+        after = run_closed_loop(copy, scen.x0, 4)
+        assert (after.signals, after.costs) == (before.signals, before.costs)
+
+    def test_builtin_loops_pin(self):
+        # signals, costs, states and node counts of the seven built-in loops,
+        # bit for bit
+        digest = hashlib.sha256()
+        for name, case, steps in BUILTIN_LOOPS:
+            scen = builtin_scenario(name, case=case)
+            record = run_closed_loop(scen.mpc, scen.x0, steps)
+            effort = (record.signals, record.costs, record.nodes_explored, record.nodes_pruned)
+            digest.update(repr(effort).encode())
+            digest.update(record.states.tobytes())
+        assert digest.hexdigest() == (
+            "819e66a7e19acdbc88c4fbf517b6ca4e3c15339a8ba20082510cdce4face375c"
+        )
