@@ -201,21 +201,17 @@ def cmd_analyze(args) -> int:
         sets[f"S_{i}"] = current.to_dict()
     (out / "sets.json").write_text(json.dumps(sets, indent=1))
 
-    lines = []
     report = is_switched_invariant(scen.sys, target)
-    lines.append(f"switched invariant: {'yes' if report.is_sis else 'no'}")
+    lines = [f"switched invariant: {'yes' if report.is_sis else 'no'}"]
     if report.counterexample is not None:
         lines.append(f"counterexample: {list(map(float, report.counterexample))}")
-    k_stab = stabilizability_certificate(scen.sys, target, kmax)
-    if k_stab is not None:
-        lines.append(f"stabilizability: certified at k={k_stab}")
-    else:
-        lines.append(f"stabilizability: not certified within kmax={kmax}")
-    k_non = non_stabilizability_certificate(scen.sys, target, kmax)
-    if k_non is not None:
-        lines.append(f"non-stabilizability: certified at k={k_non}")
-    else:
-        lines.append(f"non-stabilizability: not certified within kmax={kmax}")
+    for label, certificate in (
+        ("stabilizability", stabilizability_certificate),
+        ("non-stabilizability", non_stabilizability_certificate),
+    ):
+        k = certificate(scen.sys, target, kmax)
+        verdict = f"certified at k={k}" if k is not None else f"not certified within kmax={kmax}"
+        lines.append(f"{label}: {verdict}")
     (out / "certificate.txt").write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
     return 0

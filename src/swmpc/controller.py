@@ -19,10 +19,11 @@ the returned optimum is bit-identical to exhaustive enumeration, with ties
 broken toward the lexicographically smallest signal sequence.
 
 What a closed loop's template fixes, `_context` builds once and keeps in the
-problem's instance dict: the row tuples, the target distance, membership of the
-target and of X (a box's reads its rows, one axis each), the rule and both
-cost-to-go bounds.  `rhc_step` hands it to every step; each solve picks the
-bound, as the linear one needs x0 >= 0.
+problem's instance dict: the products x -> A_sigma x (straight-line code that
+`switched` generates once per distinct matrix, at a cost growing as n^2), the
+target distance, membership of the target and of X (a box's reads its rows,
+one axis each), the rule and both cost-to-go bounds.  `rhc_step` hands it to
+every step; each solve picks the bound, as the linear one needs x0 >= 0.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 
 from .geometry import NumericalError, Polytope, PolytopeUnion, _least_distance, as_union
 from .switched import (
-    RuleState, SimulationResult, SwitchedSystem, SwitchingRule, _matvec, packs, simulate
+    RuleState, SimulationResult, SwitchedSystem, SwitchingRule, packs, simulate
 )
 
 __all__ = [
@@ -462,7 +463,7 @@ def _cost_to_go_bound(problem: OcpProblem) -> tuple[Bound | None, Bound]:
 class _SearchContext(NamedTuple):
     """The set-up that a template fixes for the search (see the module docstring)."""
 
-    rows: tuple[tuple[tuple[float, ...], ...], ...]
+    products: tuple[Callable[[tuple[float, ...]], tuple[float, ...]], ...]
     dist: Callable[[tuple[float, ...]], float]
     in_target: Callable[[tuple[float, ...]], bool]
     in_states: Callable[[tuple[float, ...]], bool]
@@ -477,7 +478,7 @@ def _context(problem: OcpProblem) -> _SearchContext:
     if ctx is None:
         sys_ = problem.sys
         ctx = problem.__dict__["_context"] = _SearchContext(
-            tuple(sys_.rows(s) for s in range(1, sys_.q + 1)),
+            tuple(sys_.product(s) for s in range(1, sys_.q + 1)),
             _build_distance(problem.target),
             _member(problem.target, TERMINAL_TOL),
             _part_member(sys_.state_set, STATE_TOL),
@@ -503,7 +504,7 @@ def solve_ocp(problem: OcpProblem, *, plan: Sequence[int] = ()) -> OcpSolution:
     is an admissible path's, so no plan, however wrong, changes the path, cost
     or trajectory, only the node counts.
     """
-    rows, dist, in_target, in_states, rule, linear, future = _context(problem)
+    products, dist, in_target, in_states, rule, linear, future = _context(problem)
     N, q, x0 = problem.horizon, problem.sys.q, problem.x
     c = problem.cost.stage_weights
     b = problem.cost.consecutive_weights
@@ -552,7 +553,7 @@ def solve_ocp(problem: OcpProblem, *, plan: Sequence[int] = ()) -> OcpSolution:
                 nxt = allowed(s, run_sig, run_len, used)
                 if nxt is None:
                     continue
-                x_next = _matvec(rows[s - 1], x)
+                x_next = products[s - 1](x)
                 if depth + 1 < N and not in_states(x_next):
                     continue
                 if s == hint:
@@ -596,7 +597,7 @@ def solve_ocp(problem: OcpProblem, *, plan: Sequence[int] = ()) -> OcpSolution:
                 flags["waiting"] = True
                 continue
             stats["nodes"] += 1
-            x_next = _matvec(rows[s - 1], x)
+            x_next = products[s - 1](x)
             if not last and not in_states(x_next):
                 flags["state"] = True
                 continue
@@ -677,7 +678,7 @@ def rhc_step(
     s0 = sol.path[0]
     run_len, used = ctx.rule.next(s0, *problem.run)
     new_state = ControllerState(
-        _matvec(ctx.rows[s0 - 1], state.x), RuleState(s0, run_len, used), sol.path
+        ctx.products[s0 - 1](state.x), RuleState(s0, run_len, used), sol.path
     )
     return s0, new_state, sol
 

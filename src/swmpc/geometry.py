@@ -163,8 +163,19 @@ def _radius_at_least(P: "Polytope | tuple[np.ndarray, np.ndarray]", eps: float, 
     return (Polytope(H, h) if isinstance(P, tuple) else P).chebyshev_radius >= eps
 
 
-@dataclass(frozen=True)
-class Polytope:
+class _Value:
+    """Equality and hashing over `_key()`, the bytes of the arrays and the other
+    fields that define the object; caches in its instance dict do not count."""
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+@dataclass(frozen=True, eq=False)
+class Polytope(_Value):
     """{x : Hx <= h}; rows of nonzero norm are rescaled to unit norm on construction.
 
     Like the cached properties, private entries of the instance dict are filled
@@ -202,6 +213,9 @@ class Polytope:
         h.setflags(write=False)
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "h", h)
+
+    def _key(self) -> tuple:
+        return self.H.shape, self.H.tobytes(), self.h.tobytes()
 
     # -- constructors -------------------------------------------------------
 
@@ -582,8 +596,7 @@ def inclusion_in_union(
         raise ValueError("eps must be nonnegative")
     U = as_union(U)
     eps = max(eps, 1e-12)
-    witness = _uncovered_piece(P, U.parts, eps, part_cap())
-    return witness is None
+    return _uncovered_piece(P, U.parts, eps, part_cap()) is None
 
 
 # -- invariance and stabilizability ------------------------------------------
@@ -601,17 +614,11 @@ def is_switched_invariant(sys, omega: Polytope | PolytopeUnion) -> InvarianceRep
     # Degenerate parts are checked pointwise (the region-difference slack would
     # otherwise treat them as vacuously covered).  A part narrower than 1e-9 in
     # every coordinate has a radius below EMPTY_TOL, so it is thin.
-    singleton_points: list[np.ndarray] = []
-    regular: list[Polytope] = []
-    for P in omega.parts:
-        pt = P.singleton_point()
-        if pt is None:
-            regular.append(P)  # a thin part that is not a point takes the slack semantics
-        else:
-            singleton_points.append(pt)
-
-    for pt in singleton_points:
-        if not any(omega.contains(A @ pt) for A in sys.matrices):
+    points = [P.singleton_point() for P in omega.parts]
+    # a thin part that is not a point takes the slack semantics
+    regular = [P for P, pt in zip(omega.parts, points) if pt is None]
+    for pt in points:
+        if pt is not None and not any(omega.contains(A @ pt) for A in sys.matrices):
             return InvarianceReport(is_sis=False, counterexample=pt)
 
     if regular:
@@ -627,8 +634,9 @@ def is_switched_invariant(sys, omega: Polytope | PolytopeUnion) -> InvarianceRep
     return InvarianceReport(is_sis=True)
 
 
-def _require_cstar_surrogate(omega: PolytopeUnion) -> None:
-    """Bounded union with the origin in its interior (convex C*-set surrogate)."""
+def _require_cstar_surrogate(omega: PolytopeUnion, kmax: int) -> None:
+    """Bounded union with the origin in its interior (convex C*-set surrogate),
+    and a search depth kmax >= 0."""
     if not omega.parts:
         raise ValueError("omega must be nonempty with 0 in its interior")
     for j, P in enumerate(omega.parts):
@@ -636,6 +644,8 @@ def _require_cstar_surrogate(omega: PolytopeUnion) -> None:
             raise ValueError(f"omega part {j} is unbounded")
     if not any(np.min(P.h) > 1e-12 for P in omega.parts):
         raise ValueError("0 must be an interior point of omega")
+    if kmax < 0:
+        raise ValueError("kmax must be >= 0")
 
 
 def stabilizability_certificate(
@@ -648,9 +658,7 @@ def stabilizability_certificate(
     realized by covering (1 + INTERIOR_INFLATION) * omega.
     """
     omega = as_union(omega)
-    _require_cstar_surrogate(omega)
-    if kmax < 0:
-        raise ValueError("kmax must be >= 0")
+    _require_cstar_surrogate(omega, kmax)
     limit = part_cap()
     inflated = [P.scale(1.0 + INTERIOR_INFLATION) for P in omega.parts]
     accumulated: list[Polytope] = []
@@ -678,9 +686,7 @@ def non_stabilizability_certificate(
     None means "not certified within kmax".
     """
     omega = as_union(omega)
-    _require_cstar_surrogate(omega)
-    if kmax < 0:
-        raise ValueError("kmax must be >= 0")
+    _require_cstar_surrogate(omega, kmax)
     limit = part_cap()
     hat: list[Polytope] = list(omega.parts)  # accumulates omega ∪ S_1 ∪ ... ∪ S_k
     current = omega

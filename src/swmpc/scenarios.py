@@ -299,21 +299,13 @@ def scenario_to_dict(scenario: Scenario) -> dict:
             "terminal": cost.terminal_weight,
             "consecutive": list(cost.consecutive_weights),
         },
-        "target": target_parts[0].to_dict()
-        if len(target_parts) == 1
-        else {"parts": [p.to_dict() for p in target_parts]},
+        "target": (target_parts[0] if len(target_parts) == 1 else scenario.mpc.target).to_dict(),
         "state_set": sys_.state_set.to_dict(),
         "mpc_horizon": scenario.mpc.horizon,
         "enforce_waiting": scenario.mpc.enforce_waiting,
         "enforce_terminal": scenario.mpc.enforce_terminal,
         "cycle_through_all": scenario.mpc.cycle_through_all,
     }
-
-
-def _target_from_dict(data: dict) -> PolytopeUnion:
-    if "parts" in data:
-        return PolytopeUnion.from_dict(data)
-    return as_union(Polytope.from_dict(data))
 
 
 _REQUIRED_KEYS = ("matrices", "x0", "horizon_steps", "target")
@@ -357,7 +349,8 @@ def scenario_from_dict(data: dict, name: str | None = None) -> Scenario:
         for lo, up in data.get("waiting", [])
     )
     sys_ = SwitchedSystem(matrices=matrices, state_set=state_set, waiting=waiting)
-    target = _target_from_dict(data["target"])
+    target = data["target"]
+    target = as_union((PolytopeUnion if "parts" in target else Polytope).from_dict(target))
     cost_data = data.get("cost", {})
     cost = CostSpec(
         stage_weights=tuple(cost_data.get("stage", [1.0] * sys_.q)),

@@ -17,7 +17,7 @@ import numpy as np
 
 from .controller import CostSpec, OcpProblem, solve_ocp
 from .geometry import Polytope
-from .switched import SimulationResult, SwitchedSystem, _matvec, simulate, total_load
+from .switched import SimulationResult, SwitchedSystem, _initial_state, simulate, total_load
 
 __all__ = [
     "CyclicSchedule",
@@ -108,15 +108,16 @@ def virologic_failure_strategy(
         raise ValueError("the virologic-failure rule alternates between exactly 2 regimens")
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    x = tuple(float(v) for v in x0)
+    x = _initial_state(sys, x0)
     sig = 1
-    signals: list[int] = []
+    states, signals = [x], []
     for k in range(steps):
         if k > 0 and total_load(x) > VIROLOGIC_FAILURE_THRESHOLD:
             sig = 2 if sig == 1 else 1
         signals.append(sig)
-        x = _matvec(sys.rows(sig), x)
-    return simulate(sys, x0, signals)
+        x = sys.product(sig)(x)
+        states.append(x)
+    return SimulationResult(states=np.array(states, dtype=float), signals=tuple(signals))
 
 
 def swatch_strategy(

@@ -1,9 +1,22 @@
+import math
+import pickle
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swmpc import JPack, Polytope, SwitchedSystem, packs, simulate, validate_waiting
+from swmpc import (
+    JPack,
+    Polytope,
+    SwitchedSystem,
+    builtin_scenario,
+    packs,
+    run_closed_loop,
+    simulate,
+    validate_waiting,
+)
 from swmpc.strategies import CyclicSchedule
 
 
@@ -205,3 +218,159 @@ class TestSwitchedSystemValidation:
             simulate(cancer_like, [1.0, 1.0], (0, 1))
         with pytest.raises(ValueError):
             validate_waiting(cancer_like, (0, 1))
+
+
+def left_to_right(M, x):
+    """The reference product: each entry summed from 0.0, left to right."""
+    out = []
+    for row in np.asarray(M).tolist():
+        s = 0.0
+        for a, xi in zip(row, x):
+            s += a * xi
+        out.append(s)
+    return tuple(out)
+
+
+def bits(values):
+    """The packed bytes, every NaN as one NaN: which operand's NaN a sum of two
+    NaNs keeps differs between CPython's generic and specialized float add, so
+    the same code gives either sign as it warms up."""
+    return struct.pack(f"<{len(values)}d", *(math.nan if v != v else v for v in values))
+
+
+def box_system(*mats):
+    n = mats[0].shape[0]
+    return SwitchedSystem(matrices=mats, state_set=Polytope.box([-1.0] * n, [1.0] * n))
+
+
+TINY = 5e-324  # the least subnormal
+ENTRIES = (0.0, -0.0, TINY, -TINY, 2.5e-310, -1.5e-309, 1e308, -1e308, 1.0, -0.7, 3.3e-5)
+STATES = (0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 7e307, 1.0, -2.5, TINY)
+
+
+class TestProduct:
+    """`SwitchedSystem.product` against `left_to_right`, compared as packed bytes."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_left_to_right_sum_bit_for_bit(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(60):
+            # a mix of the listed edge entries and ordinary values of varied scale
+            M = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-3, 4, size=(n, n))
+            pick = rng.random((n, n)) < 0.5
+            M[pick] = rng.choice(ENTRIES, size=int(pick.sum()))
+            product = box_system(M).product(1)
+            for _ in range(20):
+                x = rng.normal(size=n) * 10.0 ** rng.integers(-5, 300, size=n)
+                pick = rng.random(n) < 0.4
+                x[pick] = rng.choice(STATES, size=int(pick.sum()))
+                x = tuple(x.tolist())
+                assert bits(product(x)) == bits(left_to_right(M, x)), (M.tolist(), x)
+
+    def test_sums_that_overflow_or_cancel_keep_their_order(self):
+        M = np.array([[1e308, 1e308, -1e308], [-1e308, 1e308, 1e308], [1.0, 1e-16, 1e-16]])
+        x = (1.0, 1.0, 1.0)
+        out = box_system(M).product(1)(x)
+        assert bits(out) == bits(left_to_right(M, x))
+        assert out[0] == math.inf and out[1] == 1e308 and out[2] == 1.0
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_a_row_of_negative_zero_products_sums_to_positive_zero(self, n):
+        # each a * x is -0.0, and 0.0 + -0.0 is +0.0
+        for M, x in ((np.zeros((n, n)), (-1.0,) * n), (np.full((n, n), -0.0), (2.0,) * n)):
+            out = box_system(M).product(1)(x)
+            assert bits(out) == bits((0.0,) * n) == bits(left_to_right(M, x))
+
+    def test_equal_matrix_bytes_share_one_product(self):
+        A = np.array([[0.5, -0.25], [1.0, 0.0]])
+        first = box_system(A, np.eye(2))
+        second = SwitchedSystem(matrices=(np.eye(2), A.copy()), state_set=Polytope.box([-5, -5], [5, 5]))
+        assert first.product(1) is second.product(2)
+        assert first.product(2) is second.product(1)
+        assert first.product(1) is not first.product(2)
+
+    def test_a_negative_zero_entry_gets_its_own_product(self):
+        A = np.array([[0.5, 0.0], [1.0, 2.0]])
+        B = np.array([[0.5, -0.0], [1.0, 2.0]])
+        assert np.array_equal(A, B)  # equal as floats, not as bytes
+        sys_a, sys_b = box_system(A), box_system(B)
+        assert sys_a.product(1) is not sys_b.product(1)
+        x = (1.0, -1.0)
+        assert bits(sys_b.product(1)(x)) == bits(left_to_right(B, x))
+
+    def test_each_product_compiles_under_its_own_filename(self):
+        rng = np.random.default_rng(3)
+        sys_ = box_system(*(rng.normal(size=(4, 4)) for _ in range(3)))
+        names = {sys_.product(s).__code__.co_filename for s in (1, 2, 3)}
+        assert len(names) == 3
+        assert all(name.startswith("<swmpc product 4x4 #") for name in names)
+
+
+class TestValues:
+    """Public objects compare and hash by value; instance-dict caches do not count."""
+
+    def test_polytopes_compare_and_hash_by_value(self):
+        P, Q = Polytope.box([0], [1]), Polytope.box([0], [1])
+        assert P == Q and hash(P) == hash(Q) and len({P, Q}) == 1
+        assert P != Polytope.box([0], [2])
+        assert P != Polytope(np.ones((1, 2)), np.ones(1))
+        assert P != "a polytope"
+
+    def test_systems_compare_by_matrices_waiting_and_state_set(self, cancer_like):
+        same = SwitchedSystem(
+            matrices=tuple(M.copy() for M in cancer_like.matrices),
+            state_set=Polytope.nonnegative_orthant(2),
+            waiting=((2, 4), (2, 8), (2, 6)),
+        )
+        assert same == cancer_like and hash(same) == hash(cancer_like)
+        assert SwitchedSystem(cancer_like.matrices, cancer_like.state_set) != cancer_like
+        assert SwitchedSystem(
+            cancer_like.matrices, Polytope.box([0, 0], [1e9, 1e9]), cancer_like.waiting
+        ) != cancer_like
+
+    def test_scenarios_compare_by_value_whatever_their_caches(self):
+        ran = builtin_scenario("cancer")
+        run_closed_loop(ran.mpc, ran.x0, 3)  # fills the context, the products and geometry caches
+        assert "_context" in ran.mpc.__dict__ and "_products" in ran.sys.__dict__
+        fresh = builtin_scenario("cancer")
+        assert ran == fresh and hash(ran) == hash(fresh)
+        assert ran.mpc == fresh.mpc and ran.sys == fresh.sys
+        assert builtin_scenario("cancer", case=1) != fresh
+        assert builtin_scenario("viral-1") != builtin_scenario("viral-2")
+
+    def test_pickled_after_a_closed_loop_round_trips_and_steps_the_same(self):
+        scen = builtin_scenario("illustrative")
+        before = run_closed_loop(scen.mpc, scen.x0, 6)
+        path = before.signals
+        for obj in (scen.sys, scen.mpc, scen):
+            copy = pickle.loads(pickle.dumps(obj))
+            assert copy == obj and hash(copy) == hash(obj)
+        sys_copy = pickle.loads(pickle.dumps(scen.sys))
+        assert "_products" not in sys_copy.__dict__
+        assert simulate(sys_copy, scen.x0, path).states.tobytes() == before.states.tobytes()
+        for mpc in (pickle.loads(pickle.dumps(scen.mpc)), pickle.loads(pickle.dumps(scen)).mpc):
+            after = run_closed_loop(mpc, scen.x0, 6)
+            assert after.states.tobytes() == before.states.tobytes()
+            assert (after.signals, after.costs) == (before.signals, before.costs)
+
+
+@pytest.mark.parametrize(
+    "name, case, x0, steps",
+    [
+        ("cancer", None, None, 72),
+        ("cancer", 3, None, 72),
+        ("viral-1", None, None, 12),
+        ("illustrative", None, None, 30),
+        # on an axis: A_1's first row then sums two -0.0 products
+        ("illustrative", None, (-0.0, -0.5), 8),
+    ],
+)
+def test_closed_loop_states_are_the_reference_rollout(name, case, x0, steps):
+    scen = builtin_scenario(name, case=case)
+    x0 = scen.mpc.x if x0 is None else x0
+    run = run_closed_loop(scen.mpc, x0, steps)
+    x, states = tuple(x0), [tuple(x0)]
+    for s in run.signals:
+        x = left_to_right(scen.sys.matrices[s - 1], x)
+        states.append(x)
+    assert [bits(v) for v in run.states.tolist()] == [bits(v) for v in states]
