@@ -20,7 +20,7 @@ broken toward the lexicographically smallest signal sequence.
 
 What a closed loop's template fixes, `_context` builds once and keeps in the
 problem's instance dict: the products x -> A_sigma x (straight-line code that
-`switched` generates once per distinct matrix, at a cost growing as n^2), the
+`switched` generates per distinct matrix, at a cost growing as n^2), the
 target distance, membership of the target and of X (a box's reads its rows,
 one axis each), the rule and both cost-to-go bounds.  `rhc_step` hands it to
 every step; each solve picks the bound, as the linear one needs x0 >= 0.
@@ -101,11 +101,8 @@ class CostSpec:
 
     @classmethod
     def uniform(cls, q: int, consecutive: Sequence[float] | None = None) -> "CostSpec":
-        return cls(
-            stage_weights=tuple(1.0 for _ in range(q)),
-            terminal_weight=1.0,
-            consecutive_weights=tuple(consecutive) if consecutive is not None else (),
-        )
+        consecutive = () if consecutive is None else tuple(consecutive)
+        return cls(stage_weights=(1.0,) * q, consecutive_weights=consecutive)
 
 
 @dataclass(frozen=True)

@@ -19,20 +19,25 @@ radius within BAND of eps, a failed check or an unknown R reads the Chebyshev
 LP, as does every radius whose value is used: `is_empty`, the invariance
 check's part order (no other caller sorts) and its counterexample.  The
 region difference keeps its pieces as raw (H, h) arrays of unit rows and
-builds a Polytope only for that LP and for the piece it returns.  Every LP is
-HiGHS through `scipy.optimize.milp`, bound here as `linprog`.
+builds a Polytope only for that LP and for the piece it returns.  Every LP
+goes through `linprog`: HiGHS from scipy's bundled bindings, one solver per
+thread, handed each LP as a fresh model.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import LinearConstraint, milp as linprog, nnls
+from scipy.optimize import OptimizeResult, nnls
+from scipy.optimize._highspy._core import (  # scipy's private HiGHS bindings
+    HighsLp, HighsModelStatus, HighsOptions, HighsStatus, MatrixFormat, _Highs,
+)
 
 __all__ = [
     "Polytope",
@@ -79,13 +84,54 @@ def part_cap() -> int:
     return int(os.environ.get(PART_CAP_ENV, DEFAULT_PART_CAP))
 
 
-def _lp(c, A_ub, b_ub):
-    """min c.x s.t. A_ub x <= b_ub, x free, by HiGHS through `milp` (bound as `linprog`).
+_THREAD = threading.local()  # .highs: this thread's HiGHS solver, made on first use
+_STATUS = {HighsModelStatus.kOptimal: 0, HighsModelStatus.kInfeasible: 2, HighsModelStatus.kUnbounded: 3}
 
-    The result has status 0 (optimal), 2 (infeasible) or 3 (unbounded); any
-    other HiGHS outcome raises NumericalError rather than pass for a verdict.
-    """
-    res = linprog(c, bounds=(-np.inf, np.inf), constraints=LinearConstraint(A_ub, -np.inf, b_ub))
+
+def linprog(c, A_ub, b_ub) -> OptimizeResult:
+    """min c.x s.t. A_ub x <= b_ub, x free, on this thread's HiGHS solver, made
+    with `milp`'s one effective option (no console log).  passModel hands it
+    each LP as a new model, A_ub column-wise with its nonzeros in CSC order as
+    `milp` passed it, and no basis carries over.  Status is 0, 2 or 3 for
+    optimal, infeasible or unbounded (x and fun only with 0), else 4.
+    Non-finite data raises ValueError."""
+    c, A, b = (np.asarray(v, dtype=float) for v in (c, A_ub, b_ub))
+    if not (np.isfinite(c).all() and np.isfinite(A).all() and np.isfinite(b).all()):
+        raise ValueError("LP data must be finite")
+    highs = getattr(_THREAD, "highs", None)
+    if highs is None:
+        options = HighsOptions()
+        options.log_to_console = False
+        highs = _THREAD.highs = _Highs()
+        highs.passOptions(options)
+    lp, (m, n) = HighsLp(), A.shape
+    lp.num_col_, lp.num_row_, lp.col_cost_, lp.row_upper_ = n, m, c.tolist(), b.tolist()
+    lp.col_lower_, lp.col_upper_, lp.row_lower_ = [-math.inf] * n, [math.inf] * n, [-math.inf] * m
+    start, index, value = [0], [], []
+    for col in A.T.tolist():
+        rows = [i for i, a in enumerate(col) if a]  # 0.0 and -0.0 are not stored
+        index += rows
+        value += [col[i] for i in rows]
+        start.append(len(index))
+    matrix = lp.a_matrix_
+    matrix.format_, matrix.num_col_, matrix.num_row_ = MatrixFormat.kColwise, n, m
+    matrix.start_, matrix.index_, matrix.value_ = start, index, value
+    if highs.passModel(lp) == HighsStatus.kError:
+        model_status = HighsModelStatus.kModelError
+    else:
+        highs.run()
+        model_status = highs.getModelStatus()
+    res = OptimizeResult(status=_STATUS.get(model_status, 4), x=None, fun=None,
+                         message=highs.modelStatusToString(model_status))
+    if res.status == 0:
+        res.x, res.fun = np.array(highs.getSolution().col_value), highs.getObjectiveValue()
+    return res
+
+
+def _lp(c, A_ub, b_ub):
+    """`linprog`'s result, of status 0 (optimal), 2 (infeasible) or 3 (unbounded);
+    any other HiGHS outcome raises NumericalError rather than pass for a verdict."""
+    res = linprog(c, A_ub, b_ub)
     if res.status not in (0, 2, 3):
         raise NumericalError(f"LP failed with status {res.status}: {res.message}")
     return res
@@ -228,18 +274,15 @@ class Polytope(_Value):
             raise ValueError("lb and ub must be 1-d arrays of equal length")
         if np.any(lb > ub):
             raise ValueError("box needs lb <= ub")
+        # rows x_i <= ub_i and -x_i <= -lb_i, in turn for each i, where finite
         n = lb.size
-        rows, rhs = [], []
-        for i in range(n):
-            for sign, bound in ((1.0, ub[i]), (-1.0, -lb[i])):
-                if np.isfinite(bound):
-                    e = np.zeros(n)
-                    e[i] = sign
-                    rows.append(e)
-                    rhs.append(bound)
-        if not rows:
+        H = np.zeros((2 * n, n))
+        H[np.arange(2 * n), np.repeat(np.arange(n), 2)] = np.tile([1.0, -1.0], n)
+        h = np.column_stack([ub, -lb]).reshape(-1)
+        finite = np.isfinite(h)
+        if not finite.any():
             raise ValueError("box must be bounded in at least one direction")
-        return cls(np.array(rows), np.array(rhs))
+        return cls(H[finite], h[finite])
 
     @classmethod
     def origin(cls, n: int) -> "Polytope":
@@ -319,14 +362,9 @@ class Polytope(_Value):
     @cached_property
     def coordinate_ranges(self) -> tuple[np.ndarray, np.ndarray]:
         """(lower, upper) per-coordinate extents, possibly infinite."""
-        n = self.dim
-        lo = np.empty(n)
-        hi = np.empty(n)
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = 1.0
-            hi[i] = self.support(e)
-            lo[i] = -self.support(-e)
+        lo, hi = np.empty(self.dim), np.empty(self.dim)
+        for i, e in enumerate(np.eye(self.dim)):
+            hi[i], lo[i] = self.support(e), -self.support(-e)
         return lo, hi
 
     def singleton_point(self, tol: float = 1e-9) -> np.ndarray | None:

@@ -13,7 +13,7 @@ built-in benchmarks can be exported, perturbed, and re-imported.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -114,7 +114,6 @@ def build_viral_system(scenario_id: int) -> SwitchedSystem:
     return SwitchedSystem(
         matrices=tuple(mats),
         state_set=Polytope.nonnegative_orthant(4),
-        waiting=((1, UNBOUNDED_DWELL), (1, UNBOUNDED_DWELL)),
     )
 
 
@@ -202,11 +201,7 @@ def _cancer_scenario(case: int | None = None) -> Scenario:
         if case not in CANCER_CASE_WEIGHTS:
             raise ValueError(f"unknown cancer case {case!r}; choose 1, 2 or 3")
         # relaxed-dwell study: upper bounds dropped, run lengths priced instead
-        sys_ = SwitchedSystem(
-            matrices=sys_.matrices,
-            state_set=sys_.state_set,
-            waiting=tuple((lo, UNBOUNDED_DWELL) for lo, _ in sys_.waiting),
-        )
+        sys_ = replace(sys_, waiting=tuple((lo, UNBOUNDED_DWELL) for lo, _ in sys_.waiting))
         cost = CostSpec.uniform(3, consecutive=CANCER_CASE_WEIGHTS[case])
         name = f"cancer-case{case}"
     mpc = OcpProblem(
@@ -339,11 +334,10 @@ def scenario_from_dict(data: dict, name: str | None = None) -> Scenario:
     matrices = tuple(np.asarray(M, dtype=float) for M in data["matrices"])
     if not matrices:
         raise ValueError("scenario key 'matrices' must list at least one matrix")
-    n = matrices[0].shape[0]
     if "state_set" in data:
         state_set = Polytope.from_dict(data["state_set"])
     else:
-        state_set = Polytope.nonnegative_orthant(n)
+        state_set = Polytope.nonnegative_orthant(matrices[0].shape[0])
     waiting = tuple(
         (_typed(lo, "waiting", int), _typed(up, "waiting", int))
         for lo, up in data.get("waiting", [])

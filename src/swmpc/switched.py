@@ -5,8 +5,8 @@ a finite family at every step; the signal sequence is the only control input.
 A path is a plain sequence of 1-based signals; its range is checked where it
 meets a system (`simulate`, `validate_waiting`).
 Every caller steps x -> A_sigma x through `SwitchedSystem.product`, straight-line
-code generated on first use once per process for each distinct matrix, at a cost
-that grows as n^2 (on a 2-core Xeon, 80 us at n = 2, 0.4 ms at 8, 0.3 s at 200).
+code generated on first use for each distinct matrix (the last 256 are kept), at a
+cost that grows as n^2 (on a 2-core Xeon, 80 us at n = 2, 0.4 ms at 8, 0.3 s at 200).
 Dwell-time ("waiting time") bounds constrain how long each signal must and may
 persist, expressed through maximal constant runs ("packs") of the path.
 `SwitchingRule` states those bounds, and the optional cycle-coverage rule, as
@@ -16,8 +16,10 @@ a `RuleState`, is all of the past that the rules read.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -40,23 +42,22 @@ __all__ = [
 
 # Upper waiting bound used when a signal has no effective dwell limit.
 UNBOUNDED_DWELL = 10**9
-_PRODUCTS: dict[tuple, Callable[[Sequence[float]], tuple[float, ...]]] = {}
+_COMPILED = itertools.count()  # numbers each product's filename
 
 
-def _product(M: np.ndarray) -> Callable[[Sequence[float]], tuple[float, ...]]:
-    """x -> M x as straight-line code, each entry summed left to right from 0.0
-    with `repr` literals (the same floats) as coefficients; one per process for
-    each shape and exact bytes, compiled under its own name for cProfile."""
-    key = (M.shape, M.tobytes())
-    if key not in _PRODUCTS:
-        xs = "".join(f"x{j}, " for j in range(M.shape[1]))
-        sums = "".join("0.0" + "".join(f" + ({a!r}) * x{j}" for j, a in enumerate(row)) + ", "
-                       for row in M.tolist())
-        name = f"<swmpc product {M.shape[0]}x{M.shape[1]} #{len(_PRODUCTS)}>"
-        code = compile(f"def product(x):\n    {xs}= x\n    return ({sums})\n", name, "exec")
-        exec(code, scope := {})
-        _PRODUCTS[key] = scope["product"]
-    return _PRODUCTS[key]
+@lru_cache(maxsize=256)  # far more distinct matrices than one op steps through
+def _product(shape: tuple[int, int], data: bytes) -> Callable[[Sequence[float]], tuple[float, ...]]:
+    """x -> M x for the matrix M of that shape and those bytes, as straight-line
+    code, each entry summed left to right from 0.0 with `repr` literals (the same
+    floats) as coefficients; compiled under its own name for cProfile."""
+    rows = np.frombuffer(data).reshape(shape).tolist()
+    xs = "".join(f"x{j}, " for j in range(shape[1]))
+    sums = "".join("0.0" + "".join(f" + ({a!r}) * x{j}" for j, a in enumerate(row)) + ", "
+                   for row in rows)
+    name = f"<swmpc product {shape[0]}x{shape[1]} #{next(_COMPILED)}>"
+    code = compile(f"def product(x):\n    {xs}= x\n    return ({sums})\n", name, "exec")
+    exec(code, scope := {})
+    return scope["product"]
 
 
 def total_load(x: Iterable[float]) -> float:
@@ -141,7 +142,7 @@ class SwitchedSystem(_Value):
         through; the system's products are looked up on first use (`_product`)."""
         self._check_signal(sigma)
         if "_products" not in self.__dict__:
-            self.__dict__["_products"] = tuple(map(_product, self.matrices))
+            self.__dict__["_products"] = tuple(_product(M.shape, M.tobytes()) for M in self.matrices)
         return self.__dict__["_products"][sigma - 1]
 
     def _check_signal(self, sigma: int) -> None:

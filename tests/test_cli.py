@@ -20,6 +20,8 @@ from swmpc import (
 )
 from swmpc.cli import _build_parser, _run_strategy, _steps, main
 
+from .test_geometry import FAILED_STATUSES, StubHighs
+
 
 def write_scenario(path: Path, **overrides) -> Path:
     data = {
@@ -509,6 +511,14 @@ class TestAnalyze:
             return OptimizeResult(status=4, message="numerical difficulties", x=None, fun=None)
 
         monkeypatch.setattr(swmpc.geometry, "linprog", failing)
+        rc = main(["analyze", "--scenario", "illustrative", "--kmax", "1", "--out", str(tmp_path)])
+        assert rc == 4
+        assert "numerical" in capsys.readouterr().err
+        assert not (tmp_path / "certificate.txt").exists()
+
+    @pytest.mark.parametrize("status", FAILED_STATUSES, ids=lambda s: s.name)
+    def test_solver_failure_exits_4_without_certificate(self, tmp_path, monkeypatch, capsys, status):
+        monkeypatch.setattr(swmpc.geometry._THREAD, "highs", StubHighs(status), raising=False)
         rc = main(["analyze", "--scenario", "illustrative", "--kmax", "1", "--out", str(tmp_path)])
         assert rc == 4
         assert "numerical" in capsys.readouterr().err

@@ -1,8 +1,12 @@
 import math
+import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult, linprog
+from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus
 
 import swmpc.geometry
 from swmpc import (
@@ -26,6 +30,7 @@ from swmpc.geometry import (
     BAND,
     EMPTY_TOL,
     NumericalError,
+    _lp,
     _norm_bound,
     _radius_at_least,
     _uncovered_piece,
@@ -971,6 +976,127 @@ class TestLpKernel:
             assert res.status == ref.status
             if ref.status == 0:
                 assert np.array_equal(res.x, ref.x) and res.fun == ref.fun
+
+
+class StubHighs:
+    """Stands in for the per-thread HiGHS solver and ends every LP with one model status."""
+
+    def __init__(self, status):
+        self.status = status
+
+    def passModel(self, lp):
+        return HighsStatus.kOk
+
+    def run(self):
+        return HighsStatus.kOk
+
+    def getModelStatus(self):
+        return self.status
+
+    def modelStatusToString(self, status):
+        return status.name
+
+
+# HiGHS outcomes that are no verdict; `milp` read kModelError as "infeasible"
+FAILED_STATUSES = (
+    HighsModelStatus.kIterationLimit,
+    HighsModelStatus.kModelError,
+    HighsModelStatus.kUnboundedOrInfeasible,
+)
+
+
+def _result_bits(res):
+    """Status, x and fun as exact bytes (x and fun only for an optimum)."""
+    if res.status != 0:
+        return res.status, None, None
+    return res.status, res.x.tobytes(), struct.pack("<d", res.fun)
+
+
+class TestLpSolver:
+    """`linprog`'s one HiGHS solver per thread: statuses, input checks and reuse."""
+
+    @pytest.mark.parametrize("status", FAILED_STATUSES, ids=lambda s: s.name)
+    def test_other_outcomes_are_status_4_and_raise(self, monkeypatch, status):
+        monkeypatch.setattr(swmpc.geometry._THREAD, "highs", StubHighs(status), raising=False)
+        res = swmpc.geometry.linprog(np.array([1.0, 0.0]), np.eye(2), np.ones(2))
+        assert res.status == 4 and res.x is None and res.fun is None
+        P = Polytope.box([-1, -1], [1, 1])
+        with pytest.raises(NumericalError):
+            P.support([1.0, 0.0])
+        with pytest.raises(NumericalError):
+            P.chebyshev_radius
+        with pytest.raises(NumericalError):
+            P.pruned()
+
+    def test_non_finite_data_raises_rather_than_reads_infeasible(self):
+        A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        b = np.ones(4)
+        c = np.array([1.0, 0.0])
+        with_nan = b.copy()
+        with_nan[1] = math.nan
+        assert _lp(c, A, b).status == 0
+        with pytest.raises(ValueError):
+            _lp(c, A, with_nan)
+        for k, bad in ((0, math.inf), (2, -math.inf), (3, math.nan)):
+            A_bad, b_bad, c_bad = A.copy(), b.copy(), c.copy()
+            A_bad[k, 1] = bad
+            with pytest.raises(ValueError):
+                _lp(c, A_bad, b)
+            b_bad[k] = bad
+            with pytest.raises(ValueError):
+                _lp(c, A, b_bad)
+            c_bad[k % 2] = bad
+            with pytest.raises(ValueError):
+                _lp(c_bad, A, b)
+        with pytest.raises(ValueError):
+            Polytope.box([-1.0, -1.0], [1.0, 1.0]).support([math.nan, 0.0])
+
+    def test_reuse_carries_no_state_between_lps_or_threads(self, monkeypatch):
+        # the LPs of `TestLpKernel`, solved in order, then in reverse order
+        # and from other threads, each of which makes a solver of its own
+        lps = TestLpKernel._recorded(monkeypatch)
+        rng = np.random.default_rng(17)
+        for _ in range(60):
+            n = int(rng.integers(2, 5))
+            H, h = _random_rows(rng, n, int(rng.integers(n + 1, 3 * n)),
+                                rng.normal(scale=0.3, size=n), -0.2, 1.0)
+            P = cut(Polytope(H, h), _cubes(1.0)[n].H, _cubes(1.0)[n].h)
+            P.chebyshev_ball  # noqa: B018
+            P.support(rng.normal(size=n))
+            P.pruned()
+        Polytope(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([0.0, -1.0])).support([0.0, 1.0])
+        Polytope(np.array([[1.0, 1.0]]), np.array([1.0])).chebyshev_radius  # noqa: B018
+        assert {res.status for *_, res in lps} == {0, 2, 3}
+        in_order = [_result_bits(res) for *_, res in lps]
+        solver = swmpc.geometry._THREAD.highs
+
+        def solve(order):
+            return {i: _result_bits(swmpc.geometry.linprog(*lps[i][:3])) for i in order}
+
+        reverse = solve(reversed(range(len(lps))))
+        assert swmpc.geometry._THREAD.highs is solver
+        assert [reverse[i] for i in range(len(lps))] == in_order
+        # more threads than cores, solving at once with frequent switches
+        results, solvers = [{} for _ in range(4)], [None] * 4
+
+        def in_thread(k):
+            results[k].update(solve(range(len(lps))))
+            solvers[k] = swmpc.geometry._THREAD.highs
+
+        threads = [threading.Thread(target=in_thread, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len({id(s) for s in [solver, *solvers]}) == 5  # one solver per thread
+        for other in results:
+            assert [other[i] for i in range(len(lps))] == in_order
 
 
 class TestRegionDifference:

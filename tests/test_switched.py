@@ -18,6 +18,7 @@ from swmpc import (
     validate_waiting,
 )
 from swmpc.strategies import CyclicSchedule
+from swmpc.switched import _product
 
 
 @pytest.fixture
@@ -304,6 +305,25 @@ class TestProduct:
         names = {sys_.product(s).__code__.co_filename for s in (1, 2, 3)}
         assert len(names) == 3
         assert all(name.startswith("<swmpc product 4x4 #") for name in names)
+
+    def test_the_cache_stays_bounded_and_regenerates_the_same_bits(self):
+        bound = _product.cache_info().maxsize
+        rng = np.random.default_rng(4)
+        M = rng.normal(size=(3, 3))
+        M[0, 1] = -0.0
+        first = box_system(M).product(1)
+        for _ in range(bound + 20):  # distinct matrices, each one product
+            box_system(rng.normal(size=(3, 3))).product(1)
+            assert _product.cache_info().currsize <= bound
+        again = box_system(M).product(1)  # evicted, so generated anew
+        assert again is not first
+        assert again.__code__.co_filename != first.__code__.co_filename
+        for _ in range(50):
+            x = rng.normal(size=3) * 10.0 ** rng.integers(-5, 300, size=3)
+            x[rng.random(3) < 0.3] = rng.choice(STATES)
+            x = tuple(x.tolist())
+            assert bits(again(x)) == bits(left_to_right(M, x)) == bits(first(x))
+
 
 
 class TestValues:
