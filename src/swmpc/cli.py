@@ -80,11 +80,11 @@ def _write_schedule(path: Path, signals) -> None:
 
 def _mpc_config(scen: Scenario, args) -> OcpProblem:
     cfg = scen.mpc
-    if getattr(args, "horizon", None) is not None:
+    if args.horizon is not None:
         cfg = replace(cfg, horizon=args.horizon)
-    if getattr(args, "no_waiting", False):
+    if args.no_waiting:
         cfg = replace(cfg, enforce_waiting=False)
-    if getattr(args, "no_terminal", False):
+    if args.no_terminal:
         cfg = replace(cfg, enforce_terminal=False)
     return cfg
 
@@ -125,9 +125,8 @@ def _run_strategy(scen: Scenario, strategy: str, steps: int, args) -> Simulation
     if strategy == "optimal":
         return brute_force_optimal(sys_, x0, steps)
     if strategy == "cycle":
-        spec = getattr(args, "blocks", None)
-        if spec:
-            schedule = _parse_blocks(spec, scen)
+        if args.blocks:
+            schedule = _parse_blocks(args.blocks, scen)
         elif scen.kind == "cancer":
             schedule = CyclicSchedule(EQ22_BLOCKS)
         else:
@@ -257,21 +256,21 @@ def _build_parser() -> argparse.ArgumentParser:
             help="cancer run-length-penalty preset (relaxes upper dwell bounds); cancer only",
         )
 
+    def add_closed_loop(p):
+        p.add_argument("-N", "--horizon", type=int, default=None, help="MPC prediction horizon")
+        p.add_argument("--steps", type=int, default=None, help="closed-loop steps to simulate")
+        p.add_argument("--no-waiting", action="store_true", help="drop dwell-time constraints")
+        p.add_argument("--no-terminal", action="store_true", help="drop the terminal-set constraint")
+
     p_sim = sub.add_parser("simulate", help="run one strategy and write trajectory/schedule CSVs")
     add_common(p_sim)
     p_sim.add_argument("--strategy", choices=STRATEGIES, default="swmpc")
-    p_sim.add_argument("-N", "--horizon", type=int, default=None, help="MPC prediction horizon")
-    p_sim.add_argument("--steps", type=int, default=None, help="closed-loop steps to simulate")
-    p_sim.add_argument("--no-waiting", action="store_true", help="drop dwell-time constraints")
-    p_sim.add_argument("--no-terminal", action="store_true", help="drop the terminal-set constraint")
+    add_closed_loop(p_sim)
     p_sim.add_argument("--blocks", default=None, help="cycle blocks, e.g. 'P:4,T:2,B:2' or '1:4,3:2,2:2'")
 
     p_cmp = sub.add_parser("compare", help="run swatch/vf/optimal/swmpc and write index.csv")
     add_common(p_cmp)
-    p_cmp.add_argument("-N", "--horizon", type=int, default=None)
-    p_cmp.add_argument("--steps", type=int, default=None)
-    p_cmp.add_argument("--no-waiting", action="store_true")
-    p_cmp.add_argument("--no-terminal", action="store_true")
+    add_closed_loop(p_cmp)
 
     p_an = sub.add_parser("analyze", help="controllable sets, invariance and stabilizability certificates")
     add_common(p_an)

@@ -18,25 +18,26 @@ re-sums only the stage's run, from the partial cost where the run began.  So
 the returned optimum is bit-identical to exhaustive enumeration, with ties
 broken toward the lexicographically smallest signal sequence.
 
-What a closed loop's template fixes, `_context` builds once and keeps in the
-problem's instance dict: the products x -> A_sigma x (straight-line code that
-`switched` generates per distinct matrix, at a cost growing as n^2), the
-target distance, membership of the target and of X (a box's reads its rows,
-one axis each), the rule and both cost-to-go bounds.  `rhc_step` hands it to
-every step; each solve picks the bound, as the linear one needs x0 >= 0.
+What a closed loop's template fixes, `_context` builds once per value of the
+fields it reads, for every problem equal to it apart from x and run: the
+products x -> A_sigma x (straight-line code that `switched` generates per
+distinct matrix), the target distance, membership of the target and of X (a
+box's reads its rows, one axis each), the rule and both cost-to-go bounds.
+Each solve picks the bound, as the linear one needs x0 >= 0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .geometry import NumericalError, Polytope, PolytopeUnion, _least_distance, as_union
 from .switched import (
-    RuleState, SimulationResult, SwitchedSystem, SwitchingRule, packs, simulate
+    CACHE_SIZE, RuleState, SimulationResult, SwitchedSystem, SwitchingRule, packs, simulate
 )
 
 __all__ = [
@@ -148,10 +149,6 @@ class OcpProblem:
         if self.cycle_through_all:
             used = signals
         object.__setattr__(self, "run", RuleState(sig, length, used))
-
-    def __getstate__(self) -> dict:
-        # the search context holds closures; unpickled, it is rebuilt on first use
-        return {k: v for k, v in self.__dict__.items() if k != "_context"}
 
 
 @dataclass(frozen=True)
@@ -365,7 +362,8 @@ def _no_bound(x: tuple[float, ...], depth: int) -> float:
     return 0.0
 
 
-def _cost_to_go_bound(problem: OcpProblem) -> tuple[Bound | None, Bound]:
+def _cost_to_go_bound(sys_: SwitchedSystem, target: PolytopeUnion, cost: CostSpec,
+                      N: int) -> tuple[Bound | None, Bound]:
     """Admissible lower bounds `bound(x, depth)` on the cost of stages depth..N-1
     plus the terminal term from x at `depth`: the linear one, for x >= 0 only
     (None if the family or target does not qualify), and the singular-value one.
@@ -383,13 +381,10 @@ def _cost_to_go_bound(problem: OcpProblem) -> tuple[Bound | None, Bound]:
       componentwise (Hernandez-Vargas, Colaneri, Middleton & Blanchini,
       Int. J. Robust Nonlinear Control 21(10), 2011).
     """
-    sys_ = problem.sys
-    N = problem.horizon
-    cmin = min(problem.cost.stage_weights)
-    cterm = problem.cost.terminal_weight
+    cmin = min(cost.stage_weights)
+    cterm = cost.terminal_weight
 
-    target = problem.target.parts
-    half = target[0].halfspace if len(target) == 1 else None
+    half = target.parts[0].halfspace if len(target) == 1 else None
     if (
         half is not None
         and all(v >= 0.0 for v in half[0])
@@ -411,7 +406,7 @@ def _cost_to_go_bound(problem: OcpProblem) -> tuple[Bound | None, Bound]:
 
         return linear, _no_bound  # a one-row target is unbounded
 
-    radius = _target_norm_radius(problem.target)
+    radius = _target_norm_radius(target)
     if not math.isfinite(radius):
         return None, _no_bound
     rmin = min(float(np.linalg.svd(M, compute_uv=False)[-1]) for M in sys_.matrices)
@@ -469,20 +464,22 @@ class _SearchContext(NamedTuple):
     fallback: Bound
 
 
-def _context(problem: OcpProblem) -> _SearchContext:
-    """The problem's `_SearchContext`, built on first use and kept in its instance dict."""
-    ctx = problem.__dict__.get("_context")
-    if ctx is None:
-        sys_ = problem.sys
-        ctx = problem.__dict__["_context"] = _SearchContext(
-            tuple(sys_.product(s) for s in range(1, sys_.q + 1)),
-            _build_distance(problem.target),
-            _member(problem.target, TERMINAL_TOL),
-            _part_member(sys_.state_set, STATE_TOL),
-            SwitchingRule(sys_, problem.enforce_waiting, problem.cycle_through_all),
-            *_cost_to_go_bound(problem),
-        )
-    return ctx
+@lru_cache(maxsize=CACHE_SIZE)  # the key hashes by value: frozen dataclasses and `_Value`s
+def _build_context(sys_: SwitchedSystem, target: PolytopeUnion, cost: CostSpec, horizon: int,
+                   enforce_waiting: bool, cycle_through_all: bool) -> _SearchContext:
+    return _SearchContext(
+        tuple(sys_.product(s) for s in range(1, sys_.q + 1)),
+        _build_distance(target),
+        _member(target, TERMINAL_TOL),
+        _part_member(sys_.state_set, STATE_TOL),
+        SwitchingRule(sys_, enforce_waiting, cycle_through_all),
+        *_cost_to_go_bound(sys_, target, cost, horizon),
+    )
+
+
+def _context(p: OcpProblem) -> _SearchContext:
+    """The `_SearchContext` of every problem equal to p apart from x and run."""
+    return _build_context(p.sys, p.target, p.cost, p.horizon, p.enforce_waiting, p.cycle_through_all)
 
 
 def solve_ocp(problem: OcpProblem, *, plan: Sequence[int] = ()) -> OcpSolution:
@@ -670,14 +667,10 @@ def rhc_step(
     signal; the previous plan, shifted by one step, guides the warm start."""
     ctx = _context(template)
     problem = replace(template, x=state.x, run=state.run)
-    problem.__dict__["_context"] = ctx
     sol = solve_ocp(problem, plan=state.plan[1:])
     s0 = sol.path[0]
-    run_len, used = ctx.rule.next(s0, *problem.run)
-    new_state = ControllerState(
-        ctx.products[s0 - 1](state.x), RuleState(s0, run_len, used), sol.path
-    )
-    return s0, new_state, sol
+    run = RuleState(s0, *ctx.rule.next(s0, *problem.run))
+    return s0, ControllerState(ctx.products[s0 - 1](state.x), run, sol.path), sol
 
 
 def run_closed_loop(

@@ -210,14 +210,14 @@ def _radius_at_least(P: "Polytope | tuple[np.ndarray, np.ndarray]", eps: float, 
 
 
 class _Value:
-    """Equality and hashing over `_key()`, the bytes of the arrays and the other
-    fields that define the object; caches in its instance dict do not count."""
+    """Equality and hashing over the cached `_key`, the bytes of the arrays and the
+    other fields that define the object; other instance-dict caches do not count."""
 
     def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and self._key() == other._key()
+        return type(other) is type(self) and self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(self._key)
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,6 +260,7 @@ class Polytope(_Value):
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "h", h)
 
+    @cached_property
     def _key(self) -> tuple:
         return self.H.shape, self.H.tobytes(), self.h.tobytes()
 

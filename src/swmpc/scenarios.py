@@ -304,23 +304,29 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 _REQUIRED_KEYS = ("matrices", "x0", "horizon_steps", "target")
-# keys whose every entry, through nested lists and objects, is a JSON number
-_NUMBER_KEYS = ("matrices", "x0", "tau_days", "cost", "target", "state_set")
 
 
-def _typed(value, key: str, kind: type):
-    # the exact type: bool is a subclass of int, and int() or bool() would coerce
-    if type(value) is not kind:
-        raise ValueError(f"scenario key {key!r} needs {kind.__name__} values, got {value!r}")
+def _typed(value, key: str, *kinds: type):
+    # each key's JSON shape is checked where it is read, so that an error names the key;
+    # the exact type: bool is a subclass of int, and float(), int() or bool() would coerce
+    if type(value) not in kinds:
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise ValueError(f"scenario key {key!r} needs {names}, got {value!r}")
     return value
 
 
-def _require_numbers(value, key: str) -> None:
-    if isinstance(value, (list, dict)):
-        for v in value.values() if isinstance(value, dict) else value:
-            _require_numbers(v, key)
-    elif type(value) not in (int, float):  # bool is a subclass of int
-        raise ValueError(f"scenario key {key!r} needs numbers, got {value!r}")
+def _vector(value, key: str) -> np.ndarray:
+    return np.array([_typed(v, key, int, float) for v in _typed(value, key, list)], dtype=float)
+
+
+def _matrix(value, key: str) -> np.ndarray:
+    return np.array([_vector(row, key) for row in _typed(value, key, list)], dtype=float)
+
+
+def _polytope(value, key: str) -> Polytope:
+    if not ("H" in _typed(value, key, dict) and "h" in value):
+        raise ValueError(f"scenario key {key!r} needs 'H' and 'h', got {value!r}")
+    return Polytope(_matrix(value["H"], key), _vector(value["h"], key))
 
 
 def scenario_from_dict(data: dict, name: str | None = None) -> Scenario:
@@ -329,31 +335,32 @@ def scenario_from_dict(data: dict, name: str | None = None) -> Scenario:
     for key in _REQUIRED_KEYS:
         if key not in data:
             raise ValueError(f"scenario is missing the required key {key!r}")
-    for key in _NUMBER_KEYS:
-        _require_numbers(data.get(key, 0), key)
-    matrices = tuple(np.asarray(M, dtype=float) for M in data["matrices"])
+    matrices = tuple(_matrix(M, "matrices") for M in _typed(data["matrices"], "matrices", list))
     if not matrices:
         raise ValueError("scenario key 'matrices' must list at least one matrix")
     if "state_set" in data:
-        state_set = Polytope.from_dict(data["state_set"])
+        state_set = _polytope(data["state_set"], "state_set")
     else:
         state_set = Polytope.nonnegative_orthant(matrices[0].shape[0])
     waiting = tuple(
-        (_typed(lo, "waiting", int), _typed(up, "waiting", int))
-        for lo, up in data.get("waiting", [])
+        tuple(_typed(v, "waiting", int) for v in _typed(pair, "waiting", list))
+        for pair in _typed(data.get("waiting", []), "waiting", list)
     )
+    if any(len(pair) != 2 for pair in waiting):
+        raise ValueError(f"scenario key 'waiting' needs [L, U] pairs, got {data['waiting']!r}")
     sys_ = SwitchedSystem(matrices=matrices, state_set=state_set, waiting=waiting)
-    target = data["target"]
-    target = as_union((PolytopeUnion if "parts" in target else Polytope).from_dict(target))
-    cost_data = data.get("cost", {})
+    target = _typed(data["target"], "target", dict)
+    parts = _typed(target["parts"], "target", list) if "parts" in target else [target]
+    target = PolytopeUnion(tuple(_polytope(P, "target") for P in parts))
+    cost_data = _typed(data.get("cost", {}), "cost", dict)
     cost = CostSpec(
-        stage_weights=tuple(cost_data.get("stage", [1.0] * sys_.q)),
-        terminal_weight=float(cost_data.get("terminal", 1.0)),
-        consecutive_weights=tuple(cost_data.get("consecutive", [])),
+        stage_weights=tuple(_vector(cost_data.get("stage", [1.0] * sys_.q), "cost")),
+        terminal_weight=_typed(cost_data.get("terminal", 1.0), "cost", int, float),
+        consecutive_weights=tuple(_vector(cost_data.get("consecutive", []), "cost")),
     )
     mpc = OcpProblem(
         sys=sys_,
-        x=np.asarray(data["x0"], dtype=float),
+        x=_vector(data["x0"], "x0"),
         horizon=_typed(data.get("mpc_horizon", 5), "mpc_horizon", int),
         target=target,
         cost=cost,
@@ -364,7 +371,7 @@ def scenario_from_dict(data: dict, name: str | None = None) -> Scenario:
     return Scenario(
         name=name or data.get("name", "custom"),
         kind=data.get("kind", "custom"),
-        tau_days=float(data.get("tau_days", 1.0)),
+        tau_days=float(_typed(data.get("tau_days", 1.0), "tau_days", int, float)),
         horizon_steps=_typed(data["horizon_steps"], "horizon_steps", int),
         mpc=mpc,
         analysis_target=target,

@@ -5,8 +5,9 @@ a finite family at every step; the signal sequence is the only control input.
 A path is a plain sequence of 1-based signals; its range is checked where it
 meets a system (`simulate`, `validate_waiting`).
 Every caller steps x -> A_sigma x through `SwitchedSystem.product`, straight-line
-code generated on first use for each distinct matrix (the last 256 are kept), at a
-cost that grows as n^2 (on a 2-core Xeon, 80 us at n = 2, 0.4 ms at 8, 0.3 s at 200).
+code generated on first use for each distinct matrix and found by its bytes (the
+last `CACHE_SIZE` are kept), at a cost that grows as n^2 (on a 2-core Xeon, 80 us
+at n = 2, 0.4 ms at 8, 0.3 s at 200).
 Dwell-time ("waiting time") bounds constrain how long each signal must and may
 persist, expressed through maximal constant runs ("packs") of the path.
 `SwitchingRule` states those bounds, and the optional cycle-coverage rule, as
@@ -19,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -43,9 +44,10 @@ __all__ = [
 # Upper waiting bound used when a signal has no effective dwell limit.
 UNBOUNDED_DWELL = 10**9
 _COMPILED = itertools.count()  # numbers each product's filename
+CACHE_SIZE = 256  # per process-wide cache (products, search contexts): more than an op uses
 
 
-@lru_cache(maxsize=256)  # far more distinct matrices than one op steps through
+@lru_cache(maxsize=CACHE_SIZE)
 def _product(shape: tuple[int, int], data: bytes) -> Callable[[Sequence[float]], tuple[float, ...]]:
     """x -> M x for the matrix M of that shape and those bytes, as straight-line
     code, each entry summed left to right from 0.0 with `repr` literals (the same
@@ -122,12 +124,9 @@ class SwitchedSystem(_Value):
         object.__setattr__(self, "matrices", mats)
         object.__setattr__(self, "waiting", waits)
 
+    @cached_property
     def _key(self) -> tuple:
         return tuple((M.shape, M.tobytes()) for M in self.matrices), self.waiting, self.state_set
-
-    def __getstate__(self) -> dict:
-        # generated code does not pickle; unpickled, the products are looked up again
-        return {k: v for k, v in self.__dict__.items() if k != "_products"}
 
     @property
     def n(self) -> int:
@@ -139,11 +138,10 @@ class SwitchedSystem(_Value):
 
     def product(self, sigma: int) -> Callable[[Sequence[float]], tuple[float, ...]]:
         """x -> A_sigma x (1-based sigma), the one product every caller steps
-        through; the system's products are looked up on first use (`_product`)."""
+        through, looked up by the matrix's bytes (`_product`)."""
         self._check_signal(sigma)
-        if "_products" not in self.__dict__:
-            self.__dict__["_products"] = tuple(_product(M.shape, M.tobytes()) for M in self.matrices)
-        return self.__dict__["_products"][sigma - 1]
+        M = self.matrices[sigma - 1]
+        return _product(M.shape, M.tobytes())
 
     def _check_signal(self, sigma: int) -> None:
         if not 1 <= sigma <= self.q:

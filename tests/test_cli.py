@@ -293,6 +293,36 @@ class TestSimulate:
         assert rc == 1
         assert repr(key) in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("state_set", {}),
+            ("target", {}),
+            ("target", []),
+            ("target", {"parts": [[1.0]]}),
+            ("x0", 5.0),
+            ("x0", [[4.0]]),
+            ("waiting", [1, 2]),
+            ("waiting", 5),
+            ("waiting", [[1], [1, 2]]),
+            ("cost", {"stage": 1.0, "terminal": 1.0, "consecutive": [0.0, 0.0]}),
+            ("cost", [1.0]),
+            ("matrices", 5),
+            ("matrices", [[0.5], [1.2]]),
+            ("tau_days", [1.0]),
+        ],
+        ids=["state_set-empty", "target-empty", "target-list", "target-parts", "x0-number",
+             "x0-nested", "waiting-flat", "waiting-number", "waiting-short", "stage-number",
+             "cost-list", "matrices-number", "matrices-flat", "tau_days-list"],
+    )
+    def test_wrongly_shaped_key_is_config_error(self, tmp_path, capsys, key, value):
+        # a KeyError, TypeError or AttributeError deep in the loader would
+        # escape main as a traceback
+        scen = write_scenario(tmp_path, **{key: value})
+        rc = main(["simulate", "--scenario", str(scen), "--out", str(tmp_path)])
+        assert rc == 1
+        assert repr(key) in capsys.readouterr().err
+
     @pytest.mark.parametrize("source", ["viral-1", "file"])
     def test_case_outside_cancer_is_config_error(self, tmp_path, capsys, source):
         scenario = str(write_scenario(tmp_path)) if source == "file" else source

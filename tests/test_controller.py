@@ -27,9 +27,12 @@ from swmpc import (
     solve_ocp,
     validate_waiting,
 )
-from swmpc.controller import STATE_TOL, TERMINAL_TOL, _context, _member, _part_member
+from swmpc.controller import (
+    STATE_TOL, TERMINAL_TOL, _build_context, _context, _member, _part_member
+)
 from swmpc.geometry import UNIT_NORM_TOL, as_union
-from swmpc.switched import UNBOUNDED_DWELL
+from swmpc.scenarios import scenario_from_dict, scenario_to_dict
+from swmpc.switched import CACHE_SIZE, UNBOUNDED_DWELL
 
 from .oracles import (
     _applied_run,
@@ -921,8 +924,8 @@ class TestSearchContext:
                 fresh.nodes_pruned,
             )
             assert sol.trajectory.tobytes() == fresh.trajectory.tobytes()
-            ctx = ctx or template.__dict__["_context"]
-            assert template.__dict__["_context"] is ctx
+            ctx = ctx or _context(template)
+            assert _context(template) is ctx
         return steps
 
     def test_loop_through_one_context_matches_fresh_solves(self):
@@ -957,11 +960,41 @@ class TestSearchContext:
     def test_context_is_not_pickled(self):
         scen = builtin_scenario("cancer")
         before = run_closed_loop(scen.mpc, scen.x0, 4)
-        assert "_context" in scen.mpc.__dict__
+        assert "_context" not in scen.mpc.__dict__
         copy = pickle.loads(pickle.dumps(scen.mpc))
-        assert "_context" not in copy.__dict__
+        assert copy is not scen.mpc and _context(copy) is _context(scen.mpc)
         after = run_closed_loop(copy, scen.x0, 4)
         assert (after.signals, after.costs) == (before.signals, before.costs)
+
+    def test_equal_templates_share_one_context(self):
+        for name, case, _ in BUILTIN_LOOPS:
+            scen = builtin_scenario(name, case=case)
+            copy = scenario_from_dict(scenario_to_dict(scen))
+            assert copy.mpc is not scen.mpc and copy.mpc.sys is not scen.sys
+            assert _context(copy.mpc) is _context(scen.mpc)
+            # x and run are not part of the context, the fields it reads are
+            moved = replace(copy.mpc, x=tuple(2.0 * v for v in copy.mpc.x), run=RuleState(1, 1))
+            assert _context(moved) is _context(scen.mpc)
+            assert _context(replace(scen.mpc, horizon=scen.mpc.horizon + 1)) is not _context(scen.mpc)
+
+    def test_context_cache_is_bounded_and_rebuilds_the_same_context(self):
+        template = builtin_scenario("illustrative").mpc
+        first = _context(template)
+        before = solve_ocp(template)
+        for k in range(300):
+            cost = CostSpec(template.cost.stage_weights, terminal_weight=2.0 + k)
+            _context(replace(template, cost=cost))
+        assert _build_context.cache_info().currsize <= CACHE_SIZE == 256
+        rebuilt = _context(template)
+        assert rebuilt is not first
+        after = solve_ocp(template)
+        assert (after.path, after.cost, after.nodes_explored, after.nodes_pruned) == (
+            before.path,
+            before.cost,
+            before.nodes_explored,
+            before.nodes_pruned,
+        )
+        assert after.trajectory.tobytes() == before.trajectory.tobytes()
 
     def test_builtin_loops_pin(self):
         # signals, costs, states and node counts of the seven built-in loops,

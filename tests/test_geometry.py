@@ -936,7 +936,7 @@ class TestPruneEmpty:
 
 
 class TestLpKernel:
-    """`_lp` (HiGHS through `milp`) against `linprog(method="highs")`, bit for bit."""
+    """`_lp` (HiGHS through scipy's bundled bindings) against `linprog(method="highs")`, bit for bit."""
 
     @staticmethod
     def _recorded(monkeypatch):

@@ -351,7 +351,7 @@ class TestValues:
     def test_scenarios_compare_by_value_whatever_their_caches(self):
         ran = builtin_scenario("cancer")
         run_closed_loop(ran.mpc, ran.x0, 3)  # fills the context, the products and geometry caches
-        assert "_context" in ran.mpc.__dict__ and "_products" in ran.sys.__dict__
+        assert "_key" in ran.sys.__dict__ and "_key" in ran.sys.state_set.__dict__
         fresh = builtin_scenario("cancer")
         assert ran == fresh and hash(ran) == hash(fresh)
         assert ran.mpc == fresh.mpc and ran.sys == fresh.sys
@@ -366,7 +366,7 @@ class TestValues:
             copy = pickle.loads(pickle.dumps(obj))
             assert copy == obj and hash(copy) == hash(obj)
         sys_copy = pickle.loads(pickle.dumps(scen.sys))
-        assert "_products" not in sys_copy.__dict__
+        assert all(sys_copy.product(s) is scen.sys.product(s) for s in range(1, scen.sys.q + 1))
         assert simulate(sys_copy, scen.x0, path).states.tobytes() == before.states.tobytes()
         for mpc in (pickle.loads(pickle.dumps(scen.mpc)), pickle.loads(pickle.dumps(scen)).mpc):
             after = run_closed_loop(mpc, scen.x0, 6)
