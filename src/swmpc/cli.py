@@ -3,7 +3,8 @@ set-geometry analysis, and scenario export.
 
 Exit codes: 0 success, 1 configuration error, 2 infeasible optimization
 (failing step reported on stderr), 3 resource cap exceeded, 4 an LP or a
-projection failed numerically (no verdict is written).
+projection failed numerically.  Each command computes everything it writes
+before it creates --out, so a failed command writes no file.
 """
 
 from __future__ import annotations
@@ -43,10 +44,6 @@ from .switched import SimulationResult, packs, total_load
 
 STRATEGIES = ("swmpc", "vf", "swatch", "optimal", "cycle")
 EQ22_BLOCKS = ((1, 4), (3, 2), (2, 2))  # P four times, T twice, B twice
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def _fmt(value) -> str:
@@ -90,23 +87,20 @@ def _mpc_config(scen: Scenario, args) -> OcpProblem:
 
 
 def _parse_blocks(spec: str, scen: Scenario) -> CyclicSchedule:
+    """'SIGNAL:COUNT,...' with 1-based signals, which a cancer scenario may
+    also name by drug letter."""
+    letters = {d: i + 1 for i, d in enumerate(CANCER_DRUGS)} if scen.kind == "cancer" else {}
     blocks = []
-    letters = {d: i + 1 for i, d in enumerate(CANCER_DRUGS)}
-    for token in spec.split(","):
-        token = token.strip()
-        if not token:
-            continue
+    for token in filter(None, map(str.strip, spec.split(","))):
         try:
-            sig_txt, count_txt = token.split(":")
-        except ValueError:
-            raise ConfigError(f"bad block {token!r}; expected SIGNAL:COUNT") from None
-        sig_txt = sig_txt.strip()
-        sig = letters.get(sig_txt.upper()) if sig_txt.isalpha() else int(sig_txt)
-        if sig is None:
-            raise ConfigError(f"unknown drug letter {sig_txt!r}")
-        blocks.append((sig, int(count_txt)))
-    if not blocks:
-        raise ConfigError("no blocks given")
+            sig_txt, count_txt = map(str.strip, token.split(":"))
+            sig = letters[sig_txt.upper()] if sig_txt.isalpha() else int(sig_txt)
+            blocks.append((sig, int(count_txt)))
+        except (KeyError, ValueError):
+            named = f"drug letter ({', '.join(letters)}) or " if letters else ""
+            raise ValueError(
+                f"bad block {token!r}; expected SIGNAL:COUNT with SIGNAL a {named}1-based index"
+            ) from None
     return CyclicSchedule(tuple(blocks))
 
 
@@ -114,40 +108,28 @@ def _run_strategy(scen: Scenario, strategy: str, steps: int, args) -> Simulation
     sys_, x0 = scen.sys, scen.x0
     if strategy == "swmpc":
         return run_closed_loop(_mpc_config(scen, args), x0, steps)
-    if strategy == "vf":
-        if sys_.q != 2:
-            raise ConfigError("strategy vf needs a two-regimen scenario")
-        return virologic_failure_strategy(sys_, x0, steps)
-    if strategy == "swatch":
-        if sys_.q != 2:
-            raise ConfigError("strategy swatch needs a two-regimen scenario")
-        return swatch_strategy(sys_, x0, steps)
-    if strategy == "optimal":
-        return brute_force_optimal(sys_, x0, steps)
     if strategy == "cycle":
-        if args.blocks:
+        if args.blocks is not None:
             schedule = _parse_blocks(args.blocks, scen)
         elif scen.kind == "cancer":
             schedule = CyclicSchedule(EQ22_BLOCKS)
         else:
-            raise ConfigError("strategy cycle needs --blocks SIGNAL:COUNT,...")
+            raise ValueError("strategy cycle needs --blocks SIGNAL:COUNT,...")
         return run_cycle(sys_, x0, schedule, steps)
-    raise ConfigError(f"unknown strategy {strategy!r}")
+    baseline = {"vf": virologic_failure_strategy, "swatch": swatch_strategy,
+                "optimal": brute_force_optimal}[strategy]
+    return baseline(sys_, x0, steps)
 
 
 def _steps(scen: Scenario, args) -> int:
-    steps = scen.horizon_steps if args.steps is None else args.steps
-    if steps < 0:
-        raise ConfigError("steps must be >= 0")
-    return steps
+    return scen.horizon_steps if args.steps is None else args.steps
 
 
 def cmd_simulate(args) -> int:
     scen = load_scenario(args.scenario, case=args.case)
-    steps = _steps(scen, args)
+    run = _run_strategy(scen, args.strategy, _steps(scen, args), args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    run = _run_strategy(scen, args.strategy, steps, args)
     _write_trajectory(out / "trajectory.csv", scen, run)
     _write_schedule(out / "schedule.csv", run.signals)
     if args.strategy != "swmpc":
@@ -157,16 +139,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_compare(args) -> int:
     scen = load_scenario(args.scenario, case=args.case)
-    if scen.sys.q != 2:
-        raise ConfigError("compare needs a two-regimen (viral or custom) scenario")
     steps = _steps(scen, args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = []
+    runs, rows = {}, []
     for strategy in ("swatch", "vf", "optimal", "swmpc"):
         try:
-            run = _run_strategy(scen, strategy, steps, args)
-            _write_trajectory(out / f"trajectory_{strategy}.csv", scen, run)
+            runs[strategy] = run = _run_strategy(scen, strategy, steps, args)
             rows.append([strategy, run.index])
         except (InfeasibleProblemError, EnumerationCapError, ValueError) as err:
             # a ValueError is a configuration error of the whole run, except
@@ -174,6 +151,10 @@ def cmd_compare(args) -> int:
             if isinstance(err, ValueError) and strategy != "optimal":
                 raise
             rows.append([strategy, f"error: {err}"])
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for strategy, run in runs.items():
+        _write_trajectory(out / f"trajectory_{strategy}.csv", scen, run)
     _write_csv(out / "index.csv", ["strategy", "index"], rows)
     return 0
 
@@ -185,25 +166,20 @@ def cmd_analyze(args) -> int:
         (out / name).unlink(missing_ok=True)
     kmax = args.kmax
     if kmax < 0:
-        raise ConfigError("kmax must be >= 0")
+        raise ValueError("kmax must be >= 0")
     scen = load_scenario(args.scenario, case=args.case)
     target = scen.analysis_target
-    for j, part in enumerate(target.parts):
-        if not part.is_bounded:
-            raise ConfigError(f"analysis target part {j} is unbounded")
-    out.mkdir(parents=True, exist_ok=True)
-
+    # first, because its boundedness check caches the target parts' coordinate
+    # ranges, which give every later radius decision a finite norm bound
+    report = is_switched_invariant(scen.sys, target)
+    lines = [f"switched invariant: {'yes' if report.is_sis else 'no'}"]
+    if report.counterexample is not None:
+        lines.append(f"counterexample: {list(map(float, report.counterexample))}")
     sets = {}
     current = target
     for i in range(1, kmax + 1):
         current = controllable_set(scen.sys, current)
         sets[f"S_{i}"] = current.to_dict()
-    (out / "sets.json").write_text(json.dumps(sets, indent=1))
-
-    report = is_switched_invariant(scen.sys, target)
-    lines = [f"switched invariant: {'yes' if report.is_sis else 'no'}"]
-    if report.counterexample is not None:
-        lines.append(f"counterexample: {list(map(float, report.counterexample))}")
     for label, certificate in (
         ("stabilizability", stabilizability_certificate),
         ("non-stabilizability", non_stabilizability_certificate),
@@ -211,6 +187,8 @@ def cmd_analyze(args) -> int:
         k = certificate(scen.sys, target, kmax)
         verdict = f"certified at k={k}" if k is not None else f"not certified within kmax={kmax}"
         lines.append(f"{label}: {verdict}")
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "sets.json").write_text(json.dumps(sets, indent=1))
     (out / "certificate.txt").write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
     return 0
@@ -298,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, ValueError) as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except InfeasibleProblemError as err:

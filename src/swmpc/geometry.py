@@ -641,14 +641,19 @@ def inclusion_in_union(
 # -- invariance and stabilizability ------------------------------------------
 
 
-def is_switched_invariant(sys, omega: Polytope | PolytopeUnion) -> InvarianceReport:
-    """Decide whether for every x in omega some subsystem keeps A_sigma x in omega."""
-    omega = as_union(omega)
+def _require_bounded_union(omega: PolytopeUnion) -> None:
+    """A nonempty union of bounded parts."""
     if not omega.parts:
         raise ValueError("omega must be nonempty")
     for j, P in enumerate(omega.parts):
         if not P.is_bounded:
-            raise ValueError(f"omega part {j} is unbounded; invariance check needs bounded parts")
+            raise ValueError(f"omega part {j} is unbounded")
+
+
+def is_switched_invariant(sys, omega: Polytope | PolytopeUnion) -> InvarianceReport:
+    """Decide whether for every x in omega some subsystem keeps A_sigma x in omega."""
+    omega = as_union(omega)
+    _require_bounded_union(omega)
 
     # Degenerate parts are checked pointwise (the region-difference slack would
     # otherwise treat them as vacuously covered).  A part narrower than 1e-9 in
@@ -676,11 +681,7 @@ def is_switched_invariant(sys, omega: Polytope | PolytopeUnion) -> InvarianceRep
 def _require_cstar_surrogate(omega: PolytopeUnion, kmax: int) -> None:
     """Bounded union with the origin in its interior (convex C*-set surrogate),
     and a search depth kmax >= 0."""
-    if not omega.parts:
-        raise ValueError("omega must be nonempty with 0 in its interior")
-    for j, P in enumerate(omega.parts):
-        if not P.is_bounded:
-            raise ValueError(f"omega part {j} is unbounded")
+    _require_bounded_union(omega)
     if not any(np.min(P.h) > 1e-12 for P in omega.parts):
         raise ValueError("0 must be an interior point of omega")
     if kmax < 0:

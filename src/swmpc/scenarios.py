@@ -315,8 +315,15 @@ def _typed(value, key: str, *kinds: type):
     return value
 
 
+def _number(value, key: str) -> float:
+    try:
+        return float(_typed(value, key, int, float))
+    except OverflowError:  # an integer literal beyond the float range
+        raise ValueError(f"scenario key {key!r} needs a number within the float range") from None
+
+
 def _vector(value, key: str) -> np.ndarray:
-    return np.array([_typed(v, key, int, float) for v in _typed(value, key, list)], dtype=float)
+    return np.array([_number(v, key) for v in _typed(value, key, list)], dtype=float)
 
 
 def _matrix(value, key: str) -> np.ndarray:
@@ -355,7 +362,7 @@ def scenario_from_dict(data: dict, name: str | None = None) -> Scenario:
     cost_data = _typed(data.get("cost", {}), "cost", dict)
     cost = CostSpec(
         stage_weights=tuple(_vector(cost_data.get("stage", [1.0] * sys_.q), "cost")),
-        terminal_weight=_typed(cost_data.get("terminal", 1.0), "cost", int, float),
+        terminal_weight=_number(cost_data.get("terminal", 1.0), "cost"),
         consecutive_weights=tuple(_vector(cost_data.get("consecutive", []), "cost")),
     )
     mpc = OcpProblem(
@@ -371,7 +378,7 @@ def scenario_from_dict(data: dict, name: str | None = None) -> Scenario:
     return Scenario(
         name=name or data.get("name", "custom"),
         kind=data.get("kind", "custom"),
-        tau_days=float(_typed(data.get("tau_days", 1.0), "tau_days", int, float)),
+        tau_days=_number(data.get("tau_days", 1.0), "tau_days"),
         horizon_steps=_typed(data["horizon_steps"], "horizon_steps", int),
         mpc=mpc,
         analysis_target=target,

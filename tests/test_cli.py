@@ -1,6 +1,8 @@
 import csv
 import hashlib
 import json
+import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,15 +12,27 @@ from scipy.optimize import OptimizeResult
 import swmpc.controller
 import swmpc.geometry
 from swmpc import (
+    CyclicSchedule,
     Polytope,
     build_illustrative_system,
+    builtin_scenario,
     controllable_set,
     load_scenario,
     performance_index,
+    run_closed_loop,
+    scenario_to_dict,
     simulate,
     total_load,
 )
-from swmpc.cli import _build_parser, _run_strategy, _steps, main
+from swmpc.cli import (
+    _build_parser,
+    _parse_blocks,
+    _run_strategy,
+    _steps,
+    _write_schedule,
+    _write_trajectory,
+    main,
+)
 
 from .test_geometry import FAILED_STATUSES, StubHighs
 
@@ -138,11 +152,27 @@ class TestSimulate:
         [["swmpc"], ["vf"], ["swatch"], ["cycle", "--blocks", "1:2,2:2"], ["optimal"]],
         ids=["swmpc", "vf", "swatch", "cycle", "optimal"],
     )
-    def test_negative_steps_is_config_error(self, tmp_path, strategy):
+    def test_negative_steps_is_config_error(self, tmp_path, capsys, strategy):
+        # the strategy's own check fails the command before it creates --out
         argv = ["simulate", "--scenario", "viral-1", "--steps", "-1", "--strategy", *strategy]
-        rc = main([*argv, "--out", str(tmp_path)])
+        out = tmp_path / "run"
+        rc = main([*argv, "--out", str(out)])
         assert rc == 1
-        assert not (tmp_path / "trajectory.csv").exists()
+        assert capsys.readouterr().err.startswith("error: steps must be >= 0")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "strategy, message",
+        [("vf", "exactly 2 regimens"), ("swatch", "exactly 2 regimens"), ("cycle", "--blocks")],
+    )
+    def test_strategy_outside_its_scenarios_is_config_error(self, tmp_path, capsys, strategy, message):
+        scenario = "viral-1" if strategy == "cycle" else "cancer"
+        out = tmp_path / "run"
+        rc = main(["simulate", "--scenario", scenario, "--strategy", strategy, "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
 
     def test_time_column_units(self, tmp_path):
         main(["simulate", "--scenario", "cancer", "--strategy", "cycle", "--steps", "4", "--out", str(tmp_path)])
@@ -348,6 +378,97 @@ class TestSimulate:
         assert rc == 1
         assert repr(key) in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("x0", [10**400]),
+            ("matrices", [[[10**400]], [[1.2]]]),
+            ("cost", {"stage": [1.0, 1.0], "terminal": 10**400}),
+            ("tau_days", 10**400),
+        ],
+        ids=["x0", "matrices", "terminal", "tau_days"],
+    )
+    def test_integer_beyond_the_float_range_is_config_error(self, tmp_path, capsys, key, value):
+        # a JSON integer literal has no size limit, and float() of it overflows
+        scen = write_scenario(tmp_path, **{key: value})
+        out = tmp_path / "run"
+        rc = main(["simulate", "--scenario", str(scen), "--out", str(out)])
+        assert rc == 1
+        assert repr(key) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "scenario, flag, field",
+        [("cancer", "--no-waiting", "enforce_waiting"), ("file", "--no-terminal", "enforce_terminal")],
+    )
+    def test_dropped_constraint_runs_the_template_with_the_flag_replaced(
+        self, tmp_path, scenario, flag, field
+    ):
+        if scenario == "file":
+            # the terminal set forces the costly fast subsystem within the horizon
+            scenario = str(write_scenario(
+                tmp_path, matrices=[[[0.9]], [[0.5]]], enforce_terminal=True,
+                cost={"stage": [1.0, 10.0], "terminal": 1.0, "consecutive": [0.0, 0.0]},
+            ))
+        scen = load_scenario(scenario)
+        assert getattr(scen.mpc, field)
+        argv = ["simulate", "--scenario", scenario, "--steps", "12"]
+        assert main([*argv, flag, "--out", str(tmp_path / "flag")]) == 0
+        assert main([*argv, "--out", str(tmp_path / "default")]) == 0
+        run = run_closed_loop(replace(scen.mpc, **{field: False}), scen.x0, 12)
+        expected = tmp_path / "expected"
+        expected.mkdir()
+        _write_trajectory(expected / "trajectory.csv", scen, run)
+        _write_schedule(expected / "schedule.csv", run.signals)
+        for name in ("trajectory.csv", "schedule.csv"):
+            assert (tmp_path / "flag" / name).read_bytes() == (expected / name).read_bytes()
+        # the flag changes the run, so the comparison above sees it
+        default = (tmp_path / "default" / "trajectory.csv").read_bytes()
+        assert (expected / "trajectory.csv").read_bytes() != default
+
+
+class TestBlocks:
+    def test_drug_letters_and_digits(self):
+        cancer, viral = builtin_scenario("cancer"), builtin_scenario("viral-1")
+        assert _parse_blocks("P:4, t:2,B:2", cancer) == CyclicSchedule(((1, 4), (3, 2), (2, 2)))
+        assert _parse_blocks("1:4,3:2, 2 : 2,", cancer) == CyclicSchedule(((1, 4), (3, 2), (2, 2)))
+        assert _parse_blocks(" 2:1 ,1:3", viral) == CyclicSchedule(((2, 1), (1, 3)))
+
+    @pytest.mark.parametrize(
+        "scenario, spec",
+        [("cancer", "P4"), ("cancer", "P:2:1"), ("cancer", "1:two"), ("cancer", "1.5:2"),
+         ("cancer", "Q:2"), ("viral-1", "P:2,B:2"), ("viral-1", "1:2,x:1")],
+        ids=["no-colon", "two-colons", "count-word", "fractional", "unknown-letter",
+             "letter-outside-cancer", "letter-in-a-later-token"],
+    )
+    def test_bad_token_is_config_error(self, scenario, spec):
+        with pytest.raises(ValueError, match="bad block"):
+            _parse_blocks(spec, builtin_scenario(scenario))
+
+    @pytest.mark.parametrize("spec", ["", " , ,"])
+    def test_empty_spec_is_config_error(self, spec):
+        with pytest.raises(ValueError, match="at least one block"):
+            _parse_blocks(spec, builtin_scenario("cancer"))
+
+    @pytest.mark.parametrize(
+        "scenario, blocks",
+        [("viral-1", "P:2,B:2"), ("cancer", ""), ("cancer", "1:0"), ("viral-1", "3:2")],
+        ids=["letters-outside-cancer", "empty", "zero-count", "signal-out-of-range"],
+    )
+    def test_bad_blocks_exit_1_and_write_nothing(self, tmp_path, capsys, scenario, blocks):
+        out = tmp_path / "run"
+        argv = ["simulate", "--scenario", scenario, "--strategy", "cycle", "--blocks", blocks]
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv, code", [(["simulate"], 1), (["--help"], 0), (["analyze", "-h"], 0)])
+    def test_argparse_exit(self, capsys, argv, code):
+        # a missing --scenario is an argparse error; help is a success
+        assert main(argv) == code
+
 
 class TestRunRecord:
     @pytest.mark.parametrize(
@@ -422,13 +543,21 @@ class TestCompare:
             float(rows[strategy])
 
     @pytest.mark.parametrize("flags", [["-N", "0"], ["--steps", "-1"]])
-    def test_other_value_errors_are_config_errors(self, tmp_path, flags):
-        rc = main(["compare", "--scenario", "viral-1", *flags, "--out", str(tmp_path)])
+    def test_other_value_errors_are_config_errors(self, tmp_path, capsys, flags):
+        # swatch, vf and optimal run before swmpc fails on -N 0, and none of
+        # their trajectories is written
+        out = tmp_path / "run"
+        rc = main(["compare", "--scenario", "viral-1", *flags, "--out", str(out)])
         assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
-    def test_three_drug_scenario_rejected(self, tmp_path):
-        rc = main(["compare", "--scenario", "cancer", "--out", str(tmp_path)])
+    def test_three_drug_scenario_rejected(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        rc = main(["compare", "--scenario", "cancer", "--out", str(out)])
         assert rc == 1
+        assert "alternation is defined for exactly 2 regimens" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestAnalyze:
@@ -504,6 +633,42 @@ class TestAnalyze:
             "sets.json": "8a388fa347c543164b653c3cb4e6f2436af2db3299d2fc2db77a5aeb76344625",
             "certificate.txt": "44deb3df3b267b8575544fa16dd4392bf9edd490cfb302648acbcda253281c90",
         }
+
+    def test_lp_work_and_outputs_are_pinned_on_a_rotated_square(self, tmp_path, lp_calls):
+        # a target that is not a box reads its boundedness, and so the norm
+        # bound of every set below it, from 4 support LPs; the outputs are
+        # those of the code that checked boundedness before the first set
+        angles = math.pi / 8 + np.arange(4) * math.pi / 2
+        H = np.column_stack([np.cos(angles), np.sin(angles)])
+        data = {**scenario_to_dict(builtin_scenario("illustrative")),
+                "target": {"H": H.tolist(), "h": [0.1] * 4}}
+        scen = tmp_path / "rotated.json"
+        scen.write_text(json.dumps(data))
+        out = tmp_path / "run"
+        assert main(["analyze", "--scenario", str(scen), "--kmax", "1", "--out", str(out)]) == 0
+        assert len(lp_calls) <= 13
+        digest = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("sets.json", "certificate.txt")
+        }
+        assert digest == {
+            "sets.json": "a5b43978ac983f4ed7209e5d355714d0c65ecf835057b45509e0bf5cb9c38631",
+            "certificate.txt": "305d2d9612e5abc8bd9d0806fb89e31210f3afa24a66289e41ee6fc54f19e671",
+        }
+
+    @pytest.mark.parametrize("source", ["export", "unbounded"])
+    def test_rejected_target_writes_no_file(self, tmp_path, capsys, source):
+        if source == "export":
+            # an exported `illustrative` holds its MPC target, the origin alone
+            assert main(["export-scenario", "--scenario", "illustrative", "--out", str(tmp_path)]) == 0
+            scen, message = tmp_path / "illustrative.json", "0 must be an interior point of omega"
+        else:
+            scen = write_scenario(tmp_path, target={"H": [[1.0]], "h": [1.0]})
+            message = "omega part 0 is unbounded"
+        out = tmp_path / "run"
+        assert main(["analyze", "--scenario", str(scen), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_second_controllable_set_makes_no_lp(self, lp_calls):
         sys_ = build_illustrative_system()

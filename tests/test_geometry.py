@@ -391,6 +391,25 @@ class TestSwitchedInvariance:
         with pytest.raises(ValueError):
             is_switched_invariant(sys_, Polytope.nonnegative_orthant(2))
 
+    @pytest.mark.parametrize(
+        "omega, message",
+        [
+            (PolytopeUnion(()), "omega must be nonempty"),
+            (PolytopeUnion((Polytope.box([-1, -1], [1, 1]), Polytope.nonnegative_orthant(2))),
+             "omega part 1 is unbounded"),
+        ],
+        ids=["empty", "unbounded"],
+    )
+    def test_invariance_and_certificates_share_the_bounded_union_check(self, omega, message):
+        sys_ = planar_system(0.5 * np.eye(2))
+        for check in (
+            lambda: is_switched_invariant(sys_, omega),
+            lambda: stabilizability_certificate(sys_, omega, 1),
+            lambda: non_stabilizability_certificate(sys_, omega, 1),
+        ):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                check()
+
 
 class TestCertificates:
     def test_schur_subsystem_certifies_at_zero(self):
