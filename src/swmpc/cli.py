@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -140,6 +141,7 @@ def cmd_simulate(args) -> int:
 def cmd_compare(args) -> int:
     scen = load_scenario(args.scenario, case=args.case)
     steps = _steps(scen, args)
+    _mpc_config(scen, args)  # a bad swmpc configuration fails before any strategy runs
     runs, rows = {}, []
     for strategy in ("swatch", "vf", "optimal", "swmpc"):
         try:
@@ -206,6 +208,7 @@ def cmd_export_scenario(args) -> int:
     return 0
 
 
+@functools.cache  # parse_args keeps no state in the parser, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="swmpc",

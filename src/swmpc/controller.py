@@ -21,9 +21,11 @@ broken toward the lexicographically smallest signal sequence.
 What a closed loop's template fixes, `_context` builds once per value of the
 fields it reads, for every problem equal to it apart from x and run: the
 products x -> A_sigma x (straight-line code that `switched` generates per
-distinct matrix), the target distance, membership of the target and of X (a
-box's reads its rows, one axis each), the rule and both cost-to-go bounds.
-Each solve picks the bound, as the linear one needs x0 >= 0.
+distinct matrix), which the leaves step through; the child steps, generated
+code that also decides X membership (`_child_step`), which every other node
+and the warm start step through; the target distance and membership (the same
+generated check, part by part), the rule and both cost-to-go bounds.  Each
+solve picks the bound, as the linear one needs x0 >= 0.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ import numpy as np
 
 from .geometry import NumericalError, Polytope, PolytopeUnion, _least_distance, as_union
 from .switched import (
-    CACHE_SIZE, RuleState, SimulationResult, SwitchedSystem, SwitchingRule, packs, simulate
+    CACHE_SIZE, RuleState, SimulationResult, SwitchedSystem, SwitchingRule, _compile, _row_sums,
+    packs, simulate,
 )
 
 __all__ = [
@@ -271,31 +274,38 @@ def distance_to_set(omega: Polytope | PolytopeUnion, x: Sequence[float]) -> floa
     return _build_distance(as_union(omega))(tuple(float(v) for v in x))
 
 
-def _part_member(P: Polytope, tol: float) -> Callable[[tuple[float, ...]], bool]:
-    """`P.contains(x, tol)` as a closure of x, with its verdict on every x.
+def _child_step(M: np.ndarray | None, X: Polytope, tol: float) -> Callable:
+    """x -> y = M x when `X.contains(y, tol)`, else None, as straight-line code;
+    without M, x -> `X.contains(x, tol)`.
 
-    A box compares a * x[k] with b + tol, k the row's one axis: for finite x
-    the other terms of `contains`' row sum are +-0.  An infinite or NaN x[k]
-    can pass rows that do not bound k on both sides; `contains` decides it.
+    y is summed as `SwitchedSystem.product` sums it.  Each row of X sums only
+    its nonzero terms: for finite y the others are +-0, so the verdict is
+    `contains`' (a box compares one axis per row).  A non-finite y[k] can pass
+    every row only if no rows bound axis k on both sides; there `contains`
+    decides.
     """
-    bounds = P.box_bounds
-    if bounds is None:
-        return lambda x: P.contains(x, tol)
-    axes = np.nonzero(P.H)[1].tolist()  # one per row, in row order
-    checks = [(k, row[k], b + tol) for k, (row, b) in zip(axes, P._rows)]
-    loose = np.flatnonzero(np.isinf(bounds).any(axis=0)).tolist()
-    isfinite = math.isfinite
+    n = X.dim
+    y = "(" + "".join(f"y{i}, " for i in range(n)) + ")"
+    if M is None:
+        body, hit, miss = [f"{y} = x"], "True", "False"
+    else:
+        body = ["".join(f"x{j}, " for j in range(n)) + "= x"]
+        body += [f"y{i} = {s}" for i, s in enumerate(_row_sums(M.tolist()))]
+        hit, miss = y, "None"
+    for row, b in X._rows:
+        terms = " + ".join(f"({a!r}) * y{k}" for k, a in enumerate(row) if a) or "0.0"
+        body.append(f"if not {terms} <= {b + tol!r}: return {miss}")
+    loose = [k for k in range(n) if not (np.any(X.H[:, k] > 0.0) and np.any(X.H[:, k] < 0.0))]
+    if loose:  # their sum lies between -inf and inf (1e999) only when each is finite
+        body.append(f"if not -1e999 < {' + '.join(f'y{k}' for k in loose)} < 1e999: "
+                    f"return {hit} if contains({y}, {tol!r}) else {miss}")
+    return _compile("membership" if M is None else "child step", [*body, f"return {hit}"],
+                    {"contains": X.contains})
 
-    def in_box(x: tuple[float, ...]) -> bool:
-        for k, a, bt in checks:
-            if not a * x[k] <= bt:
-                return False
-        for k in loose:
-            if not isfinite(x[k]):
-                return P.contains(x, tol)
-        return True
 
-    return in_box
+def _part_member(P: Polytope, tol: float) -> Callable[[tuple[float, ...]], bool]:
+    """`P.contains(x, tol)` as generated code (`_child_step`), with its verdict on every x."""
+    return _child_step(None, P, tol)
 
 
 def _member(region: PolytopeUnion, tol: float) -> Callable[[tuple[float, ...]], bool]:
@@ -456,9 +466,9 @@ class _SearchContext(NamedTuple):
     """The set-up that a template fixes for the search (see the module docstring)."""
 
     products: tuple[Callable[[tuple[float, ...]], tuple[float, ...]], ...]
+    children: tuple[Callable[[tuple[float, ...]], tuple[float, ...] | None], ...]  # `_child_step`s
     dist: Callable[[tuple[float, ...]], float]
     in_target: Callable[[tuple[float, ...]], bool]
-    in_states: Callable[[tuple[float, ...]], bool]
     rule: SwitchingRule
     linear: Bound | None
     fallback: Bound
@@ -469,9 +479,9 @@ def _build_context(sys_: SwitchedSystem, target: PolytopeUnion, cost: CostSpec, 
                    enforce_waiting: bool, cycle_through_all: bool) -> _SearchContext:
     return _SearchContext(
         tuple(sys_.product(s) for s in range(1, sys_.q + 1)),
+        tuple(_child_step(M, sys_.state_set, STATE_TOL) for M in sys_.matrices),
         _build_distance(target),
         _member(target, TERMINAL_TOL),
-        _part_member(sys_.state_set, STATE_TOL),
         SwitchingRule(sys_, enforce_waiting, cycle_through_all),
         *_cost_to_go_bound(sys_, target, cost, horizon),
     )
@@ -498,14 +508,14 @@ def solve_ocp(problem: OcpProblem, *, plan: Sequence[int] = ()) -> OcpSolution:
     is an admissible path's, so no plan, however wrong, changes the path, cost
     or trajectory, only the node counts.
     """
-    products, dist, in_target, in_states, rule, linear, future = _context(problem)
+    products, children, dist, in_target, rule, linear, future = _context(problem)
     N, q, x0 = problem.horizon, problem.sys.q, problem.x
     c = problem.cost.stage_weights
     b = problem.cost.consecutive_weights
     cterm = problem.cost.terminal_weight
     allowed = rule.next
 
-    if not in_states(x0):
+    if not problem.sys.state_set.contains(x0, STATE_TOL):
         raise InfeasibleProblemError("current state violates the state constraint", reason="state")
 
     # the applied run straddles the prediction seam, so only U can judge it yet
@@ -519,14 +529,15 @@ def solve_ocp(problem: OcpProblem, *, plan: Sequence[int] = ()) -> OcpSolution:
         future = linear
     shrink = 1.0 - 1e-9
 
-    stats = {"nodes": 0, "pruned": 0}
-    flags = {"complete": False, "waiting": False, "state": False}
+    nodes = pruned = 0
+    complete = waiting = False
     best_cost = math.inf
     best_path: tuple[int, ...] | None = None
     threshold = math.inf
 
-    sig_seq: list[int] = []
-    # per depth of the current branch: the distance, and the partial cost before it
+    # per depth of the current branch: the signal, the distance, and the
+    # partial cost before it
+    path = [0] * N
     dists = [0.0] * N
     partials = [0.0] * N
     enforce_t = problem.enforce_terminal
@@ -540,6 +551,7 @@ def solve_ocp(problem: OcpProblem, *, plan: Sequence[int] = ()) -> OcpSolution:
         ds: list[float] = []
         for depth in range(N):
             d_here = dist(x)
+            steps = products if depth + 1 == N else children
             chosen = None
             chosen_key = math.inf
             hint = guide[depth] if depth < len(guide) else None
@@ -547,8 +559,8 @@ def solve_ocp(problem: OcpProblem, *, plan: Sequence[int] = ()) -> OcpSolution:
                 nxt = allowed(s, run_sig, run_len, used)
                 if nxt is None:
                     continue
-                x_next = products[s - 1](x)
-                if depth + 1 < N and not in_states(x_next):
+                x_next = steps[s - 1](x)
+                if x_next is None:
                     continue
                 if s == hint:
                     chosen = (s, *nxt, x_next)
@@ -581,21 +593,21 @@ def solve_ocp(problem: OcpProblem, *, plan: Sequence[int] = ()) -> OcpSolution:
         used: frozenset[int],
         partial: float,
     ) -> None:
-        nonlocal best_cost, best_path, threshold
+        nonlocal best_cost, best_path, threshold, nodes, pruned, complete, waiting
         d_here = dists[depth] = dist(x)
         partials[depth] = partial
         last = depth + 1 == N
+        steps = products if last else children  # leaves skip the X check
         for s in range(1, q + 1):
             nxt = allowed(s, run_sig, run_len, used)
             if nxt is None:
-                flags["waiting"] = True
+                waiting = True
                 continue
-            stats["nodes"] += 1
-            x_next = products[s - 1](x)
-            if not last and not in_states(x_next):
-                flags["state"] = True
+            nodes += 1
+            x_next = steps[s - 1](x)
+            if x_next is None:
                 continue
-            sig_seq.append(s)
+            path[depth] = s
             if b[s - 1]:  # re-sum the run from where it began: nothing before it changes
                 k = max(depth + 1 - nxt[0], 0)
                 new_partial = _run_cost(
@@ -604,30 +616,28 @@ def solve_ocp(problem: OcpProblem, *, plan: Sequence[int] = ()) -> OcpSolution:
             else:
                 new_partial = partial + c[s - 1] * d_here
             if last:
-                flags["complete"] = True
+                complete = True
                 if not enforce_t or in_target(x_next):
                     leaf = new_partial + cterm * dist(x_next)
                     if leaf < best_cost:
                         best_cost = leaf
-                        best_path = tuple(sig_seq)
+                        best_path = tuple(path)
                         if best_cost < threshold:
                             threshold = best_cost
+            elif (new_partial + future(x_next, depth + 1)) * shrink >= threshold:
+                pruned += 1
             else:
-                if (new_partial + future(x_next, depth + 1)) * shrink >= threshold:
-                    stats["pruned"] += 1
-                else:
-                    dfs(depth + 1, x_next, s, *nxt, new_partial)
-            sig_seq.pop()
+                dfs(depth + 1, x_next, s, *nxt, new_partial)
 
     dfs(0, x0, mem_sig, mem_len, used0, 0.0)
 
     if best_path is None:
-        if flags["complete"] and problem.enforce_terminal:
+        if complete and problem.enforce_terminal:
             raise InfeasibleProblemError(
                 "no sequence reaches the target set within the horizon",
                 reason="terminal",
             )
-        reason = "waiting" if flags["waiting"] else "state"
+        reason = "waiting" if waiting else "state"
         raise InfeasibleProblemError(
             f"no admissible sequence exists ({reason} constraints)", reason=reason
         )
@@ -636,8 +646,8 @@ def solve_ocp(problem: OcpProblem, *, plan: Sequence[int] = ()) -> OcpSolution:
         path=best_path,
         trajectory=simulate(problem.sys, x0, best_path).states,
         cost=best_cost,
-        nodes_explored=stats["nodes"],
-        nodes_pruned=stats["pruned"],
+        nodes_explored=nodes,
+        nodes_pruned=pruned,
     )
 
 

@@ -4,10 +4,10 @@ The plant is x(k+1) = A_{sigma(k)} x(k) where sigma(k) picks one matrix out of
 a finite family at every step; the signal sequence is the only control input.
 A path is a plain sequence of 1-based signals; its range is checked where it
 meets a system (`simulate`, `validate_waiting`).
-Every caller steps x -> A_sigma x through `SwitchedSystem.product`, straight-line
-code generated on first use for each distinct matrix and found by its bytes (the
-last `CACHE_SIZE` are kept), at a cost that grows as n^2 (on a 2-core Xeon, 80 us
-at n = 2, 0.4 ms at 8, 0.3 s at 200).
+Simulations step x -> A_sigma x through `SwitchedSystem.product`, straight-line
+code generated per distinct matrix, found by its bytes (the last `CACHE_SIZE` are
+kept), at a cost that grows as n^2 (on a 2-core Xeon, 80 us at n = 2, 0.3 s at
+200); the search's child steps sum the same rows (`_row_sums`) to the same bits.
 Dwell-time ("waiting time") bounds constrain how long each signal must and may
 persist, expressed through maximal constant runs ("packs") of the path.
 `SwitchingRule` states those bounds, and the optional cycle-coverage rule, as
@@ -43,23 +43,29 @@ __all__ = [
 
 # Upper waiting bound used when a signal has no effective dwell limit.
 UNBOUNDED_DWELL = 10**9
-_COMPILED = itertools.count()  # numbers each product's filename
+_COMPILED = itertools.count()  # numbers each generated function's filename
 CACHE_SIZE = 256  # per process-wide cache (products, search contexts): more than an op uses
+
+
+def _row_sums(rows: list[list[float]]) -> list[str]:
+    """Each row's a.x as code: left to right from 0.0, `repr` literals (the same floats)."""
+    return ["0.0" + "".join(f" + ({a!r}) * x{j}" for j, a in enumerate(row)) for row in rows]
+
+
+def _compile(name: str, body: list[str], scope: dict) -> Callable:
+    """`def f(x)` with that body, compiled under its own name for cProfile."""
+    source = "def f(x):\n" + "".join(f"    {line}\n" for line in body)
+    exec(compile(source, f"<swmpc {name} #{next(_COMPILED)}>", "exec"), scope)
+    return scope["f"]
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _product(shape: tuple[int, int], data: bytes) -> Callable[[Sequence[float]], tuple[float, ...]]:
     """x -> M x for the matrix M of that shape and those bytes, as straight-line
-    code, each entry summed left to right from 0.0 with `repr` literals (the same
-    floats) as coefficients; compiled under its own name for cProfile."""
-    rows = np.frombuffer(data).reshape(shape).tolist()
+    code (`_row_sums`)."""
+    sums = "".join(f"{s}, " for s in _row_sums(np.frombuffer(data).reshape(shape).tolist()))
     xs = "".join(f"x{j}, " for j in range(shape[1]))
-    sums = "".join("0.0" + "".join(f" + ({a!r}) * x{j}" for j, a in enumerate(row)) + ", "
-                   for row in rows)
-    name = f"<swmpc product {shape[0]}x{shape[1]} #{next(_COMPILED)}>"
-    code = compile(f"def product(x):\n    {xs}= x\n    return ({sums})\n", name, "exec")
-    exec(code, scope := {})
-    return scope["product"]
+    return _compile(f"product {shape[0]}x{shape[1]}", [f"{xs}= x", f"return ({sums})"], {})
 
 
 def total_load(x: Iterable[float]) -> float:

@@ -469,6 +469,41 @@ class TestParser:
         # a missing --scenario is an argparse error; help is a success
         assert main(argv) == code
 
+    # flags set in one call and left out of the next, so that state carried
+    # between calls would show
+    CALLS = (
+        ["simulate", "--scenario", "viral-1", "--steps", "3", "-N", "2", "--no-waiting"],
+        ["simulate", "--scenario", "viral-1", "--steps", "3"],
+        ["simulate", "--scenario", "cancer", "--strategy", "cycle", "--blocks", "P:2,T:1", "--steps", "4"],
+        ["compare", "--scenario", "viral-2", "--steps", "2", "--no-terminal"],
+        ["compare", "--scenario", "viral-2", "--steps", "2", "-N", "0"],
+        ["analyze", "--scenario", "illustrative", "--kmax", "0"],
+        ["export-scenario", "--scenario", "cancer", "--case", "2"],
+        ["simulate", "--strategy", "vf"],
+        ["compare", "--help"],
+        ["simulate", "--scenario", "cancer", "--steps", "2"],
+    )
+
+    def test_one_parser_serves_every_call_as_a_fresh_one_would(self, tmp_path, capsys, monkeypatch):
+        def run_all(root: Path) -> list:
+            seen = []
+            for k, argv in enumerate(self.CALLS):
+                code = main([*argv, "--out", str(root / str(k))])
+                out, err = (text.replace(str(root), "ROOT") for text in capsys.readouterr())
+                files = sorted(
+                    (p.relative_to(root).as_posix(), p.read_bytes()) for p in root.rglob("*") if p.is_file()
+                )
+                seen.append((code, out, err, files))
+            return seen
+
+        assert swmpc.cli._build_parser() is swmpc.cli._build_parser()
+        shared = run_all(tmp_path / "shared")
+        monkeypatch.setattr(swmpc.cli, "_build_parser", swmpc.cli._build_parser.__wrapped__)
+        assert swmpc.cli._build_parser() is not swmpc.cli._build_parser()
+        fresh = run_all(tmp_path / "fresh")
+        assert [seen[0] for seen in shared] == [0, 0, 0, 0, 1, 0, 0, 1, 0, 0]
+        assert shared == fresh
+
 
 class TestRunRecord:
     @pytest.mark.parametrize(
@@ -544,12 +579,22 @@ class TestCompare:
 
     @pytest.mark.parametrize("flags", [["-N", "0"], ["--steps", "-1"]])
     def test_other_value_errors_are_config_errors(self, tmp_path, capsys, flags):
-        # swatch, vf and optimal run before swmpc fails on -N 0, and none of
-        # their trajectories is written
+        # whichever strategy the error comes from, no trajectory is written
         out = tmp_path / "run"
         rc = main(["compare", "--scenario", "viral-1", *flags, "--out", str(out)])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_bad_swmpc_configuration_fails_before_any_strategy_runs(self, tmp_path, capsys, monkeypatch):
+        # -N 0 is an swmpc error; the 2^12-leaf optimal search must not run first
+        calls = []
+        for name in ("swatch_strategy", "virologic_failure_strategy", "brute_force_optimal"):
+            monkeypatch.setattr(swmpc.cli, name, lambda *args, name=name: calls.append(name))
+        out = tmp_path / "run"
+        assert main(["compare", "--scenario", "viral-1", "-N", "0", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: horizon must be >= 1\n"
+        assert calls == []
         assert not out.exists()
 
     def test_three_drug_scenario_rejected(self, tmp_path, capsys):

@@ -28,7 +28,7 @@ from swmpc import (
     validate_waiting,
 )
 from swmpc.controller import (
-    STATE_TOL, TERMINAL_TOL, _build_context, _context, _member, _part_member
+    STATE_TOL, TERMINAL_TOL, _build_context, _child_step, _context, _member, _part_member
 )
 from swmpc.geometry import UNIT_NORM_TOL, as_union
 from swmpc.scenarios import scenario_from_dict, scenario_to_dict
@@ -44,6 +44,7 @@ from .oracles import (
     random_ocp,
     random_positive_ocp,
 )
+from .test_switched import STATES, bits, left_to_right
 
 
 def scalar_system(*gains, box=1e9, waiting=()):
@@ -1009,3 +1010,166 @@ class TestSearchContext:
         assert digest.hexdigest() == (
             "819e66a7e19acdbc88c4fbf517b6ca4e3c15339a8ba20082510cdce4face375c"
         )
+
+
+def _reference_step(M: np.ndarray, X: Polytope, tol: float, x: tuple) -> tuple | None:
+    """M x when every row sum of X at it, taken left to right from 0.0, is at
+    most b + tol, else None."""
+    y = left_to_right(M, x)
+    for row, b in zip(X.H.tolist(), X.h.tolist()):
+        s = 0.0
+        for a, yi in zip(row, y):
+            s += a * yi
+        if not s <= b + tol:
+            return None
+    return y
+
+
+def _doubled_preimage(p: tuple) -> tuple:
+    """x with 2 x = p: the product by 2I overflows +-1.5e308 to +-inf, so that
+    one coordinate of y can be infinite while the others stay finite (an
+    infinite x would make them 0 * inf = NaN)."""
+    return tuple(v / 2.0 if math.isfinite(v) or v != v else math.copysign(1.5e308, v) for v in p)
+
+
+def _polygon_points(X: Polytope, tol: float, rng: np.random.Generator) -> list[tuple]:
+    """Points on each row's planes a.y = b - tol, b, b + tol and b + 2 tol,
+    nudged a few ulps per coordinate, with coordinates swapped for zeros,
+    huge, infinite or NaN values, and random mixes of such values."""
+    n = X.dim
+    special = [0.0, -0.0, 0.5, -2.0, 1e300, -1e300, math.inf, -math.inf, math.nan]
+    points = [tuple(float(v) for v in rng.choice(special, n)) for _ in range(300)]
+    for row, b in zip(X.H.tolist(), X.h.tolist()):
+        for level in (b - tol, b, b + tol, b + 2.0 * tol):
+            base = [level * a for a in row]  # rows have unit norm
+            for _ in range(12):
+                p = list(base)
+                for k in range(n):
+                    for _ in range(int(rng.integers(0, 4))):
+                        p[k] = math.nextafter(p[k], math.copysign(math.inf, rng.normal()))
+                points.append(tuple(p))
+            for k in range(n):
+                for v in special:
+                    points.append(tuple(v if i == k else base[i] for i in range(n)))
+    return points
+
+
+# non-box state sets: a bounded triangle; a wedge that no row bounds below
+# along its second axis, alone and with a row that has a zero coefficient on
+# that axis; and a 3-D set with zero coefficients in some rows
+POLYGONS = (
+    Polytope(np.array([[1.0, 1.0], [-1.0, 2.0], [0.5, -3.0]]), np.array([1.0, 2.0, 0.5])),
+    Polytope(np.array([[1.0, 1.0], [-2.0, 1.0]]), np.array([1.0, 0.25])),
+    Polytope(np.array([[1.0, 1.0], [1.0, 0.0], [-2.0, 1.0]]), np.array([1.0, 0.5, 0.25])),
+    Polytope(np.array([[1.0, 0.0, 1.0], [0.0, -1.0, 2.0], [-1.0, 1.0, 0.0]]), np.array([1.0, 0.5, 2.0])),
+)
+
+
+class TestChildStep:
+    """`_child_step` against `_reference_step`, compared as packed bytes."""
+
+    @staticmethod
+    def _check(X: Polytope, tol: float, points: list[tuple]) -> set:
+        """Steps every point through I (y = x, but for -0.0 -> 0.0 and 0 * inf
+        in other coordinates) and every doubled preimage through 2I (y = p
+        but for NaN); returns the (member, finite) classes of the y seen."""
+        n = X.dim
+        classes = set()
+        for M, preimage in ((np.eye(n), tuple), (2.0 * np.eye(n), _doubled_preimage)):
+            step = _child_step(M, X, tol)
+            for p in points:
+                p = tuple(map(float, p))
+                x = preimage(p)
+                expected = _reference_step(M, X, tol, x)
+                got = step(x)
+                assert (got is None) is (expected is None), (X.H.tolist(), X.h.tolist(), M.tolist(), x)
+                if got is not None:
+                    assert bits(got) == bits(expected)
+                y = left_to_right(M, x)
+                # the point itself was stepped to, up to the sign of 0, where
+                # halving it was exact
+                if M[0, 0] == 2.0 and all(v == 0.0 or abs(v) >= 1e-300 for v in p):
+                    assert y == p
+                classes.add((expected is not None, all(map(math.isfinite, y))))
+        return classes
+
+    def test_boxes_match_the_row_sums(self):
+        rng = np.random.default_rng(29)
+        classes = set()
+        for tol in (STATE_TOL, TERMINAL_TOL):
+            for P in _membership_boxes():
+                classes |= self._check(P, tol, _membership_points(P, tol, rng))
+        assert classes == {(True, True), (False, True), (True, False), (False, False)}
+        # in 1-D, +inf passes a lower-bound-only row; in the orthant of R^2 the
+        # other row's 0 * inf is NaN
+        step = _child_step(np.eye(1), Polytope.box([-1.0], [math.inf]), STATE_TOL)
+        assert step((math.inf,)) == (math.inf,)
+        assert _child_step(2.0 * np.eye(2), Polytope.nonnegative_orthant(2), STATE_TOL)((1.5e308, 1.0)) is None
+
+    def test_polygons_match_the_row_sums(self):
+        rng = np.random.default_rng(37)
+        for X in POLYGONS:
+            classes = self._check(X, STATE_TOL, _polygon_points(X, STATE_TOL, rng))
+            assert {(True, True), (False, True), (False, False)} <= classes
+        # y = (0, -inf) passes every row's nonzero terms of both wedges, but
+        # the second one's 0 * -inf is NaN
+        x = (0.0, -1.5e308)
+        wedge, cut = POLYGONS[1], POLYGONS[2]
+        assert wedge.contains((0.0, -math.inf), STATE_TOL)
+        assert _child_step(2.0 * np.eye(2), wedge, STATE_TOL)(x) == (0.0, -math.inf)
+        assert not cut.contains((0.0, -math.inf), STATE_TOL)
+        assert _child_step(2.0 * np.eye(2), cut, STATE_TOL)(x) is None
+
+    def test_random_matrices_and_state_sets(self):
+        rng = np.random.default_rng(43)
+        for _ in range(200):
+            n = int(rng.integers(1, 5))
+            H = rng.normal(size=(int(rng.integers(1, 6)), n))
+            H[rng.random(H.shape) < 0.3] = 0.0
+            H[~H.any(axis=1), 0] = 1.0
+            X = Polytope(H, rng.normal(size=H.shape[0]))
+            M = rng.normal(size=(n, n))
+            M[rng.random((n, n)) < 0.3] = rng.choice((0.0, -0.0, 1e308))
+            step = _child_step(M, X, STATE_TOL)
+            for _ in range(40):
+                x = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n)
+                x[rng.random(n) < 0.2] = rng.choice(STATES)
+                x = tuple(x.tolist())
+                expected, got = _reference_step(M, X, STATE_TOL, x), step(x)
+                assert (got is None) is (expected is None), (M.tolist(), H.tolist(), x)
+                assert got is None or bits(got) == bits(expected)
+
+    def test_closed_loops_with_a_polygon_state_set_match_enumeration(self):
+        # X is the box cut by a random halfspace, or two halfspaces with no box
+        # around them, so the search's state pruning runs on a non-box X
+        rng = np.random.default_rng(47)
+        made = cut = 0
+        for loop in range(80):
+            template = random_ocp(rng)
+            n, box = template.sys.n, template.sys.state_set
+            if n == 1:  # every 1-D polytope is a box
+                continue
+            x0 = np.asarray(template.x)
+            a = rng.normal(size=(2, n))
+            b = a @ x0 + np.linalg.norm(a, axis=1) * box.h[0] * rng.uniform(0.02, 0.3, size=2)
+            if loop % 2:
+                X = Polytope(np.vstack([box.H, a[:1]]), np.append(box.h, b[0]))
+            else:
+                X = Polytope(a, b)
+            assert X.box_bounds is None
+            template = replace(template, sys=replace(template.sys, state_set=X))
+            state = ControllerState(x=template.x, run=template.run)
+            for _ in range(6):
+                problem = replace(template, x=state.x, run=state.run)
+                oracle = enumerate_ocp(problem)
+                unconstrained = replace(problem, sys=replace(problem.sys, state_set=Polytope.box(
+                    [-1e300] * n, [1e300] * n)))
+                cut += oracle != enumerate_ocp(unconstrained)
+                if oracle is None:
+                    with pytest.raises(InfeasibleProblemError):
+                        rhc_step(template, state)
+                    break
+                _, state, sol = rhc_step(template, state)
+                assert (sol.cost, sol.path) == oracle
+                made += 1
+        assert made >= 100 and cut >= 20, (made, cut)
