@@ -30,7 +30,7 @@ def viral_tables():
             "VF": virologic_failure_strategy(sys_, x0, T).index,
             "OPTIMAL": brute_force_optimal(sys_, x0, T).index,
         }
-        record = run_closed_loop(scen.mpc, x0, T)
+        record = run_closed_loop(scen.mpc, T)
         rows["SwMPC"] = record.index
         label = "chronic" if sid == 1 else "acute"
         print(f"\nviral scenario {sid} ({label}), {time.time() - t0:.1f}s")
@@ -41,7 +41,7 @@ def viral_tables():
 
 def cancer_cycle():
     scen = builtin_scenario("cancer")
-    record = run_closed_loop(scen.mpc, scen.x0, 48)
+    record = run_closed_loop(scen.mpc, 48)
     names = {1: "P", 2: "B", 3: "T"}
     blocks = [(names[p.signal], p.length) for p in packs(record.signals)]
     print("\ncancer schedule under dwell bounds and full drug coverage:")
@@ -54,7 +54,7 @@ def cancer_cases():
     print("\ncancer run-length-penalty cases (upper dwell bounds relaxed):")
     for case in (1, 2, 3):
         scen = builtin_scenario("cancer", case=case)
-        record = run_closed_loop(scen.mpc, scen.x0, 72)
+        record = run_closed_loop(scen.mpc, 72)
         totals = record.states.sum(axis=1)
         longest = max(p.length for p in packs(record.signals) if p.signal == 1)
         print(
@@ -65,7 +65,7 @@ def cancer_cases():
 def illustrative():
     scen = builtin_scenario("illustrative")
     t0 = time.time()
-    record = run_closed_loop(scen.mpc, scen.x0, scen.horizon_steps)
+    record = run_closed_loop(scen.mpc, scen.horizon_steps)
     norms = np.linalg.norm(record.states, axis=1)
     print(f"\nplanar four-subsystem loop (N={scen.mpc.horizon}), {time.time() - t0:.1f}s")
     print(f"  ||x||: {norms[0]:.3f} -> {norms[-1]:.2e} over {len(record.signals)} steps")

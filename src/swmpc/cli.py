@@ -108,7 +108,7 @@ def _parse_blocks(spec: str, scen: Scenario) -> CyclicSchedule:
 def _run_strategy(scen: Scenario, strategy: str, steps: int, args) -> SimulationResult:
     sys_, x0 = scen.sys, scen.x0
     if strategy == "swmpc":
-        return run_closed_loop(_mpc_config(scen, args), x0, steps)
+        return run_closed_loop(_mpc_config(scen, args), steps)
     if strategy == "cycle":
         if args.blocks is not None:
             schedule = _parse_blocks(args.blocks, scen)
@@ -171,8 +171,6 @@ def cmd_analyze(args) -> int:
         raise ValueError("kmax must be >= 0")
     scen = load_scenario(args.scenario, case=args.case)
     target = scen.analysis_target
-    # first, because its boundedness check caches the target parts' coordinate
-    # ranges, which give every later radius decision a finite norm bound
     report = is_switched_invariant(scen.sys, target)
     lines = [f"switched invariant: {'yes' if report.is_sis else 'no'}"]
     if report.counterexample is not None:

@@ -26,6 +26,10 @@ code that also decides X membership (`_child_step`), which every other node
 and the warm start step through; the target distance and membership (the same
 generated check, part by part), the rule and both cost-to-go bounds.  Each
 solve picks the bound, as the linear one needs x0 >= 0.
+
+`run_closed_loop` starts at its template's x and run; each `rhc_step` applies
+the optimum's first signal and carries only the new x and rule state, and the
+path as the next warm start's guide, into the next step.
 """
 
 from __future__ import annotations
@@ -117,8 +121,9 @@ class OcpProblem:
     signal and length of their last constant run, which the dwell bounds and
     the run-length cost continue across the seam, and the signals used in the
     current coverage cycle.  Under cycle coverage the run's signal counts as
-    used.  The receding-horizon loop takes an instance as its template and
-    replaces `x` and `run` with the closed-loop state at every step.
+    used.  The receding-horizon loop takes an instance as its template: it
+    starts at the template's `x` and `run` and replaces them with the
+    closed-loop state at every step.
     """
 
     sys: SwitchedSystem
@@ -156,8 +161,10 @@ class OcpProblem:
 
 @dataclass(frozen=True)
 class OcpSolution:
+    """What the search decided: the optimal path, its cost and the search effort.
+    The predicted states are `simulate(problem.sys, problem.x, path).states`."""
+
     path: tuple[int, ...]
-    trajectory: np.ndarray  # (N+1, n)
     cost: float
     nodes_explored: int = 0
     nodes_pruned: int = 0
@@ -303,14 +310,10 @@ def _child_step(M: np.ndarray | None, X: Polytope, tol: float) -> Callable:
                     {"contains": X.contains})
 
 
-def _part_member(P: Polytope, tol: float) -> Callable[[tuple[float, ...]], bool]:
-    """`P.contains(x, tol)` as generated code (`_child_step`), with its verdict on every x."""
-    return _child_step(None, P, tol)
-
-
 def _member(region: PolytopeUnion, tol: float) -> Callable[[tuple[float, ...]], bool]:
-    """`region.contains(x, tol)` as a closure of x, part by part."""
-    parts = [_part_member(P, tol) for P in region.parts]
+    """`region.contains(x, tol)` as a closure of x, part by part, each part's
+    check generated code (`_child_step` without a matrix)."""
+    parts = [_child_step(None, P, tol) for P in region.parts]
     return parts[0] if len(parts) == 1 else lambda x: any(m(x) for m in parts)
 
 
@@ -505,8 +508,8 @@ def solve_ocp(problem: OcpProblem, *, plan: Sequence[int] = ()) -> OcpSolution:
     `plan` guides the warm-start rollout: at depth d it takes plan[d] where
     the rules and the state set admit it, else the one-step-lookahead choice;
     if that rollout fails, the unguided one is used.  Either way the warm cost
-    is an admissible path's, so no plan, however wrong, changes the path, cost
-    or trajectory, only the node counts.
+    is an admissible path's, so no plan, however wrong, changes the path or
+    the cost, only the node counts.
     """
     products, children, dist, in_target, rule, linear, future = _context(problem)
     N, q, x0 = problem.horizon, problem.sys.q, problem.x
@@ -642,13 +645,7 @@ def solve_ocp(problem: OcpProblem, *, plan: Sequence[int] = ()) -> OcpSolution:
             f"no admissible sequence exists ({reason} constraints)", reason=reason
         )
 
-    return OcpSolution(
-        path=best_path,
-        trajectory=simulate(problem.sys, x0, best_path).states,
-        cost=best_cost,
-        nodes_explored=nodes,
-        nodes_pruned=pruned,
-    )
+    return OcpSolution(path=best_path, cost=best_cost, nodes_explored=nodes, nodes_pruned=pruned)
 
 
 # -- receding horizon ------------------------------------------------------------
@@ -673,8 +670,9 @@ def initial_state(x0: Sequence[float]) -> ControllerState:
 def rhc_step(
     template: OcpProblem, state: ControllerState
 ) -> tuple[int, ControllerState, OcpSolution]:
-    """Solve the horizon problem at the current state and apply its first
-    signal; the previous plan, shifted by one step, guides the warm start."""
+    """Solve the template's horizon problem at `state` and apply its first
+    signal; the next state carries the new x and rule state, and the optimal
+    path, which, shifted by one step, guides the next warm start."""
     ctx = _context(template)
     problem = replace(template, x=state.x, run=state.run)
     sol = solve_ocp(problem, plan=state.plan[1:])
@@ -683,22 +681,17 @@ def rhc_step(
     return s0, ControllerState(ctx.products[s0 - 1](state.x), run, sol.path), sol
 
 
-def run_closed_loop(
-    cfg: OcpProblem,
-    x0: Sequence[float],
-    steps: int,
-    state: ControllerState | None = None,
-) -> SimulationResult:
-    """Iterate rhc_step `steps` times, recording the optimal-cost sequence
-    and the search effort of every step."""
+def run_closed_loop(template: OcpProblem, steps: int) -> SimulationResult:
+    """Iterate rhc_step `steps` times from the template's own x and run,
+    recording the optimal-cost sequence and the search effort of every step."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    st = state if state is not None else initial_state(x0)
+    st = ControllerState(template.x, template.run)
     states = [st.x]
     sols: list[OcpSolution] = []
     for k in range(steps):
         try:
-            _, st, sol = rhc_step(cfg, st)
+            _, st, sol = rhc_step(template, st)
         except InfeasibleProblemError as err:
             raise InfeasibleProblemError(
                 f"infeasible at closed-loop step {k}: {err}", reason=err.reason, step=k

@@ -164,12 +164,11 @@ def _least_distance(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 def _norm_bound(P: "Polytope", solve: bool = False) -> float:
     """A bound on the norm of P's points: carried by `preimage`, `scale` and
-    `pruned`, else read from P's box or its cached coordinate ranges (with
-    solve, from its 2n support LPs) and padded by BAND, or -inf when they show
-    P empty (hi < lo); inf if none is known."""
+    `pruned`, else read from P's box (with solve, from its coordinate ranges,
+    whichever call cached them) and padded by BAND, or -inf when they show P
+    empty (hi < lo); inf if none is known."""
     R = P.__dict__.get("_norm_bound", math.inf)
-    known = solve or "coordinate_ranges" in P.__dict__
-    if R == math.inf and (ranges := P.box_bounds or (P.coordinate_ranges if known else None)):
+    if R == math.inf and (ranges := P.box_bounds or (P.coordinate_ranges if solve else None)):
         lo, hi = ranges
         R = float(np.linalg.norm(np.maximum(-lo, hi) + BAND)) if np.all(lo <= hi) else -math.inf
         P.__dict__["_norm_bound"] = R
@@ -409,7 +408,7 @@ class Polytope(_Value):
         if factor <= 0:
             raise ValueError("scale factor must be positive")
         out = Polytope(self.H, self.h * factor)
-        out.__dict__["_norm_bound"] = factor * _norm_bound(self)
+        out.__dict__["_norm_bound"] = factor * _norm_bound(self, solve=True)
         return out
 
     def pruned(self, tol: float = PRUNE_TOL) -> "Polytope":
@@ -451,8 +450,12 @@ class Polytope(_Value):
 
     @cached_property
     def _pruned(self) -> "Polytope":
-        """This polytope pruned, once."""
-        return self.pruned()
+        """This polytope pruned, once; a smaller non-box copy takes its norm
+        bound from this one's coordinate ranges, which `is_bounded` shares."""
+        out = self.pruned()
+        if out is not self and out.box_bounds is None:
+            out.__dict__["_norm_bound"] = _norm_bound(self, solve=True)
+        return out
 
     def preimage(self, A: np.ndarray) -> "Polytope":
         """{x : A x in self} = {x : (H A) x <= h}, pruned, for a nonsingular A,
@@ -480,7 +483,8 @@ class Polytope(_Value):
                 Q.__dict__["_slack"] = slack / np.where(norms > 0.0, norms, 1.0)
             s = np.linalg.svd(A, compute_uv=False)
             s_min = s[-1] - 1e-12 * s[0]  # thousands of times the SVD's rounding error
-            Q.__dict__["_norm_bound"] = _norm_bound(self) / s_min if s_min > 0.0 else math.inf
+            R = _norm_bound(self, solve=True)
+            Q.__dict__["_norm_bound"] = R / s_min if s_min > 0.0 else math.inf
             Q = cache[key] = Q.pruned()
         return Q
 

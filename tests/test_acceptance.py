@@ -60,7 +60,7 @@ def viral_results(scenario_id: int):
     optimal = brute_force_optimal(sys_, x0, T)
     swatch = swatch_strategy(sys_, x0, T, period=SWATCH_PERIOD)
     vf = virologic_failure_strategy(sys_, x0, T)
-    record = run_closed_loop(scen.mpc, x0, T)
+    record = run_closed_loop(scen.mpc, T)
     return {
         "OPTIMAL": optimal.index,
         "SWATCH": swatch.index,
@@ -152,7 +152,7 @@ def test_criterion_3_illustrative_convergence():
     horizon_used = scen.mpc.horizon
     t0 = time.monotonic()
     try:
-        record = run_closed_loop(scen.mpc, scen.x0, scen.horizon_steps)
+        record = run_closed_loop(scen.mpc, scen.horizon_steps)
         infeasible_at = None
     except InfeasibleProblemError as err:
         record, infeasible_at = None, err.step
@@ -162,7 +162,7 @@ def test_criterion_3_illustrative_convergence():
 
         horizon_used = 12
         t0 = time.monotonic()
-        record = run_closed_loop(replace(scen.mpc, horizon=12), scen.x0, scen.horizon_steps)
+        record = run_closed_loop(replace(scen.mpc, horizon=12), scen.horizon_steps)
         elapsed = time.monotonic() - t0
 
     failures = []
@@ -192,7 +192,7 @@ def test_criterion_3_illustrative_convergence():
 
 def test_criterion_4_cancer_cycle():
     scen = builtin_scenario("cancer")
-    record = run_closed_loop(scen.mpc, scen.x0, 48)
+    record = run_closed_loop(scen.mpc, 48)
     ps = packs(record.signals)
     complete = ps[:-1] if ps and ps[-1].stop == len(record.signals) else ps
     reference = {(1, 4), (3, 2), (2, 2)}  # P four times, T twice, B twice
@@ -296,7 +296,7 @@ def test_criterion_6_decreasing_cost_and_recursive_feasibility():
     for i in range(50):
         cfg, x0, omega = _random_stabilizable_instance(rng)
         try:
-            record = run_closed_loop(cfg, x0, 10)
+            record = run_closed_loop(cfg, 10)
         except InfeasibleProblemError as err:
             failures.append(f"instance {i}: recursive feasibility failed at step {err.step}")
             continue
@@ -412,7 +412,7 @@ def test_criterion_8_cancer_cases():
     runs = {}
     for case in (1, 2, 3):
         scen = builtin_scenario("cancer", case=case)
-        record = run_closed_loop(scen.mpc, scen.x0, 72)
+        record = run_closed_loop(scen.mpc, 72)
         totals = record.states.sum(axis=1)
         p_runs = [p.length for p in packs(record.signals) if p.signal == 1]
         p_starts = [p.start for p in packs(record.signals) if p.signal == 1]

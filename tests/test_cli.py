@@ -415,7 +415,7 @@ class TestSimulate:
         argv = ["simulate", "--scenario", scenario, "--steps", "12"]
         assert main([*argv, flag, "--out", str(tmp_path / "flag")]) == 0
         assert main([*argv, "--out", str(tmp_path / "default")]) == 0
-        run = run_closed_loop(replace(scen.mpc, **{field: False}), scen.x0, 12)
+        run = run_closed_loop(replace(scen.mpc, **{field: False}), 12)
         expected = tmp_path / "expected"
         expected.mkdir()
         _write_trajectory(expected / "trajectory.csv", scen, run)
@@ -700,6 +700,42 @@ class TestAnalyze:
             "sets.json": "a5b43978ac983f4ed7209e5d355714d0c65ecf835057b45509e0bf5cb9c38631",
             "certificate.txt": "305d2d9612e5abc8bd9d0806fb89e31210f3afa24a66289e41ee6fc54f19e671",
         }
+
+    @pytest.mark.parametrize("redundant", [False, True], ids=["square", "square-and-redundant-row"])
+    def test_lp_work_and_outputs_do_not_depend_on_the_order(
+        self, tmp_path, lp_calls, monkeypatch, redundant
+    ):
+        # the controllable sets built before the invariance check, which is the
+        # first call to read the target's coordinate ranges otherwise; a
+        # redundant row costs its pruning LP, not a second set of support LPs
+        angles = math.pi / 8 + np.arange(4) * math.pi / 2
+        H = np.column_stack([np.cos(angles), np.sin(angles)])
+        h = [0.1] * 4
+        if redundant:
+            H, h = np.vstack([H, [1.0, 0.0]]), h + [1.0]
+        data = {**scenario_to_dict(builtin_scenario("illustrative")),
+                "target": {"H": H.tolist(), "h": h}}
+        scen = tmp_path / "rotated.json"
+        scen.write_text(json.dumps(data))
+        real = swmpc.cli.is_switched_invariant
+
+        def sets_first(sys_, target):
+            current = target
+            for _ in range(2):
+                current = controllable_set(sys_, current)
+            return real(sys_, target)
+
+        runs = []
+        for order in ("invariance first", "sets first"):
+            if order == "sets first":
+                monkeypatch.setattr(swmpc.cli, "is_switched_invariant", sets_first)
+            lp_calls.clear()
+            out = tmp_path / order
+            assert main(["analyze", "--scenario", str(scen), "--kmax", "2", "--out", str(out)]) == 0
+            files = {name: (out / name).read_bytes() for name in ("sets.json", "certificate.txt")}
+            runs.append((len(lp_calls), files))
+        assert runs[0] == runs[1]
+        assert runs[0][0] <= 14 + redundant
 
     @pytest.mark.parametrize("source", ["export", "unbounded"])
     def test_rejected_target_writes_no_file(self, tmp_path, capsys, source):

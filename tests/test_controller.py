@@ -24,11 +24,12 @@ from swmpc import (
     rhc_step,
     run_closed_loop,
     packs,
+    simulate,
     solve_ocp,
     validate_waiting,
 )
 from swmpc.controller import (
-    STATE_TOL, TERMINAL_TOL, _build_context, _child_step, _context, _member, _part_member
+    STATE_TOL, TERMINAL_TOL, _build_context, _child_step, _context, _member
 )
 from swmpc.geometry import UNIT_NORM_TOL, as_union
 from swmpc.scenarios import scenario_from_dict, scenario_to_dict
@@ -145,7 +146,7 @@ class TestSolveOcp:
         sol = solve_ocp(prob)
         assert sol.path == (1,)
         assert sol.cost == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(sol.trajectory[:, 0], [2.0, 1.0])
+        assert np.allclose(simulate(prob.sys, prob.x, sol.path).states[:, 0], [2.0, 1.0])
 
     def test_expansive_terminal_infeasible(self):
         prob = scalar_problem((2.0, 3.0), x=100.0, N=3)
@@ -239,7 +240,7 @@ class TestSolveOcp:
                 continue
             cost, traj = eval_cost(prob, sol.path)
             assert cost == sol.cost
-            assert np.array_equal(traj, sol.trajectory)
+            assert np.array_equal(traj, simulate(prob.sys, prob.x, sol.path).states)
 
     def test_solution_honors_contracts(self):
         rng = np.random.default_rng(13)
@@ -256,10 +257,11 @@ class TestSolveOcp:
                     prob.sys, _applied_run(prob) + sol.path, relax_trailing=True
                 )
                 assert rep.ok
+            traj = simulate(prob.sys, prob.x, sol.path).states
             for j in range(prob.horizon):
-                assert prob.sys.state_set.contains(sol.trajectory[j], tol=1e-9)
+                assert prob.sys.state_set.contains(traj[j], tol=1e-9)
             if prob.enforce_terminal:
-                assert prob.target.contains(sol.trajectory[-1], tol=1e-9)
+                assert prob.target.contains(traj[-1], tol=1e-9)
 
     def test_exactness_against_enumeration(self):
         rng = np.random.default_rng(99)
@@ -477,7 +479,7 @@ class TestRecedingHorizon:
             cost=CostSpec.uniform(2),
             enforce_terminal=False,
         )
-        record = run_closed_loop(cfg, [5.0], 8)
+        record = run_closed_loop(cfg, 8)
         assert len(record.signals) == 8
         state = initial_state([5.0])
         for _ in range(8):
@@ -494,7 +496,7 @@ class TestRecedingHorizon:
             cost=CostSpec.uniform(1),
         )
         with pytest.raises(InfeasibleProblemError) as err:
-            run_closed_loop(cfg, [4.0], 5)
+            run_closed_loop(cfg, 5)
         assert err.value.step == 0
 
     def test_closed_loop_record_shapes(self):
@@ -507,7 +509,7 @@ class TestRecedingHorizon:
             cost=CostSpec.uniform(2),
             enforce_terminal=False,
         )
-        record = run_closed_loop(cfg, [8.0], 6)
+        record = run_closed_loop(cfg, 6)
         assert record.states.shape == (7, 1)
         assert len(record.costs) == 6
         assert record.states[0, 0] == 8.0
@@ -529,7 +531,7 @@ class TestRecedingHorizon:
         from swmpc import distance_to_set, is_switched_invariant
 
         assert is_switched_invariant(sys_, target).is_sis
-        record = run_closed_loop(cfg, [3.0, -2.0], 10)
+        record = run_closed_loop(cfg, 10)
         for i in range(len(record.costs) - 1):
             sig = record.signals[i]
             d = distance_to_set(target, record.states[i])
@@ -558,20 +560,20 @@ class TestRecedingHorizon:
     def test_negative_steps_rejected(self):
         scen = builtin_scenario("illustrative")
         with pytest.raises(ValueError, match="steps"):
-            run_closed_loop(scen.mpc, scen.x0, -1)
+            run_closed_loop(scen.mpc, -1)
 
     def test_non_finite_closed_loop_start_rejected(self):
         scen = builtin_scenario("cancer")
         with pytest.raises(ValueError, match="finite"):
-            run_closed_loop(scen.mpc, [float("nan"), 1.0], 2)
+            run_closed_loop(replace(scen.mpc, x=(float("nan"), 1.0)), 2)
 
     def test_cycle_coverage_counts_the_memory_run(self):
         # the applied run of drug 3 uses drug 3: drugs 1 and 2 must both
         # come before drug 3 is given again
         scen = builtin_scenario("cancer")
-        start = ControllerState(x=tuple(scen.x0), run=RuleState(3, 2))
-        record = run_closed_loop(scen.mpc, scen.x0, 12, state=start)
-        assert _cycle_ok(replace(scen.mpc, run=start.run), record.signals)
+        template = replace(scen.mpc, run=RuleState(3, 2))
+        record = run_closed_loop(template, 12)
+        assert _cycle_ok(template, record.signals)
 
     def test_run_reaches_unbounded_dwell_then_must_stop(self):
         # one signal, U = UNBOUNDED_DWELL: a run length no path of applied
@@ -627,7 +629,7 @@ class TestRecedingHorizon:
         # the linear cost-to-go bound cuts the 72-step loop from 17,080 nodes
         # to 2,439 without moving the applied schedule
         scen = builtin_scenario("cancer")
-        record = run_closed_loop(scen.mpc, scen.x0, 72)
+        record = run_closed_loop(scen.mpc, 72)
         assert sum(record.nodes_explored) <= 3000
         expected = "111133221111332211113322111133221111332211113322111133221111332211113322"
         assert "".join(map(str, record.signals)) == expected
@@ -791,11 +793,14 @@ class TestWarmStartPlan:
                     break
                 plain = solve_ocp(problem)
                 assert (plain.cost, plain.path) == oracle
-                assert np.array_equal(plain.trajectory, eval_cost(problem, oracle[1])[1])
+                predicted = simulate(problem.sys, problem.x, plain.path).states
+                assert np.array_equal(predicted, eval_cost(problem, oracle[1])[1])
                 for kind, plan in plans.items():
                     sol = solve_ocp(problem, plan=plan)
                     assert (sol.cost, sol.path) == oracle, (kind, plan)
-                    assert np.array_equal(sol.trajectory, plain.trajectory), (kind, plan)
+                    assert np.array_equal(
+                        simulate(problem.sys, problem.x, sol.path).states, predicted
+                    ), (kind, plan)
                     planted[kind] += 1
                 _, state, sol = rhc_step(template, state)
                 assert (sol.cost, sol.path) == oracle
@@ -805,7 +810,7 @@ class TestWarmStartPlan:
     def test_illustrative_loop_node_pin(self):
         # the shifted plan cuts the 30-step loop from 44,388 nodes to 16,116
         scen = builtin_scenario("illustrative")
-        record = run_closed_loop(scen.mpc, scen.x0, 30)
+        record = run_closed_loop(scen.mpc, 30)
         assert sum(record.nodes_explored) <= 20_000
         assert "".join(map(str, record.signals)) == "421131113131111113131111113111"
 
@@ -875,7 +880,7 @@ class TestSearchContext:
         verdicts = set()
         for tol in (STATE_TOL, TERMINAL_TOL):
             for P in boxes:
-                member, union_member = _part_member(P, tol), _member(as_union(P), tol)
+                member, union_member = _child_step(None, P, tol), _member(as_union(P), tol)
                 for x in _membership_points(P, tol, rng):
                     expected = P.contains(x, tol)
                     assert member(x) is expected, (P.H.tolist(), P.h.tolist(), x)
@@ -885,8 +890,8 @@ class TestSearchContext:
         # 0 * inf = NaN in another row's sum rejects any non-finite coordinate
         # in n >= 2; in 1-D, +inf passes a lower-bound-only row
         orthant = Polytope.nonnegative_orthant(2)
-        assert not _part_member(orthant, STATE_TOL)((math.inf, 1.0))
-        assert _part_member(Polytope.box([-1.0], [math.inf]), STATE_TOL)((math.inf,))
+        assert not _child_step(None, orthant, STATE_TOL)((math.inf, 1.0))
+        assert _child_step(None, Polytope.box([-1.0], [math.inf]), STATE_TOL)((math.inf,))
 
     def test_union_membership_matches_contains(self):
         rng = np.random.default_rng(7)
@@ -917,6 +922,7 @@ class TestSearchContext:
                     rhc_step(template, state)
                 assert looped.value.reason == err.reason
                 return k
+            x = state.x
             _, state, sol = rhc_step(template, state)
             assert (sol.path, sol.cost, sol.nodes_explored, sol.nodes_pruned) == (
                 fresh.path,
@@ -924,7 +930,9 @@ class TestSearchContext:
                 fresh.nodes_explored,
                 fresh.nodes_pruned,
             )
-            assert sol.trajectory.tobytes() == fresh.trajectory.tobytes()
+            # the applied step lands on the fresh optimum's first predicted state
+            predicted = simulate(template.sys, x, fresh.path).states
+            assert np.array(state.x).tobytes() == predicted[1].tobytes()
             ctx = ctx or _context(template)
             assert _context(template) is ctx
         return steps
@@ -960,11 +968,11 @@ class TestSearchContext:
 
     def test_context_is_not_pickled(self):
         scen = builtin_scenario("cancer")
-        before = run_closed_loop(scen.mpc, scen.x0, 4)
+        before = run_closed_loop(scen.mpc, 4)
         assert "_context" not in scen.mpc.__dict__
         copy = pickle.loads(pickle.dumps(scen.mpc))
         assert copy is not scen.mpc and _context(copy) is _context(scen.mpc)
-        after = run_closed_loop(copy, scen.x0, 4)
+        after = run_closed_loop(copy, 4)
         assert (after.signals, after.costs) == (before.signals, before.costs)
 
     def test_equal_templates_share_one_context(self):
@@ -995,7 +1003,8 @@ class TestSearchContext:
             before.nodes_explored,
             before.nodes_pruned,
         )
-        assert after.trajectory.tobytes() == before.trajectory.tobytes()
+        predicted = [simulate(template.sys, template.x, sol.path).states for sol in (after, before)]
+        assert predicted[0].tobytes() == predicted[1].tobytes()
 
     def test_builtin_loops_pin(self):
         # signals, costs, states and node counts of the seven built-in loops,
@@ -1003,7 +1012,7 @@ class TestSearchContext:
         digest = hashlib.sha256()
         for name, case, steps in BUILTIN_LOOPS:
             scen = builtin_scenario(name, case=case)
-            record = run_closed_loop(scen.mpc, scen.x0, steps)
+            record = run_closed_loop(scen.mpc, steps)
             effort = (record.signals, record.costs, record.nodes_explored, record.nodes_pruned)
             digest.update(repr(effort).encode())
             digest.update(record.states.tobytes())

@@ -899,7 +899,7 @@ class TestPruneEmpty:
     @staticmethod
     def _parts(rng, n, count):
         """Parts in R^n of three kinds, radius drawn about EMPTY_TOL (cut cubes
-        with cached coordinate ranges, thin boxes, and preimages), each with
+        with a solved norm bound, thin boxes, and preimages), each with
         `not is_empty()` of a fresh copy."""
         parts, nonempty = [], []
         while len(parts) < count:
@@ -909,7 +909,7 @@ class TestPruneEmpty:
                 H, h = _random_rows(rng, n, n + 3, np.zeros(n), 0.1, 1.0)
                 P = cut(Polytope(H, h), _cubes(1.0)[n].H, _cubes(1.0)[n].h)
                 P = Polytope(P.H, P.h + EMPTY_TOL + delta - P.chebyshev_radius)
-                P.coordinate_ranges  # cached, so the part has a known bound
+                _norm_bound(P, solve=True)  # recorded, so the part has a known bound
             else:
                 half = np.full(n, rng.uniform(0.5, 1.0))
                 half[int(rng.integers(n))] = EMPTY_TOL + delta
@@ -932,7 +932,7 @@ class TestPruneEmpty:
         counting = lambda *a, **k: calls.append(1) or real(*a, **k)  # noqa: E731
         for n in (2, 3):
             parts, want = self._parts(rng, n, 120)
-            # an empty part's cached ranges or box have hi < lo, so its bound is
+            # an empty part's coordinate ranges or box have hi < lo, so its bound is
             # -inf and it is dropped without a solve; every other bound is finite
             bounds = [_norm_bound(P) for P in parts]
             assert all(math.isfinite(R) if w else R == -math.inf for R, w in zip(bounds, want))

@@ -30,7 +30,7 @@ def scalar_system(*gains):
 def _closed_loop(sys_, x0, steps):
     problem = OcpProblem(sys_, x0, horizon=2, target=Polytope.box([-1.0], [1.0]),
                          cost=CostSpec.uniform(sys_.q))
-    return run_closed_loop(problem, x0, steps)
+    return run_closed_loop(problem, steps)
 
 
 @pytest.mark.parametrize(

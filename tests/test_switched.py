@@ -1,6 +1,7 @@
 import math
 import pickle
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -350,7 +351,7 @@ class TestValues:
 
     def test_scenarios_compare_by_value_whatever_their_caches(self):
         ran = builtin_scenario("cancer")
-        run_closed_loop(ran.mpc, ran.x0, 3)  # fills the context, the products and geometry caches
+        run_closed_loop(ran.mpc, 3)  # fills the context, the products and geometry caches
         assert "_key" in ran.sys.__dict__ and "_key" in ran.sys.state_set.__dict__
         fresh = builtin_scenario("cancer")
         assert ran == fresh and hash(ran) == hash(fresh)
@@ -360,7 +361,7 @@ class TestValues:
 
     def test_pickled_after_a_closed_loop_round_trips_and_steps_the_same(self):
         scen = builtin_scenario("illustrative")
-        before = run_closed_loop(scen.mpc, scen.x0, 6)
+        before = run_closed_loop(scen.mpc, 6)
         path = before.signals
         for obj in (scen.sys, scen.mpc, scen):
             copy = pickle.loads(pickle.dumps(obj))
@@ -369,7 +370,7 @@ class TestValues:
         assert all(sys_copy.product(s) is scen.sys.product(s) for s in range(1, scen.sys.q + 1))
         assert simulate(sys_copy, scen.x0, path).states.tobytes() == before.states.tobytes()
         for mpc in (pickle.loads(pickle.dumps(scen.mpc)), pickle.loads(pickle.dumps(scen)).mpc):
-            after = run_closed_loop(mpc, scen.x0, 6)
+            after = run_closed_loop(mpc, 6)
             assert after.states.tobytes() == before.states.tobytes()
             assert (after.signals, after.costs) == (before.signals, before.costs)
 
@@ -388,7 +389,7 @@ class TestValues:
 def test_closed_loop_states_are_the_reference_rollout(name, case, x0, steps):
     scen = builtin_scenario(name, case=case)
     x0 = scen.mpc.x if x0 is None else x0
-    run = run_closed_loop(scen.mpc, x0, steps)
+    run = run_closed_loop(replace(scen.mpc, x=x0), steps)
     x, states = tuple(x0), [tuple(x0)]
     for s in run.signals:
         x = left_to_right(scen.sys.matrices[s - 1], x)
