@@ -21,7 +21,9 @@ check's part order (no other caller sorts) and its counterexample.  The
 region difference keeps its pieces as raw (H, h) arrays of unit rows and
 builds a Polytope only for that LP and for the piece it returns.  Every LP
 goes through `linprog`: HiGHS from scipy's bundled bindings, one solver per
-thread, handed each LP as a fresh model.
+thread, handed each LP as a fresh model.  scipy is imported on the first LP
+or least-distance solve, not with this module, so a run that makes neither
+(a controller loop on a box or halfspace target) never loads it.
 """
 
 from __future__ import annotations
@@ -30,14 +32,13 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Sequence
+from functools import cache, cached_property
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy.optimize import OptimizeResult, nnls
-from scipy.optimize._highspy._core import (  # scipy's private HiGHS bindings
-    HighsLp, HighsModelStatus, HighsOptions, HighsStatus, MatrixFormat, _Highs,
-)
+
+if TYPE_CHECKING:
+    from scipy.optimize import OptimizeResult
 
 __all__ = [
     "Polytope",
@@ -85,7 +86,18 @@ def part_cap() -> int:
 
 
 _THREAD = threading.local()  # .highs: this thread's HiGHS solver, made on first use
-_STATUS = {HighsModelStatus.kOptimal: 0, HighsModelStatus.kInfeasible: 2, HighsModelStatus.kUnbounded: 3}
+
+
+@cache
+def _highs():
+    """scipy's private HiGHS bindings, `OptimizeResult` and the map from a HiGHS
+    verdict to `linprog`'s status, imported once, on the first LP."""
+    from scipy.optimize import OptimizeResult
+    from scipy.optimize._highspy import _core
+
+    status = {_core.HighsModelStatus.kOptimal: 0, _core.HighsModelStatus.kInfeasible: 2,
+              _core.HighsModelStatus.kUnbounded: 3}
+    return _core, OptimizeResult, status
 
 
 def linprog(c, A_ub, b_ub) -> OptimizeResult:
@@ -98,13 +110,14 @@ def linprog(c, A_ub, b_ub) -> OptimizeResult:
     c, A, b = (np.asarray(v, dtype=float) for v in (c, A_ub, b_ub))
     if not (np.isfinite(c).all() and np.isfinite(A).all() and np.isfinite(b).all()):
         raise ValueError("LP data must be finite")
+    core, OptimizeResult, status = _highs()
     highs = getattr(_THREAD, "highs", None)
     if highs is None:
-        options = HighsOptions()
+        options = core.HighsOptions()
         options.log_to_console = False
-        highs = _THREAD.highs = _Highs()
+        highs = _THREAD.highs = core._Highs()
         highs.passOptions(options)
-    lp, (m, n) = HighsLp(), A.shape
+    lp, (m, n) = core.HighsLp(), A.shape
     lp.num_col_, lp.num_row_, lp.col_cost_, lp.row_upper_ = n, m, c.tolist(), b.tolist()
     lp.col_lower_, lp.col_upper_, lp.row_lower_ = [-math.inf] * n, [math.inf] * n, [-math.inf] * m
     start, index, value = [0], [], []
@@ -114,14 +127,14 @@ def linprog(c, A_ub, b_ub) -> OptimizeResult:
         value += [col[i] for i in rows]
         start.append(len(index))
     matrix = lp.a_matrix_
-    matrix.format_, matrix.num_col_, matrix.num_row_ = MatrixFormat.kColwise, n, m
+    matrix.format_, matrix.num_col_, matrix.num_row_ = core.MatrixFormat.kColwise, n, m
     matrix.start_, matrix.index_, matrix.value_ = start, index, value
-    if highs.passModel(lp) == HighsStatus.kError:
-        model_status = HighsModelStatus.kModelError
+    if highs.passModel(lp) == core.HighsStatus.kError:
+        model_status = core.HighsModelStatus.kModelError
     else:
         highs.run()
         model_status = highs.getModelStatus()
-    res = OptimizeResult(status=_STATUS.get(model_status, 4), x=None, fun=None,
+    res = OptimizeResult(status=status.get(model_status, 4), x=None, fun=None,
                          message=highs.modelStatusToString(model_status))
     if res.status == 0:
         res.x, res.fun = np.array(highs.getSolution().col_value), highs.getObjectiveValue()
@@ -135,6 +148,14 @@ def _lp(c, A_ub, b_ub):
     if res.status not in (0, 2, 3):
         raise NumericalError(f"LP failed with status {res.status}: {res.message}")
     return res
+
+
+def nnls(A, b):
+    """scipy's `nnls`.  The first call imports it and rebinds this name to it,
+    so later calls go straight to scipy."""
+    global nnls
+    from scipy.optimize import nnls
+    return nnls(A, b)
 
 
 def _least_distance(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:

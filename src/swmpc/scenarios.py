@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import expm
 
 from .controller import CostSpec, OcpProblem
 from .geometry import Polytope, PolytopeUnion, as_union
@@ -101,6 +100,8 @@ def _detection_box(n: int) -> PolytopeUnion:
 
 def build_viral_system(scenario_id: int) -> SwitchedSystem:
     """Discretize the mutation dynamics for the chronic (1) or acute (2) scenario."""
+    from scipy.linalg import expm  # imported on the first viral build, not with the module
+
     if scenario_id not in VIRAL_RATES:
         raise ValueError(f"unknown viral scenario {scenario_id!r}; choose 1 or 2")
     mats = []
