@@ -1,9 +1,11 @@
 """Benchmark scenario construction.
 
 Two biomedical benchmarks are built from published parameters: a four-genotype
-viral mutation model under two alternating drug regimens (continuous-time rates
-discretized by matrix exponential over the treatment interval) and a two-state
-cancer cell-population model under three drugs with per-drug dwell bounds.
+viral mutation model under two alternating drug regimens (its transition
+matrices are exp(28 G) of the continuous-time generator G over the 28-day
+sampling interval, stored as constants that a test checks bit for bit against
+`scipy.linalg.expm`, so no viral build loads scipy) and a two-state cancer
+cell-population model under three drugs with per-drug dwell bounds.
 A `Scenario` bundles the controller's problem template (an `OcpProblem`
 holding the switched system and the initial state) with the run's length,
 time step and analysis target, and round-trips through a JSON schema so the
@@ -55,6 +57,31 @@ VIRAL_RATES: dict[int, tuple[tuple[float, float, float, float], ...]] = {
     1: ((0.05, 0.28, 0.01, 0.27), (0.05, 0.20, 0.25, 0.27)),
     2: ((0.05, 0.40, 0.05, 0.23), (0.05, 0.05, 0.40, 0.23)),
 }
+# the transition matrices exp(SAMPLING_DAYS * G) per (scenario, therapy), with
+# G = diag(rates) - CLEARANCE_RATE * I + MUTATION_RATE * MUTATION_GRAPH, stored as
+# scipy.linalg.expm's output bit for bit; a test recomputes them from the rates
+VIRAL_MATRICES: dict[int, tuple[tuple[tuple[float, ...], ...], ...]] = {
+    1: (
+        ((0.00489333986091534, 0.0013304237900205603, 8.242123329754036e-06, 3.198420215044127e-06),
+         (0.0013304237900205597, 3.064868323191371, 2.932137048500235e-06, 0.007484889375353614),
+         (8.242123329754061e-06, 2.9321370485002373e-06, 0.0015967568121802297, 0.00089030101109378),
+         (3.198420215044126e-06, 0.007484889375353616, 0.0008903010110937795, 2.3163791193728422)),
+        ((0.004893210142947886, 0.00021426119365918714, 0.0006591232078217261, 3.1526404116382006e-06),
+         (0.000214261193659187, 0.32628301713166036, 5.136140479954264e-06, 0.002842992540635182),
+         (0.0006591232078217257, 5.136140479954265e-06, 1.3231376422863323, 0.004966200766449774),
+         (3.1526404116381985e-06, 0.0028429925406351824, 0.004966200766449774, 2.316379779076356)),
+    ),
+    2: (
+        ((0.004899971436182875, 0.02520855946349963, 1.3705996022164002e-05, 1.4807316801024796e-05),
+         (0.025208559463499616, 88.23485111930435, 2.178169730580806e-05, 0.05145826140210859),
+         (1.3705996022163985e-05, 2.178169730580806e-05, 0.004892997055678094, 0.0004171742992578216),
+         (1.480731680102478e-05, 0.051458261402108574, 0.00041717429925782173, 0.7558137101002619)),
+        ((0.004899971436182875, 1.370599602216402e-05, 0.025208559463499636, 1.4807316801024796e-05),
+         (1.3705996022163992e-05, 0.004892997055678109, 2.1781697305808063e-05, 0.0004171742992578216),
+         (0.025208559463499616, 2.1781697305808063e-05, 88.23485111930438, 0.051458261402108595),
+         (1.4807316801024782e-05, 0.0004171742992578218, 0.051458261402108595, 0.7558137101002619)),
+    ),
+}
 # 1000 copies/ml of the wild type V1, its one-mutation neighbours V2 and V3 at
 # mu times that, and V4 reached from both of them
 VIRAL_X0 = np.array(
@@ -99,21 +126,11 @@ def _detection_box(n: int) -> PolytopeUnion:
 
 
 def build_viral_system(scenario_id: int) -> SwitchedSystem:
-    """Discretize the mutation dynamics for the chronic (1) or acute (2) scenario."""
-    from scipy.linalg import expm  # imported on the first viral build, not with the module
-
-    if scenario_id not in VIRAL_RATES:
+    """The mutation dynamics of the chronic (1) or acute (2) scenario, sampled every 28 days."""
+    if scenario_id not in VIRAL_MATRICES:
         raise ValueError(f"unknown viral scenario {scenario_id!r}; choose 1 or 2")
-    mats = []
-    for therapy_rates in VIRAL_RATES[scenario_id]:
-        generator = (
-            np.diag(therapy_rates)
-            - CLEARANCE_RATE * np.eye(4)
-            + MUTATION_RATE * MUTATION_GRAPH
-        ) * SAMPLING_DAYS
-        mats.append(expm(generator))
     return SwitchedSystem(
-        matrices=tuple(mats),
+        matrices=VIRAL_MATRICES[scenario_id],
         state_set=Polytope.nonnegative_orthant(4),
     )
 

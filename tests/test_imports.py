@@ -1,5 +1,6 @@
-"""What a fresh process imports: scipy only where an LP, a least-distance
-solve or a viral build needs it, and the first LP on any thread."""
+"""What a fresh process imports: scipy only where an LP or a least-distance
+solve needs it (the viral matrices are stored constants, so no viral run loads
+it), and the first LP on any thread."""
 
 import json
 import os
@@ -26,7 +27,7 @@ def run_fresh(code: str, *args: str) -> bytes:
     return proc.stdout
 
 
-def test_loops_on_builtins_load_no_scipy_and_viral_loads_only_linalg(tmp_path):
+def test_builtin_loops_and_viral_runs_load_no_scipy(tmp_path):
     out = run_fresh(
         """
         import json, sys
@@ -42,15 +43,23 @@ def test_loops_on_builtins_load_no_scipy_and_viral_loads_only_linalg(tmp_path):
         code = main(["simulate", "--scenario", "illustrative", "--steps", "2", "--out", sys.argv[1]])
         seen["loops"] = scipy_modules()
         builtin_scenario("viral-1")
-        seen["viral"] = ["scipy.linalg" in sys.modules, "scipy.optimize" in sys.modules]
-        print(json.dumps([code, seen]))
+        seen["viral"] = scipy_modules()
+        codes = [
+            code,
+            main(["simulate", "--scenario", "viral-1", "--steps", "2", "--out", sys.argv[2]]),
+            main(["compare", "--scenario", "viral-2", "--steps", "2", "--out", sys.argv[3]]),
+        ]
+        seen["viral runs"] = scipy_modules()
+        print(json.dumps([codes, seen]))
         """,
-        str(tmp_path),
+        *(str(tmp_path / d) for d in ("sim", "sim-viral", "compare-viral")),
     )
-    code, seen = json.loads(out)
-    assert code == 0 and (tmp_path / "trajectory.csv").exists()
-    assert seen["import"] == [] and seen["loops"] == []
-    assert seen["viral"] == [True, False]
+    codes, seen = json.loads(out)
+    assert codes == [0, 0, 0]
+    assert (tmp_path / "sim" / "trajectory.csv").exists()
+    assert (tmp_path / "sim-viral" / "trajectory.csv").exists()
+    assert (tmp_path / "compare-viral" / "index.csv").exists()
+    assert seen == {"import": [], "loops": [], "viral": [], "viral runs": []}
 
 
 def test_first_lp_on_a_worker_thread_matches_the_main_thread():

@@ -10,10 +10,11 @@ FENCE = re.compile(r"^```python\n(.*?)^```$", re.MULTILINE | re.DOTALL)
 
 
 def _blocks() -> list:
-    """(line of the first code line, code) per block, as pytest params."""
+    """(line of the first code line, code) per block, as pytest params named
+    by the block's order, so an edit above a block does not rename its test."""
     text = README.read_text()
     found = [(text.count("\n", 0, m.start(1)), m.group(1)) for m in FENCE.finditer(text)]
-    return [pytest.param(line, code, id=f"line-{line + 1}") for line, code in found]
+    return [pytest.param(line, code, id=f"block-{i}") for i, (line, code) in enumerate(found)]
 
 
 def test_readme_has_python_blocks():

@@ -61,6 +61,16 @@ class TestMatrixExponential:
                 right = expm(2.0 * Z)
                 assert np.allclose(left, right, rtol=1e-9, atol=1e-12)
 
+    @pytest.mark.parametrize("sid", sorted(VIRAL_RATES))
+    def test_stored_viral_matrices_are_expm_of_the_published_rates(self, sid):
+        matrices = build_viral_system(sid).matrices
+        assert len(matrices) == len(VIRAL_RATES[sid])
+        for stored, rates in zip(matrices, VIRAL_RATES[sid]):
+            generator = (
+                np.diag(rates) - CLEARANCE_RATE * np.eye(4) + MUTATION_RATE * MUTATION_GRAPH
+            ) * SAMPLING_DAYS
+            assert stored.tobytes() == expm(generator).tobytes()
+
 
 class TestViralSystem:
     def test_invalid_scenario_id(self):
