@@ -28,15 +28,16 @@ generated check, part by part), the rule and both cost-to-go bounds.  Each
 solve picks the bound, as the linear one needs x0 >= 0.
 
 `run_closed_loop` starts at its template's x and run; each `rhc_step` applies
-the optimum's first signal and carries only the new x and rule state, and the
-path as the next warm start's guide, into the next step.
+the optimum's first signal, carrying the new x, rule state, path and what the
+search found along it (`_Branch`, reused where it matches) to the next step.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import groupby
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -44,7 +45,7 @@ import numpy as np
 from .geometry import NumericalError, Polytope, PolytopeUnion, _least_distance, as_union
 from .switched import (
     CACHE_SIZE, RuleState, SimulationResult, SwitchedSystem, SwitchingRule, _compile, _row_sums,
-    packs, simulate,
+    simulate,
 )
 
 __all__ = [
@@ -152,7 +153,7 @@ class OcpProblem:
             raise ValueError("run needs a signal exactly when its length is positive")
         used = frozenset(used)
         signals = used if sig is None else used | {sig}
-        if any(not 1 <= s <= self.sys.q for s in signals):
+        if signals and not 1 <= min(signals) <= max(signals) <= self.sys.q:
             raise ValueError(f"run signals must lie in 1..{self.sys.q}")
         if self.cycle_through_all:
             used = signals
@@ -331,14 +332,16 @@ def _run_cost(total: float, dists: Sequence[float], c: float, b: float, length: 
 
 
 def _canonical_partial(problem: OcpProblem, sigs: Sequence[int], dists: Sequence[float]) -> float:
-    """The stage costs of a path, run by run, the first run extended by the
-    applied run that it continues."""
+    """The stage costs of a path, run by run (`switched.packs`' runs), the
+    first run extended by the applied run that it continues."""
     c, b = problem.cost.stage_weights, problem.cost.consecutive_weights
     mem_sig, mem_len, _ = problem.run
     total = 0.0
-    for p in packs(sigs):
-        length = p.length + (mem_len if p.start == 0 and p.signal == mem_sig else 0)
-        total = _run_cost(total, dists[p.start : p.stop], c[p.signal - 1], b[p.signal - 1], length)
+    stop = 0
+    for s, run in groupby(sigs):
+        start, stop = stop, stop + len(tuple(run))
+        length = stop - start + (mem_len if start == 0 and s == mem_sig else 0)
+        total = _run_cost(total, dists[start:stop], c[s - 1], b[s - 1], length)
     return total
 
 
@@ -495,7 +498,20 @@ def _context(p: OcpProblem) -> _SearchContext:
     return _build_context(p.sys, p.target, p.cost, p.horizon, p.enforce_waiting, p.cycle_through_all)
 
 
-def solve_ocp(problem: OcpProblem, *, plan: Sequence[int] = ()) -> OcpSolution:
+class _Branch(NamedTuple):
+    """An optimum one step on: x and rule state at depths 1 and N, distances at 1..N-1."""
+
+    ctx: _SearchContext
+    plan: tuple[int, ...]
+    x: tuple[float, ...]
+    run: RuleState
+    leaf: tuple[float, ...]
+    leaf_run: RuleState
+    dists: list[float]
+
+
+def solve_ocp(problem: OcpProblem, *, plan: Sequence[int] = (),
+              _carry: list | None = None) -> OcpSolution:
     """Exact minimizer over admissible signal sequences of length N.
 
     Depth-first branch-and-bound in ascending signal order; the nonnegative
@@ -509,16 +525,24 @@ def solve_ocp(problem: OcpProblem, *, plan: Sequence[int] = ()) -> OcpSolution:
     the rules and the state set admit it, else the one-step-lookahead choice;
     if that rollout fails, the unguided one is used.  Either way the warm cost
     is an admissible path's, so no plan, however wrong, changes the path or
-    the cost, only the node counts.
+    the cost, only the node counts.  `rhc_step`'s one-item list `_carry` gives
+    the last `_Branch` and takes this one; read only if searched in this
+    context from x0, run and `plan`, it holds the rollout's bits but for X at
+    its leaf, the last depth and the terminal set, and spares x0's X check.
     """
-    products, children, dist, in_target, rule, linear, future = _context(problem)
+    products, children, dist, in_target, rule, linear, future = ctx = _context(problem)
     N, q, x0 = problem.horizon, problem.sys.q, problem.x
     c = problem.cost.stage_weights
     b = problem.cost.consecutive_weights
     cterm = problem.cost.terminal_weight
-    allowed = rule.next
+    allowed, in_x = rule.next, problem.sys.state_set.contains
 
-    if not problem.sys.state_set.contains(x0, STATE_TOL):
+    carried = _carry[0] if _carry else None
+    if carried is not None and not (carried.ctx is ctx and carried.plan == plan and carried.x == x0
+                                    and carried.run == problem.run
+                                    and in_x(carried.leaf, STATE_TOL)):  # leaves skip X
+        carried = None
+    if carried is None and not in_x(x0, STATE_TOL):
         raise InfeasibleProblemError("current state violates the state constraint", reason="state")
 
     # the applied run straddles the prediction seam, so only U can judge it yet
@@ -543,16 +567,15 @@ def solve_ocp(problem: OcpProblem, *, plan: Sequence[int] = ()) -> OcpSolution:
     path = [0] * N
     dists = [0.0] * N
     partials = [0.0] * N
+    best_branch: tuple = ()
     enforce_t = problem.enforce_terminal
 
-    def rollout(guide: Sequence[int]) -> float:
-        """Cost of a rollout that takes guide[depth] where admissible and looks
-        one step ahead elsewhere; inf on a dead end or a terminal miss."""
-        x = x0
-        run_sig, run_len, used = mem_sig, mem_len, used0
-        seq: list[int] = []
-        ds: list[float] = []
-        for depth in range(N):
+    def rollout(guide: Sequence[int], x=x0, ds: Sequence[float] = (), run=problem.run) -> float:
+        """Cost of the rollout that takes guide[depth] where admissible, else looks one
+        step ahead, on from x and run after guide[:len(ds)]; inf at a dead end or terminal miss."""
+        run_sig, run_len, used = run
+        seq, ds = list(guide[: len(ds)]), list(ds)
+        for depth in range(len(ds), N):
             d_here = dist(x)
             steps = products if depth + 1 == N else children
             chosen = None
@@ -582,7 +605,7 @@ def solve_ocp(problem: OcpProblem, *, plan: Sequence[int] = ()) -> OcpSolution:
             return math.inf
         return _canonical_partial(problem, seq, ds) + cterm * dist(x)
 
-    warm = rollout(plan)
+    warm = rollout(plan, carried.leaf, carried.dists, carried.leaf_run) if carried else rollout(plan)
     if len(plan) and not math.isfinite(warm):
         warm = rollout(())
     if math.isfinite(warm):
@@ -596,7 +619,7 @@ def solve_ocp(problem: OcpProblem, *, plan: Sequence[int] = ()) -> OcpSolution:
         used: frozenset[int],
         partial: float,
     ) -> None:
-        nonlocal best_cost, best_path, threshold, nodes, pruned, complete, waiting
+        nonlocal best_cost, best_path, best_branch, threshold, nodes, pruned, complete, waiting
         d_here = dists[depth] = dist(x)
         partials[depth] = partial
         last = depth + 1 == N
@@ -625,6 +648,7 @@ def solve_ocp(problem: OcpProblem, *, plan: Sequence[int] = ()) -> OcpSolution:
                     if leaf < best_cost:
                         best_cost = leaf
                         best_path = tuple(path)
+                        best_branch = (x_next, RuleState(s, *nxt), dists[1:])
                         if best_cost < threshold:
                             threshold = best_cost
             elif (new_partial + future(x_next, depth + 1)) * shrink >= threshold:
@@ -645,6 +669,10 @@ def solve_ocp(problem: OcpProblem, *, plan: Sequence[int] = ()) -> OcpSolution:
             f"no admissible sequence exists ({reason} constraints)", reason=reason
         )
 
+    if _carry is not None:
+        s0 = best_path[0]
+        _carry[0] = _Branch(ctx, best_path[1:], products[s0 - 1](x0),
+                            RuleState(s0, *allowed(s0, *problem.run)), *best_branch)
     return OcpSolution(path=best_path, cost=best_cost, nodes_explored=nodes, nodes_pruned=pruned)
 
 
@@ -653,14 +681,18 @@ def solve_ocp(problem: OcpProblem, *, plan: Sequence[int] = ()) -> OcpSolution:
 
 @dataclass(frozen=True)
 class ControllerState:
-    """Single-owner closed-loop state: the current x and the `SwitchingRule`
-    state of the applied signals, the only past that the dwell, coverage and
-    run-length cost rules read, and the last optimal plan, which only guides
-    the next warm start and so cannot change what is applied."""
+    """Single-owner closed-loop state: x, the `SwitchingRule` state of the
+    applied signals (the only past the dwell, coverage and run-length cost rules
+    read), and the last plan and what its search found (`_branch`, not compared,
+    shown or pickled), which the next warm start reuses only where they match."""
 
     x: tuple[float, ...]
     run: RuleState = RuleState()
     plan: tuple[int, ...] = ()
+    _branch: _Branch | None = field(default=None, compare=False, repr=False)
+
+    def __reduce__(self):  # the branch holds generated code
+        return ControllerState, (self.x, self.run, self.plan)
 
 
 def initial_state(x0: Sequence[float]) -> ControllerState:
@@ -672,13 +704,15 @@ def rhc_step(
 ) -> tuple[int, ControllerState, OcpSolution]:
     """Solve the template's horizon problem at `state` and apply its first
     signal; the next state carries the new x and rule state, and the optimal
-    path, which, shifted by one step, guides the next warm start."""
-    ctx = _context(template)
-    problem = replace(template, x=state.x, run=state.run)
-    sol = solve_ocp(problem, plan=state.plan[1:])
-    s0 = sol.path[0]
-    run = RuleState(s0, *ctx.rule.next(s0, *problem.run))
-    return s0, ControllerState(ctx.products[s0 - 1](state.x), run, sol.path), sol
+    path and what its search found, which, shifted by one step, warm-start
+    the next solve where they match it (see `solve_ocp`)."""
+    problem = object.__new__(OcpProblem)  # `replace`, without re-initialising every field
+    problem.__dict__.update(template.__dict__, x=state.x, run=state.run)
+    problem.__post_init__()
+    carry = [state._branch]
+    sol = solve_ocp(problem, plan=state.plan[1:], _carry=carry)
+    branch = carry[0]
+    return sol.path[0], ControllerState(branch.x, branch.run, sol.path, branch), sol
 
 
 def run_closed_loop(template: OcpProblem, steps: int) -> SimulationResult:

@@ -15,7 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .controller import CostSpec, OcpProblem, solve_ocp
+from . import controller
+from .controller import CostSpec, OcpProblem
 from .geometry import Polytope
 from .switched import SimulationResult, SwitchedSystem, _initial_state, simulate, total_load
 
@@ -94,7 +95,7 @@ def brute_force_optimal(
         enforce_waiting=False,
         enforce_terminal=False,
     )
-    return simulate(sys, x0, solve_ocp(problem).path)
+    return simulate(sys, x0, controller.solve_ocp(problem).path)
 
 
 def virologic_failure_strategy(

@@ -19,6 +19,7 @@ from swmpc import (
     RuleState,
     SwitchedSystem,
     builtin_scenario,
+    distance_to_set,
     eval_cost,
     initial_state,
     rhc_step,
@@ -33,7 +34,7 @@ from swmpc.controller import (
 )
 from swmpc.geometry import UNIT_NORM_TOL, as_union
 from swmpc.scenarios import scenario_from_dict, scenario_to_dict
-from swmpc.switched import CACHE_SIZE, UNBOUNDED_DWELL
+from swmpc.switched import CACHE_SIZE, UNBOUNDED_DWELL, SwitchingRule
 
 from .oracles import (
     _applied_run,
@@ -1019,6 +1020,153 @@ class TestSearchContext:
         assert digest.hexdigest() == (
             "819e66a7e19acdbc88c4fbf517b6ca4e3c15339a8ba20082510cdce4face375c"
         )
+
+
+def _step_matches_fresh(template, state):
+    """rhc_step at `state`, checked against a fresh solve of the same problem
+    with the same plan: the same path, cost and node counts, or the same
+    infeasibility.  Returns the next state, or None when both are infeasible."""
+    try:
+        fresh = solve_ocp(replace(template, x=state.x, run=state.run), plan=state.plan[1:])
+    except InfeasibleProblemError as err:
+        with pytest.raises(InfeasibleProblemError) as looped:
+            rhc_step(template, state)
+        assert looped.value.reason == err.reason
+        return None
+    _, state, sol = rhc_step(template, state)
+    assert (sol.path, sol.cost, sol.nodes_explored, sol.nodes_pruned) == (
+        fresh.path,
+        fresh.cost,
+        fresh.nodes_explored,
+        fresh.nodes_pruned,
+    )
+    return state
+
+
+def _carried_end(template, state) -> str | None:
+    """Where the warm start from the branch that `state` carries ends: "X"
+    when the old leaf leaves X, "last" when the rule admits no signal at the
+    new last depth, "terminal" when the lookahead's leaf misses the target,
+    else "taken"; None without a branch."""
+    branch, sys_ = state._branch, template.sys
+    if branch is None:
+        return None
+    leaf = branch.leaf
+    if not sys_.state_set.contains(leaf, STATE_TOL):
+        return "X"
+    rule = SwitchingRule(sys_, template.enforce_waiting, template.cycle_through_all)
+    sig, length, used = replace(template, x=state.x, run=state.run).run
+    for s in state.plan[1:]:
+        length, used = rule.next(s, sig, length, used)  # a loop's own branch is admissible
+        sig = s
+    keys = [
+        (distance_to_set(template.target, sys_.product(s)(leaf)), s)
+        for s in range(1, sys_.q + 1)
+        if rule.next(s, sig, length, used) is not None
+    ]
+    if not keys:
+        return "last"
+    y = sys_.product(min(keys)[1])(leaf)
+    if template.enforce_terminal and not template.target.contains(y, TERMINAL_TOL):
+        return "terminal"
+    return "taken"
+
+
+class TestCarriedBranch:
+    """Each rhc_step warm-starts from the branch that the last solve searched;
+    it must give what a fresh solve with the shifted plan gives, node for node."""
+
+    def test_branch_of_another_template_is_not_carried(self):
+        # distances to the first target would give a warm cost below the
+        # optimum for the second, and prune the optimum away
+        scen = builtin_scenario("illustrative")
+        moved = replace(scen.mpc, target=as_union(Polytope.box([0.2, -0.3], [0.4, -0.1])))
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            r, theta = rng.uniform(0.2, 1.0), rng.uniform(0.0, 2.0 * np.pi)
+            state = initial_state((r * np.cos(theta), r * np.sin(theta)))
+            for template in (scen.mpc, scen.mpc, scen.mpc, moved):
+                state = _step_matches_fresh(template, state)
+                assert state._branch is not None
+
+    def test_branch_of_another_state_run_or_plan_is_not_carried(self):
+        scen = builtin_scenario("illustrative")
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            r, theta = rng.uniform(0.2, 1.0), rng.uniform(0.0, 2.0 * np.pi)
+            state = initial_state((r * np.cos(theta), r * np.sin(theta)))
+            for _ in range(3):
+                state = _step_matches_fresh(scen.mpc, state)
+            moved = tuple(-0.5 * v for v in state.x)
+            for other in (replace(state, x=moved), replace(state, plan=state.plan[::-1]),
+                          replace(state, plan=state.plan[:1] + state.plan[2:] + state.plan[-1:])):
+                assert other._branch is state._branch
+                _step_matches_fresh(scen.mpc, other)
+        # under dwell bounds and cycle coverage the branch's rule states hold
+        # only for the run that it was searched from
+        scen = builtin_scenario("cancer")
+        state = initial_state(scen.x0)
+        for _ in range(12):
+            state = _step_matches_fresh(scen.mpc, state)
+            sig, length, used = state.run
+            for run in (RuleState(sig, length + 1, used), RuleState(sig % 3 + 1, 1)):
+                _step_matches_fresh(scen.mpc, replace(state, run=run))
+
+    def test_carried_warm_start_matches_fresh_solves_where_it_breaks(self):
+        rng = np.random.default_rng(41)
+        ends = dict.fromkeys(("X", "last", "terminal", "taken"), 0)
+        for loop in range(90):
+            template = random_ocp(rng)
+            if loop % 3 == 0:
+                # X keeps the states away from the origin, which the leaves,
+                # unchecked, approach
+                box, x0 = template.sys.state_set, np.asarray(template.x)
+                cut = Polytope(np.vstack([box.H, -x0]), np.append(box.h, -0.25 * x0 @ x0))
+                template = replace(
+                    template, sys=replace(template.sys, state_set=cut), enforce_terminal=False
+                )
+            elif loop % 3 == 1:
+                # one signal: its run meets its upper dwell bound at the last depth
+                sys_ = replace(template.sys, matrices=template.sys.matrices[:1],
+                               waiting=template.sys.waiting[:1])
+                template = OcpProblem(sys_, template.x, template.horizon, template.target,
+                                      CostSpec(template.cost.stage_weights[:1]))
+            else:
+                template = replace(template, enforce_terminal=True)
+            state = ControllerState(template.x, template.run)
+            for _ in range(8):
+                end = _carried_end(template, state)
+                if end is not None:
+                    ends[end] += 1
+                state = _step_matches_fresh(template, state)
+                if state is None:
+                    break
+        assert min(ends.values()) >= 1, ends
+
+    @pytest.mark.parametrize("bad", [(math.nan, 0.5), (0.5, -math.inf), (0.5,), (0.5, 0.5, 0.5)])
+    def test_carried_branch_keeps_the_state_check(self, bad):
+        scen = builtin_scenario("illustrative")
+        state = initial_state(scen.x0)
+        for _ in range(2):
+            _, state, _ = rhc_step(scen.mpc, state)
+        moved = replace(state, x=bad)
+        assert moved._branch is state._branch is not None
+        with pytest.raises(ValueError) as expected:
+            replace(scen.mpc, x=bad)
+        with pytest.raises(ValueError) as got:
+            rhc_step(scen.mpc, moved)
+        assert str(got.value) == str(expected.value)
+
+    def test_branch_is_left_out_of_equality_repr_and_pickling(self):
+        scen = builtin_scenario("cancer")
+        state = initial_state(scen.x0)
+        for _ in range(3):
+            _, state, _ = rhc_step(scen.mpc, state)
+        copy = pickle.loads(pickle.dumps(state))
+        assert state._branch is not None and copy._branch is None
+        assert copy == state and repr(copy) == repr(state) == repr(replace(state, _branch=None))
+        # without the branch the warm start steps from x0, to the same bits
+        assert rhc_step(scen.mpc, copy) == rhc_step(scen.mpc, state)
 
 
 def _reference_step(M: np.ndarray, X: Polytope, tol: float, x: tuple) -> tuple | None:

@@ -9,6 +9,7 @@ from swmpc import (
     Polytope,
     SwitchedSystem,
     brute_force_optimal,
+    builtin_scenario,
     performance_index,
     run_closed_loop,
     run_cycle,
@@ -240,3 +241,22 @@ class TestPerformanceIndex:
         second = performance_index(traj[4:])
         junction = float(np.sum(traj[4]))
         assert whole == pytest.approx(first + second - junction, rel=1e-12)
+
+
+def test_solves_go_through_the_controller_module(monkeypatch):
+    # one binding sees every solve: each closed-loop step's and the optimal schedule's
+    import swmpc.controller
+
+    calls = []
+    real = swmpc.controller.solve_ocp
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(swmpc.controller, "solve_ocp", counting)
+    scen = builtin_scenario("viral-1")
+    run_closed_loop(scen.mpc, 3)
+    assert len(calls) == 3
+    brute_force_optimal(scen.sys, scen.x0, 4)
+    assert len(calls) == 4
