@@ -28,8 +28,8 @@ generated check, part by part), the rule and both cost-to-go bounds.  Each
 solve picks the bound, as the linear one needs x0 >= 0.
 
 `run_closed_loop` starts at its template's x and run; each `rhc_step` applies
-the optimum's first signal, carrying the new x, rule state, path and what the
-search found along it (`_Branch`, reused where it matches) to the next step.
+the optimum's first signal and carries the new x, rule state and `_Branch`
+(what the search found along the optimum, where the next warm start resumes).
 """
 
 from __future__ import annotations
@@ -499,10 +499,11 @@ def _context(p: OcpProblem) -> _SearchContext:
 
 
 class _Branch(NamedTuple):
-    """An optimum one step on: x and rule state at depths 1 and N, distances at 1..N-1."""
+    """An optimum one step on: its signals after the first, x and rule state at
+    depths 1 and N, distances at 1..N-1."""
 
     ctx: _SearchContext
-    plan: tuple[int, ...]
+    tail: tuple[int, ...]
     x: tuple[float, ...]
     run: RuleState
     leaf: tuple[float, ...]
@@ -510,8 +511,7 @@ class _Branch(NamedTuple):
     dists: list[float]
 
 
-def solve_ocp(problem: OcpProblem, *, plan: Sequence[int] = (),
-              _carry: list | None = None) -> OcpSolution:
+def solve_ocp(problem: OcpProblem, *, _carry: list | None = None) -> OcpSolution:
     """Exact minimizer over admissible signal sequences of length N.
 
     Depth-first branch-and-bound in ascending signal order; the nonnegative
@@ -521,14 +521,11 @@ def solve_ocp(problem: OcpProblem, *, plan: Sequence[int] = (),
     for bit.  The slack covers the sum: when the partial cost dominates, a
     tied subtree's sum can round up past the warm start's threshold.
 
-    `plan` guides the warm-start rollout: at depth d it takes plan[d] where
-    the rules and the state set admit it, else the one-step-lookahead choice;
-    if that rollout fails, the unguided one is used.  Either way the warm cost
-    is an admissible path's, so no plan, however wrong, changes the path or
-    the cost, only the node counts.  `rhc_step`'s one-item list `_carry` gives
-    the last `_Branch` and takes this one; read only if searched in this
-    context from x0, run and `plan`, it holds the rollout's bits but for X at
-    its leaf, the last depth and the terminal set, and spares x0's X check.
+    The warm start, whose cost only seeds the threshold, is a rollout that
+    looks one step ahead.  `rhc_step`'s one-item list `_carry` gives the last
+    `_Branch` and takes this one.  If that was searched in this context from
+    x0 and run, the rollout resumes at the last depth, after its tail, and x0
+    needs no X check; else, or if its leaf leaves X, it starts from x0.
     """
     products, children, dist, in_target, rule, linear, future = ctx = _context(problem)
     N, q, x0 = problem.horizon, problem.sys.q, problem.x
@@ -538,7 +535,7 @@ def solve_ocp(problem: OcpProblem, *, plan: Sequence[int] = (),
     allowed, in_x = rule.next, problem.sys.state_set.contains
 
     carried = _carry[0] if _carry else None
-    if carried is not None and not (carried.ctx is ctx and carried.plan == plan and carried.x == x0
+    if carried is not None and not (carried.ctx is ctx and carried.x == x0
                                     and carried.run == problem.run
                                     and in_x(carried.leaf, STATE_TOL)):  # leaves skip X
         carried = None
@@ -570,17 +567,16 @@ def solve_ocp(problem: OcpProblem, *, plan: Sequence[int] = (),
     best_branch: tuple = ()
     enforce_t = problem.enforce_terminal
 
-    def rollout(guide: Sequence[int], x=x0, ds: Sequence[float] = (), run=problem.run) -> float:
-        """Cost of the rollout that takes guide[depth] where admissible, else looks one
-        step ahead, on from x and run after guide[:len(ds)]; inf at a dead end or terminal miss."""
+    def rollout(prefix: Sequence[int], x, ds: Sequence[float], run) -> float:
+        """Cost of `prefix`, with stage distances `ds`, extended from x and run by
+        one-step lookahead; inf at a dead end or terminal miss."""
         run_sig, run_len, used = run
-        seq, ds = list(guide[: len(ds)]), list(ds)
+        seq, ds = list(prefix), list(ds)
         for depth in range(len(ds), N):
             d_here = dist(x)
             steps = products if depth + 1 == N else children
             chosen = None
             chosen_key = math.inf
-            hint = guide[depth] if depth < len(guide) else None
             for s in range(1, q + 1):
                 nxt = allowed(s, run_sig, run_len, used)
                 if nxt is None:
@@ -588,26 +584,21 @@ def solve_ocp(problem: OcpProblem, *, plan: Sequence[int] = (),
                 x_next = steps[s - 1](x)
                 if x_next is None:
                     continue
-                if s == hint:
-                    chosen = (s, *nxt, x_next)
-                    break
                 key = dist(x_next)
                 if key < chosen_key:
                     chosen_key = key
                     chosen = (s, *nxt, x_next)
             if chosen is None:
                 return math.inf
-            s, run_len, used, x = chosen
-            run_sig = s
-            seq.append(s)
+            run_sig, run_len, used, x = chosen
+            seq.append(run_sig)
             ds.append(d_here)
         if enforce_t and not in_target(x):
             return math.inf
         return _canonical_partial(problem, seq, ds) + cterm * dist(x)
 
-    warm = rollout(plan, carried.leaf, carried.dists, carried.leaf_run) if carried else rollout(plan)
-    if len(plan) and not math.isfinite(warm):
-        warm = rollout(())
+    warm = (rollout(carried.tail, carried.leaf, carried.dists, carried.leaf_run) if carried
+            else rollout((), x0, (), problem.run))
     if math.isfinite(warm):
         threshold = math.nextafter(warm, math.inf)
 
@@ -683,16 +674,15 @@ def solve_ocp(problem: OcpProblem, *, plan: Sequence[int] = (),
 class ControllerState:
     """Single-owner closed-loop state: x, the `SwitchingRule` state of the
     applied signals (the only past the dwell, coverage and run-length cost rules
-    read), and the last plan and what its search found (`_branch`, not compared,
-    shown or pickled), which the next warm start reuses only where they match."""
+    read), and what the last search found (`_branch`, not compared, shown or
+    pickled), which the next warm start reuses only where it matches."""
 
     x: tuple[float, ...]
     run: RuleState = RuleState()
-    plan: tuple[int, ...] = ()
     _branch: _Branch | None = field(default=None, compare=False, repr=False)
 
     def __reduce__(self):  # the branch holds generated code
-        return ControllerState, (self.x, self.run, self.plan)
+        return ControllerState, (self.x, self.run)
 
 
 def initial_state(x0: Sequence[float]) -> ControllerState:
@@ -703,16 +693,16 @@ def rhc_step(
     template: OcpProblem, state: ControllerState
 ) -> tuple[int, ControllerState, OcpSolution]:
     """Solve the template's horizon problem at `state` and apply its first
-    signal; the next state carries the new x and rule state, and the optimal
-    path and what its search found, which, shifted by one step, warm-start
-    the next solve where they match it (see `solve_ocp`)."""
+    signal; the next state carries the new x and rule state, and what the
+    search found along the optimum, which warm-starts the next solve where it
+    matches it (see `solve_ocp`)."""
     problem = object.__new__(OcpProblem)  # `replace`, without re-initialising every field
     problem.__dict__.update(template.__dict__, x=state.x, run=state.run)
     problem.__post_init__()
     carry = [state._branch]
-    sol = solve_ocp(problem, plan=state.plan[1:], _carry=carry)
+    sol = solve_ocp(problem, _carry=carry)
     branch = carry[0]
-    return sol.path[0], ControllerState(branch.x, branch.run, sol.path, branch), sol
+    return sol.path[0], ControllerState(branch.x, branch.run, branch), sol
 
 
 def run_closed_loop(template: OcpProblem, steps: int) -> SimulationResult:

@@ -362,8 +362,8 @@ class Polytope(_Value):
         """Radius of the largest inscribed ball; -inf if infeasible, inf if unbounded."""
         return self.chebyshev_ball[0]
 
-    def is_empty(self, eps: float = EMPTY_TOL) -> bool:
-        return self.chebyshev_radius < eps
+    def is_empty(self) -> bool:
+        return self.chebyshev_radius < EMPTY_TOL
 
     def support(self, a: Sequence[float]) -> float:
         """sup a.x over the polytope; inf if unbounded, -inf if empty."""
@@ -388,13 +388,13 @@ class Polytope(_Value):
             hi[i], lo[i] = self.support(e), -self.support(-e)
         return lo, hi
 
-    def singleton_point(self, tol: float = 1e-9) -> np.ndarray | None:
-        """The unique point of the polytope when its extent is below tol in every
+    def singleton_point(self) -> np.ndarray | None:
+        """The unique point of the polytope when its extent is below 1e-9 in every
         coordinate; a box reads its extents from its rows, with no LP."""
         lo, hi = self.box_bounds or self.coordinate_ranges
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
             return None
-        if np.any(hi - lo > tol) or np.any(hi < lo):  # hi < lo: empty
+        if np.any(hi - lo > 1e-9) or np.any(hi < lo):  # hi < lo: empty
             return None
         return 0.5 * (lo + hi)
 
@@ -432,7 +432,7 @@ class Polytope(_Value):
         out.__dict__["_norm_bound"] = factor * _norm_bound(self, solve=True)
         return out
 
-    def pruned(self, tol: float = PRUNE_TOL) -> "Polytope":
+    def pruned(self) -> "Polytope":
         """Drop inequality rows that are redundant for the feasible set.
 
         Each kept row's slack (the LP optimum of its left side over the other
@@ -456,7 +456,7 @@ class Polytope(_Value):
             others = [j for j in keep if j != i]
             res = _lp(-self.H[i], self.H[others], self.h[others])
             if res.status == 0:
-                if -res.fun <= self.h[i] + tol:
+                if -res.fun <= self.h[i] + PRUNE_TOL:
                     keep = others
                     continue
                 slack[i] = -res.fun - self.h[i]
@@ -543,9 +543,9 @@ class PolytopeUnion:
     def contains(self, x: Sequence[float], tol: float = MEMBERSHIP_TOL) -> bool:
         return any(p.contains(x, tol) for p in self.parts)
 
-    def prune_empty(self, eps: float = EMPTY_TOL) -> "PolytopeUnion":
-        """The parts of radius >= eps, by the checked least-distance solve where R is known."""
-        kept = (p for p in self.parts if _radius_at_least(p, eps, _norm_bound(p)))
+    def prune_empty(self) -> "PolytopeUnion":
+        """The parts of radius >= EMPTY_TOL, by a checked least-distance solve where R is known."""
+        kept = (p for p in self.parts if _radius_at_least(p, EMPTY_TOL, _norm_bound(p)))
         return PolytopeUnion(tuple(kept))
 
     def to_dict(self) -> dict:
@@ -611,20 +611,17 @@ def _uncovered_piece(
     parts: Sequence[Polytope],
     eps: float,
     budget: int,
-    _by_radius: bool = False,
 ) -> Polytope | None:
     """A piece of P not covered by the union, or None when P is covered up to eps.
 
     Depth-first region difference: each part either misses the current piece,
-    covers it, or splits it along the part's violated half-spaces.  Parts are
-    tried in list order, or with _by_radius largest Chebyshev ball first.
+    covers it, or splits it along the part's violated half-spaces; parts are
+    tried in list order.
     Pieces are raw (H, h) stacks of unit rows; only the one returned becomes a Polytope.
     """
     R = _norm_bound(P, solve=True)  # every piece lies in P, so R bounds its norm
     if not _radius_at_least(P, eps, R):
         return None
-    if _by_radius:
-        parts = sorted(parts, key=lambda p: -min(p.chebyshev_radius, 1e300))
     stack: list[tuple[np.ndarray, np.ndarray, int]] = [(P.H, P.h, 0)]
     processed = 0
     while stack:
@@ -691,9 +688,10 @@ def is_switched_invariant(sys, omega: Polytope | PolytopeUnion) -> InvarianceRep
             return InvarianceReport(is_sis=False, counterexample=pt)
 
     if regular:
-        S = controllable_set(sys, omega)
+        S = controllable_set(sys, omega).parts
+        S = sorted(S, key=lambda p: -min(p.chebyshev_radius, 1e300))  # largest ball first
         for P in regular:
-            piece = _uncovered_piece(P, S.parts, EMPTY_TOL, part_cap(), _by_radius=True)
+            piece = _uncovered_piece(P, S, EMPTY_TOL, part_cap())
             if piece is not None:
                 center = piece.chebyshev_ball[1]
                 if center is None:

@@ -636,20 +636,6 @@ class TestRecedingHorizon:
         assert "".join(map(str, record.signals)) == expected
 
 
-def _broken_rule(problem, sigs):
-    """The first rule that the full-length path `sigs` breaks, or None."""
-    if problem.enforce_waiting and not _waiting_ok(problem, sigs):
-        return "dwell"
-    if problem.cycle_through_all and not _cycle_ok(problem, sigs):
-        return "cycle"
-    _, traj = eval_cost(problem, sigs)
-    if not all(problem.sys.state_set.contains(x, STATE_TOL) for x in traj[1:-1]):
-        return "state"
-    if problem.enforce_terminal and not problem.target.contains(traj[-1], TERMINAL_TOL):
-        return "terminal"
-    return None
-
-
 # dyadic entries tie exactly; the others round, so that mathematically equal
 # costs of different paths can differ in the last bits
 TIE_ENTRIES = (-1.0, -0.5, -0.3, 0.0, 0.1, 0.3, 0.5, 0.7, 1.0)
@@ -743,71 +729,6 @@ class TestNearTies:
 
 
 class TestWarmStartPlan:
-    def test_planted_plans_match_enumeration(self):
-        # a plan only guides the warm-start rollout: the true shifted plan,
-        # noise, plans that break each rule, wrong lengths and signals outside
-        # 1..q must all give the enumeration optimum bit for bit
-        rng = np.random.default_rng(31)
-        planted = dict.fromkeys(
-            ("shifted", "random", "dwell", "cycle", "state", "terminal", "length", "range"), 0
-        )
-        for loop in range(48):
-            template = random_ocp(rng)
-            if loop % 2:
-                template = replace(template, enforce_terminal=True)
-            elif loop % 4 == 0:
-                template = replace(template, cycle_through_all=template.sys.q >= 2)
-            else:
-                # X keeps the states before the last away from the origin, so
-                # plans that leave X can be cheaper than every admissible path
-                box, x0 = template.sys.state_set, np.asarray(template.x)
-                cut = Polytope(np.vstack([box.H, -x0]), np.append(box.h, -0.25 * x0 @ x0))
-                template = replace(template, sys=replace(template.sys, state_set=cut))
-            q, N = template.sys.q, template.horizon
-            state = ControllerState(x=template.x, run=template.run)
-            for _ in range(6):
-                problem = replace(template, x=state.x, run=state.run)
-                plans = {
-                    "shifted": state.plan[1:],
-                    "random": tuple(int(v) for v in rng.integers(1, q + 1, size=N - 1)),
-                    "length": tuple(
-                        int(v) for v in rng.integers(1, q + 1, size=N + 1 + int(rng.integers(0, N)))
-                    ),
-                    "range": tuple(int(v) for v in rng.integers(-1, q + 3, size=N)),
-                }
-                # constant paths break dwell bounds and run off along the
-                # most expansive subsystem
-                pool = [(s,) * N for s in range(1, q + 1)]
-                pool += [tuple(int(v) for v in rng.integers(1, q + 1, size=N)) for _ in range(40)]
-                for sigs in pool:
-                    plans.setdefault(_broken_rule(problem, sigs), sigs)
-                plans.pop(None, None)
-                oracle = enumerate_ocp(problem)
-                if oracle is None:
-                    with pytest.raises(InfeasibleProblemError) as unplanned:
-                        solve_ocp(problem)
-                    for kind, plan in plans.items():
-                        with pytest.raises(InfeasibleProblemError) as err:
-                            solve_ocp(problem, plan=plan)
-                        assert err.value.reason == unplanned.value.reason
-                        planted[kind] += 1
-                    break
-                plain = solve_ocp(problem)
-                assert (plain.cost, plain.path) == oracle
-                predicted = simulate(problem.sys, problem.x, plain.path).states
-                assert np.array_equal(predicted, eval_cost(problem, oracle[1])[1])
-                for kind, plan in plans.items():
-                    sol = solve_ocp(problem, plan=plan)
-                    assert (sol.cost, sol.path) == oracle, (kind, plan)
-                    assert np.array_equal(
-                        simulate(problem.sys, problem.x, sol.path).states, predicted
-                    ), (kind, plan)
-                    planted[kind] += 1
-                _, state, sol = rhc_step(template, state)
-                assert (sol.cost, sol.path) == oracle
-                assert state.plan == oracle[1]
-        assert min(planted.values()) >= 10, planted
-
     def test_illustrative_loop_node_pin(self):
         # the shifted plan cuts the 30-step loop from 44,388 nodes to 16,116
         scen = builtin_scenario("illustrative")
@@ -912,12 +833,12 @@ class TestSearchContext:
     @staticmethod
     def _loop_matches_fresh_solves(template, state, steps) -> int:
         """Step one context through rhc_step and compare every step with a
-        fresh solve of the same problem; returns the number of steps made."""
+        fresh solve of the same problem from the same branch; returns the
+        number of steps made."""
         ctx = None
         for k in range(steps):
-            plan = state.plan[1:]
             try:
-                fresh = solve_ocp(replace(template, x=state.x, run=state.run), plan=plan)
+                fresh = solve_ocp(replace(template, x=state.x, run=state.run), _carry=[state._branch])
             except InfeasibleProblemError as err:
                 with pytest.raises(InfeasibleProblemError) as looped:
                     rhc_step(template, state)
@@ -1022,24 +943,36 @@ class TestSearchContext:
         )
 
 
-def _step_matches_fresh(template, state):
-    """rhc_step at `state`, checked against a fresh solve of the same problem
-    with the same plan: the same path, cost and node counts, or the same
-    infeasibility.  Returns the next state, or None when both are infeasible."""
+def _step_matches_fresh(template, state, stale=True):
+    """rhc_step at `state` checked against a fresh, unguided solve of the same
+    problem: the same path and cost, and the same node counts where the branch
+    that `state` carries is stale, so that rhc_step starts unguided too; or the
+    same infeasibility.  Returns the next state, or None when both are
+    infeasible."""
     try:
-        fresh = solve_ocp(replace(template, x=state.x, run=state.run), plan=state.plan[1:])
+        fresh = solve_ocp(replace(template, x=state.x, run=state.run))
     except InfeasibleProblemError as err:
         with pytest.raises(InfeasibleProblemError) as looped:
             rhc_step(template, state)
         assert looped.value.reason == err.reason
         return None
     _, state, sol = rhc_step(template, state)
-    assert (sol.path, sol.cost, sol.nodes_explored, sol.nodes_pruned) == (
-        fresh.path,
-        fresh.cost,
-        fresh.nodes_explored,
-        fresh.nodes_pruned,
-    )
+    got = (sol.path, sol.cost, sol.nodes_explored, sol.nodes_pruned)
+    want = (fresh.path, fresh.cost, fresh.nodes_explored, fresh.nodes_pruned)
+    assert got == want if stale else got[:2] == want[:2]
+    return state
+
+
+def _step_matches_enumeration(template, state):
+    """rhc_step at `state` against `enumerate_ocp`: the same path and cost, or
+    infeasibility.  Returns the next state, or None when infeasible."""
+    oracle = enumerate_ocp(replace(template, x=state.x, run=state.run))
+    try:
+        _, state, sol = rhc_step(template, state)
+    except InfeasibleProblemError:
+        assert oracle is None
+        return None
+    assert (sol.cost, sol.path) == oracle
     return state
 
 
@@ -1056,7 +989,7 @@ def _carried_end(template, state) -> str | None:
         return "X"
     rule = SwitchingRule(sys_, template.enforce_waiting, template.cycle_through_all)
     sig, length, used = replace(template, x=state.x, run=state.run).run
-    for s in state.plan[1:]:
+    for s in branch.tail:
         length, used = rule.next(s, sig, length, used)  # a loop's own branch is admissible
         sig = s
     keys = [
@@ -1073,8 +1006,9 @@ def _carried_end(template, state) -> str | None:
 
 
 class TestCarriedBranch:
-    """Each rhc_step warm-starts from the branch that the last solve searched;
-    it must give what a fresh solve with the shifted plan gives, node for node."""
+    """Each rhc_step warm-starts from the branch that the last solve searched.
+    Where that branch does not match the step, it must give what an unguided
+    fresh solve gives, node for node; where it does, the enumeration optimum."""
 
     def test_branch_of_another_template_is_not_carried(self):
         # distances to the first target would give a warm cost below the
@@ -1085,29 +1019,28 @@ class TestCarriedBranch:
         for _ in range(40):
             r, theta = rng.uniform(0.2, 1.0), rng.uniform(0.0, 2.0 * np.pi)
             state = initial_state((r * np.cos(theta), r * np.sin(theta)))
-            for template in (scen.mpc, scen.mpc, scen.mpc, moved):
-                state = _step_matches_fresh(template, state)
+            for _ in range(3):
+                state = _step_matches_fresh(scen.mpc, state, stale=False)
                 assert state._branch is not None
+            _step_matches_fresh(moved, state)
 
-    def test_branch_of_another_state_run_or_plan_is_not_carried(self):
+    def test_branch_of_another_state_or_run_is_not_carried(self):
         scen = builtin_scenario("illustrative")
         rng = np.random.default_rng(6)
         for _ in range(20):
             r, theta = rng.uniform(0.2, 1.0), rng.uniform(0.0, 2.0 * np.pi)
             state = initial_state((r * np.cos(theta), r * np.sin(theta)))
             for _ in range(3):
-                state = _step_matches_fresh(scen.mpc, state)
-            moved = tuple(-0.5 * v for v in state.x)
-            for other in (replace(state, x=moved), replace(state, plan=state.plan[::-1]),
-                          replace(state, plan=state.plan[:1] + state.plan[2:] + state.plan[-1:])):
-                assert other._branch is state._branch
-                _step_matches_fresh(scen.mpc, other)
+                _, state, _ = rhc_step(scen.mpc, state)
+            moved = replace(state, x=tuple(-0.5 * v for v in state.x))
+            assert moved._branch is state._branch
+            _step_matches_fresh(scen.mpc, moved)
         # under dwell bounds and cycle coverage the branch's rule states hold
         # only for the run that it was searched from
         scen = builtin_scenario("cancer")
         state = initial_state(scen.x0)
         for _ in range(12):
-            state = _step_matches_fresh(scen.mpc, state)
+            _, state, _ = rhc_step(scen.mpc, state)
             sig, length, used = state.run
             for run in (RuleState(sig, length + 1, used), RuleState(sig % 3 + 1, 1)):
                 _step_matches_fresh(scen.mpc, replace(state, run=run))
@@ -1138,7 +1071,9 @@ class TestCarriedBranch:
                 end = _carried_end(template, state)
                 if end is not None:
                     ends[end] += 1
-                state = _step_matches_fresh(template, state)
+                if end in (None, "X"):  # no branch, or one dropped: an unguided start
+                    _step_matches_fresh(template, state)
+                state = _step_matches_enumeration(template, state)
                 if state is None:
                     break
         assert min(ends.values()) >= 1, ends
@@ -1165,8 +1100,30 @@ class TestCarriedBranch:
         copy = pickle.loads(pickle.dumps(state))
         assert state._branch is not None and copy._branch is None
         assert copy == state and repr(copy) == repr(state) == repr(replace(state, _branch=None))
-        # without the branch the warm start steps from x0, to the same bits
-        assert rhc_step(scen.mpc, copy) == rhc_step(scen.mpc, state)
+        # without the branch the warm start steps from x0: the same step, by
+        # another search
+        s, after, sol = rhc_step(scen.mpc, state)
+        s_copy, after_copy, sol_copy = rhc_step(scen.mpc, copy)
+        assert (s_copy, after_copy, sol_copy.path, sol_copy.cost) == (s, after, sol.path, sol.cost)
+
+    @pytest.mark.parametrize("name, steps", [("cancer", 72), ("illustrative", 30)])
+    def test_pickled_state_continues_the_same_loop(self, name, steps):
+        scen = builtin_scenario(name)
+        live = initial_state(scen.x0)
+        for _ in range(3):
+            _, live, _ = rhc_step(scen.mpc, live)
+        copy = pickle.loads(pickle.dumps(live))
+        assert copy._branch is None
+        for k in range(3, steps):
+            s, live, sol = rhc_step(scen.mpc, live)
+            s_copy, copy, sol_copy = rhc_step(scen.mpc, copy)
+            assert (s_copy, sol_copy.path, sol_copy.cost) == (s, sol.path, sol.cost)
+            assert np.array(copy.x).tobytes() == np.array(live.x).tobytes()
+            assert copy.run == live.run
+            if k > 3:  # the first step searches unguided, the later ones from equal branches
+                assert (sol_copy.nodes_explored, sol_copy.nodes_pruned) == (
+                    sol.nodes_explored, sol.nodes_pruned
+                )
 
 
 def _reference_step(M: np.ndarray, X: Polytope, tol: float, x: tuple) -> tuple | None:
