@@ -62,9 +62,6 @@ UNIT_NORM_TOL = 4e-16
 # a least-distance emptiness decision needs its certificate to hold with this
 # margin on either side of eps; closer to eps it falls back to the LP
 BAND = 1e-7
-# a preimage keeps a row without an LP only when its inherited slack clears
-# the pruning tolerance by this much (1000x), so LP rounding cannot flip it
-INHERITED_SLACK_MARGIN = 1e-6
 DEFAULT_PART_CAP = 100_000
 PART_CAP_ENV = "SWMPC_PART_CAP"
 
@@ -245,9 +242,8 @@ class Polytope(_Value):
     """{x : Hx <= h}; rows of nonzero norm are rescaled to unit norm on construction.
 
     Like the cached properties, private entries of the instance dict are filled
-    on demand: `_slack`, lower bounds on how far each row lies beyond the set
-    cut by the other rows (recorded by `pruned`), `_norm_bound` (see there),
-    and `_preimages`, the pruned preimages built so far, keyed by the map.
+    on demand: `_norm_bound` (see there) and `_preimages`, the preimages built
+    so far, keyed by the map.
     """
 
     H: np.ndarray
@@ -433,40 +429,23 @@ class Polytope(_Value):
         return out
 
     def pruned(self) -> "Polytope":
-        """Drop inequality rows that are redundant for the feasible set.
-
-        Each kept row's slack (the LP optimum of its left side over the other
-        rows, minus its right side; inf when unbounded) is recorded on the
-        result.  A row whose slack is already recorded above
-        INHERITED_SLACK_MARGIN, as `preimage` arranges, is kept without an LP.
-        """
+        """Drop inequality rows that are redundant for the feasible set: a row
+        whose maximum over the other rows lies within PRUNE_TOL of its bound.
+        The result is marked as its own `_pruned`."""
         m = self.nrows
         if m <= 1:
             return self
-        known = self.__dict__.get("_slack")
-        # -inf: no bound (the row was not tested, or the other rows are infeasible)
-        slack = np.full(m, -math.inf)
         keep = list(range(m))
         for i in range(m):
             if len(keep) <= 1:
                 break
-            if known is not None and known[i] > INHERITED_SLACK_MARGIN:
-                slack[i] = known[i]
-                continue
             others = [j for j in keep if j != i]
             res = _lp(-self.H[i], self.H[others], self.h[others])
-            if res.status == 0:
-                if -res.fun <= self.h[i] + PRUNE_TOL:
-                    keep = others
-                    continue
-                slack[i] = -res.fun - self.h[i]
-            elif res.status == 3:
-                slack[i] = math.inf
-        # dropping rows only enlarges the set the other rows cut out, so every
-        # recorded bound stays valid
+            if res.status == 0 and -res.fun <= self.h[i] + PRUNE_TOL:
+                keep = others
         out = self if len(keep) == m else Polytope(self.H[keep], self.h[keep])
-        out.__dict__["_slack"] = slack[keep]
         out.__dict__["_norm_bound"] = _norm_bound(self)  # the same set
+        out.__dict__["_pruned"] = out
         return out
 
     @cached_property
@@ -479,14 +458,15 @@ class Polytope(_Value):
         return out
 
     def preimage(self, A: np.ndarray) -> "Polytope":
-        """{x : A x in self} = {x : (H A) x <= h}, pruned, for a nonsingular A,
-        computed without inverting A.
+        """{x : A x in self} = {x : (H A) x <= h} over the rows of `_pruned`,
+        for a nonsingular A, computed without inverting A.
 
         Built once per map and cached on this instance.  Since x -> A x is a
-        bijection, row i of the preimage has exactly the slack of row i here,
-        divided by the norm of H_i A, so rows with a recorded slack inherit it.
-        Its points x have ||x|| <= ||A x|| / sigma_min(A), so a norm bound R
-        here gives R / sigma_min(A) there, with sigma_min(A) padded down.
+        bijection, a row redundant in the preimage is redundant here, so the
+        preimage of the pruned rows is already pruned: it is marked as its
+        own `_pruned` and takes no redundancy LP.  Its points x have ||x|| <=
+        ||A x|| / sigma_min(A), so a norm bound R here gives R / sigma_min(A)
+        there, with sigma_min(A) padded down.
         """
         A = np.asarray(A, dtype=float)
         if A.shape != (self.dim, self.dim):
@@ -496,17 +476,13 @@ class Polytope(_Value):
         Q = cache.get(key)
         if Q is None:
             _require_nonsingular(A)
-            HA = self.H @ A
-            Q = Polytope(HA, self.h)
-            slack = self.__dict__.get("_slack")
-            if slack is not None and Q.nrows == self.nrows:  # no row merged away
-                norms = np.linalg.norm(HA, axis=1)
-                Q.__dict__["_slack"] = slack / np.where(norms > 0.0, norms, 1.0)
+            P = self._pruned
+            Q = cache[key] = Polytope(P.H @ A, P.h)
             s = np.linalg.svd(A, compute_uv=False)
             s_min = s[-1] - 1e-12 * s[0]  # thousands of times the SVD's rounding error
-            R = _norm_bound(self, solve=True)
+            R = _norm_bound(P, solve=True)
             Q.__dict__["_norm_bound"] = R / s_min if s_min > 0.0 else math.inf
-            Q = cache[key] = Q.pruned()
+            Q.__dict__["_pruned"] = Q
         return Q
 
     def to_dict(self) -> dict:
@@ -587,15 +563,14 @@ def _require_nonsingular(A: np.ndarray, label: str = "matrix") -> None:
 
 def controllable_set(sys, target: Polytope | PolytopeUnion) -> PolytopeUnion:
     """One-step controllable set: union of per-subsystem preimages of the
-    target, each taken of the part pruned once so that it inherits the slack."""
+    target's parts, each part pruned once (see `Polytope.preimage`)."""
     target = as_union(target)
     limit = part_cap()
     parts: list[Polytope] = []
     for i, A in enumerate(sys.matrices, start=1):
         _require_nonsingular(A, label=f"subsystem {i}")
         for P in target.parts:
-            pruned = P if "_slack" in P.__dict__ else P._pruned  # a slack marks a pruned part
-            parts.append(pruned.preimage(A))
+            parts.append(P.preimage(A))
             if len(parts) > limit:
                 raise GeometryCapError(
                     f"controllable set exceeded {limit} parts (see {PART_CAP_ENV})"
@@ -606,21 +581,18 @@ def controllable_set(sys, target: Polytope | PolytopeUnion) -> PolytopeUnion:
 # -- union inclusion via recursive region difference -------------------------
 
 
-def _uncovered_piece(
-    P: Polytope,
-    parts: Sequence[Polytope],
-    eps: float,
-    budget: int,
-) -> Polytope | None:
-    """A piece of P not covered by the union, or None when P is covered up to eps.
+def _uncovered_piece(P: Polytope, parts: Sequence[Polytope]) -> Polytope | None:
+    """A piece of P not covered by the union, or None when P is covered up to
+    EMPTY_TOL-deep residuals, within `part_cap()` pieces.
 
     Depth-first region difference: each part either misses the current piece,
     covers it, or splits it along the part's violated half-spaces; parts are
     tried in list order.
     Pieces are raw (H, h) stacks of unit rows; only the one returned becomes a Polytope.
     """
+    budget = part_cap()
     R = _norm_bound(P, solve=True)  # every piece lies in P, so R bounds its norm
-    if not _radius_at_least(P, eps, R):
+    if not _radius_at_least(P, EMPTY_TOL, R):
         return None
     stack: list[tuple[np.ndarray, np.ndarray, int]] = [(P.H, P.h, 0)]
     processed = 0
@@ -634,7 +606,7 @@ def _uncovered_piece(
         for idx in range(idx, len(parts)):
             Q = parts[idx]
             HQ, hQ = np.vstack([H, Q.H]), np.concatenate([h, Q.h])  # piece ∩ Q
-            if _radius_at_least((HQ, hQ), eps, R):
+            if _radius_at_least((HQ, hQ), EMPTY_TOL, R):
                 break
         else:
             return Polytope(H, h)
@@ -642,22 +614,14 @@ def _uncovered_piece(
         m = h.size
         for k in range(Q.nrows):
             outside = np.vstack([HQ[: m + k], -Q.H[k]]), np.append(hQ[: m + k], -Q.h[k])
-            if _radius_at_least(outside, eps, R):
+            if _radius_at_least(outside, EMPTY_TOL, R):
                 stack.append((*outside, idx + 1))
     return None
 
 
-def inclusion_in_union(
-    P: Polytope,
-    U: Polytope | PolytopeUnion,
-    eps: float = EMPTY_TOL,
-) -> bool:
-    """True iff P is covered by the union up to eps-deep residuals."""
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    U = as_union(U)
-    eps = max(eps, 1e-12)
-    return _uncovered_piece(P, U.parts, eps, part_cap()) is None
+def inclusion_in_union(P: Polytope, U: Polytope | PolytopeUnion) -> bool:
+    """True iff P is covered by the union up to EMPTY_TOL-deep residuals."""
+    return _uncovered_piece(P, as_union(U).parts) is None
 
 
 # -- invariance and stabilizability ------------------------------------------
@@ -691,7 +655,7 @@ def is_switched_invariant(sys, omega: Polytope | PolytopeUnion) -> InvarianceRep
         S = controllable_set(sys, omega).parts
         S = sorted(S, key=lambda p: -min(p.chebyshev_radius, 1e300))  # largest ball first
         for P in regular:
-            piece = _uncovered_piece(P, S, EMPTY_TOL, part_cap())
+            piece = _uncovered_piece(P, S)
             if piece is not None:
                 center = piece.chebyshev_ball[1]
                 if center is None:
@@ -733,9 +697,7 @@ def stabilizability_certificate(
             raise GeometryCapError(
                 f"accumulated controllable sets exceeded {limit} parts (see {PART_CAP_ENV})"
             )
-        if all(
-            _uncovered_piece(P, accumulated, EMPTY_TOL, limit) is None for P in inflated
-        ):
+        if all(_uncovered_piece(P, accumulated) is None for P in inflated):
             return k
     return None
 
@@ -755,7 +717,7 @@ def non_stabilizability_certificate(
     current = omega
     for k in range(kmax + 1):
         current = controllable_set(sys, current)  # S_{k+1}
-        if all(_uncovered_piece(P, hat, EMPTY_TOL, limit) is None for P in current.parts):
+        if all(_uncovered_piece(P, hat) is None for P in current.parts):
             return k
         hat.extend(current.parts)
         if len(hat) > limit:

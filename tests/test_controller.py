@@ -716,7 +716,8 @@ class TestNearTies:
     @settings(max_examples=40, derandomize=True, deadline=None, database=None)
     @given(near_tie_problems(max_leaves=256))
     def test_closed_loop_matches_enumeration(self, template):
-        # each step after the first is warm-started from the shifted plan
+        # each step after the first is warm-started from the branch the last
+        # solve carried
         state = ControllerState(x=template.x, run=template.run)
         for _ in range(4):
             oracle = enumerate_ocp(replace(template, x=state.x, run=state.run))
@@ -728,9 +729,10 @@ class TestNearTies:
             assert (sol.cost, sol.path) == oracle
 
 
-class TestWarmStartPlan:
+class TestCarriedWarmStart:
     def test_illustrative_loop_node_pin(self):
-        # the shifted plan cuts the 30-step loop from 44,388 nodes to 16,116
+        # the carried branch cuts the 30-step loop from 44,388 nodes, with
+        # every step warm-started from its x alone, to 16,116
         scen = builtin_scenario("illustrative")
         record = run_closed_loop(scen.mpc, 30)
         assert sum(record.nodes_explored) <= 20_000
