@@ -11,19 +11,21 @@ Numerical conventions: a polytope counts as empty when its Chebyshev radius
 is below EMPTY_TOL; sets thinner than that tolerance are treated as empty by
 the union-inclusion machinery (exact singletons are special-cased where the
 pointwise definition matters).  The region difference and `prune_empty`
-decide radius >= eps by a least-distance (NNLS) solve checked in plain numpy:
-a Farkas vector for "empty" within a norm bound R, a point checked row by row
-for "nonempty".  R is the target box's, divided by sigma_min(A) at each
-preimage, and is -inf for a box or cached coordinate ranges with hi < lo.  A
-radius within BAND of eps, a failed check or an unknown R reads the Chebyshev
-LP, as does every radius whose value is used: `is_empty`, the invariance
-check's part order (no other caller sorts) and its counterexample.  The
-region difference keeps its pieces as raw (H, h) arrays of unit rows and
-builds a Polytope only for that LP and for the piece it returns.  Every LP
-goes through `linprog`: HiGHS from scipy's bundled bindings, one solver per
-thread, handed each LP as a fresh model.  scipy is imported on the first LP
-or least-distance solve, not with this module, so a run that makes neither
-(a controller loop on a box or halfspace target) never loads it.
+decide radius >= eps in plain numpy: "nonempty" by the origin if every
+h_i - eps >= BAND, else by the point of one least-distance (NNLS) solve,
+checked row by row; "empty" by that solve's NNLS vector, or a second solve's,
+as a Farkas vector within a norm bound R.  R is the target box's, divided by
+sigma_min(A) at each preimage, and is -inf for a box or cached coordinate
+ranges with hi < lo.  A radius within BAND of eps, a failed check or an
+unknown R reads the Chebyshev LP, as does every radius whose value is used:
+`is_empty`, the invariance check's part order (no other caller sorts) and
+its counterexample.  The region difference keeps its pieces as raw (H, h)
+arrays of unit rows and builds a Polytope only for that LP and for the piece
+`_uncovered_piece` returns.  Every LP goes through `linprog`: HiGHS from
+scipy's bundled bindings, one solver per thread, handed each LP as a fresh
+model.  scipy is imported on the first LP or least-distance solve, not with
+this module, so a run that makes neither (a controller loop on a box or
+halfspace target) never loads it.
 """
 
 from __future__ import annotations
@@ -198,14 +200,15 @@ def _radius_at_least(P: "Polytope | tuple[np.ndarray, np.ndarray]", eps: float, 
     inside the ball of radius R (empty if R < 0).  P may also be the raw (H, h)
     of a region-difference piece, made a Polytope only for the LP.
 
-    One least-distance solve decides each side when its certificate checks
-    in plain numpy: a Farkas vector u for {Hx <= h - eps + BAND} with
-    u.(h - eps + BAND) + ||H^T u|| R < 0 proves that no point of that set,
-    and so none of the smaller {Hx <= h - eps}, lies in the ball; a point of
-    {Hx <= h - eps - BAND} that satisfies Hx <= h - eps row by row proves the
-    converse.  A radius within about BAND of eps, a failed check or solve,
-    a zero row (whose LP constraint is not shifted by eps), an unbounded R
-    and an already cached radius all read the Chebyshev LP.
+    A certificate checked in plain numpy decides: the origin (if h - eps >=
+    BAND) or the least-distance point of {Hx <= h - eps - BAND}, if it
+    satisfies Hx <= h - eps row by row, proves "yes"; a Farkas vector u for
+    {Hx <= h - eps + BAND} with u.(h - eps + BAND) + ||H^T u|| R < 0 proves
+    that no point of that set, and so none of {Hx <= h - eps}, lies in the
+    ball.  The point's NNLS vector is tried as u before a second solve.  A
+    radius within about BAND of eps, a failed check or solve, a zero row
+    (whose LP constraint is not shifted by eps), an unbounded R and an
+    already cached radius all read the Chebyshev LP.
     """
     if R < 0.0:
         return False
@@ -213,14 +216,18 @@ def _radius_at_least(P: "Polytope | tuple[np.ndarray, np.ndarray]", eps: float, 
     uncached = isinstance(P, tuple) or "chebyshev_ball" not in P.__dict__
     if uncached and math.isfinite(R) and H.any(axis=1).all():
         d = h - eps
+        if d.min() >= BAND:
+            return True
         g = d + BAND
         try:
+            u, x = _least_distance(H, d - BAND)
+            if x is not None and np.all(H @ x <= d):
+                return True
+            if u @ g + np.linalg.norm(H.T @ u) * R < 0.0:
+                return False
             u, _ = _least_distance(H, g)
             if u @ g + np.linalg.norm(H.T @ u) * R < 0.0:
                 return False
-            _, x = _least_distance(H, d - BAND)
-            if x is not None and np.all(H @ x <= d):
-                return True
         except RuntimeError:
             pass
     return (Polytope(H, h) if isinstance(P, tuple) else P).chebyshev_radius >= eps
@@ -581,19 +588,19 @@ def controllable_set(sys, target: Polytope | PolytopeUnion) -> PolytopeUnion:
 # -- union inclusion via recursive region difference -------------------------
 
 
-def _uncovered_piece(P: Polytope, parts: Sequence[Polytope]) -> Polytope | None:
-    """A piece of P not covered by the union, or None when P is covered up to
-    EMPTY_TOL-deep residuals, within `part_cap()` pieces.
+def _uncovered_pieces(P: Polytope, parts: Sequence[Polytope]):
+    """Yield the raw (H, h) unit rows of a piece of P not covered by `parts`,
+    until P is covered up to EMPTY_TOL-deep residuals, within `part_cap()` pieces in all.
 
     Depth-first region difference: each part either misses the current piece,
     covers it, or splits it along the part's violated half-spaces; parts are
-    tried in list order.
-    Pieces are raw (H, h) stacks of unit rows; only the one returned becomes a Polytope.
+    tried in list order.  Parts appended between yields extend the search as a
+    fresh search of the longer list would: the last piece tries the new parts.
     """
     budget = part_cap()
     R = _norm_bound(P, solve=True)  # every piece lies in P, so R bounds its norm
     if not _radius_at_least(P, EMPTY_TOL, R):
-        return None
+        return
     stack: list[tuple[np.ndarray, np.ndarray, int]] = [(P.H, P.h, 0)]
     processed = 0
     while stack:
@@ -603,25 +610,31 @@ def _uncovered_piece(P: Polytope, parts: Sequence[Polytope]) -> Polytope | None:
             raise GeometryCapError(
                 f"region difference exceeded {budget} pieces (see {PART_CAP_ENV})"
             )
-        for idx in range(idx, len(parts)):
+        while True:
+            while idx == len(parts):
+                yield H, h
             Q = parts[idx]
             HQ, hQ = np.vstack([H, Q.H]), np.concatenate([h, Q.h])  # piece ∩ Q
             if _radius_at_least((HQ, hQ), EMPTY_TOL, R):
                 break
-        else:
-            return Polytope(H, h)
+            idx += 1
         # the piece minus Q: the pieces inside Q's rows before k and outside row k
         m = h.size
         for k in range(Q.nrows):
             outside = np.vstack([HQ[: m + k], -Q.H[k]]), np.append(hQ[: m + k], -Q.h[k])
             if _radius_at_least(outside, EMPTY_TOL, R):
                 stack.append((*outside, idx + 1))
-    return None
+
+
+def _uncovered_piece(P: Polytope, parts: Sequence[Polytope]) -> Polytope | None:
+    """A piece of P not covered by `parts`, or None (see `_uncovered_pieces`)."""
+    piece = next(_uncovered_pieces(P, parts), None)
+    return None if piece is None else Polytope(*piece)
 
 
 def inclusion_in_union(P: Polytope, U: Polytope | PolytopeUnion) -> bool:
     """True iff P is covered by the union up to EMPTY_TOL-deep residuals."""
-    return _uncovered_piece(P, as_union(U).parts) is None
+    return next(_uncovered_pieces(P, as_union(U).parts), None) is None
 
 
 # -- invariance and stabilizability ------------------------------------------
@@ -682,13 +695,15 @@ def stabilizability_certificate(
 
     A positive answer certifies the existence of a stabilizing switching law;
     None means "not certified within kmax".  The open-interior requirement is
-    realized by covering (1 + INTERIOR_INFLATION) * omega.
+    realized by covering (1 + INTERIOR_INFLATION) * omega, each part by one
+    region difference that resumes across k (see `_uncovered_pieces`).
     """
     omega = as_union(omega)
     _require_cstar_surrogate(omega, kmax)
     limit = part_cap()
-    inflated = [P.scale(1.0 + INTERIOR_INFLATION) for P in omega.parts]
     accumulated: list[Polytope] = []
+    searches = [_uncovered_pieces(P.scale(1.0 + INTERIOR_INFLATION), accumulated)
+                for P in omega.parts]
     current = omega
     for k in range(kmax + 1):
         current = controllable_set(sys, current)  # S_{k+1}
@@ -697,7 +712,7 @@ def stabilizability_certificate(
             raise GeometryCapError(
                 f"accumulated controllable sets exceeded {limit} parts (see {PART_CAP_ENV})"
             )
-        if all(_uncovered_piece(P, accumulated) is None for P in inflated):
+        if all(next(search, None) is None for search in searches):
             return k
     return None
 
@@ -717,7 +732,7 @@ def non_stabilizability_certificate(
     current = omega
     for k in range(kmax + 1):
         current = controllable_set(sys, current)  # S_{k+1}
-        if all(_uncovered_piece(P, hat) is None for P in current.parts):
+        if all(next(_uncovered_pieces(P, hat), None) is None for P in current.parts):
             return k
         hat.extend(current.parts)
         if len(hat) > limit:

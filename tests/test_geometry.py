@@ -29,12 +29,16 @@ from swmpc.controller import _build_distance, _project_onto_polytope
 from swmpc.geometry import (
     BAND,
     EMPTY_TOL,
+    INTERIOR_INFLATION,
+    PART_CAP_ENV,
+    GeometryCapError,
     NumericalError,
     _lp,
     _norm_bound,
     _radius_at_least,
     _uncovered_piece,
     as_union,
+    part_cap,
 )
 from .oracles import polytope_samples, unreached_within
 
@@ -839,6 +843,52 @@ class TestRadiusDecision:
         assert self._decide(Polytope.box([-1, -1], [1, 1]), math.inf, lp_count) == (True, True, True)
         assert self._decide(Polytope.box([-1, -1], [1, 1]), 10.0, lp_count) == (True, True, False)
 
+    @pytest.fixture
+    def nnls_count(self, monkeypatch):
+        from scipy.optimize import nnls
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return nnls(*args, **kwargs)
+
+        monkeypatch.setattr(swmpc.geometry, "nnls", counting)
+        return calls
+
+    def test_origin_ball_inside_makes_no_solve(self, lp_count, nnls_count):
+        # with h - eps >= BAND in every row the origin is a point of
+        # {Hx <= h - eps - BAND}, so the decision needs neither solve nor LP
+        rng = np.random.default_rng(5)
+        cubes = _cubes(1.0)
+        bounds = {n: _bound(cube) for n, cube in cubes.items()}
+        lp_count.clear()
+        for _ in range(60):
+            n = int(rng.integers(2, 5))
+            H, h = _random_rows(rng, n, 2 * n + 2, np.zeros(n), EMPTY_TOL + 2 * BAND, 0.5)
+            assert _radius_at_least(cut(cubes[n], H, h), EMPTY_TOL, bounds[n])
+        assert not nnls_count and not lp_count
+
+    def test_a_decision_without_the_lp_makes_at_most_one_solve(self, lp_count, nnls_count):
+        # the pieces of `test_agrees_on_random_pieces_of_a_box`: the point's
+        # solve comes first, and its NNLS vector doubles as the Farkas vector
+        rng = np.random.default_rng(12)
+        cubes = _cubes(1.0)
+        solves = []
+        for _ in range(240):
+            n = int(rng.integers(2, 5))
+            box = cubes[n]
+            H, h = _random_rows(rng, n, int(rng.integers(n + 1, 2 * n + 5)),
+                                rng.uniform(-1.0, 1.0, size=n), -0.45, 0.6)
+            Q = Polytope(H, h)
+            before = len(nnls_count)
+            got, want, used_lp = self._decide(cut(box, Q.H, Q.h), _bound(box), lp_count)
+            assert got == want
+            if not used_lp:
+                solves.append(len(nnls_count) - before)
+        assert len(solves) >= 0.95 * 240
+        assert np.mean(np.array(solves) <= 1) >= 0.98
+
 
 
 def _max_vertex_norm(P):
@@ -1153,3 +1203,108 @@ class TestRegionDifference:
             assert P.contains(center)
             assert not any(Q.contains(center) for Q in parts)
         assert 0.2 < np.mean(verdicts) < 0.8
+
+
+def _restarting_certificate(sys_, omega, kmax):
+    """`stabilizability_certificate` with a fresh `_uncovered_piece` for every
+    inflated part at every level, the search that the certificate resumes."""
+    omega = as_union(omega)
+    limit = part_cap()
+    inflated = [P.scale(1.0 + INTERIOR_INFLATION) for P in omega.parts]
+    accumulated, current = [], omega
+    for k in range(kmax + 1):
+        current = swmpc.geometry.controllable_set(sys_, current)
+        accumulated.extend(current.parts)
+        if len(accumulated) > limit:
+            raise GeometryCapError(
+                f"accumulated controllable sets exceeded {limit} parts (see {PART_CAP_ENV})"
+            )
+        if all(_uncovered_piece(P, accumulated) is None for P in inflated):
+            return k
+    return None
+
+
+def _random_planar_case(rng):
+    """2-4 sheared, scaled rotations about as likely to contract as to expand,
+    and a regular polygon about the origin."""
+    mats = [
+        rng.uniform(0.9, 1.4) * rotation_matrix(rng.uniform(0, 2 * np.pi))
+        @ np.array([[1.0, rng.uniform(-0.5, 0.5)], [0.0, 1.0]])
+        for _ in range(int(rng.integers(2, 5)))
+    ]
+    omega = regular_polygon(int(rng.integers(3, 9)), rng.uniform(0.05, 0.3), rng.uniform(0, 7))
+    return planar_system(*mats), omega
+
+
+class TestResumedSearch:
+    """`stabilizability_certificate`, whose region difference resumes across k,
+    against `_restarting_certificate`."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"levels": 0, "radius": 0}
+        level, radius = swmpc.geometry.controllable_set, swmpc.geometry._radius_at_least
+
+        def counting_level(*args):
+            counts["levels"] += 1
+            return level(*args)
+
+        def counting_radius(*args):
+            counts["radius"] += 1
+            return radius(*args)
+
+        monkeypatch.setattr(swmpc.geometry, "controllable_set", counting_level)
+        monkeypatch.setattr(swmpc.geometry, "_radius_at_least", counting_radius)
+        return counts
+
+    @staticmethod
+    def _both(counts, sys_, omega, kmax):
+        """(k or the cap error's message, levels built, radius decisions), for the
+        certificate and then for the restarting oracle."""
+        out = []
+        for certify in (stabilizability_certificate, _restarting_certificate):
+            counts.update(levels=0, radius=0)
+            try:
+                k = certify(sys_, omega, kmax)
+            except GeometryCapError as err:
+                k = str(err)
+            out.append((k, counts["levels"], counts["radius"]))
+        return out
+
+    @staticmethod
+    def _check(got, want):
+        assert got[:2] == want[:2]
+        # a level after the first resumes its search, and skips the decisions
+        # that a restarted search repeats (at least the test of P itself)
+        assert got[2] < want[2] if got[1] > 1 else got[2] == want[2]
+
+    @pytest.mark.parametrize("kmax", range(5))
+    def test_illustrative_matches_a_restarted_search(self, counts, kmax):
+        omega = Polytope.box([-0.1, -0.1], [0.1, 0.1])
+        got, want = self._both(counts, build_illustrative_system(), omega, kmax)
+        self._check(got, want)
+        assert got[0] == (3 if kmax >= 3 else None)
+
+    def test_random_planar_systems_match_a_restarted_search(self, counts):
+        rng = np.random.default_rng(7)
+        verdicts = []
+        for _ in range(24):
+            got, want = self._both(counts, *_random_planar_case(rng), 3)
+            self._check(got, want)
+            verdicts.append(got[0])
+        assert sum(k is None for k in verdicts) >= 3
+        assert sum(k is not None and k >= 1 for k in verdicts) >= 5
+
+    def test_piece_budget_counts_across_levels(self, counts, monkeypatch):
+        # the budget counts every piece since the search began, as a restarted
+        # search counts the pieces of the levels it repeats
+        rng = np.random.default_rng(7)
+        late_budget_errors = 0
+        for _ in range(24):
+            case = _random_planar_case(rng)
+            for cap in (4, 8, 16, 24):
+                monkeypatch.setenv(PART_CAP_ENV, str(cap))
+                got, want = self._both(counts, *case, 3)
+                assert got[:2] == want[:2]
+                late_budget_errors += "region difference" in str(got[0]) and got[1] > 1
+        assert late_budget_errors >= 3
