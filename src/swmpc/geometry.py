@@ -11,21 +11,20 @@ Numerical conventions: a polytope counts as empty when its Chebyshev radius
 is below EMPTY_TOL; sets thinner than that tolerance are treated as empty by
 the union-inclusion machinery (exact singletons are special-cased where the
 pointwise definition matters).  The region difference and `prune_empty`
-decide radius >= eps in plain numpy: "nonempty" by the origin if every
-h_i - eps >= BAND, else by the point of one least-distance (NNLS) solve,
-checked row by row; "empty" by that solve's NNLS vector, or a second solve's,
-as a Farkas vector within a norm bound R.  R is the target box's, divided by
-sigma_min(A) at each preimage, and is -inf for a box or cached coordinate
-ranges with hi < lo.  A radius within BAND of eps, a failed check or an
-unknown R reads the Chebyshev LP, as does every radius whose value is used:
-`is_empty`, the invariance check's part order (no other caller sorts) and
-its counterexample.  The region difference keeps its pieces as raw (H, h)
-arrays of unit rows and builds a Polytope only for that LP and for the piece
-`_uncovered_piece` returns.  Every LP goes through `linprog`: HiGHS from
-scipy's bundled bindings, one solver per thread, handed each LP as a fresh
-model.  scipy is imported on the first LP or least-distance solve, not with
-this module, so a run that makes neither (a controller loop on a box or
-halfspace target) never loads it.
+decide radius >= eps by one least-distance (NNLS) solve checked in plain
+numpy: its point, checked row by row, proves "nonempty", and its NNLS vector,
+read as a Farkas vector within a norm bound R, proves "empty".  R is the
+target box's, divided by sigma_min(A) at each preimage, and is -inf for a box
+or cached coordinate ranges with hi < lo.  A radius within BAND of eps, a
+failed check or an unknown R reads the Chebyshev LP, as does every radius
+whose value is used: `is_empty`, the invariance check's part order (no other
+caller sorts) and its counterexample.  The region difference keeps its pieces
+as raw (H, h) arrays of unit rows and builds a Polytope only for that LP and
+for the piece `_uncovered_piece` returns.  Every LP goes through `linprog`:
+HiGHS from scipy's bundled bindings, one solver per thread, handed each LP as
+a fresh model.  scipy is imported on the first LP or least-distance solve,
+not with this module, so a run that makes neither (a controller loop on a box
+or halfspace target) never loads it.
 """
 
 from __future__ import annotations
@@ -200,15 +199,14 @@ def _radius_at_least(P: "Polytope | tuple[np.ndarray, np.ndarray]", eps: float, 
     inside the ball of radius R (empty if R < 0).  P may also be the raw (H, h)
     of a region-difference piece, made a Polytope only for the LP.
 
-    A certificate checked in plain numpy decides: the origin (if h - eps >=
-    BAND) or the least-distance point of {Hx <= h - eps - BAND}, if it
-    satisfies Hx <= h - eps row by row, proves "yes"; a Farkas vector u for
-    {Hx <= h - eps + BAND} with u.(h - eps + BAND) + ||H^T u|| R < 0 proves
-    that no point of that set, and so none of {Hx <= h - eps}, lies in the
-    ball.  The point's NNLS vector is tried as u before a second solve.  A
-    radius within about BAND of eps, a failed check or solve, a zero row
-    (whose LP constraint is not shifted by eps), an unbounded R and an
-    already cached radius all read the Chebyshev LP.
+    One least-distance solve, for the point of {Hx <= h - eps - BAND},
+    decides when a certificate checks in plain numpy: the point, if it
+    satisfies Hx <= h - eps row by row, proves "yes"; the solve's NNLS vector
+    u, if u.(h - eps + BAND) + ||H^T u|| R < 0, proves that no point of
+    {Hx <= h - eps + BAND}, and so none of {Hx <= h - eps}, lies in the ball.
+    The two cannot both hold.  A radius within about BAND of eps, a failed
+    check or solve, a zero row (whose LP constraint is not shifted by eps),
+    an unbounded R and an already cached radius all read the Chebyshev LP.
     """
     if R < 0.0:
         return False
@@ -216,16 +214,11 @@ def _radius_at_least(P: "Polytope | tuple[np.ndarray, np.ndarray]", eps: float, 
     uncached = isinstance(P, tuple) or "chebyshev_ball" not in P.__dict__
     if uncached and math.isfinite(R) and H.any(axis=1).all():
         d = h - eps
-        if d.min() >= BAND:
-            return True
         g = d + BAND
         try:
             u, x = _least_distance(H, d - BAND)
             if x is not None and np.all(H @ x <= d):
                 return True
-            if u @ g + np.linalg.norm(H.T @ u) * R < 0.0:
-                return False
-            u, _ = _least_distance(H, g)
             if u @ g + np.linalg.norm(H.T @ u) * R < 0.0:
                 return False
         except RuntimeError:

@@ -856,38 +856,31 @@ class TestRadiusDecision:
         monkeypatch.setattr(swmpc.geometry, "nnls", counting)
         return calls
 
-    def test_origin_ball_inside_makes_no_solve(self, lp_count, nnls_count):
-        # with h - eps >= BAND in every row the origin is a point of
-        # {Hx <= h - eps - BAND}, so the decision needs neither solve nor LP
-        rng = np.random.default_rng(5)
-        cubes = _cubes(1.0)
-        bounds = {n: _bound(cube) for n, cube in cubes.items()}
-        lp_count.clear()
-        for _ in range(60):
-            n = int(rng.integers(2, 5))
-            H, h = _random_rows(rng, n, 2 * n + 2, np.zeros(n), EMPTY_TOL + 2 * BAND, 0.5)
-            assert _radius_at_least(cut(cubes[n], H, h), EMPTY_TOL, bounds[n])
-        assert not nnls_count and not lp_count
-
     def test_a_decision_without_the_lp_makes_at_most_one_solve(self, lp_count, nnls_count):
         # the pieces of `test_agrees_on_random_pieces_of_a_box`: the point's
-        # solve comes first, and its NNLS vector doubles as the Farkas vector
+        # solve comes first, and its NNLS vector doubles as the Farkas vector;
+        # where h - eps >= BAND in every row that point is the origin, found
+        # with no NNLS call
         rng = np.random.default_rng(12)
         cubes = _cubes(1.0)
-        solves = []
+        solves, origin_solves = [], []
         for _ in range(240):
             n = int(rng.integers(2, 5))
             box = cubes[n]
             H, h = _random_rows(rng, n, int(rng.integers(n + 1, 2 * n + 5)),
                                 rng.uniform(-1.0, 1.0, size=n), -0.45, 0.6)
             Q = Polytope(H, h)
+            P = cut(box, Q.H, Q.h)
             before = len(nnls_count)
-            got, want, used_lp = self._decide(cut(box, Q.H, Q.h), _bound(box), lp_count)
+            got, want, used_lp = self._decide(P, _bound(box), lp_count)
             assert got == want
             if not used_lp:
                 solves.append(len(nnls_count) - before)
+            if (P.h - EMPTY_TOL).min() >= BAND:
+                origin_solves.append(len(nnls_count) - before + used_lp)
         assert len(solves) >= 0.95 * 240
         assert np.mean(np.array(solves) <= 1) >= 0.98
+        assert origin_solves and not any(origin_solves)
 
 
 
