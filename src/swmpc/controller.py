@@ -20,10 +20,10 @@ broken toward the lexicographically smallest signal sequence.
 
 What a closed loop's template fixes, `_context` builds once per value of the
 fields it reads, for every problem equal to it apart from x and run: the
-products x -> A_sigma x (straight-line code that `switched` generates per
-distinct matrix), which the leaves step through; the child steps, generated
-code that also decides X membership (`_child_step`), which every other node
-and the warm start step through; the target distance and membership (the same
+products x -> A_sigma x, which the leaves step through; the child steps, which
+also decide X membership and which every other node and the warm start step
+through (both straight-line code per distinct matrix, from the one generator
+`switched._child_step`); the target distance and membership (the same
 generated check, part by part), the rule and both cost-to-go bounds.  Each
 solve picks the bound, as the linear one needs x0 >= 0.
 
@@ -44,8 +44,7 @@ import numpy as np
 
 from .geometry import NumericalError, Polytope, PolytopeUnion, _least_distance, as_union
 from .switched import (
-    CACHE_SIZE, RuleState, SimulationResult, SwitchedSystem, SwitchingRule, _compile, _row_sums,
-    simulate,
+    CACHE_SIZE, RuleState, SimulationResult, SwitchedSystem, SwitchingRule, _child_step, simulate,
 )
 
 __all__ = [
@@ -280,35 +279,6 @@ def _build_distance(target: PolytopeUnion) -> Callable[[tuple[float, ...]], floa
 def distance_to_set(omega: Polytope | PolytopeUnion, x: Sequence[float]) -> float:
     """Euclidean distance from x to a union of polytopes (0 when x is a member)."""
     return _build_distance(as_union(omega))(tuple(float(v) for v in x))
-
-
-def _child_step(M: np.ndarray | None, X: Polytope, tol: float) -> Callable:
-    """x -> y = M x when `X.contains(y, tol)`, else None, as straight-line code;
-    without M, x -> `X.contains(x, tol)`.
-
-    y is summed as `SwitchedSystem.product` sums it.  Each row of X sums only
-    its nonzero terms: for finite y the others are +-0, so the verdict is
-    `contains`' (a box compares one axis per row).  A non-finite y[k] can pass
-    every row only if no rows bound axis k on both sides; there `contains`
-    decides.
-    """
-    n = X.dim
-    y = "(" + "".join(f"y{i}, " for i in range(n)) + ")"
-    if M is None:
-        body, hit, miss = [f"{y} = x"], "True", "False"
-    else:
-        body = ["".join(f"x{j}, " for j in range(n)) + "= x"]
-        body += [f"y{i} = {s}" for i, s in enumerate(_row_sums(M.tolist()))]
-        hit, miss = y, "None"
-    for row, b in X._rows:
-        terms = " + ".join(f"({a!r}) * y{k}" for k, a in enumerate(row) if a) or "0.0"
-        body.append(f"if not {terms} <= {b + tol!r}: return {miss}")
-    loose = [k for k in range(n) if not (np.any(X.H[:, k] > 0.0) and np.any(X.H[:, k] < 0.0))]
-    if loose:  # their sum lies between -inf and inf (1e999) only when each is finite
-        body.append(f"if not -1e999 < {' + '.join(f'y{k}' for k in loose)} < 1e999: "
-                    f"return {hit} if contains({y}, {tol!r}) else {miss}")
-    return _compile("membership" if M is None else "child step", [*body, f"return {hit}"],
-                    {"contains": X.contains})
 
 
 def _member(region: PolytopeUnion, tol: float) -> Callable[[tuple[float, ...]], bool]:

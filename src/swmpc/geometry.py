@@ -83,6 +83,12 @@ def part_cap() -> int:
     return int(os.environ.get(PART_CAP_ENV, DEFAULT_PART_CAP))
 
 
+def _check_cap(count: int, limit: int, what: str, unit: str = "parts") -> None:
+    """Raise `GeometryCapError` when count exceeds the limit read from `part_cap()`."""
+    if count > limit:
+        raise GeometryCapError(f"{what} exceeded {limit} {unit} (see {PART_CAP_ENV})")
+
+
 _THREAD = threading.local()  # .highs: this thread's HiGHS solver, made on first use
 
 
@@ -507,12 +513,6 @@ class PolytopeUnion:
                 raise ValueError("all parts of a union must share one dimension")
         object.__setattr__(self, "parts", parts)
 
-    @property
-    def dim(self) -> int:
-        if not self.parts:
-            raise ValueError("empty union has no dimension")
-        return self.parts[0].dim
-
     def __len__(self) -> int:
         return len(self.parts)
 
@@ -571,10 +571,7 @@ def controllable_set(sys, target: Polytope | PolytopeUnion) -> PolytopeUnion:
         _require_nonsingular(A, label=f"subsystem {i}")
         for P in target.parts:
             parts.append(P.preimage(A))
-            if len(parts) > limit:
-                raise GeometryCapError(
-                    f"controllable set exceeded {limit} parts (see {PART_CAP_ENV})"
-                )
+            _check_cap(len(parts), limit, "controllable set")
     return PolytopeUnion(tuple(parts)).prune_empty()
 
 
@@ -599,10 +596,7 @@ def _uncovered_pieces(P: Polytope, parts: Sequence[Polytope]):
     while stack:
         H, h, idx = stack.pop()
         processed += 1
-        if processed > budget:
-            raise GeometryCapError(
-                f"region difference exceeded {budget} pieces (see {PART_CAP_ENV})"
-            )
+        _check_cap(processed, budget, "region difference", "pieces")
         while True:
             while idx == len(parts):
                 yield H, h
@@ -701,10 +695,7 @@ def stabilizability_certificate(
     for k in range(kmax + 1):
         current = controllable_set(sys, current)  # S_{k+1}
         accumulated.extend(current.parts)
-        if len(accumulated) > limit:
-            raise GeometryCapError(
-                f"accumulated controllable sets exceeded {limit} parts (see {PART_CAP_ENV})"
-            )
+        _check_cap(len(accumulated), limit, "accumulated controllable sets")
         if all(next(search, None) is None for search in searches):
             return k
     return None
@@ -728,8 +719,5 @@ def non_stabilizability_certificate(
         if all(next(_uncovered_pieces(P, hat), None) is None for P in current.parts):
             return k
         hat.extend(current.parts)
-        if len(hat) > limit:
-            raise GeometryCapError(
-                f"accumulated union exceeded {limit} parts (see {PART_CAP_ENV})"
-            )
+        _check_cap(len(hat), limit, "accumulated union")
     return None

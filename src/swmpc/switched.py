@@ -7,7 +7,7 @@ meets a system (`simulate`, `validate_waiting`).
 Simulations step x -> A_sigma x through `SwitchedSystem.product`, straight-line
 code generated per distinct matrix, found by its bytes (the last `CACHE_SIZE` are
 kept), at a cost that grows as n^2 (on a 2-core Xeon, 80 us at n = 2, 0.3 s at
-200); the search's child steps sum the same rows (`_row_sums`) to the same bits.
+200); `_child_step` writes them and the search's child steps, with the same sums.
 Dwell-time ("waiting time") bounds constrain how long each signal must and may
 persist, expressed through maximal constant runs ("packs") of the path.
 `SwitchingRule` states those bounds, and the optional cycle-coverage rule, as
@@ -47,11 +47,6 @@ _COMPILED = itertools.count()  # numbers each generated function's filename
 CACHE_SIZE = 256  # per process-wide cache (products, search contexts): more than an op uses
 
 
-def _row_sums(rows: list[list[float]]) -> list[str]:
-    """Each row's a.x as code: left to right from 0.0, `repr` literals (the same floats)."""
-    return ["0.0" + "".join(f" + ({a!r}) * x{j}" for j, a in enumerate(row)) for row in rows]
-
-
 def _compile(name: str, body: list[str], scope: dict) -> Callable:
     """`def f(x)` with that body, compiled under its own name for cProfile."""
     source = "def f(x):\n" + "".join(f"    {line}\n" for line in body)
@@ -59,13 +54,44 @@ def _compile(name: str, body: list[str], scope: dict) -> Callable:
     return scope["f"]
 
 
+def _child_step(M: np.ndarray | None, X: Polytope | None, tol: float) -> Callable:
+    """x -> M x as straight-line code, each row's a.x summed left to right from
+    0.0 with `repr` literals (the same floats); with X, x -> y = M x when
+    `X.contains(y, tol)`, else None; with X and no M, x -> `X.contains(x, tol)`.
+
+    Each row of X sums only its nonzero terms: for finite y the others are
+    +-0, so the verdict is `contains`' (a box compares one axis per row).  A
+    non-finite y[k] can pass every row only if no rows bound axis k on both
+    sides; there `contains` decides.
+    """
+    if M is not None:
+        body = ["".join(f"x{j}, " for j in range(M.shape[1])) + "= x"]
+        sums = ["0.0" + "".join(f" + ({a!r}) * x{j}" for j, a in enumerate(row)) for row in M.tolist()]
+        if X is None:
+            body.append("return (" + "".join(f"{s}, " for s in sums) + ")")
+            return _compile(f"product {M.shape[0]}x{M.shape[1]}", body, {})
+    n = X.dim
+    y = "(" + "".join(f"y{i}, " for i in range(n)) + ")"
+    if M is None:
+        body, hit, miss = [f"{y} = x"], "True", "False"
+    else:
+        body += [f"y{i} = {s}" for i, s in enumerate(sums)]
+        hit, miss = y, "None"
+    for row, b in X._rows:
+        terms = " + ".join(f"({a!r}) * y{k}" for k, a in enumerate(row) if a) or "0.0"
+        body.append(f"if not {terms} <= {b + tol!r}: return {miss}")
+    loose = [k for k in range(n) if not (np.any(X.H[:, k] > 0.0) and np.any(X.H[:, k] < 0.0))]
+    if loose:  # their sum lies between -inf and inf (1e999) only when each is finite
+        body.append(f"if not -1e999 < {' + '.join(f'y{k}' for k in loose)} < 1e999: "
+                    f"return {hit} if contains({y}, {tol!r}) else {miss}")
+    return _compile("membership" if M is None else "child step", [*body, f"return {hit}"],
+                    {"contains": X.contains})
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def _product(shape: tuple[int, int], data: bytes) -> Callable[[Sequence[float]], tuple[float, ...]]:
-    """x -> M x for the matrix M of that shape and those bytes, as straight-line
-    code (`_row_sums`)."""
-    sums = "".join(f"{s}, " for s in _row_sums(np.frombuffer(data).reshape(shape).tolist()))
-    xs = "".join(f"x{j}, " for j in range(shape[1]))
-    return _compile(f"product {shape[0]}x{shape[1]}", [f"{xs}= x", f"return ({sums})"], {})
+    """x -> M x for the matrix M of that shape and those bytes (`_child_step`, no X)."""
+    return _child_step(np.frombuffer(data).reshape(shape), None, 0.0)
 
 
 def total_load(x: Iterable[float]) -> float:

@@ -2,6 +2,7 @@ import math
 import struct
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,12 +12,14 @@ from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus
 import swmpc.geometry
 from swmpc import (
     CostSpec,
+    InfeasibleProblemError,
     OcpProblem,
     Polytope,
     PolytopeUnion,
     SingularMatrixError,
     SwitchedSystem,
     build_illustrative_system,
+    builtin_scenario,
     controllable_set,
     distance_to_set,
     inclusion_in_union,
@@ -352,6 +355,12 @@ class TestInclusion:
         left = cut(box, [1.0, 0.0], 0.0)
         assert not inclusion_in_union(box, PolytopeUnion((left,)))
 
+    def test_p_thinner_than_empty_tol_is_covered_by_anything(self):
+        # P's radius is below EMPTY_TOL, so the region difference ends before
+        # it tries a single part
+        thin = Polytope.box([0.0, 0.0], [1e-12, 1.0])
+        assert inclusion_in_union(thin, Polytope.box([5.0, 5.0], [6.0, 6.0]))
+
 
 class TestSwitchedInvariance:
     def test_origin_singleton_is_invariant(self):
@@ -392,6 +401,13 @@ class TestSwitchedInvariance:
         assert report.is_sis
         for x in sample_in_union(rng, omega, 1000):
             assert any(omega.contains(A @ x) for A in sys_.matrices)
+
+    def test_a_point_part_that_no_subsystem_keeps_is_the_counterexample(self):
+        box = Polytope.box([-0.1, -0.1], [0.1, 0.1])
+        omega = PolytopeUnion((box, Polytope.box([5.0, 5.0], [5.0, 5.0])))
+        report = is_switched_invariant(build_illustrative_system(), omega)
+        assert not report.is_sis
+        assert report.counterexample.tolist() == [5.0, 5.0]
 
     def test_unbounded_part_rejected(self):
         sys_ = planar_system(np.eye(2))
@@ -446,6 +462,34 @@ class TestCertificates:
         shifted = Polytope.box([1, 1], [2, 2])
         with pytest.raises(ValueError):
             stabilizability_certificate(sys_, shifted, 2)
+
+    def test_negative_kmax_rejected(self):
+        sys_ = planar_system(0.5 * np.eye(2))
+        for certify in (stabilizability_certificate, non_stabilizability_certificate):
+            with pytest.raises(ValueError, match="^kmax must be >= 0$"):
+                certify(sys_, Polytope.box([-1, -1], [1, 1]), -1)
+
+    @pytest.mark.parametrize(
+        "cap, check, message",
+        [
+            (3, lambda: controllable_set(build_illustrative_system(), Polytope.box([-0.1, -0.1], [0.1, 0.1])),
+             "controllable set exceeded 3 parts"),
+            (1, lambda: inclusion_in_union(
+                Polytope.box([-1, -1], [1, 1]), Polytope.box([-1, -1], [0, 1])),
+             "region difference exceeded 1 pieces"),
+            (2, lambda: stabilizability_certificate(scalar_system(2.0), Polytope.box([-1], [1]), 2),
+             "accumulated controllable sets exceeded 2 parts"),
+            (4, lambda: non_stabilizability_certificate(
+                build_illustrative_system(), Polytope.box([-0.1, -0.1], [0.1, 0.1]), 2),
+             "accumulated union exceeded 4 parts"),
+        ],
+        ids=["controllable-set", "region-difference", "accumulated-sets", "accumulated-union"],
+    )
+    def test_each_part_cap_names_what_it_counted(self, monkeypatch, cap, check, message):
+        monkeypatch.setenv(PART_CAP_ENV, str(cap))
+        with pytest.raises(GeometryCapError) as err:
+            check()
+        assert str(err.value) == f"{message} (see SWMPC_PART_CAP)"
 
     def test_accumulated_union_is_monotone(self):
         rng = np.random.default_rng(3)
@@ -1301,3 +1345,110 @@ class TestResumedSearch:
                 assert got[:2] == want[:2]
                 late_budget_errors += "region difference" in str(got[0]) and got[1] > 1
         assert late_budget_errors >= 3
+
+
+class TestFeasibleRegionIsControllableSet:
+    """The two engines against each other.  With the terminal constraint, a
+    horizon-N problem is feasible from x0 exactly when x0 lies in S_N, the
+    N-fold `controllable_set` of the target, wherever the state set and the
+    dwell and cycle rules do not bind; where they do, they only remove paths,
+    so x0 outside S_N is still infeasible.
+
+    The two sides use different tolerances.  `solve_ocp` checks A_path x0
+    against the target's unit rows within TERMINAL_TOL = 1e-9, and
+    `PolytopeUnion.contains` checks x0 against the unit rows of H A_path
+    within MEMBERSHIP_TOL = 1e-9.  A point whose membership in S_N changes
+    between the tolerances -1e-6 and 1e-6 is near a boundary, where the two
+    may differ, so those points are counted apart.  Elsewhere the
+    controller decides with a margin of at least 1e-6 times the least
+    singular value of A_path, above 0.1 for these matrices, so far above
+    both tolerances that a disagreement there is a defect.
+    """
+
+    @staticmethod
+    def _feasible(problem):
+        try:
+            solve_ocp(problem)
+        except InfeasibleProblemError:
+            return False
+        return True
+
+    @staticmethod
+    def _near(S, x):
+        return S.contains(x, 1e-6) != S.contains(x, -1e-6)
+
+    @staticmethod
+    def _boundary_points(rng, S):
+        """A point of S's boundary, bisected to 2^-50 along a ray from the
+        center of a part to a point outside S, and the points 1e-5 before and
+        after it on the ray; none when the ray stays in S."""
+        inside = S.parts[rng.integers(len(S))].chebyshev_ball[1]
+        ray = rotation_matrix(rng.uniform(0, 2 * np.pi))[0]
+        outside = inside + 20.0 * ray
+        if S.contains(outside):
+            return []
+        for _ in range(50):
+            mid = 0.5 * (inside + outside)
+            inside, outside = (mid, outside) if S.contains(mid) else (inside, mid)
+        return [inside - 1e-5 * ray, inside, inside + 1e-5 * ray]
+
+    @staticmethod
+    def _target(rng):
+        kind = rng.integers(3)
+        if kind == 0:
+            center, half = rng.uniform(-0.5, 0.5, 2), rng.uniform(0.2, 1.0, 2)
+            return Polytope.box(center - half, center + half)
+        if kind == 1:
+            return regular_polygon(int(rng.integers(3, 8)), rng.uniform(0.3, 1.0), rng.uniform(0, 7))
+        centers, halves = rng.uniform(-0.8, 0.8, (2, 2)), rng.uniform(0.1, 0.6, (2, 2))
+        return PolytopeUnion(tuple(Polytope.box(c - h, c + h) for c, h in zip(centers, halves)))
+
+    def test_random_planar_systems_agree_off_the_boundary(self):
+        rng = np.random.default_rng(71)
+        counts = {"member": 0, "outside": 0, "near": 0, "near_disagree": 0}
+        for _ in range(40):
+            q, N = int(rng.integers(2, 4)), int(rng.integers(1, 4))
+            sys_ = planar_system(*(
+                rng.uniform(0.6, 1.4) * rotation_matrix(rng.uniform(0, 2 * np.pi))
+                @ np.array([[1.0, rng.uniform(-0.5, 0.5)], [0.0, 1.0]])
+                for _ in range(q)
+            ))
+            target = self._target(rng)
+            S = as_union(target)
+            for _ in range(N):
+                S = controllable_set(sys_, S)
+            points = [rng.uniform(-2.0, 2.0, 2) for _ in range(20)]
+            points += [p for _ in range(5) for p in self._boundary_points(rng, S)]
+            for x0 in points:
+                problem = OcpProblem(sys_, x0, N, target, CostSpec.uniform(q), enforce_waiting=False)
+                feasible, member = self._feasible(problem), S.contains(x0)
+                if self._near(S, x0):
+                    counts["near"] += 1
+                    counts["near_disagree"] += feasible != member
+                else:
+                    assert feasible == member, (sys_.matrices, target, N, x0.tolist())
+                    counts["member" if member else "outside"] += 1
+        assert counts["member"] >= 400 and counts["outside"] >= 600 and counts["near"] >= 150, counts
+
+    def test_cancer_rules_only_remove_paths(self):
+        rng = np.random.default_rng(73)
+        template = builtin_scenario("cancer").mpc  # dwell bounds, cycle rule, the orthant
+        target = Polytope.box([0.0, 0.0], [150.0, 250.0])
+        counts = {"outside": 0, "member_feasible": 0, "member_infeasible": 0, "near": 0}
+        for N in (2, 3, 4, 5):
+            S = as_union(target)
+            for _ in range(N):
+                S = controllable_set(template.sys, S)
+            for _ in range(60):
+                x0 = rng.uniform(0.0, 600.0, 2)
+                problem = replace(template, x=x0, horizon=N, target=target, enforce_terminal=True)
+                feasible = self._feasible(problem)
+                if self._near(S, x0):
+                    counts["near"] += 1
+                elif not S.contains(x0):
+                    assert not feasible, (N, x0.tolist())
+                    counts["outside"] += 1
+                else:
+                    counts["member_feasible" if feasible else "member_infeasible"] += 1
+        # the dwell bounds do bind: some members of S_N are infeasible
+        assert min(counts["outside"], counts["member_feasible"], counts["member_infeasible"]) >= 5, counts
