@@ -11,7 +11,7 @@ cycle rules are those of `switched.SwitchingRule`, and its state, a
 The optimizer is an exact depth-first branch-and-bound over the q-ary
 sequence tree.  A path costs one canonical sum, `_canonical_partial`:
 c_sigma * d + b_sigma * L^2 per stage, left to right, with d the stage's
-distance to the target and L the length of its whole run (`switched.packs`),
+distance to the target and L the length of its whole run (`switched._runs`),
 the first run extended by the applied one; then the terminal term.  The
 search extends it node by node: b_sigma = 0 adds c_sigma * d, and b_sigma > 0
 re-sums only the stage's run, from the partial cost where the run began.  So
@@ -37,14 +37,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import groupby
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .geometry import NumericalError, Polytope, PolytopeUnion, _least_distance, as_union
 from .switched import (
-    CACHE_SIZE, RuleState, SimulationResult, SwitchedSystem, SwitchingRule, _child_step, simulate,
+    CACHE_SIZE, RuleState, SimulationResult, SwitchedSystem, SwitchingRule, _child_step, _runs,
+    simulate,
 )
 
 __all__ = [
@@ -302,16 +302,14 @@ def _run_cost(total: float, dists: Sequence[float], c: float, b: float, length: 
 
 
 def _canonical_partial(problem: OcpProblem, sigs: Sequence[int], dists: Sequence[float]) -> float:
-    """The stage costs of a path, run by run (`switched.packs`' runs), the
+    """The stage costs of a path, run by run (`switched._runs`, as `packs`), the
     first run extended by the applied run that it continues."""
     c, b = problem.cost.stage_weights, problem.cost.consecutive_weights
     mem_sig, mem_len, _ = problem.run
     total = 0.0
-    stop = 0
-    for s, run in groupby(sigs):
-        start, stop = stop, stop + len(tuple(run))
-        length = stop - start + (mem_len if start == 0 and s == mem_sig else 0)
-        total = _run_cost(total, dists[start:stop], c[s - 1], b[s - 1], length)
+    for start, n, s in _runs(sigs):
+        length = n + (mem_len if start == 0 and s == mem_sig else 0)
+        total = _run_cost(total, dists[start:start + n], c[s - 1], b[s - 1], length)
     return total
 
 
@@ -331,15 +329,13 @@ def eval_cost(problem: OcpProblem, path: Sequence[int]) -> tuple[float, np.ndarr
 
 
 def _target_norm_radius(target: PolytopeUnion) -> float:
-    """Upper bound on max ||y|| over the target (bounding-box corner norm); a
-    box reads its bounds from its rows, any other part from its support LPs."""
+    """Upper bound on max ||y|| over the target (bounding-box corner norm), inf
+    when a part is not `is_bounded`; a box reads its rows, any other part its LPs."""
     worst = 0.0
     for P in target.parts:
-        if P.nrows <= P.dim:  # too few rows to be bounded: skip the support LPs
+        if not P.is_bounded:
             return math.inf
         lo, hi = P.box_bounds or P.coordinate_ranges
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            return math.inf
         worst = max(worst, float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi)))))
     return worst
 

@@ -248,8 +248,8 @@ class Polytope(_Value):
     """{x : Hx <= h}; rows of nonzero norm are rescaled to unit norm on construction.
 
     Like the cached properties, private entries of the instance dict are filled
-    on demand: `_norm_bound` (see there) and `_preimages`, the preimages built
-    so far, keyed by the map.
+    on demand: `_norm_bound` (see there), `_pruned`, the copy that `pruned()`
+    returns, and `_preimages`, the preimages built so far, keyed by the map.
     """
 
     H: np.ndarray
@@ -379,6 +379,10 @@ class Polytope(_Value):
 
     @property
     def is_bounded(self) -> bool:
+        """Finite, nonempty extents in every coordinate.  At most n rows bound no
+        nonempty set in R^n, so such a part takes no LP; a box reads its rows."""
+        if self.nrows <= self.dim:
+            return False
         lo, hi = self.box_bounds or self.coordinate_ranges  # an empty one's ranges are infinite
         return bool(np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)) and np.all(lo <= hi))
 
@@ -391,14 +395,12 @@ class Polytope(_Value):
         return lo, hi
 
     def singleton_point(self) -> np.ndarray | None:
-        """The unique point of the polytope when its extent is below 1e-9 in every
-        coordinate; a box reads its extents from its rows, with no LP."""
+        """The unique point of the polytope when it `is_bounded` and its extent is
+        below 1e-9 in every coordinate."""
+        if not self.is_bounded:
+            return None
         lo, hi = self.box_bounds or self.coordinate_ranges
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            return None
-        if np.any(hi - lo > 1e-9) or np.any(hi < lo):  # hi < lo: empty
-            return None
-        return 0.5 * (lo + hi)
+        return None if np.any(hi - lo > 1e-9) else 0.5 * (lo + hi)
 
     @cached_property
     def box_bounds(self) -> tuple[np.ndarray, np.ndarray] | None:
@@ -437,40 +439,33 @@ class Polytope(_Value):
     def pruned(self) -> "Polytope":
         """Drop inequality rows that are redundant for the feasible set: a row
         whose maximum over the other rows lies within PRUNE_TOL of its bound.
-        The result is marked as its own `_pruned`."""
-        m = self.nrows
-        if m <= 1:
-            return self
-        keep = list(range(m))
-        for i in range(m):
+        Computed once and kept as `_pruned`; the copy, like every preimage, is
+        marked as its own pruned copy, so a later call makes no LP.  A smaller
+        non-box copy takes its norm bound from this one's coordinate ranges."""
+        if (out := self.__dict__.get("_pruned")) is not None:
+            return out
+        keep = list(range(self.nrows))
+        for i in range(self.nrows):
             if len(keep) <= 1:
                 break
             others = [j for j in keep if j != i]
             res = _lp(-self.H[i], self.H[others], self.h[others])
             if res.status == 0 and -res.fun <= self.h[i] + PRUNE_TOL:
                 keep = others
-        out = self if len(keep) == m else Polytope(self.H[keep], self.h[keep])
-        out.__dict__["_norm_bound"] = _norm_bound(self)  # the same set
-        out.__dict__["_pruned"] = out
-        return out
-
-    @cached_property
-    def _pruned(self) -> "Polytope":
-        """This polytope pruned, once; a smaller non-box copy takes its norm
-        bound from this one's coordinate ranges, which `is_bounded` shares."""
-        out = self.pruned()
+        out = self if len(keep) == self.nrows else Polytope(self.H[keep], self.h[keep])
         if out is not self and out.box_bounds is None:
             out.__dict__["_norm_bound"] = _norm_bound(self, solve=True)
+        out.__dict__["_pruned"] = self.__dict__["_pruned"] = out
         return out
 
     def preimage(self, A: np.ndarray) -> "Polytope":
-        """{x : A x in self} = {x : (H A) x <= h} over the rows of `_pruned`,
+        """{x : A x in self} = {x : (H A) x <= h} over the rows of `pruned()`,
         for a nonsingular A, computed without inverting A.
 
         Built once per map and cached on this instance.  Since x -> A x is a
         bijection, a row redundant in the preimage is redundant here, so the
         preimage of the pruned rows is already pruned: it is marked as its
-        own `_pruned` and takes no redundancy LP.  Its points x have ||x|| <=
+        own pruned copy and takes no redundancy LP.  Its points x have ||x|| <=
         ||A x|| / sigma_min(A), so a norm bound R here gives R / sigma_min(A)
         there, with sigma_min(A) padded down.
         """
@@ -482,7 +477,7 @@ class Polytope(_Value):
         Q = cache.get(key)
         if Q is None:
             _require_nonsingular(A)
-            P = self._pruned
+            P = self.pruned()
             Q = cache[key] = Polytope(P.H @ A, P.h)
             s = np.linalg.svd(A, compute_uv=False)
             s_min = s[-1] - 1e-12 * s[0]  # thousands of times the SVD's rounding error

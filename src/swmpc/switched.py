@@ -9,7 +9,8 @@ code generated per distinct matrix, found by its bytes (the last `CACHE_SIZE` ar
 kept), at a cost that grows as n^2 (on a 2-core Xeon, 80 us at n = 2, 0.3 s at
 200); `_child_step` writes them and the search's child steps, with the same sums.
 Dwell-time ("waiting time") bounds constrain how long each signal must and may
-persist, expressed through maximal constant runs ("packs") of the path.
+persist, expressed through maximal constant runs ("packs") of the path, which
+one generator, `_runs`, splits off for `packs` and the controller's cost.
 `SwitchingRule` states those bounds, and the optional cycle-coverage rule, as
 one automaton that the controller steps through signal by signal; its state,
 a `RuleState`, is all of the past that the rules read.
@@ -21,7 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -180,8 +181,7 @@ class SwitchedSystem(_Value):
             raise ValueError(f"signal {sigma} out of range 1..{self.q}")
 
 
-@dataclass(frozen=True)
-class JPack:
+class JPack(NamedTuple):
     """Maximal constant run of a path: positions [start, start+length) all equal `signal`."""
 
     start: int
@@ -244,17 +244,17 @@ def simulate(
     return SimulationResult(states=np.array(states, dtype=float), signals=signals)
 
 
+def _runs(signals: Iterable[int]) -> Iterator[tuple[int, int, int]]:
+    """(start, length, signal) of each maximal constant run of the path, in order."""
+    stop = 0
+    for s, run in itertools.groupby(signals):
+        start, stop = stop, stop + len(tuple(run))
+        yield start, stop - start, s
+
+
 def packs(signals: Sequence[int]) -> list[JPack]:
     """Decompose a path into its ordered maximal constant runs."""
-    out: list[JPack] = []
-    i = 0
-    while i < len(signals):
-        stop = i + 1
-        while stop < len(signals) and signals[stop] == signals[i]:
-            stop += 1
-        out.append(JPack(start=i, length=stop - i, signal=signals[i]))
-        i = stop
-    return out
+    return [JPack(*r) for r in _runs(signals)]
 
 
 def validate_waiting(

@@ -30,7 +30,7 @@ from swmpc import (
     validate_waiting,
 )
 from swmpc.controller import (
-    STATE_TOL, TERMINAL_TOL, _build_context, _child_step, _context, _member
+    STATE_TOL, TERMINAL_TOL, _build_context, _child_step, _context, _member, _target_norm_radius
 )
 from swmpc.geometry import UNIT_NORM_TOL, as_union
 from swmpc.scenarios import scenario_from_dict, scenario_to_dict
@@ -82,6 +82,29 @@ def lp_calls(monkeypatch) -> list:
 
     monkeypatch.setattr(swmpc.geometry, "linprog", counting)
     return calls
+
+
+def _planar_problem(cost):
+    sys_ = SwitchedSystem(matrices=(np.eye(2), 0.5 * np.eye(2)), state_set=Polytope.box([-9, -9], [9, 9]))
+    return OcpProblem(sys=sys_, x=(1.0, 1.0), horizon=2, target=Polytope.box([-1, -1], [1, 1]), cost=cost)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: CostSpec(stage_weights=(1.0, 1.0), consecutive_weights=(0.5,)),
+     "need one consecutive weight per signal"),
+    (lambda: _planar_problem(CostSpec.uniform(3)), "cost needs one stage weight per subsystem"),
+], ids=["consecutive-weights", "stage-weights"])
+def test_cost_and_problem_checks_name_what_is_wrong(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
+def test_an_empty_box_target_part_gives_no_norm_radius():
+    # 1 <= x1 <= 0: `is_bounded` is False for an empty part, as for an unbounded one
+    H = np.vstack([np.eye(2), -np.eye(2)])
+    empty = Polytope(H, np.array([0.0, 1.0, -1.0, 1.0]))
+    assert _target_norm_radius(as_union(empty)) == math.inf
+    assert _target_norm_radius(as_union(Polytope.box([-1, -2], [1, 2]))) == math.sqrt(5.0)
 
 
 class TestEvalCost:

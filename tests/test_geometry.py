@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 import sys
 import threading
@@ -135,6 +136,41 @@ class TestPolytope:
         H = np.vstack([np.eye(2), -np.eye(2)])
         assert Polytope(H, np.array([0.0, 0.0, -1.0, 0.0])).singleton_point() is None
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Polytope(np.eye(2), np.ones(3)), "H has 2 rows but h has 3 entries"),
+        (lambda: Polytope(np.zeros((0, 2)), np.zeros(0)), "a polytope needs at least one inequality row"),
+        (lambda: Polytope(np.eye(2), [1.0, math.inf]), "H-representation entries must be finite"),
+        (lambda: Polytope.box([0.0, 0.0], [1.0]), "lb and ub must be 1-d arrays of equal length"),
+        (lambda: Polytope.box([1.0], [0.0]), "box needs lb <= ub"),
+        (lambda: Polytope.box([-math.inf], [math.inf]), "box must be bounded in at least one direction"),
+        (lambda: Polytope.box([-1.0], [1.0]).scale(0.0), "scale factor must be positive"),
+        (lambda: PolytopeUnion((Polytope.box([-1], [1]), Polytope.box([-1, -1], [1, 1]))),
+         "all parts of a union must share one dimension"),
+    ], ids=["row-mismatch", "no-rows", "non-finite", "box-shapes", "box-order", "box-open",
+            "scale-factor", "union-dimensions"])
+    def test_each_check_names_what_is_wrong(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+
+    def test_too_few_rows_to_be_bounded_take_no_lp(self, monkeypatch):
+        # at most n rows bound no nonempty set in R^n, so neither needs the
+        # 2n support LPs of its coordinate ranges
+        monkeypatch.setattr(swmpc.geometry, "linprog", lambda *a, **k: pytest.fail("an LP"))
+        halfplane = Polytope(np.array([[1.0, 1.0]]), np.array([1.0]))
+        wedge = Polytope(np.array([[-1.0, 1.0], [-1.0, -1.0]]), np.zeros(2))
+        for P in (halfplane, wedge):
+            assert not P.is_bounded
+            assert P.singleton_point() is None
+
+    def test_pruned_is_computed_once(self, monkeypatch):
+        P = cut(Polytope.box([-1, -1], [1, 1]), [1.0, 1.0], 5.0)  # a redundant fifth row
+        kept = regular_polygon(5, 1.0, 0.3)  # no redundant row: its own pruned copy
+        first, same = P.pruned(), kept.pruned()
+        assert first.nrows == 4 and same is kept
+        monkeypatch.setattr(swmpc.geometry, "linprog", lambda *a, **k: pytest.fail("an LP"))
+        assert P.pruned() is first and first.pruned() is first
+        assert kept.pruned() is kept
+
     def test_pruned_drops_redundant_rows(self):
         P = Polytope(
             np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 0.0]]),
@@ -197,6 +233,11 @@ class TestPreimage:
     def test_singular_matrix_rejected(self):
         with pytest.raises(SingularMatrixError):
             Polytope.box([-1, -1], [1, 1]).preimage(np.zeros((2, 2)))
+
+    def test_a_preimage_is_its_own_pruned_copy(self, monkeypatch):
+        Q = regular_polygon(6, 1.0, 0.2).preimage(np.array([[1.2, 0.3], [-0.4, 0.9]]))
+        monkeypatch.setattr(swmpc.geometry, "linprog", lambda *a, **k: pytest.fail("an LP"))
+        assert Q.pruned() is Q
 
     def test_shape_mismatch_rejected(self):
         P = Polytope.box([-1, -1], [1, 1])
@@ -621,6 +662,14 @@ class TestDistance:
             d_grid = min(np.linalg.norm(x - g) for g in inside)
             assert d <= d_grid + 1e-9
             assert d >= d_grid - 0.02  # grid resolution slack
+
+    def test_projection_of_a_point_inside_is_the_point(self, monkeypatch):
+        monkeypatch.setattr(swmpc.geometry, "nnls", lambda *a: pytest.fail("an NNLS solve"))
+        P = Polytope.box([-1.0, -1.0], [1.0, 1.0])
+        for x in ([0.0, 0.0], [0.3, -0.9], [1.0, -1.0]):  # the last one on two rows
+            x = np.array(x)
+            p = _project_onto_polytope(P, x)
+            assert p is not x and np.array_equal(p, x)
 
     def test_projection_of_a_large_state(self):
         # a state predicted by the viral-1 loop; the only candidate misses an

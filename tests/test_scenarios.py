@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -194,3 +196,13 @@ class TestScenarioSchema:
         assert case3.mpc.cost.consecutive_weights == (20.0, 1.0, 2.0)
         assert all(up >= 10**6 for _, up in case3.sys.waiting)
         assert all(lo == 2 for lo, _ in case3.sys.waiting)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: builtin_scenario("cancer", case=4), "unknown cancer case 4; choose 1, 2 or 3"),
+        (lambda: builtin_scenario("nope"),
+         "unknown scenario 'nope'; built-ins are " + ", ".join(builtin_names())),
+        (lambda: scenario_from_dict([1.0, 2.0]), "a scenario must be a JSON object"),
+    ], ids=["cancer-case", "builtin-name", "not-an-object"])
+    def test_each_check_names_what_is_wrong(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()

@@ -1,5 +1,6 @@
 import math
 import pickle
+import re
 import struct
 from dataclasses import replace
 
@@ -125,6 +126,11 @@ class TestJPack:
     def test_singleton_path(self):
         assert packs((5,)) == [JPack(start=0, length=1, signal=5)]
 
+    def test_a_pack_is_a_start_length_signal_tuple(self):
+        ps = packs((1, 1, 2))
+        assert ps == [(0, 2, 1), (2, 1, 2)]
+        assert [p.stop for p in ps] == [2, 3]
+
     @given(st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=24))
     def test_packs_partition_the_index_range(self, sigs):
         ps = packs(sigs)
@@ -200,6 +206,17 @@ class TestValidateWaiting:
 
 
 class TestSwitchedSystemValidation:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"matrices": ()}, "at least one subsystem matrix is required"),
+        ({"matrices": (np.array([[1.0, math.nan], [0.0, 1.0]]),)}, "matrix 1 has non-finite entries"),
+        ({"state_set": Polytope.box([-1], [1])}, "state_set lives in R^1, matrices act on R^2"),
+        ({"waiting": ((1, 5),)}, "need one (L, U) pair per subsystem"),
+    ], ids=["no-matrices", "non-finite", "state-set-dimension", "waiting-pairs"])
+    def test_each_check_names_what_is_wrong(self, kwargs, message):
+        fields = {"matrices": (np.eye(2), 2.0 * np.eye(2)), "state_set": Polytope.box([-1, -1], [1, 1])}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SwitchedSystem(**{**fields, **kwargs})
+
     def test_matrix_shape_mismatch(self):
         with pytest.raises(ValueError):
             SwitchedSystem(
