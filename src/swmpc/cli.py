@@ -81,7 +81,7 @@ def _mpc_config(scen: Scenario, args) -> OcpProblem:
     if args.horizon is not None:
         cfg = replace(cfg, horizon=args.horizon)
     if args.no_waiting:
-        cfg = replace(cfg, enforce_waiting=False)
+        cfg = replace(cfg, sys=replace(cfg.sys, waiting=()))
     if args.no_terminal:
         cfg = replace(cfg, enforce_terminal=False)
     return cfg
@@ -238,7 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_closed_loop(p):
         p.add_argument("-N", "--horizon", type=int, default=None, help="MPC prediction horizon")
         p.add_argument("--steps", type=int, default=None, help="closed-loop steps to simulate")
-        p.add_argument("--no-waiting", action="store_true", help="drop dwell-time constraints")
+        p.add_argument("--no-waiting", action="store_true", help="drop the system's dwell-time bounds")
         p.add_argument("--no-terminal", action="store_true", help="drop the terminal-set constraint")
 
     p_sim = sub.add_parser("simulate", help="run one strategy and write trajectory/schedule CSVs")

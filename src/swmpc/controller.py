@@ -123,7 +123,8 @@ class OcpProblem:
     current coverage cycle.  Under cycle coverage the run's signal counts as
     used.  The receding-horizon loop takes an instance as its template: it
     starts at the template's `x` and `run` and replaces them with the
-    closed-loop state at every step.
+    closed-loop state at every step.  The dwell bounds are the system's
+    `waiting` pairs; to drop them, pass `replace(sys, waiting=())`.
     """
 
     sys: SwitchedSystem
@@ -132,7 +133,6 @@ class OcpProblem:
     target: PolytopeUnion
     cost: CostSpec
     run: RuleState = RuleState()
-    enforce_waiting: bool = True
     enforce_terminal: bool = True
     cycle_through_all: bool = False
 
@@ -448,20 +448,20 @@ class _SearchContext(NamedTuple):
 
 @lru_cache(maxsize=CACHE_SIZE)  # the key hashes by value: frozen dataclasses and `_Value`s
 def _build_context(sys_: SwitchedSystem, target: PolytopeUnion, cost: CostSpec, horizon: int,
-                   enforce_waiting: bool, cycle_through_all: bool) -> _SearchContext:
+                   cycle_through_all: bool) -> _SearchContext:
     return _SearchContext(
         tuple(sys_.product(s) for s in range(1, sys_.q + 1)),
         tuple(_child_step(M, sys_.state_set, STATE_TOL) for M in sys_.matrices),
         _build_distance(target),
         _member(target, TERMINAL_TOL),
-        SwitchingRule(sys_, enforce_waiting, cycle_through_all),
+        SwitchingRule(sys_, cycle_through_all),
         *_cost_to_go_bound(sys_, target, cost, horizon),
     )
 
 
 def _context(p: OcpProblem) -> _SearchContext:
     """The `_SearchContext` of every problem equal to p apart from x and run."""
-    return _build_context(p.sys, p.target, p.cost, p.horizon, p.enforce_waiting, p.cycle_through_all)
+    return _build_context(p.sys, p.target, p.cost, p.horizon, p.cycle_through_all)
 
 
 class _Branch(NamedTuple):

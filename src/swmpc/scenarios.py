@@ -167,7 +167,7 @@ class Scenario:
     state, the run's length and time scale, and the target `analyze` uses."""
 
     name: str
-    kind: str  # "viral" | "cancer" | "custom"
+    kind: str  # one of _KINDS
     tau_days: float
     horizon_steps: int
     mpc: OcpProblem
@@ -198,7 +198,6 @@ def _viral_scenario(scenario_id: int) -> Scenario:
         horizon=5,
         target=_low_load_halfspace(4),
         cost=CostSpec.uniform(2),
-        enforce_waiting=False,
         enforce_terminal=False,
     )
     return Scenario(
@@ -228,7 +227,6 @@ def _cancer_scenario(case: int | None = None) -> Scenario:
         horizon=8,
         target=_low_load_halfspace(2),
         cost=cost,
-        enforce_waiting=True,
         enforce_terminal=False,
         cycle_through_all=case is None,
     )
@@ -249,7 +247,6 @@ def _illustrative_scenario() -> Scenario:
         horizon=15,
         target=Polytope.origin(2),
         cost=CostSpec.uniform(4),
-        enforce_waiting=False,
         # the origin is unreachable exactly in finite steps under nonsingular
         # dynamics, so the distance cost does the steering
         enforce_terminal=False,
@@ -315,13 +312,13 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "target": (target_parts[0] if len(target_parts) == 1 else scenario.mpc.target).to_dict(),
         "state_set": sys_.state_set.to_dict(),
         "mpc_horizon": scenario.mpc.horizon,
-        "enforce_waiting": scenario.mpc.enforce_waiting,
         "enforce_terminal": scenario.mpc.enforce_terminal,
         "cycle_through_all": scenario.mpc.cycle_through_all,
     }
 
 
 _REQUIRED_KEYS = ("matrices", "x0", "horizon_steps", "target")
+_KINDS = ("viral", "cancer", "custom")
 
 
 def _typed(value, key: str, *kinds: type):
@@ -374,6 +371,8 @@ def scenario_from_dict(data: dict, name: str | None = None) -> Scenario:
     if any(len(pair) != 2 for pair in waiting):
         raise ValueError(f"scenario key 'waiting' needs [L, U] pairs, got {data['waiting']!r}")
     sys_ = SwitchedSystem(matrices=matrices, state_set=state_set, waiting=waiting)
+    if not _typed(data.get("enforce_waiting", True), "enforce_waiting", bool):
+        sys_ = replace(sys_, waiting=())  # older files carry the flag; false drops the bounds
     target = _typed(data["target"], "target", dict)
     parts = _typed(target["parts"], "target", list) if "parts" in target else [target]
     target = PolytopeUnion(tuple(_polytope(P, "target") for P in parts))
@@ -389,13 +388,16 @@ def scenario_from_dict(data: dict, name: str | None = None) -> Scenario:
         horizon=_typed(data.get("mpc_horizon", 5), "mpc_horizon", int),
         target=target,
         cost=cost,
-        enforce_waiting=_typed(data.get("enforce_waiting", True), "enforce_waiting", bool),
         enforce_terminal=_typed(data.get("enforce_terminal", False), "enforce_terminal", bool),
         cycle_through_all=_typed(data.get("cycle_through_all", False), "cycle_through_all", bool),
     )
+    kind = data.get("kind", "custom")
+    if kind not in _KINDS:
+        raise ValueError(f"scenario key 'kind' needs one of {', '.join(_KINDS)}, got {kind!r}")
+    own_name = _typed(data.get("name", "custom"), "name", str)  # checked even where `name` wins
     return Scenario(
-        name=name or data.get("name", "custom"),
-        kind=data.get("kind", "custom"),
+        name=name or own_name,
+        kind=kind,
         tau_days=_number(data.get("tau_days", 1.0), "tau_days"),
         horizon_steps=_typed(data["horizon_steps"], "horizon_steps", int),
         mpc=mpc,

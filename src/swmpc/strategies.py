@@ -87,12 +87,11 @@ def brute_force_optimal(
     if steps == 0:
         return simulate(sys, x0, ())
     problem = OcpProblem(
-        replace(sys, state_set=Polytope.nonnegative_orthant(sys.n)),
+        replace(sys, state_set=Polytope.nonnegative_orthant(sys.n), waiting=()),
         x0,
         horizon=steps,
         target=Polytope(np.ones((1, sys.n)), np.zeros(1)),
         cost=CostSpec.uniform(sys.q),
-        enforce_waiting=False,
         enforce_terminal=False,
     )
     return simulate(sys, x0, controller.solve_ocp(problem).path)
@@ -111,14 +110,13 @@ def virologic_failure_strategy(
         raise ValueError("steps must be >= 0")
     x = _initial_state(sys, x0)
     sig = 1
-    states, signals = [x], []
+    signals = []
     for k in range(steps):
         if k > 0 and total_load(x) > VIROLOGIC_FAILURE_THRESHOLD:
             sig = 2 if sig == 1 else 1
         signals.append(sig)
         x = sys.product(sig)(x)
-        states.append(x)
-    return SimulationResult(states=np.array(states, dtype=float), signals=tuple(signals))
+    return simulate(sys, x0, signals)
 
 
 def swatch_strategy(

@@ -11,15 +11,15 @@ kept), at a cost that grows as n^2 (on a 2-core Xeon, 80 us at n = 2, 0.3 s at
 Dwell-time ("waiting time") bounds constrain how long each signal must and may
 persist, expressed through maximal constant runs ("packs") of the path, which
 one generator, `_runs`, splits off for `packs` and the controller's cost.
-`SwitchingRule` states those bounds, and the optional cycle-coverage rule, as
-one automaton that the controller steps through signal by signal; its state,
+`SwitchingRule` states those bounds, read from the system's `waiting` pairs
+alone (`waiting=()` drops them), and the optional cycle-coverage rule, as one
+automaton that the controller steps through signal by signal; its state,
 a `RuleState`, is all of the past that the rules read.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -299,18 +299,15 @@ class SwitchingRule:
     switching away requires the run to have reached its lower bound L.
     Under cycle coverage a switch may not return to a used signal until
     every signal has been used, and then the cycle restarts.
-    Without dwell enforcement every run is admissible (L = 1, U unbounded).
+    The bounds are the system's `waiting` pairs alone; a system built with
+    `waiting=()` admits every run (L = 1, U = `UNBOUNDED_DWELL`).
     """
 
     __slots__ = ("lower", "upper", "cycle", "all_signals")
 
-    def __init__(self, sys: SwitchedSystem, enforce_waiting: bool, cycle_through_all: bool):
-        if enforce_waiting:
-            self.lower = tuple(lo for lo, _ in sys.waiting)
-            self.upper = tuple(up for _, up in sys.waiting)
-        else:
-            self.lower = (1,) * sys.q
-            self.upper = (math.inf,) * sys.q
+    def __init__(self, sys: SwitchedSystem, cycle_through_all: bool):
+        self.lower = tuple(lo for lo, _ in sys.waiting)
+        self.upper = tuple(up for _, up in sys.waiting)
         self.cycle = cycle_through_all
         self.all_signals = frozenset(range(1, sys.q + 1))
 

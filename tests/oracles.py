@@ -30,6 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable, Sequence
+from dataclasses import replace
 
 import numpy as np
 
@@ -244,7 +245,7 @@ def admissible_costs(problem: OcpProblem) -> list[tuple[float, tuple[int, ...]]]
 
     out = []
     for sigs in itertools.product(range(1, sys_.q + 1), repeat=N):
-        if problem.enforce_waiting and not _waiting_ok(problem, sigs):
+        if not _waiting_ok(problem, sigs):
             continue
         if problem.cycle_through_all and not _cycle_ok(problem, sigs):
             continue
@@ -443,7 +444,8 @@ def _trailing_run_state(memory: list[int]) -> RuleState:
 
 def random_ocp(rng: np.random.Generator) -> OcpProblem:
     """A small randomized instance exercising waiting bounds, the seam with an
-    applied run, unions, run-length costs, and both enforcement flags."""
+    applied run, unions, run-length costs, relaxed dwell bounds and the
+    terminal constraint."""
     n = int(rng.integers(1, 4))
     q = int(rng.integers(1, 4))
     N = int(rng.integers(1, 7))
@@ -498,6 +500,8 @@ def random_ocp(rng: np.random.Generator) -> OcpProblem:
             memory.extend([s] * int(rng.integers(1, min(up, 3) + 1)))
 
     x0 = tuple(float(v) for v in rng.uniform(-box / 3.0, box / 3.0, size=n))
+    if rng.random() >= 0.8:
+        sys_ = replace(sys_, waiting=())
     return OcpProblem(
         sys=sys_,
         x=x0,
@@ -505,7 +509,6 @@ def random_ocp(rng: np.random.Generator) -> OcpProblem:
         target=target,
         cost=cost,
         run=_trailing_run_state(memory),
-        enforce_waiting=bool(rng.random() < 0.8),
         enforce_terminal=bool(rng.random() < 0.35),
         cycle_through_all=bool(q >= 2 and rng.random() < 0.2),
     )
@@ -564,18 +567,20 @@ def random_positive_ocp(rng: np.random.Generator) -> OcpProblem:
         s = int(rng.integers(1, q + 1))
         memory = [s] * int(rng.integers(1, min(waiting[s - 1][1], 3) + 1))
     cycle = q >= 2 and rng.random() < 0.25
+    cost = CostSpec(
+        stage_weights=tuple(stage),
+        terminal_weight=float(rng.uniform(0.5, 2.0)),
+        consecutive_weights=tuple(consecutive),
+    )
+    if rng.random() >= 0.8:
+        sys_ = replace(sys_, waiting=())
     return OcpProblem(
         sys=sys_,
         x=x0,
         horizon=N,
         target=PolytopeUnion((target,)),
-        cost=CostSpec(
-            stage_weights=tuple(stage),
-            terminal_weight=float(rng.uniform(0.5, 2.0)),
-            consecutive_weights=tuple(consecutive),
-        ),
+        cost=cost,
         run=_trailing_run_state(memory),
-        enforce_waiting=bool(rng.random() < 0.8),
         enforce_terminal=bool(rng.random() < 0.2),
         cycle_through_all=cycle,
     )

@@ -280,7 +280,7 @@ def _random_stabilizable_instance(rng):
             x0 = tuple(float(v) for v in rng.uniform(-3.0, 3.0, size=n))
             cfg = OcpProblem(
                 sys=sys_, x=x0, horizon=N, target=as_union(omega), cost=cost,
-                enforce_waiting=False, enforce_terminal=True,
+                enforce_terminal=True,
             )
             try:
                 solve_ocp(cfg)

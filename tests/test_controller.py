@@ -139,7 +139,7 @@ class TestEvalCost:
     def test_penalty_spans_memory(self):
         prob = scalar_problem(
             (2.0,), x=2.0, N=1, consecutive=(1.0,),
-            run=RuleState(1, 2), enforce_waiting=False,
+            run=RuleState(1, 2),
         )
         cost, _ = eval_cost(prob, [1])
         # the run through the applied run has length 3: 4 + 3^2
@@ -157,7 +157,8 @@ class TestEvalCost:
         for i in range(60):
             prob = random_ocp(rng) if i % 2 else random_positive_ocp(rng)
             if i % 3 == 0 and prob.run.signal is not None:
-                prob = replace(prob, run=prob.run._replace(length=10**6), enforce_waiting=False)
+                prob = replace(prob, sys=replace(prob.sys, waiting=()),
+                               run=prob.run._replace(length=10**6))
             for cost, path in admissible_costs(prob):
                 assert eval_cost(prob, path)[0] == cost, (i, path)
                 paths += 1
@@ -214,6 +215,11 @@ class TestSolveOcp:
     def test_malformed_run_rejected(self, run):
         with pytest.raises(ValueError, match="run"):
             scalar_problem((0.5, 0.5), x=2.0, N=2, run=run)
+
+    def test_no_problem_field_drops_the_dwell_bounds(self):
+        # the system's waiting pairs are the one place they are set
+        with pytest.raises(TypeError, match="enforce_waiting"):
+            scalar_problem((0.5, 0.5), x=2.0, N=2, enforce_waiting=False)
 
     def test_started_pack_must_be_extended(self):
         prob = scalar_problem(
@@ -276,11 +282,8 @@ class TestSolveOcp:
             except InfeasibleProblemError:
                 continue
             checked += 1
-            if prob.enforce_waiting:
-                rep = validate_waiting(
-                    prob.sys, _applied_run(prob) + sol.path, relax_trailing=True
-                )
-                assert rep.ok
+            rep = validate_waiting(prob.sys, _applied_run(prob) + sol.path, relax_trailing=True)
+            assert rep.ok
             traj = simulate(prob.sys, prob.x, sol.path).states
             for j in range(prob.horizon):
                 assert prob.sys.state_set.contains(traj[j], tol=1e-9)
@@ -347,7 +350,6 @@ class TestSolveOcp:
                 horizon=N,
                 target=Polytope(np.ones((1, n)), np.zeros(1)),
                 cost=CostSpec.uniform(q),
-                enforce_waiting=False,
                 enforce_terminal=False,
             )
             sol = solve_ocp(prob)
@@ -641,8 +643,7 @@ class TestRecedingHorizon:
                 assert (sol.cost, sol.path) == oracle
                 applied.append(s0)
             sigs = tuple(applied)
-            if template.enforce_waiting:
-                assert _waiting_ok(template, sigs)
+            assert _waiting_ok(template, sigs)
             if template.cycle_through_all:
                 assert _cycle_ok(template, sigs)
             loops += 1
@@ -711,14 +712,17 @@ def near_tie_problems(draw, max_leaves=4096):
     parts = draw(st.sampled_from(((box_part,), (half_part,), (box_part, half_part))))
     x0 = draw(st.lists(st.sampled_from((-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)), min_size=n, max_size=n))
     sig = draw(st.sampled_from((None, *range(1, q + 1))))
+    cost = CostSpec(tuple(stage), draw(st.sampled_from((0.5, 1.0))), tuple(consecutive))
+    run = RuleState() if sig is None else RuleState(sig, draw(st.sampled_from(SEAM_RUNS)))
+    if not draw(st.booleans()):
+        sys_ = replace(sys_, waiting=())
     return OcpProblem(
         sys=sys_,
         x=tuple(scale * (abs(v) if positive else v) for v in x0),
         horizon=N,
         target=PolytopeUnion(parts),
-        cost=CostSpec(tuple(stage), draw(st.sampled_from((0.5, 1.0))), tuple(consecutive)),
-        run=RuleState() if sig is None else RuleState(sig, draw(st.sampled_from(SEAM_RUNS))),
-        enforce_waiting=draw(st.booleans()),
+        cost=cost,
+        run=run,
         enforce_terminal=draw(st.booleans()),
         cycle_through_all=q >= 2 and draw(st.booleans()),
     )
@@ -1012,7 +1016,7 @@ def _carried_end(template, state) -> str | None:
     leaf = branch.leaf
     if not sys_.state_set.contains(leaf, STATE_TOL):
         return "X"
-    rule = SwitchingRule(sys_, template.enforce_waiting, template.cycle_through_all)
+    rule = SwitchingRule(sys_, template.cycle_through_all)
     sig, length, used = replace(template, x=state.x, run=state.run).run
     for s in branch.tail:
         length, used = rule.next(s, sig, length, used)  # a loop's own branch is admissible

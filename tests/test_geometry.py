@@ -1469,7 +1469,7 @@ class TestFeasibleRegionIsControllableSet:
             points = [rng.uniform(-2.0, 2.0, 2) for _ in range(20)]
             points += [p for _ in range(5) for p in self._boundary_points(rng, S)]
             for x0 in points:
-                problem = OcpProblem(sys_, x0, N, target, CostSpec.uniform(q), enforce_waiting=False)
+                problem = OcpProblem(sys_, x0, N, target, CostSpec.uniform(q))
                 feasible, member = self._feasible(problem), S.contains(x0)
                 if self._near(S, x0):
                     counts["near"] += 1

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from swmpc import (
     build_viral_system,
     builtin_names,
     builtin_scenario,
+    run_closed_loop,
     scenario_from_dict,
     scenario_to_dict,
     simulate,
@@ -26,6 +28,9 @@ from swmpc.scenarios import (
     VIRAL_RATES,
     VIRAL_X0,
 )
+from swmpc.switched import UNBOUNDED_DWELL
+
+VIRAL_EXPORT = scenario_to_dict(builtin_scenario("viral-1"))
 
 SCHEMA_KEYS = {
     "kind",
@@ -174,7 +179,6 @@ class TestScenarioSchema:
         assert again.kind == scen.kind
         assert again.horizon_steps == scen.horizon_steps
         assert again.mpc.horizon == scen.mpc.horizon
-        assert again.mpc.enforce_waiting == scen.mpc.enforce_waiting
         assert again.mpc.enforce_terminal == scen.mpc.enforce_terminal
         assert again.mpc.cycle_through_all == scen.mpc.cycle_through_all
         assert np.allclose(again.x0, scen.x0)
@@ -185,6 +189,23 @@ class TestScenarioSchema:
         a = simulate(scen.sys, scen.x0, path).states
         b = simulate(again.sys, again.x0, path).states
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("name", ["viral-1", "viral-2", "cancer", "illustrative"])
+    def test_an_export_has_no_enforce_waiting_key(self, name):
+        assert "enforce_waiting" not in scenario_to_dict(builtin_scenario(name))
+
+    def test_an_older_file_without_enforced_waiting_loads_the_relaxed_system(self):
+        scen = builtin_scenario("cancer")
+        again = scenario_from_dict({**scenario_to_dict(scen), "enforce_waiting": False})
+        assert again.sys.waiting == ((1, UNBOUNDED_DWELL),) * 3
+        relaxed = run_closed_loop(replace(scen.mpc, sys=replace(scen.sys, waiting=())), 12)
+        loaded = run_closed_loop(again.mpc, 12)
+        assert loaded.states.tobytes() == relaxed.states.tobytes()
+        assert (loaded.signals, loaded.costs) == (relaxed.signals, relaxed.costs)
+        assert (loaded.nodes_explored, loaded.nodes_pruned) == (
+            relaxed.nodes_explored, relaxed.nodes_pruned)
+        # the relaxed loop is not the bounded one, so the comparison above sees the bounds
+        assert run_closed_loop(scen.mpc, 12).signals != relaxed.signals
 
     def test_builtin_names_stable(self):
         assert set(builtin_names()) == {"viral-1", "viral-2", "cancer", "illustrative"}
@@ -202,7 +223,13 @@ class TestScenarioSchema:
         (lambda: builtin_scenario("nope"),
          "unknown scenario 'nope'; built-ins are " + ", ".join(builtin_names())),
         (lambda: scenario_from_dict([1.0, 2.0]), "a scenario must be a JSON object"),
-    ], ids=["cancer-case", "builtin-name", "not-an-object"])
+        *((lambda kind=kind: scenario_from_dict({**VIRAL_EXPORT, "kind": kind}),
+           f"scenario key 'kind' needs one of viral, cancer, custom, got {kind!r}")
+          for kind in (7, ["x"], "hiv", None)),
+        *((lambda given=given: scenario_from_dict({**VIRAL_EXPORT, "name": 7}, name=given),
+           "scenario key 'name' needs str, got 7") for given in (None, "file-stem")),
+    ], ids=["cancer-case", "builtin-name", "not-an-object", "kind-int", "kind-list",
+            "kind-unknown", "kind-null", "name-int", "name-int-beside-a-given-name"])
     def test_each_check_names_what_is_wrong(self, build, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build()
