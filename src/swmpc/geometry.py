@@ -4,8 +4,10 @@ Convex polytopes are kept in H-representation {x : Hx <= h} with rows scaled
 to unit norm; nonconvex regions are finite unions of such polytopes.  On top
 of that this module provides one-step preimages under nonsingular maps
 (`Polytope.preimage`), controllable sets, switched-invariance verification and
-stabilizability / non-stabilizability certificates.  Distances to a union
-are in `controller`, beside the solver that evaluates them.
+stabilizability / non-stabilizability certificates.  Distances to a union are
+in `controller`, beside the solver that evaluates them.  No settled fact is
+derived twice: a part is pruned once, with no LP for a row that a witness
+point keeps; a matrix is checked once; a part's emptiness verdict is kept.
 
 Numerical conventions: a polytope counts as empty when its Chebyshev radius
 is below EMPTY_TOL; sets thinner than that tolerance are treated as empty by
@@ -33,7 +35,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -63,6 +65,8 @@ UNIT_NORM_TOL = 4e-16
 # a least-distance emptiness decision needs its certificate to hold with this
 # margin on either side of eps; closer to eps it falls back to the LP
 BAND = 1e-7
+WITNESS_MARGIN = 1e-6  # ten times HiGHS's feasibility and optimality tolerances
+CACHE_SIZE = 256  # per process-wide cache (matrices, products, contexts): more than an op uses
 DEFAULT_PART_CAP = 100_000
 PART_CAP_ENV = "SWMPC_PART_CAP"
 
@@ -232,6 +236,16 @@ def _radius_at_least(P: "Polytope | tuple[np.ndarray, np.ndarray]", eps: float, 
     return (Polytope(H, h) if isinstance(P, tuple) else P).chebyshev_radius >= eps
 
 
+def _unit_rows(H: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(H, h) checked finite, each nonzero row scaled to unit norm; a row of unit norm
+    to a few ulps keeps its bits, so a to_dict/from_dict round trip is exact."""
+    if not (np.all(np.isfinite(H)) and np.all(np.isfinite(h))):
+        raise ValueError("H-representation entries must be finite")
+    norms = np.linalg.norm(H, axis=1)
+    scale = np.where((norms > 0.0) & (np.abs(norms - 1.0) > UNIT_NORM_TOL), norms, 1.0)
+    return H / scale[:, None], h / scale
+
+
 class _Value:
     """Equality and hashing over the cached `_key`, the bytes of the arrays and the
     other fields that define the object; other instance-dict caches do not count."""
@@ -247,9 +261,9 @@ class _Value:
 class Polytope(_Value):
     """{x : Hx <= h}; rows of nonzero norm are rescaled to unit norm on construction.
 
-    Like the cached properties, private entries of the instance dict are filled
-    on demand: `_norm_bound` (see there), `_pruned`, the copy that `pruned()`
-    returns, and `_preimages`, the preimages built so far, keyed by the map.
+    Like the cached properties (`_nonempty`: `prune_empty`'s verdict), private
+    instance-dict entries are filled on demand: `_norm_bound` (see there), `_pruned`,
+    the copy that `pruned()` returns, and `_preimages`, the preimages by map.
     """
 
     H: np.ndarray
@@ -262,25 +276,18 @@ class Polytope(_Value):
             raise ValueError(f"H has {H.shape[0]} rows but h has {h.shape[0]} entries")
         if H.shape[0] < 1:
             raise ValueError("a polytope needs at least one inequality row")
-        if not (np.all(np.isfinite(H)) and np.all(np.isfinite(h))):
-            raise ValueError("H-representation entries must be finite")
-        norms = np.linalg.norm(H, axis=1)
-        # a row already of unit norm to a few ulps keeps its bits, so that
-        # normalizing twice (as a to_dict/from_dict round trip does) is exact
-        scale = np.where((norms > 0.0) & (np.abs(norms - 1.0) > UNIT_NORM_TOL), norms, 1.0)
-        H = H / scale[:, None]
-        h = h / scale
+        H, h = _unit_rows(H, h)
         # drop exact duplicate rows, keeping first occurrences
         first: dict[bytes, int] = {}
         for i in range(H.shape[0]):
             first.setdefault(H[i].tobytes() + h[i].tobytes(), i)
         keep = list(first.values())
-        H = np.ascontiguousarray(H[keep])
-        h = np.ascontiguousarray(h[keep])
-        H.setflags(write=False)
-        h.setflags(write=False)
-        object.__setattr__(self, "H", H)
-        object.__setattr__(self, "h", h)
+        self._set_rows(H[keep], h[keep])
+
+    def _set_rows(self, H: np.ndarray, h: np.ndarray) -> None:
+        for name, v in (("H", np.ascontiguousarray(H)), ("h", np.ascontiguousarray(h))):
+            v.setflags(write=False)
+            object.__setattr__(self, name, v)
 
     @cached_property
     def _key(self) -> tuple:
@@ -364,6 +371,11 @@ class Polytope(_Value):
         """Radius of the largest inscribed ball; -inf if infeasible, inf if unbounded."""
         return self.chebyshev_ball[0]
 
+    @cached_property
+    def _nonempty(self) -> bool:
+        """`prune_empty`'s verdict, radius >= EMPTY_TOL, decided once."""
+        return _radius_at_least(self, EMPTY_TOL, _norm_bound(self))
+
     def is_empty(self) -> bool:
         return self.chebyshev_radius < EMPTY_TOL
 
@@ -439,20 +451,27 @@ class Polytope(_Value):
     def pruned(self) -> "Polytope":
         """Drop inequality rows that are redundant for the feasible set: a row
         whose maximum over the other rows lies within PRUNE_TOL of its bound.
+        A row takes that LP unless a witness keeps it: with 0 strictly inside
+        (every h_i > 0), if (h_i + margin) a_i, with margin WITNESS_MARGIN times
+        max(1, max h), satisfies every other row, the LP's maximum exceeds h_i by
+        far more than its tolerances.
         Computed once and kept as `_pruned`; the copy, like every preimage, is
         marked as its own pruned copy, so a later call makes no LP.  A smaller
         non-box copy takes its norm bound from this one's coordinate ranges."""
         if (out := self.__dict__.get("_pruned")) is not None:
             return out
-        keep = list(range(self.nrows))
-        for i in range(self.nrows):
+        H, h, m = self.H, self.h, self.nrows
+        M = (h + WITNESS_MARGIN * max(1.0, h.max()))[:, None] * H @ H.T  # M[i, j] = H_j . w_i
+        witnessed = (h.min() > 0.0) & (np.diag(M) > h) & ((M <= h).sum(axis=1) == m - 1)
+        keep = list(range(m))
+        for i in np.flatnonzero(~witnessed).tolist():
             if len(keep) <= 1:
                 break
             others = [j for j in keep if j != i]
-            res = _lp(-self.H[i], self.H[others], self.h[others])
-            if res.status == 0 and -res.fun <= self.h[i] + PRUNE_TOL:
+            res = _lp(-H[i], H[others], h[others])
+            if res.status == 0 and -res.fun <= h[i] + PRUNE_TOL:
                 keep = others
-        out = self if len(keep) == self.nrows else Polytope(self.H[keep], self.h[keep])
+        out = self if len(keep) == m else Polytope(H[keep], h[keep])
         if out is not self and out.box_bounds is None:
             out.__dict__["_norm_bound"] = _norm_bound(self, solve=True)
         out.__dict__["_pruned"] = self.__dict__["_pruned"] = out
@@ -464,10 +483,12 @@ class Polytope(_Value):
 
         Built once per map and cached on this instance.  Since x -> A x is a
         bijection, a row redundant in the preimage is redundant here, so the
-        preimage of the pruned rows is already pruned: it is marked as its
-        own pruned copy and takes no redundancy LP.  Its points x have ||x|| <=
-        ||A x|| / sigma_min(A), so a norm bound R here gives R / sigma_min(A)
-        there, with sigma_min(A) padded down.
+        preimage of the pruned rows is already pruned: it is marked as its own
+        pruned copy and takes no redundancy LP, and its rows, checked and scaled
+        as `__post_init__`'s, skip its duplicate search (no two pruned rows lie
+        within PRUNE_TOL, so none round to the same bits).  Its points x have
+        ||x|| <= ||A x|| / sigma_min(A), so a norm bound R here gives R /
+        sigma_min(A) there, with sigma_min(A) padded down.
         """
         A = np.asarray(A, dtype=float)
         if A.shape != (self.dim, self.dim):
@@ -476,14 +497,13 @@ class Polytope(_Value):
         key = A.tobytes()
         Q = cache.get(key)
         if Q is None:
-            _require_nonsingular(A)
+            s_min = _require_nonsingular(A)
             P = self.pruned()
-            Q = cache[key] = Polytope(P.H @ A, P.h)
-            s = np.linalg.svd(A, compute_uv=False)
-            s_min = s[-1] - 1e-12 * s[0]  # thousands of times the SVD's rounding error
+            Q = object.__new__(Polytope)
+            Q._set_rows(*_unit_rows(P.H @ A, P.h))
             R = _norm_bound(P, solve=True)
             Q.__dict__["_norm_bound"] = R / s_min if s_min > 0.0 else math.inf
-            Q.__dict__["_pruned"] = Q
+            Q.__dict__["_pruned"] = cache[key] = Q
         return Q
 
     def to_dict(self) -> dict:
@@ -516,8 +536,7 @@ class PolytopeUnion:
 
     def prune_empty(self) -> "PolytopeUnion":
         """The parts of radius >= EMPTY_TOL, by a checked least-distance solve where R is known."""
-        kept = (p for p in self.parts if _radius_at_least(p, EMPTY_TOL, _norm_bound(p)))
-        return PolytopeUnion(tuple(kept))
+        return PolytopeUnion(tuple(p for p in self.parts if p._nonempty))
 
     def to_dict(self) -> dict:
         return {"parts": [p.to_dict() for p in self.parts]}
@@ -543,17 +562,29 @@ class InvarianceReport:
 # -- preimages and controllable sets ----------------------------------------
 
 
-def _require_nonsingular(A: np.ndarray, label: str = "matrix") -> None:
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
+@lru_cache(maxsize=CACHE_SIZE)
+def _matrix_facts(shape: tuple[int, int], data: bytes) -> tuple[float | None, float]:
+    """|det A| if A (of that shape and those bytes) is numerically singular, else None,
+    and sigma_min(A) less thousands of times the SVD's rounding error (nan if not finite)."""
+    A = np.frombuffer(data).reshape(shape)
     fro = np.linalg.norm(A, "fro")
-    scale = (fro / math.sqrt(n)) ** n if fro > 0 else 0.0
-    det = float(np.linalg.det(A))
-    if abs(det) < 1e-12 * max(scale, 1e-300):
+    scale = (fro / math.sqrt(shape[0])) ** shape[0] if fro > 0 else 0.0
+    det = abs(float(np.linalg.det(A)))
+    s = np.linalg.svd(A, compute_uv=False) if np.isfinite(A).all() else [math.nan]
+    return (det if det < 1e-12 * max(scale, 1e-300) else None), s[-1] - 1e-12 * s[0]
+
+
+def _require_nonsingular(A: np.ndarray, label: str = "matrix") -> float:
+    """A's padded sigma_min (`_matrix_facts`, once per matrix); raises
+    SingularMatrixError, naming A by label, when A is numerically singular."""
+    A = np.asarray(A, dtype=float)
+    det, s_min = _matrix_facts(A.shape, A.tobytes())
+    if det is not None:
         raise SingularMatrixError(
-            f"{label} is numerically singular (|det| = {abs(det):.3e}); "
+            f"{label} is numerically singular (|det| = {det:.3e}); "
             "preimages require nonsingular dynamics"
         )
+    return s_min
 
 
 def controllable_set(sys, target: Polytope | PolytopeUnion) -> PolytopeUnion:

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import Polytope, _Value
+from .geometry import CACHE_SIZE, Polytope, _Value
 
 __all__ = [
     "SwitchedSystem",
@@ -45,7 +45,6 @@ __all__ = [
 # Upper waiting bound used when a signal has no effective dwell limit.
 UNBOUNDED_DWELL = 10**9
 _COMPILED = itertools.count()  # numbers each generated function's filename
-CACHE_SIZE = 256  # per process-wide cache (products, search contexts): more than an op uses
 
 
 def _compile(name: str, body: list[str], scope: dict) -> Callable:

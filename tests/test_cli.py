@@ -634,11 +634,11 @@ class TestAnalyze:
         assert "stabilizability: not certified" in text
 
     def test_lp_work_and_outputs_are_pinned_at_kmax_1(self, tmp_path, lp_calls):
-        # 4 LPs to prune the target once, and the invariance check's radii and
-        # counterexample center; the box's boundedness is read from its rows
+        # the invariance check's radii and counterexample center: a witness keeps
+        # each row of the box target, whose boundedness is read from its rows
         rc = main(["analyze", "--scenario", "illustrative", "--kmax", "1", "--out", str(tmp_path)])
         assert rc == 0
-        assert len(lp_calls) <= 11
+        assert len(lp_calls) <= 5
         digest = {
             name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in ("sets.json", "certificate.txt")
@@ -653,7 +653,7 @@ class TestAnalyze:
         # slack; the outputs are those of the code that rebuilt every set
         rc = main(["analyze", "--scenario", "illustrative", "--kmax", "2", "--out", str(tmp_path)])
         assert rc == 0
-        assert len(lp_calls) <= 11
+        assert len(lp_calls) <= 5
         digest = {
             name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in ("sets.json", "certificate.txt")
@@ -666,11 +666,11 @@ class TestAnalyze:
     def test_lp_work_and_outputs_are_pinned_at_kmax_3(self, tmp_path, lp_calls):
         # the emptiness tests of the region difference and of `prune_empty`
         # are least-distance decisions within a carried norm bound, so the LPs
-        # left are the pruning, the invariance check's radii and the fallbacks;
-        # the outputs are those of the code that made a Chebyshev LP per test
+        # left are the invariance check's radii and the fallbacks; the outputs
+        # are those of the code that made a Chebyshev LP per test
         rc = main(["analyze", "--scenario", "illustrative", "--kmax", "3", "--out", str(tmp_path)])
         assert rc == 0
-        assert len(lp_calls) <= 15
+        assert len(lp_calls) <= 9
         digest = {
             name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in ("sets.json", "certificate.txt")
@@ -692,7 +692,7 @@ class TestAnalyze:
         scen.write_text(json.dumps(data))
         out = tmp_path / "run"
         assert main(["analyze", "--scenario", str(scen), "--kmax", "1", "--out", str(out)]) == 0
-        assert len(lp_calls) <= 13
+        assert len(lp_calls) <= 9
         digest = {
             name: hashlib.sha256((out / name).read_bytes()).hexdigest()
             for name in ("sets.json", "certificate.txt")
@@ -700,6 +700,33 @@ class TestAnalyze:
         assert digest == {
             "sets.json": "a5b43978ac983f4ed7209e5d355714d0c65ecf835057b45509e0bf5cb9c38631",
             "certificate.txt": "305d2d9612e5abc8bd9d0806fb89e31210f3afa24a66289e41ee6fc54f19e671",
+        }
+
+    @pytest.mark.parametrize("scenario, lps, digest", [
+        ("cancer", 4, {
+            "sets.json": "5f379503617f075b96b00c80e53ffa67f224150f4bcc401017c69b997b230be8",
+            "certificate.txt": "7ec8a85f30b5708b3225270a57159af65371be8556e5cac161922021ef8915d3",
+        }),
+        ("viral-1", 27, {
+            "sets.json": "711ad68f11be5fc435a92f3b0e97e26621be5be8d5bfc57ba335de2816d0b596",
+            "certificate.txt": "01c839897adb851ba3e9fa3ef5d5e57802bc686e4e718a095568676e06012448",
+        }),
+        ("viral-2", 8, {
+            "sets.json": "5d1e0e5ca2c8df49ebcbb334f21de3609af54bb37972407e8103a58be6e7fce3",
+            "certificate.txt": "ce135bc871fed55ccec9145897c3a0b8d88278e5ca54b216c64f87bc0832060d",
+        }),
+    ])
+    def test_lp_work_and_outputs_are_pinned_on_the_case_studies(
+        self, tmp_path, lp_calls, scenario, lps, digest
+    ):
+        # the built-in analysis targets, which no other pin covers; the outputs
+        # are those of the code that pruned every target row by an LP
+        rc = main(["analyze", "--scenario", scenario, "--kmax", "3", "--out", str(tmp_path)])
+        assert rc == 0
+        assert len(lp_calls) <= lps
+        assert digest == {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("sets.json", "certificate.txt")
         }
 
     @pytest.mark.parametrize("redundant", [False, True], ids=["square", "square-and-redundant-row"])
@@ -736,7 +763,7 @@ class TestAnalyze:
             files = {name: (out / name).read_bytes() for name in ("sets.json", "certificate.txt")}
             runs.append((len(lp_calls), files))
         assert runs[0] == runs[1]
-        assert runs[0][0] <= 14 + redundant
+        assert runs[0][0] <= 10 + redundant
 
     @pytest.mark.parametrize("source", ["export", "unbounded"])
     def test_rejected_target_writes_no_file(self, tmp_path, capsys, source):

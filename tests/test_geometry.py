@@ -89,6 +89,22 @@ def sample_in_union(rng, union, count):
     return out
 
 
+def _pruned_by_lp_per_row(P):
+    """(indices of the rows that pruning keeps, LPs made), by scipy's `linprog`
+    for each row in turn: a row goes when its maximum over the other rows kept
+    so far lies within 1e-9 of its bound."""
+    keep, lps = list(range(P.nrows)), 0
+    for i in range(P.nrows):
+        if len(keep) <= 1:
+            break
+        others = [j for j in keep if j != i]
+        res = linprog(-P.H[i], A_ub=P.H[others], b_ub=P.h[others], bounds=(None, None))
+        lps += 1
+        if res.status == 0 and -res.fun <= P.h[i] + 1e-9:
+            keep = others
+    return keep, lps
+
+
 class TestPolytope:
     def test_rows_are_normalized(self):
         P = Polytope(np.array([[2.0, 0.0]]), np.array([4.0]))
@@ -179,6 +195,46 @@ class TestPolytope:
         # duplicate-direction row with slack 5 is redundant; dedup keeps 4 rows
         assert P.pruned().nrows == 4
 
+    def test_pruned_matches_an_lp_per_row(self, monkeypatch):
+        # parts about the origin and off it, with rows redundant by 1e-8, 1e-6
+        # and 0.1 and rows that cut by 1e-8 and 1e-6: the witnesses keep only
+        # rows that the LP keeps, and save LPs only where 0 is inside
+        rng = np.random.default_rng(11)
+        calls = []
+        real = swmpc.geometry.linprog
+        monkeypatch.setattr(
+            swmpc.geometry, "linprog", lambda *a, **k: calls.append(1) or real(*a, **k)
+        )
+        made = {True: 0, False: 0}
+        oracle = {True: 0, False: 0}
+        dropped = 0
+        for trial in range(120):
+            n = int(rng.integers(2, 5))
+            inside = trial % 2 == 0
+            center = rng.normal(scale=0.05, size=n)
+            if not inside:
+                center = 3.0 * center / np.linalg.norm(center)
+            H, h = _random_rows(rng, n, int(rng.integers(n + 1, 3 * n)), center, 0.2, 1.0)
+            box = Polytope.box(center - 1.0, center + 1.0)
+            P = cut(Polytope(H, h), box.H, box.h)
+            for slack in (1e-8, -1e-8, 1e-6, -1e-6, 0.1):
+                a = rng.normal(size=n)
+                a /= np.linalg.norm(a)
+                P = cut(P, a, P.support(a) + slack)
+            assert (P.h.min() > 0.0) == inside
+            keep, lps = _pruned_by_lp_per_row(P)
+            _norm_bound(P, solve=True)  # the bound a smaller copy takes, solved here
+            calls.clear()
+            got = P.pruned()
+            assert got.H.tobytes() == P.H[keep].tobytes()
+            assert got.h.tobytes() == P.h[keep].tobytes()
+            made[inside] += len(calls)
+            oracle[inside] += lps
+            dropped += P.nrows - len(keep)
+        assert made[False] == oracle[False]
+        assert made[True] < 0.75 * oracle[True]  # 661 of 996
+        assert dropped >= 3 * 120
+
     def test_lp_failure_raises(self, monkeypatch):
         def failing(*args, **kwargs):
             return OptimizeResult(status=4, message="numerical difficulties", x=None, fun=None)
@@ -189,8 +245,10 @@ class TestPolytope:
             P.support([1.0, 0.0])
         with pytest.raises(NumericalError):
             P.chebyshev_radius
+        # a witness keeps each of the box's rows, but the fifth row needs its LP
+        assert P.pruned() is P
         with pytest.raises(NumericalError):
-            P.pruned()
+            cut(P, [1.0, 1.0], 5.0).pruned()
 
     def test_dict_round_trip(self):
         P = Polytope.box([-1, 0], [2, 3])
@@ -238,6 +296,26 @@ class TestPreimage:
         Q = regular_polygon(6, 1.0, 0.2).preimage(np.array([[1.2, 0.3], [-0.4, 0.9]]))
         monkeypatch.setattr(swmpc.geometry, "linprog", lambda *a, **k: pytest.fail("an LP"))
         assert Q.pruned() is Q
+
+    def test_preimage_rows_are_a_constructed_polytope_s(self, monkeypatch):
+        # built without the constructor's duplicate search, yet bit for bit the
+        # polytope constructed from the pruned rows, over random maps
+        rng = np.random.default_rng(23)
+        for _ in range(40):
+            n = int(rng.integers(2, 5))
+            H, h = _random_rows(rng, n, int(rng.integers(n + 1, 3 * n)),
+                                rng.normal(scale=0.05, size=n), 0.2, 1.0)
+            P = cut(Polytope(H, h), _cubes(1.0)[n].H, _cubes(1.0)[n].h)
+            R = P.pruned()
+            maps = [10.0 ** rng.uniform(-2.0, 3.0) * rng.normal(size=(n, n)) for _ in range(3)]
+            with monkeypatch.context() as m:
+                m.setattr(Polytope, "__post_init__", lambda self: pytest.fail("a constructor"))
+                got = [P.preimage(A) for A in maps]
+            for A, Q in zip(maps, got):
+                want = Polytope(R.H @ A, R.h)
+                assert Q.H.tobytes() == want.H.tobytes() and Q.h.tobytes() == want.h.tobytes()
+                assert Q._key == want._key and Q == want
+                assert not (Q.H.flags.writeable or Q.h.flags.writeable)
 
     def test_shape_mismatch_rejected(self):
         P = Polytope.box([-1, -1], [1, 1])
@@ -356,6 +434,20 @@ class TestControllableSets:
         sys_ = scalar_system(2.0)
         S = controllable_set(sys_, PolytopeUnion(()))
         assert len(S) == 0
+
+    def test_second_controllable_set_decides_and_factors_nothing(self, monkeypatch):
+        # each part keeps its emptiness verdict, each matrix its checks
+        sys_ = build_illustrative_system()
+        for omega in (Polytope.box([-0.1, -0.1], [0.1, 0.1]), regular_polygon(5, 0.1, 0.3)):
+            levels = [omega]
+            for _ in range(2):
+                levels.append(controllable_set(sys_, levels[-1]))
+            with monkeypatch.context() as m:
+                for owner, name in ((swmpc.geometry, "_radius_at_least"),
+                                    (np.linalg, "det"), (np.linalg, "svd")):
+                    m.setattr(owner, name, lambda *a, name=name, **k: pytest.fail(name))
+                again = [controllable_set(sys_, S) for S in levels[:-1]]
+            assert again == levels[1:]
 
     def test_singular_subsystem_named(self):
         sys_ = scalar_system(2.0, 0.0)
@@ -1183,8 +1275,9 @@ class TestLpSolver:
             P.support([1.0, 0.0])
         with pytest.raises(NumericalError):
             P.chebyshev_radius
+        assert P.pruned() is P  # no LP: a witness keeps each row
         with pytest.raises(NumericalError):
-            P.pruned()
+            cut(P, [1.0, 1.0], 5.0).pruned()
 
     def test_non_finite_data_raises_rather_than_reads_infeasible(self):
         A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
@@ -1346,12 +1439,14 @@ class TestResumedSearch:
     @staticmethod
     def _both(counts, sys_, omega, kmax):
         """(k or the cap error's message, levels built, radius decisions), for the
-        certificate and then for the restarting oracle."""
+        certificate and then for the restarting oracle, each on its own copy of
+        omega's parts, so that neither reads the other's cached preimages and verdicts."""
         out = []
         for certify in (stabilizability_certificate, _restarting_certificate):
             counts.update(levels=0, radius=0)
+            own = PolytopeUnion(tuple(Polytope(P.H, P.h) for P in as_union(omega).parts))
             try:
-                k = certify(sys_, omega, kmax)
+                k = certify(sys_, own, kmax)
             except GeometryCapError as err:
                 k = str(err)
             out.append((k, counts["levels"], counts["radius"]))
