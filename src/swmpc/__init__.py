@@ -16,7 +16,6 @@ from .controller import (
 )
 from .geometry import (
     GeometryCapError,
-    InvarianceReport,
     NumericalError,
     Polytope,
     PolytopeUnion,
@@ -51,7 +50,6 @@ from .switched import (
     RuleState,
     SimulationResult,
     SwitchedSystem,
-    WaitingReport,
     packs,
     performance_index,
     simulate,

@@ -47,19 +47,6 @@ from .switched import (
     simulate,
 )
 
-__all__ = [
-    "CostSpec",
-    "OcpProblem",
-    "OcpSolution",
-    "ControllerState",
-    "InfeasibleProblemError",
-    "distance_to_set",
-    "eval_cost",
-    "solve_ocp",
-    "rhc_step",
-    "run_closed_loop",
-    "initial_state",
-]
 
 TERMINAL_TOL = 1e-9
 STATE_TOL = 1e-9

@@ -43,19 +43,6 @@ import numpy as np
 if TYPE_CHECKING:
     from scipy.optimize import OptimizeResult
 
-__all__ = [
-    "Polytope",
-    "PolytopeUnion",
-    "InvarianceReport",
-    "GeometryCapError",
-    "NumericalError",
-    "SingularMatrixError",
-    "controllable_set",
-    "inclusion_in_union",
-    "is_switched_invariant",
-    "stabilizability_certificate",
-    "non_stabilizability_certificate",
-]
 
 EMPTY_TOL = 1e-9
 MEMBERSHIP_TOL = 1e-9

@@ -24,17 +24,6 @@ from .controller import CostSpec, OcpProblem
 from .geometry import Polytope, PolytopeUnion, as_union
 from .switched import SwitchedSystem, UNBOUNDED_DWELL
 
-__all__ = [
-    "Scenario",
-    "build_viral_system",
-    "build_cancer_system",
-    "build_illustrative_system",
-    "builtin_names",
-    "builtin_scenario",
-    "load_scenario",
-    "scenario_to_dict",
-    "scenario_from_dict",
-]
 
 MUTATION_RATE = 1e-4
 CLEARANCE_RATE = 0.24  # per day
@@ -172,6 +161,13 @@ class Scenario:
     horizon_steps: int
     mpc: OcpProblem
     analysis_target: PolytopeUnion
+
+    def __post_init__(self):
+        # one range check for built-ins and files alike; a message starts with its JSON key
+        if not 0 < self.tau_days < float("inf"):  # also refuses NaN
+            raise ValueError(f"tau_days must be finite and > 0, got {self.tau_days!r}")
+        if self.horizon_steps < 0:
+            raise ValueError(f"horizon_steps must be >= 0, got {self.horizon_steps!r}")
 
     @property
     def sys(self) -> SwitchedSystem:

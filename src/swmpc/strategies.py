@@ -20,14 +20,6 @@ from .controller import CostSpec, OcpProblem
 from .geometry import Polytope
 from .switched import SimulationResult, SwitchedSystem, _initial_state, simulate, total_load
 
-__all__ = [
-    "CyclicSchedule",
-    "EnumerationCapError",
-    "brute_force_optimal",
-    "virologic_failure_strategy",
-    "swatch_strategy",
-    "run_cycle",
-]
 
 DEFAULT_ENUMERATION_CAP = 2**20
 VIROLOGIC_FAILURE_THRESHOLD = 1000.0

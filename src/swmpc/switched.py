@@ -28,19 +28,6 @@ import numpy as np
 
 from .geometry import CACHE_SIZE, Polytope, _Value
 
-__all__ = [
-    "SwitchedSystem",
-    "JPack",
-    "WaitingReport",
-    "SimulationResult",
-    "RuleState",
-    "SwitchingRule",
-    "simulate",
-    "packs",
-    "validate_waiting",
-    "total_load",
-    "performance_index",
-]
 
 # Upper waiting bound used when a signal has no effective dwell limit.
 UNBOUNDED_DWELL = 10**9

@@ -235,6 +235,21 @@ class TestPolytope:
         assert made[True] < 0.75 * oracle[True]  # 661 of 996
         assert dropped >= 3 * 120
 
+    def test_infeasible_chebyshev_lp_reads_minus_inf(self):
+        # the free radius makes the LP feasible for any part whose rows are all
+        # nonzero, so only a zero row with a negative bound makes it infeasible
+        assert Polytope([[1.0], [-1.0]], [-1.0, -1.0]).chebyshev_radius == -1.0
+        assert Polytope([[0.0, 0.0], [1.0, 0.0]], [-1.0, 1.0]).chebyshev_ball == (-math.inf, None)
+
+    def test_pruning_stops_at_one_row(self, monkeypatch):
+        calls = []
+        real = swmpc.geometry.linprog
+        monkeypatch.setattr(
+            swmpc.geometry, "linprog", lambda *a, **k: calls.append(1) or real(*a, **k)
+        )
+        P = Polytope([[1.0], [1.0], [1.0]], [-1.0, -2.0, -3.0]).pruned()
+        assert (P.H.tolist(), P.h.tolist(), len(calls)) == ([[1.0]], [-3.0], 2)
+
     def test_lp_failure_raises(self, monkeypatch):
         def failing(*args, **kwargs):
             return OptimizeResult(status=4, message="numerical difficulties", x=None, fun=None)
@@ -1027,6 +1042,18 @@ class TestRadiusDecision:
         assert self._decide(P, 10.0, lp_count) == (True, True, True)
         assert self._decide(Polytope.box([-1, -1], [1, 1]), math.inf, lp_count) == (True, True, True)
         assert self._decide(Polytope.box([-1, -1], [1, 1]), 10.0, lp_count) == (True, True, False)
+
+    def test_a_failed_solve_reads_the_lp(self, lp_count, monkeypatch):
+        solves = []
+
+        def failing(*args):
+            solves.append(1)
+            raise RuntimeError("NNLS iteration limit")
+
+        monkeypatch.setattr(swmpc.geometry, "nnls", failing)
+        triangle = Polytope([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], [0.0, 0.0, 1.0])
+        assert _radius_at_least(triangle, EMPTY_TOL, 10.0)
+        assert (len(solves), len(lp_count)) == (1, 1)
 
     @pytest.fixture
     def nnls_count(self, monkeypatch):

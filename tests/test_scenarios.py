@@ -228,8 +228,17 @@ class TestScenarioSchema:
           for kind in (7, ["x"], "hiv", None)),
         *((lambda given=given: scenario_from_dict({**VIRAL_EXPORT, "name": 7}, name=given),
            "scenario key 'name' needs str, got 7") for given in (None, "file-stem")),
+        *((lambda tau=tau: scenario_from_dict({**VIRAL_EXPORT, "tau_days": tau}),
+           f"tau_days must be finite and > 0, got {float(tau)!r}")
+          for tau in (-28, 0, float("nan"), float("inf"))),
+        (lambda: scenario_from_dict({**VIRAL_EXPORT, "horizon_steps": -3}),
+         "horizon_steps must be >= 0, got -3"),
+        (lambda: replace(builtin_scenario("cancer"), horizon_steps=-1),
+         "horizon_steps must be >= 0, got -1"),
     ], ids=["cancer-case", "builtin-name", "not-an-object", "kind-int", "kind-list",
-            "kind-unknown", "kind-null", "name-int", "name-int-beside-a-given-name"])
+            "kind-unknown", "kind-null", "name-int", "name-int-beside-a-given-name",
+            "tau-negative", "tau-zero", "tau-nan", "tau-infinity", "horizon-steps-negative",
+            "builtin-horizon-steps-negative"])
     def test_each_check_names_what_is_wrong(self, build, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build()
