@@ -1,10 +1,10 @@
 """Command-line harness: closed-loop simulation, strategy comparison,
 set-geometry analysis, and scenario export.
 
-Exit codes: 0 success, 1 configuration error, 2 infeasible optimization
-(failing step reported on stderr), 3 resource cap exceeded, 4 an LP or a
-projection failed numerically.  Each command computes everything it writes
-before it creates --out, so a failed command writes no file.
+Exit codes: 0 success, 1 configuration error or bad path, 2 infeasible
+optimization (failing step reported on stderr), 3 resource cap exceeded, 4 an
+LP or a projection failed numerically.  Each command computes everything it
+writes before it creates --out, so a failed command writes no file.
 """
 
 from __future__ import annotations
@@ -277,7 +277,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return _COMMANDS[args.command](args)
-    except ValueError as err:
+    except (ValueError, OSError) as err:  # OSError: a bad --scenario or --out path
         print(f"error: {err}", file=sys.stderr)
         return 1
     except InfeasibleProblemError as err:

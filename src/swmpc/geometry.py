@@ -19,10 +19,10 @@ read as a Farkas vector within a norm bound R, proves "empty".  R is the
 target box's, divided by sigma_min(A) at each preimage, and is -inf for a box
 or cached coordinate ranges with hi < lo.  A radius within BAND of eps, a
 failed check or an unknown R reads the Chebyshev LP, as does every radius
-whose value is used: `is_empty`, the invariance check's part order (no other
-caller sorts) and its counterexample.  The region difference keeps its pieces
+whose value is used: `is_empty` and the invariance check's counterexample.
+Every region difference tries the parts in list order.  It keeps its pieces
 as raw (H, h) arrays of unit rows and builds a Polytope only for that LP and
-for the piece `_uncovered_piece` returns.  Every LP goes through `linprog`:
+for the counterexample's piece.  Every LP goes through `linprog`:
 HiGHS from scipy's bundled bindings, one solver per thread, handed each LP as
 a fresh model.  scipy is imported on the first LP or least-distance solve,
 not with this module, so a run that makes neither (a controller loop on a box
@@ -202,14 +202,13 @@ def _radius_at_least(P: "Polytope | tuple[np.ndarray, np.ndarray]", eps: float, 
     u, if u.(h - eps + BAND) + ||H^T u|| R < 0, proves that no point of
     {Hx <= h - eps + BAND}, and so none of {Hx <= h - eps}, lies in the ball.
     The two cannot both hold.  A radius within about BAND of eps, a failed
-    check or solve, a zero row (whose LP constraint is not shifted by eps),
-    an unbounded R and an already cached radius all read the Chebyshev LP.
+    check or solve, a zero row (whose LP constraint is not shifted by eps)
+    and an unbounded R read the Chebyshev LP.
     """
     if R < 0.0:
         return False
     H, h = P if isinstance(P, tuple) else (P.H, P.h)
-    uncached = isinstance(P, tuple) or "chebyshev_ball" not in P.__dict__
-    if uncached and math.isfinite(R) and H.any(axis=1).all():
+    if math.isfinite(R) and H.any(axis=1).all():
         d = h - eps
         g = d + BAND
         try:
@@ -289,7 +288,7 @@ class Polytope(_Value):
         ub = np.asarray(ub, dtype=float)
         if lb.shape != ub.shape or lb.ndim != 1:
             raise ValueError("lb and ub must be 1-d arrays of equal length")
-        if np.any(lb > ub):
+        if not np.all(lb <= ub):  # a NaN bound fails too
             raise ValueError("box needs lb <= ub")
         # rows x_i <= ub_i and -x_i <= -lb_i, in turn for each i, where finite
         n = lb.size
@@ -626,12 +625,6 @@ def _uncovered_pieces(P: Polytope, parts: Sequence[Polytope]):
                 stack.append((*outside, idx + 1))
 
 
-def _uncovered_piece(P: Polytope, parts: Sequence[Polytope]) -> Polytope | None:
-    """A piece of P not covered by `parts`, or None (see `_uncovered_pieces`)."""
-    piece = next(_uncovered_pieces(P, parts), None)
-    return None if piece is None else Polytope(*piece)
-
-
 def inclusion_in_union(P: Polytope, U: Polytope | PolytopeUnion) -> bool:
     """True iff P is covered by the union up to EMPTY_TOL-deep residuals."""
     return next(_uncovered_pieces(P, as_union(U).parts), None) is None
@@ -666,11 +659,10 @@ def is_switched_invariant(sys, omega: Polytope | PolytopeUnion) -> InvarianceRep
 
     if regular:
         S = controllable_set(sys, omega).parts
-        S = sorted(S, key=lambda p: -min(p.chebyshev_radius, 1e300))  # largest ball first
         for P in regular:
-            piece = _uncovered_piece(P, S)
+            piece = next(_uncovered_pieces(P, S), None)
             if piece is not None:
-                center = piece.chebyshev_ball[1]
+                center = Polytope(*piece).chebyshev_ball[1]
                 if center is None:
                     raise NumericalError("could not compute a center of a nonempty piece")
                 return InvarianceReport(is_sis=False, counterexample=center)

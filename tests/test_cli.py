@@ -634,11 +634,11 @@ class TestAnalyze:
         assert "stabilizability: not certified" in text
 
     def test_lp_work_and_outputs_are_pinned_at_kmax_1(self, tmp_path, lp_calls):
-        # the invariance check's radii and counterexample center: a witness keeps
+        # the invariance check's counterexample center alone: a witness keeps
         # each row of the box target, whose boundedness is read from its rows
         rc = main(["analyze", "--scenario", "illustrative", "--kmax", "1", "--out", str(tmp_path)])
         assert rc == 0
-        assert len(lp_calls) <= 5
+        assert len(lp_calls) <= 1
         digest = {
             name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in ("sets.json", "certificate.txt")
@@ -653,7 +653,7 @@ class TestAnalyze:
         # slack; the outputs are those of the code that rebuilt every set
         rc = main(["analyze", "--scenario", "illustrative", "--kmax", "2", "--out", str(tmp_path)])
         assert rc == 0
-        assert len(lp_calls) <= 5
+        assert len(lp_calls) <= 1
         digest = {
             name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in ("sets.json", "certificate.txt")
@@ -666,11 +666,11 @@ class TestAnalyze:
     def test_lp_work_and_outputs_are_pinned_at_kmax_3(self, tmp_path, lp_calls):
         # the emptiness tests of the region difference and of `prune_empty`
         # are least-distance decisions within a carried norm bound, so the LPs
-        # left are the invariance check's radii and the fallbacks; the outputs
+        # left are the counterexample's center and the fallbacks; the outputs
         # are those of the code that made a Chebyshev LP per test
         rc = main(["analyze", "--scenario", "illustrative", "--kmax", "3", "--out", str(tmp_path)])
         assert rc == 0
-        assert len(lp_calls) <= 9
+        assert len(lp_calls) <= 5
         digest = {
             name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in ("sets.json", "certificate.txt")
@@ -682,8 +682,9 @@ class TestAnalyze:
 
     def test_lp_work_and_outputs_are_pinned_on_a_rotated_square(self, tmp_path, lp_calls):
         # a target that is not a box reads its boundedness, and so the norm
-        # bound of every set below it, from 4 support LPs; the outputs are
-        # those of the code that checked boundedness before the first set
+        # bound of every set below it, from 4 support LPs, and the fifth LP is
+        # the counterexample's center; the sets are those of the code that
+        # checked boundedness before the first set
         angles = math.pi / 8 + np.arange(4) * math.pi / 2
         H = np.column_stack([np.cos(angles), np.sin(angles)])
         data = {**scenario_to_dict(builtin_scenario("illustrative")),
@@ -692,30 +693,37 @@ class TestAnalyze:
         scen.write_text(json.dumps(data))
         out = tmp_path / "run"
         assert main(["analyze", "--scenario", str(scen), "--kmax", "1", "--out", str(out)]) == 0
-        assert len(lp_calls) <= 9
+        assert len(lp_calls) <= 5
         digest = {
             name: hashlib.sha256((out / name).read_bytes()).hexdigest()
             for name in ("sets.json", "certificate.txt")
         }
         assert digest == {
             "sets.json": "a5b43978ac983f4ed7209e5d355714d0c65ecf835057b45509e0bf5cb9c38631",
-            "certificate.txt": "305d2d9612e5abc8bd9d0806fb89e31210f3afa24a66289e41ee6fc54f19e671",
+            "certificate.txt": "09a70d5fbd0d66a61d0a9e6fd5be858d5f46a5dc909c44ec092016da25a1ed73",
         }
+        # the printed counterexample lies in omega and every subsystem maps it out
+        line = (out / "certificate.txt").read_text().splitlines()[1]
+        assert line.startswith("counterexample: ")
+        x = np.array(json.loads(line.removeprefix("counterexample: ")))
+        omega = Polytope(H, [0.1] * 4)
+        assert omega.contains(x)
+        assert not any(omega.contains(A @ x) for A in builtin_scenario("illustrative").sys.matrices)
 
     @pytest.mark.parametrize("scenario, lps, digest", [
-        ("cancer", 4, {
+        ("cancer", 1, {
             "sets.json": "5f379503617f075b96b00c80e53ffa67f224150f4bcc401017c69b997b230be8",
             "certificate.txt": "7ec8a85f30b5708b3225270a57159af65371be8556e5cac161922021ef8915d3",
         }),
-        ("viral-1", 27, {
+        ("viral-1", 25, {
             "sets.json": "711ad68f11be5fc435a92f3b0e97e26621be5be8d5bfc57ba335de2816d0b596",
             "certificate.txt": "01c839897adb851ba3e9fa3ef5d5e57802bc686e4e718a095568676e06012448",
         }),
-        ("viral-2", 8, {
+        ("viral-2", 6, {
             "sets.json": "5d1e0e5ca2c8df49ebcbb334f21de3609af54bb37972407e8103a58be6e7fce3",
             "certificate.txt": "ce135bc871fed55ccec9145897c3a0b8d88278e5ca54b216c64f87bc0832060d",
         }),
-    ])
+    ], ids=["cancer", "viral-1", "viral-2"])  # ids that stay when a pin moves
     def test_lp_work_and_outputs_are_pinned_on_the_case_studies(
         self, tmp_path, lp_calls, scenario, lps, digest
     ):
@@ -763,7 +771,7 @@ class TestAnalyze:
             files = {name: (out / name).read_bytes() for name in ("sets.json", "certificate.txt")}
             runs.append((len(lp_calls), files))
         assert runs[0] == runs[1]
-        assert runs[0][0] <= 10 + redundant
+        assert runs[0][0] <= 6 + redundant
 
     @pytest.mark.parametrize("source", ["export", "unbounded"])
     def test_rejected_target_writes_no_file(self, tmp_path, capsys, source):
@@ -920,6 +928,34 @@ class TestExport:
             assert main(["simulate", "--scenario", source, "--out", str(tmp_path / out)]) == 0
         builtin = (tmp_path / "builtin" / "trajectory.csv").read_bytes()
         assert (tmp_path / "exported" / "trajectory.csv").read_bytes() == builtin
+
+
+class TestBadPath:
+    COMMANDS = {
+        "simulate": ["simulate", "--steps", "2"],
+        "compare": ["compare", "--steps", "2"],
+        "analyze": ["analyze", "--kmax", "1"],
+        "export-scenario": ["export-scenario"],
+    }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_scenario_that_is_a_directory_exits_1(self, tmp_path, capsys, command):
+        out = tmp_path / "run"
+        rc = main([*self.COMMANDS[command], "--scenario", str(tmp_path), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_out_under_a_regular_file_exits_1(self, tmp_path, capsys, command):
+        scenario = "viral-1" if command == "compare" else "illustrative"
+        blocker = tmp_path / "file"
+        blocker.touch()
+        rc = main([*self.COMMANDS[command], "--scenario", scenario, "--out", str(blocker / "run")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == [blocker]
+        assert blocker.read_bytes() == b""
 
 
 class TestPartCap:

@@ -40,7 +40,7 @@ from swmpc.geometry import (
     _lp,
     _norm_bound,
     _radius_at_least,
-    _uncovered_piece,
+    _uncovered_pieces,
     as_union,
     part_cap,
 )
@@ -158,12 +158,14 @@ class TestPolytope:
         (lambda: Polytope(np.eye(2), [1.0, math.inf]), "H-representation entries must be finite"),
         (lambda: Polytope.box([0.0, 0.0], [1.0]), "lb and ub must be 1-d arrays of equal length"),
         (lambda: Polytope.box([1.0], [0.0]), "box needs lb <= ub"),
+        (lambda: Polytope.box([math.nan, 0.0], [1.0, 1.0]), "box needs lb <= ub"),
+        (lambda: Polytope.box([0.0], [math.nan]), "box needs lb <= ub"),
         (lambda: Polytope.box([-math.inf], [math.inf]), "box must be bounded in at least one direction"),
         (lambda: Polytope.box([-1.0], [1.0]).scale(0.0), "scale factor must be positive"),
         (lambda: PolytopeUnion((Polytope.box([-1], [1]), Polytope.box([-1, -1], [1, 1]))),
          "all parts of a union must share one dimension"),
-    ], ids=["row-mismatch", "no-rows", "non-finite", "box-shapes", "box-order", "box-open",
-            "scale-factor", "union-dimensions"])
+    ], ids=["row-mismatch", "no-rows", "non-finite", "box-shapes", "box-order", "box-nan-lb",
+            "box-nan-ub", "box-open", "scale-factor", "union-dimensions"])
     def test_each_check_names_what_is_wrong(self, build, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build()
@@ -933,7 +935,7 @@ class TestIllustrativeCertificate:
 
 
 def _bound(P):
-    """The radius R that `_uncovered_piece` derives from the region P."""
+    """The radius R that `_uncovered_pieces` derives from the region P."""
     lo, hi = P.coordinate_ranges
     return float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi)) + BAND))
 
@@ -1113,7 +1115,7 @@ def _max_vertex_norm(P):
 
 
 class TestNormBound:
-    """The bound `preimage`, `scale` and `pruned` carry for `_uncovered_piece` and `prune_empty`."""
+    """The bound `preimage`, `scale` and `pruned` carry for `_uncovered_pieces` and `prune_empty`."""
 
     def test_bound_holds_along_random_preimage_chains(self):
         rng = np.random.default_rng(16)
@@ -1378,7 +1380,7 @@ class TestLpSolver:
 
 
 class TestRegionDifference:
-    """`_uncovered_piece` on random planar regions and unions of 1-4 polygons."""
+    """`_uncovered_pieces` on random planar regions and unions of 1-4 polygons."""
 
     @staticmethod
     def _polygon(rng, scale, inradius):
@@ -1392,9 +1394,9 @@ class TestRegionDifference:
         for trial in range(200):
             P = self._polygon(rng, 0.1, (0.2, 0.6))
             parts = [self._polygon(rng, 0.4, (0.3, 1.0)) for _ in range(int(rng.integers(1, 5)))]
-            if trial % 2:  # as `is_switched_invariant` orders them
+            if trial % 2:  # largest first: the verdict must not depend on the part order
                 parts.sort(key=lambda p: -min(p.chebyshev_radius, 1e300))
-            piece = _uncovered_piece(P, parts)
+            piece = next(_uncovered_pieces(P, parts), None)
             verdicts.append(piece is None)
             if piece is None:
                 axes = [np.linspace(a, b, 41) for a, b in zip(*P.coordinate_ranges)]
@@ -1403,16 +1405,16 @@ class TestRegionDifference:
                 assert len(inner) > 400
                 assert all(any(Q.contains(x) for Q in parts) for x in inner)
                 continue
-            rebuilt = Polytope(piece.H, piece.h)
-            assert np.array_equal(rebuilt.H, piece.H) and np.array_equal(rebuilt.h, piece.h)
-            center = piece.chebyshev_ball[1]
+            rebuilt = Polytope(*piece)
+            assert np.array_equal(rebuilt.H, piece[0]) and np.array_equal(rebuilt.h, piece[1])
+            center = rebuilt.chebyshev_ball[1]
             assert P.contains(center)
             assert not any(Q.contains(center) for Q in parts)
         assert 0.2 < np.mean(verdicts) < 0.8
 
 
 def _restarting_certificate(sys_, omega, kmax):
-    """`stabilizability_certificate` with a fresh `_uncovered_piece` for every
+    """`stabilizability_certificate` with a fresh `_uncovered_pieces` for every
     inflated part at every level, the search that the certificate resumes."""
     omega = as_union(omega)
     limit = part_cap()
@@ -1425,7 +1427,7 @@ def _restarting_certificate(sys_, omega, kmax):
             raise GeometryCapError(
                 f"accumulated controllable sets exceeded {limit} parts (see {PART_CAP_ENV})"
             )
-        if all(_uncovered_piece(P, accumulated) is None for P in inflated):
+        if all(next(_uncovered_pieces(P, accumulated), None) is None for P in inflated):
             return k
     return None
 
