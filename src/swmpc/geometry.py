@@ -13,20 +13,17 @@ Numerical conventions: a polytope counts as empty when its Chebyshev radius
 is below EMPTY_TOL; sets thinner than that tolerance are treated as empty by
 the union-inclusion machinery (exact singletons are special-cased where the
 pointwise definition matters).  The region difference and `prune_empty`
-decide radius >= eps by one least-distance (NNLS) solve checked in plain
-numpy: its point, checked row by row, proves "nonempty", and its NNLS vector,
-read as a Farkas vector within a norm bound R, proves "empty".  R is the
-target box's, divided by sigma_min(A) at each preimage, and is -inf for a box
-or cached coordinate ranges with hi < lo.  A radius within BAND of eps, a
-failed check or an unknown R reads the Chebyshev LP, as does every radius
-whose value is used: `is_empty` and the invariance check's counterexample.
-Every region difference tries the parts in list order.  It keeps its pieces
-as raw (H, h) arrays of unit rows and builds a Polytope only for that LP and
-for the counterexample's piece.  Every LP goes through `linprog`:
-HiGHS from scipy's bundled bindings, one solver per thread, handed each LP as
-a fresh model.  scipy is imported on the first LP or least-distance solve,
-not with this module, so a run that makes neither (a controller loop on a box
-or halfspace target) never loads it.
+decide radius >= eps by a checked least-distance solve (`_radius_at_least`)
+and read the Chebyshev LP only where its checks do not decide; every radius
+whose value is used (`is_empty`, the invariance check's counterexample) is the
+LP's.  The region difference tries the parts in list order, on pieces kept as
+raw (H, h) unit rows.  Both solvers are scipy's compiled kernels behind private
+modules that a scipy release may move: each LP is one `linprog` call on HiGHS
+(`scipy.optimize._highspy`), one solver per thread, each LP a fresh model; each
+least-distance solve is one `nnls` call (`scipy.optimize._slsqplib`), without
+the public wrapper's checks.  scipy is imported on the first of either, so a
+run that makes neither (a controller loop on a box or halfspace target) never
+loads it.
 """
 
 from __future__ import annotations
@@ -34,6 +31,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 from typing import TYPE_CHECKING, Sequence
@@ -71,7 +69,12 @@ class NumericalError(RuntimeError):
 
 
 def part_cap() -> int:
-    return int(os.environ.get(PART_CAP_ENV, DEFAULT_PART_CAP))
+    """`SWMPC_PART_CAP`, an integer >= 1 (else ValueError), or DEFAULT_PART_CAP if unset."""
+    value = os.environ.get(PART_CAP_ENV, DEFAULT_PART_CAP)
+    with suppress(ValueError):
+        if (cap := int(value)) >= 1:
+            return cap
+    raise ValueError(f"{PART_CAP_ENV} must be an integer >= 1, got {value!r}")
 
 
 def _check_cap(count: int, limit: int, what: str, unit: str = "parts") -> None:
@@ -84,15 +87,17 @@ _THREAD = threading.local()  # .highs: this thread's HiGHS solver, made on first
 
 
 @cache
-def _highs():
-    """scipy's private HiGHS bindings, `OptimizeResult` and the map from a HiGHS
-    verdict to `linprog`'s status, imported once, on the first LP."""
+def _scipy():
+    """scipy's private compiled kernels, imported once, on the first LP or NNLS
+    solve: the HiGHS bindings, `OptimizeResult` and the map from a HiGHS verdict
+    to `linprog`'s status, and the NNLS kernel."""
     from scipy.optimize import OptimizeResult
     from scipy.optimize._highspy import _core
+    from scipy.optimize._slsqplib import nnls
 
     status = {_core.HighsModelStatus.kOptimal: 0, _core.HighsModelStatus.kInfeasible: 2,
               _core.HighsModelStatus.kUnbounded: 3}
-    return _core, OptimizeResult, status
+    return _core, OptimizeResult, status, nnls
 
 
 def linprog(c, A_ub, b_ub) -> OptimizeResult:
@@ -105,7 +110,7 @@ def linprog(c, A_ub, b_ub) -> OptimizeResult:
     c, A, b = (np.asarray(v, dtype=float) for v in (c, A_ub, b_ub))
     if not (np.isfinite(c).all() and np.isfinite(A).all() and np.isfinite(b).all()):
         raise ValueError("LP data must be finite")
-    core, OptimizeResult, status = _highs()
+    core, OptimizeResult, status, _ = _scipy()
     highs = getattr(_THREAD, "highs", None)
     if highs is None:
         options = core.HighsOptions()
@@ -146,29 +151,34 @@ def _lp(c, A_ub, b_ub):
 
 
 def nnls(A, b):
-    """scipy's `nnls`.  The first call imports it and rebinds this name to it,
-    so later calls go straight to scipy."""
-    global nnls
-    from scipy.optimize import nnls
-    return nnls(A, b)
+    """`scipy.optimize.nnls(A, b)` bit for bit, for C-ordered float64 data, without
+    the wrapper's checks: its kernel, with its iteration limit, 3 * A.shape[1],
+    whose info 3 raises RuntimeError."""
+    x, rnorm, info = _scipy()[3](A, b, 3 * A.shape[1])
+    if info == 3:
+        raise RuntimeError("Maximum number of iterations reached.")
+    return x, rnorm
 
 
 def _least_distance(H: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """Least-distance programming, min ||z|| s.t. H z <= g, by one NNLS solve
     (Lawson & Hanson, Solving Least Squares Problems, 1974, ch. 23).
 
-    When g >= 0, z = 0.  Otherwise, with g scaled by its most negative entry
-    -s, u >= 0 minimizes ||[-H^T; -g^T / s] u - e_{n+1}|| and r is that
-    residual; r[n] = -||r||^2, and z = -s r[:n] / r[n] unless r vanishes, in
-    which case the rows are infeasible and z is None.  Returns (u, z); any u
-    with H^T u small and u.g negative is a Farkas certificate of
-    infeasibility.  NNLS's RuntimeError (iteration limit) propagates.
+    When g >= 0, z = 0.  Otherwise, with g scaled by its most negative entry -s,
+    u >= 0 minimizes ||[-H^T; -g^T / s] u - e_{n+1}||, with residual r; r[n] =
+    -||r||^2, and z = -s r[:n] / r[n] unless r vanishes, when the rows are
+    infeasible and z is None.  Returns (u, z); any u with H^T u small and u.g
+    negative is a Farkas certificate of infeasibility.  Non-finite data raises
+    ValueError; NNLS's RuntimeError (iteration limit) propagates.
     """
-    n = H.shape[1]
-    s = -float(np.min(g))
+    m, n = H.shape
+    s = -float(g.min())
     if not s > 0.0:
-        return np.zeros(H.shape[0]), np.zeros(n)
-    E = np.vstack([-H.T, -g / s])
+        return np.zeros(m), np.zeros(n)
+    E = np.empty((n + 1, m))
+    E[:n], E[n] = -H.T, g / -s
+    if not np.isfinite(E).all():
+        raise ValueError("least-distance data must be finite")
     e = np.zeros(n + 1)
     e[n] = 1.0
     u, _ = nnls(E, e)
@@ -193,29 +203,28 @@ def _norm_bound(P: "Polytope", solve: bool = False) -> float:
 
 def _radius_at_least(P: "Polytope | tuple[np.ndarray, np.ndarray]", eps: float, R: float) -> bool:
     """P.chebyshev_radius >= eps, i.e. {x : Hx <= h - eps} is nonempty, for P
-    inside the ball of radius R (empty if R < 0).  P may also be the raw (H, h)
+    inside the ball of radius R (empty if R < 0); P may also be the raw (H, h)
     of a region-difference piece, made a Polytope only for the LP.
 
-    One least-distance solve, for the point of {Hx <= h - eps - BAND},
-    decides when a certificate checks in plain numpy: the point, if it
-    satisfies Hx <= h - eps row by row, proves "yes"; the solve's NNLS vector
-    u, if u.(h - eps + BAND) + ||H^T u|| R < 0, proves that no point of
-    {Hx <= h - eps + BAND}, and so none of {Hx <= h - eps}, lies in the ball.
-    The two cannot both hold.  A radius within about BAND of eps, a failed
-    check or solve, a zero row (whose LP constraint is not shifted by eps)
-    and an unbounded R read the Chebyshev LP.
+    One least-distance solve, for the point of {Hx <= h - eps - BAND}, decides
+    when a certificate checks: the point, if it satisfies Hx <= h - eps row by
+    row, proves "yes"; its NNLS vector u, if u.(h - eps + BAND) + ||H^T u|| R
+    < 0, proves that {Hx <= h - eps + BAND}, and so {Hx <= h - eps}, has no
+    point in the ball.  The two cannot both hold.  A radius within about BAND
+    of eps, a failed check or solve, a zero row (whose LP constraint is not
+    shifted by eps) and an unbounded R read the Chebyshev LP.
     """
     if R < 0.0:
         return False
     H, h = P if isinstance(P, tuple) else (P.H, P.h)
     if math.isfinite(R) and H.any(axis=1).all():
         d = h - eps
-        g = d + BAND
         try:
             u, x = _least_distance(H, d - BAND)
-            if x is not None and np.all(H @ x <= d):
+            if x is not None and (H @ x <= d).all():
                 return True
-            if u @ g + np.linalg.norm(H.T @ u) * R < 0.0:
+            v = H.T @ u  # ||v|| as np.linalg.norm(v) computes it, bit for bit
+            if u @ (d + BAND) + math.sqrt(v @ v) * R < 0.0:
                 return False
         except RuntimeError:
             pass
@@ -247,7 +256,7 @@ class _Value:
 class Polytope(_Value):
     """{x : Hx <= h}; rows of nonzero norm are rescaled to unit norm on construction.
 
-    Like the cached properties (`_nonempty`: `prune_empty`'s verdict), private
+    Like the cached properties (`_nonempty`: the emptiness verdict), private
     instance-dict entries are filled on demand: `_norm_bound` (see there), `_pruned`,
     the copy that `pruned()` returns, and `_preimages`, the preimages by map.
     """
@@ -359,7 +368,7 @@ class Polytope(_Value):
 
     @cached_property
     def _nonempty(self) -> bool:
-        """`prune_empty`'s verdict, radius >= EMPTY_TOL, decided once."""
+        """radius >= EMPTY_TOL, decided once, for `prune_empty` and the region difference."""
         return _radius_at_least(self, EMPTY_TOL, _norm_bound(self))
 
     def is_empty(self) -> bool:
@@ -601,7 +610,7 @@ def _uncovered_pieces(P: Polytope, parts: Sequence[Polytope]):
     """
     budget = part_cap()
     R = _norm_bound(P, solve=True)  # every piece lies in P, so R bounds its norm
-    if not _radius_at_least(P, EMPTY_TOL, R):
+    if not P._nonempty:  # decided with this R, unless already decided
         return
     stack: list[tuple[np.ndarray, np.ndarray, int]] = [(P.H, P.h, 0)]
     processed = 0
@@ -613,16 +622,17 @@ def _uncovered_pieces(P: Polytope, parts: Sequence[Polytope]):
             while idx == len(parts):
                 yield H, h
             Q = parts[idx]
-            HQ, hQ = np.vstack([H, Q.H]), np.concatenate([h, Q.h])  # piece ∩ Q
+            HQ, hQ = np.concatenate((H, Q.H)), np.concatenate((h, Q.h))  # piece ∩ Q
             if _radius_at_least((HQ, hQ), EMPTY_TOL, R):
                 break
             idx += 1
         # the piece minus Q: the pieces inside Q's rows before k and outside row k
         m = h.size
         for k in range(Q.nrows):
-            outside = np.vstack([HQ[: m + k], -Q.H[k]]), np.append(hQ[: m + k], -Q.h[k])
-            if _radius_at_least(outside, EMPTY_TOL, R):
-                stack.append((*outside, idx + 1))
+            H_out, h_out = HQ[: m + k + 1].copy(), hQ[: m + k + 1].copy()
+            H_out[-1], h_out[-1] = -H_out[-1], -h_out[-1]  # row k of Q, now its outside
+            if _radius_at_least((H_out, h_out), EMPTY_TOL, R):
+                stack.append((H_out, h_out, idx + 1))
 
 
 def inclusion_in_union(P: Polytope, U: Polytope | PolytopeUnion) -> bool:

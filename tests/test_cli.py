@@ -969,3 +969,13 @@ class TestPartCap:
         rc = main(["analyze", "--scenario", str(scen), "--kmax", "3", "--out", str(tmp_path)])
         assert rc == 3
         assert "cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-3", "abc"])
+    def test_a_cap_below_1_or_not_an_integer_exits_1(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("SWMPC_PART_CAP", value)
+        rc = main(["analyze", "--scenario", "illustrative", "--kmax", "1", "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: SWMPC_PART_CAP must be an integer >= 1, got {value!r}\n"
+        )
+        assert not (tmp_path / "certificate.txt").exists()

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult, linprog
+from scipy.optimize import OptimizeResult, linprog, nnls
 from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus
 
 import swmpc.geometry
@@ -37,6 +37,7 @@ from swmpc.geometry import (
     PART_CAP_ENV,
     GeometryCapError,
     NumericalError,
+    _least_distance,
     _lp,
     _norm_bound,
     _radius_at_least,
@@ -641,6 +642,19 @@ class TestCertificates:
             check()
         assert str(err.value) == f"{message} (see SWMPC_PART_CAP)"
 
+    @pytest.mark.parametrize("value", ["0", "-3", "abc"])
+    def test_part_cap_must_be_an_integer_of_at_least_1(self, monkeypatch, value):
+        monkeypatch.setenv(PART_CAP_ENV, value)
+        with pytest.raises(ValueError) as err:
+            part_cap()
+        assert str(err.value) == f"SWMPC_PART_CAP must be an integer >= 1, got {value!r}"
+
+    def test_part_cap_reads_the_variable_or_the_default(self, monkeypatch):
+        monkeypatch.setenv(PART_CAP_ENV, "1")
+        assert part_cap() == 1
+        monkeypatch.delenv(PART_CAP_ENV)
+        assert part_cap() == swmpc.geometry.DEFAULT_PART_CAP
+
     def test_accumulated_union_is_monotone(self):
         rng = np.random.default_rng(3)
         for _ in range(5):
@@ -932,6 +946,26 @@ class TestIllustrativeCertificate:
         )
         assert len(unreached_within(sys_.matrices, omega.H, omega.h, points, k + 1)) == 0
         assert len(unreached_within(sys_.matrices, omega.H, omega.h, points, k)) > 0
+
+    def test_non_stabilizability_decides_no_part_twice(self, monkeypatch):
+        # `prune_empty` decides each part of S_{k+1}, and the region difference
+        # that tests the part against omega ∪ S_1 ∪ ... ∪ S_k reads that verdict.
+        # Every part holds the origin deep inside, so a repeated decision would
+        # make no NNLS solve: the decisions are counted apart from the solves
+        scen = builtin_scenario("illustrative")
+        decided, solves = [], []
+        radius, solve = swmpc.geometry._radius_at_least, swmpc.geometry.nnls
+
+        def recording(P, *args):
+            if isinstance(P, Polytope):  # a piece's raw rows are never decided twice
+                decided.append(P)
+            return radius(P, *args)
+
+        monkeypatch.setattr(swmpc.geometry, "_radius_at_least", recording)
+        monkeypatch.setattr(swmpc.geometry, "nnls", lambda *a: solves.append(1) or solve(*a))
+        assert non_stabilizability_certificate(scen.sys, scen.analysis_target, 3) is None
+        assert len({id(P) for P in decided}) == len(decided) == 340
+        assert len(solves) == 148
 
 
 def _bound(P):
@@ -1255,6 +1289,50 @@ class TestLpKernel:
             assert res.status == ref.status
             if ref.status == 0:
                 assert np.array_equal(res.x, ref.x) and res.fun == ref.fun
+
+
+class TestNnlsKernel:
+    """`geometry.nnls`, scipy's compiled kernel without its wrapper, against
+    `scipy.optimize.nnls`, and the checks that the wrapper made."""
+
+    def test_same_x_and_rnorm_as_scipy(self):
+        rng = np.random.default_rng(23)
+        for trial in range(600):
+            n, m = int(rng.integers(1, 5)), int(rng.integers(1, 12))
+            if trial % 2:  # a least-distance system: [-H^T; -g^T / s] and e_{n+1}
+                H, g = rng.normal(size=(m, n)), rng.normal(size=m)
+                E = np.vstack([-H.T, -g / -g.min()])
+                b = np.zeros(n + 1)
+                b[n] = 1.0
+            else:
+                E, b = rng.normal(size=(n + 1, m)), rng.normal(size=n + 1)
+            x, rnorm = swmpc.geometry.nnls(E, b)
+            ref_x, ref_rnorm = nnls(E, b)
+            assert x.tobytes() == ref_x.tobytes()
+            assert struct.pack("<d", rnorm) == struct.pack("<d", ref_rnorm)
+
+    def test_iteration_limit_raises(self, monkeypatch):
+        limits = []
+
+        def stub(A, b, maxiter):
+            limits.append(maxiter)
+            return np.zeros(A.shape[1]), 0.0, 3
+
+        kernels = swmpc.geometry._scipy()
+        monkeypatch.setattr(swmpc.geometry, "_scipy", lambda: (*kernels[:3], stub))
+        with pytest.raises(RuntimeError, match="Maximum number of iterations reached"):
+            swmpc.geometry.nnls(np.ones((3, 5)), np.ones(3))
+        assert limits == [15]  # the wrapper's default, 3 * A.shape[1]
+
+    @pytest.mark.parametrize("where", ["H", "g"])
+    def test_least_distance_rejects_an_infinite_entry(self, where):
+        H, g = np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([-1.0, 2.0])
+        if where == "H":
+            H[1, 0] = math.inf
+        else:
+            g[1] = math.inf
+        with pytest.raises(ValueError):  # as scipy's wrapper raised
+            _least_distance(H, g)
 
 
 class StubHighs:
