@@ -3,8 +3,9 @@ set-geometry analysis, and scenario export.
 
 Exit codes: 0 success, 1 configuration error or bad path, 2 infeasible
 optimization (failing step reported on stderr), 3 resource cap exceeded, 4 an
-LP or a projection failed numerically.  Each command computes everything it
-writes before it creates --out, so a failed command writes no file.
+LP or a projection failed numerically.  Each command first removes the files
+it writes from --out and computes them all before it creates --out, so a
+failed command leaves no file of its own or of an earlier run.
 """
 
 from __future__ import annotations
@@ -44,19 +45,20 @@ from .strategies import (
 from .switched import SimulationResult, packs, total_load
 
 STRATEGIES = ("swmpc", "vf", "swatch", "optimal", "cycle")
+COMPARED = ("swatch", "vf", "optimal", "swmpc")
 EQ22_BLOCKS = ((1, 4), (3, 2), (2, 2))  # P four times, T twice, B twice
 
 
-def _fmt(value) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
+def _cleared(out: str, *names: str) -> Path:
+    """--out, rid of the files that a run writes, so that no earlier run's file outlives it."""
+    for name in names:
+        (Path(out) / name).unlink(missing_ok=True)
+    return Path(out)
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+    with path.open("w", newline="") as fh:  # csv.writer writes a float as its repr
+        csv.writer(fh).writerows([header, *rows])
 
 
 def _write_trajectory(path: Path, scen: Scenario, run: SimulationResult) -> None:
@@ -127,9 +129,9 @@ def _steps(scen: Scenario, args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    out = _cleared(args.out, "trajectory.csv", "schedule.csv")
     scen = load_scenario(args.scenario, case=args.case)
     run = _run_strategy(scen, args.strategy, _steps(scen, args), args)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_trajectory(out / "trajectory.csv", scen, run)
     _write_schedule(out / "schedule.csv", run.signals)
@@ -139,11 +141,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    out = _cleared(args.out, "index.csv", *(f"trajectory_{s}.csv" for s in COMPARED))
     scen = load_scenario(args.scenario, case=args.case)
     steps = _steps(scen, args)
     _mpc_config(scen, args)  # a bad swmpc configuration fails before any strategy runs
     runs, rows = {}, []
-    for strategy in ("swatch", "vf", "optimal", "swmpc"):
+    for strategy in COMPARED:
         try:
             runs[strategy] = run = _run_strategy(scen, strategy, steps, args)
             rows.append([strategy, run.index])
@@ -153,7 +156,6 @@ def cmd_compare(args) -> int:
             if isinstance(err, ValueError) and strategy != "optimal":
                 raise
             rows.append([strategy, f"error: {err}"])
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for strategy, run in runs.items():
         _write_trajectory(out / f"trajectory_{strategy}.csv", scen, run)
@@ -162,10 +164,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    out = Path(args.out)
-    # a run that fails must not leave an earlier run's sets or verdict behind
-    for name in ("sets.json", "certificate.txt"):
-        (out / name).unlink(missing_ok=True)
+    out = _cleared(args.out, "sets.json", "certificate.txt")
     kmax = args.kmax
     if kmax < 0:
         raise ValueError("kmax must be >= 0")

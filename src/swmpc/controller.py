@@ -48,8 +48,6 @@ from .switched import (
 )
 
 
-TERMINAL_TOL = 1e-9
-STATE_TOL = 1e-9
 Bound = Callable[[tuple[float, ...], int], float]  # a cost-to-go bound of (x, depth)
 
 
@@ -268,10 +266,10 @@ def distance_to_set(omega: Polytope | PolytopeUnion, x: Sequence[float]) -> floa
     return _build_distance(as_union(omega))(tuple(float(v) for v in x))
 
 
-def _member(region: PolytopeUnion, tol: float) -> Callable[[tuple[float, ...]], bool]:
-    """`region.contains(x, tol)` as a closure of x, part by part, each part's
+def _member(region: PolytopeUnion) -> Callable[[tuple[float, ...]], bool]:
+    """`region.contains(x)` as a closure of x, part by part, each part's
     check generated code (`_child_step` without a matrix)."""
-    parts = [_child_step(None, P, tol) for P in region.parts]
+    parts = [_child_step(None, P) for P in region.parts]
     return parts[0] if len(parts) == 1 else lambda x: any(m(x) for m in parts)
 
 
@@ -438,9 +436,9 @@ def _build_context(sys_: SwitchedSystem, target: PolytopeUnion, cost: CostSpec, 
                    cycle_through_all: bool) -> _SearchContext:
     return _SearchContext(
         tuple(sys_.product(s) for s in range(1, sys_.q + 1)),
-        tuple(_child_step(M, sys_.state_set, STATE_TOL) for M in sys_.matrices),
+        tuple(_child_step(M, sys_.state_set) for M in sys_.matrices),
         _build_distance(target),
-        _member(target, TERMINAL_TOL),
+        _member(target),
         SwitchingRule(sys_, cycle_through_all),
         *_cost_to_go_bound(sys_, target, cost, horizon),
     )
@@ -490,9 +488,9 @@ def solve_ocp(problem: OcpProblem, *, _carry: list | None = None) -> OcpSolution
     carried = _carry[0] if _carry else None
     if carried is not None and not (carried.ctx is ctx and carried.x == x0
                                     and carried.run == problem.run
-                                    and in_x(carried.leaf, STATE_TOL)):  # leaves skip X
+                                    and in_x(carried.leaf)):  # leaves skip X
         carried = None
-    if carried is None and not in_x(x0, STATE_TOL):
+    if carried is None and not in_x(x0):
         raise InfeasibleProblemError("current state violates the state constraint", reason="state")
 
     # the applied run straddles the prediction seam, so only U can judge it yet

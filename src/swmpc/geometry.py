@@ -9,21 +9,21 @@ in `controller`, beside the solver that evaluates them.  No settled fact is
 derived twice: a part is pruned once, with no LP for a row that a witness
 point keeps; a matrix is checked once; a part's emptiness verdict is kept.
 
-Numerical conventions: a polytope counts as empty when its Chebyshev radius
-is below EMPTY_TOL; sets thinner than that tolerance are treated as empty by
-the union-inclusion machinery (exact singletons are special-cased where the
-pointwise definition matters).  The region difference and `prune_empty`
-decide radius >= eps by a checked least-distance solve (`_radius_at_least`)
-and read the Chebyshev LP only where its checks do not decide; every radius
-whose value is used (`is_empty`, the invariance check's counterexample) is the
-LP's.  The region difference tries the parts in list order, on pieces kept as
-raw (H, h) unit rows.  Both solvers are scipy's compiled kernels behind private
-modules that a scipy release may move: each LP is one `linprog` call on HiGHS
-(`scipy.optimize._highspy`), one solver per thread, each LP a fresh model; each
-least-distance solve is one `nnls` call (`scipy.optimize._slsqplib`), without
-the public wrapper's checks.  scipy is imported on the first of either, so a
-run that makes neither (a controller loop on a box or halfspace target) never
-loads it.
+Numerical conventions: a polytope counts as empty when its Chebyshev radius is
+below EMPTY_TOL; sets thinner than that tolerance are treated as empty by the
+union-inclusion machinery (exact singletons are special-cased where the
+pointwise definition matters).  `is_empty`, `prune_empty` and the region
+difference decide radius >= eps by a checked least-distance solve
+(`_radius_at_least`), which reads the Chebyshev LP only where its checks do not
+decide; a part keeps its verdict.  The invariance check's counterexample is the
+LP's center.  The region difference tries the parts in list order, on pieces
+kept as raw (H, h) unit rows.  Both solvers are scipy's compiled kernels behind
+private modules that a scipy release may move: each LP is one `linprog` call on
+HiGHS (`scipy.optimize._highspy`), one solver per thread, each LP a fresh
+model; each least-distance solve is one `nnls` call
+(`scipy.optimize._slsqplib`), without the public wrapper's checks.  scipy is
+imported on the first of either, so a run that makes neither (a controller loop
+on a box or halfspace target) never loads it.
 """
 
 from __future__ import annotations
@@ -210,14 +210,14 @@ def _radius_at_least(P: "Polytope | tuple[np.ndarray, np.ndarray]", eps: float, 
     when a certificate checks: the point, if it satisfies Hx <= h - eps row by
     row, proves "yes"; its NNLS vector u, if u.(h - eps + BAND) + ||H^T u|| R
     < 0, proves that {Hx <= h - eps + BAND}, and so {Hx <= h - eps}, has no
-    point in the ball.  The two cannot both hold.  A radius within about BAND
-    of eps, a failed check or solve, a zero row (whose LP constraint is not
-    shifted by eps) and an unbounded R read the Chebyshev LP.
+    point in the ball.  The two cannot both hold, and each proves the LP's
+    verdict on a zero row too (its 0 <= h_i, as BAND > eps).  A radius within
+    about BAND of eps, a failed check or solve and an unbounded R read the LP.
     """
     if R < 0.0:
         return False
     H, h = P if isinstance(P, tuple) else (P.H, P.h)
-    if math.isfinite(R) and H.any(axis=1).all():
+    if math.isfinite(R):
         d = h - eps
         try:
             u, x = _least_distance(H, d - BAND)
@@ -368,11 +368,11 @@ class Polytope(_Value):
 
     @cached_property
     def _nonempty(self) -> bool:
-        """radius >= EMPTY_TOL, decided once, for `prune_empty` and the region difference."""
+        """radius >= EMPTY_TOL, decided once: `is_empty`, `prune_empty`, the region difference."""
         return _radius_at_least(self, EMPTY_TOL, _norm_bound(self))
 
     def is_empty(self) -> bool:
-        return self.chebyshev_radius < EMPTY_TOL
+        return not self._nonempty
 
     def support(self, a: Sequence[float]) -> float:
         """sup a.x over the polytope; inf if unbounded, -inf if empty."""
@@ -403,11 +403,11 @@ class Polytope(_Value):
 
     def singleton_point(self) -> np.ndarray | None:
         """The unique point of the polytope when it `is_bounded` and its extent is
-        below 1e-9 in every coordinate."""
+        below EMPTY_TOL in every coordinate."""
         if not self.is_bounded:
             return None
         lo, hi = self.box_bounds or self.coordinate_ranges
-        return None if np.any(hi - lo > 1e-9) else 0.5 * (lo + hi)
+        return None if np.any(hi - lo > EMPTY_TOL) else 0.5 * (lo + hi)
 
     @cached_property
     def box_bounds(self) -> tuple[np.ndarray, np.ndarray] | None:
@@ -658,8 +658,8 @@ def is_switched_invariant(sys, omega: Polytope | PolytopeUnion) -> InvarianceRep
     _require_bounded_union(omega)
 
     # Degenerate parts are checked pointwise (the region-difference slack would
-    # otherwise treat them as vacuously covered).  A part narrower than 1e-9 in
-    # every coordinate has a radius below EMPTY_TOL, so it is thin.
+    # otherwise treat them as vacuously covered).  A part narrower than EMPTY_TOL
+    # in every coordinate has a radius below EMPTY_TOL, so it is thin.
     points = [P.singleton_point() for P in omega.parts]
     # a thin part that is not a point takes the slack semantics
     regular = [P for P, pt in zip(omega.parts, points) if pt is None]

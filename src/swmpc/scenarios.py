@@ -288,10 +288,11 @@ def builtin_scenario(name: str, case: int | None = None) -> Scenario:
 
 def scenario_to_dict(scenario: Scenario) -> dict:
     """Serialize to the interchange schema (kind, matrices, waiting, x0, tau_days,
-    horizon_steps, cost, target), plus controller flags needed to re-run it."""
+    horizon_steps, cost, target: the analyzed set), plus what re-runs it: the
+    controller flags, and `mpc_target` where the MPC's target differs."""
     sys_ = scenario.sys
     cost = scenario.mpc.cost
-    target_parts = scenario.mpc.target.parts
+    targets = {"target": scenario.analysis_target, "mpc_target": scenario.mpc.target}
     return {
         "kind": scenario.kind,
         "name": scenario.name,
@@ -305,7 +306,8 @@ def scenario_to_dict(scenario: Scenario) -> dict:
             "terminal": cost.terminal_weight,
             "consecutive": list(cost.consecutive_weights),
         },
-        "target": (target_parts[0] if len(target_parts) == 1 else scenario.mpc.target).to_dict(),
+        **{key: (U.parts[0] if len(U.parts) == 1 else U).to_dict() for key, U in targets.items()
+           if key == "target" or U != scenario.analysis_target},
         "state_set": sys_.state_set.to_dict(),
         "mpc_horizon": scenario.mpc.horizon,
         "enforce_terminal": scenario.mpc.enforce_terminal,
@@ -347,6 +349,11 @@ def _polytope(value, key: str) -> Polytope:
     return Polytope(_matrix(value["H"], key), _vector(value["h"], key))
 
 
+def _union(value, key: str) -> PolytopeUnion:
+    parts = _typed(value["parts"], key, list) if "parts" in _typed(value, key, dict) else [value]
+    return PolytopeUnion(tuple(_polytope(P, key) for P in parts))
+
+
 def scenario_from_dict(data: dict, name: str | None = None) -> Scenario:
     if not isinstance(data, dict):
         raise ValueError("a scenario must be a JSON object")
@@ -369,9 +376,8 @@ def scenario_from_dict(data: dict, name: str | None = None) -> Scenario:
     sys_ = SwitchedSystem(matrices=matrices, state_set=state_set, waiting=waiting)
     if not _typed(data.get("enforce_waiting", True), "enforce_waiting", bool):
         sys_ = replace(sys_, waiting=())  # older files carry the flag; false drops the bounds
-    target = _typed(data["target"], "target", dict)
-    parts = _typed(target["parts"], "target", list) if "parts" in target else [target]
-    target = PolytopeUnion(tuple(_polytope(P, "target") for P in parts))
+    target = _union(data["target"], "target")  # analyzed; the MPC's too unless mpc_target is given
+    mpc_target = _union(data["mpc_target"], "mpc_target") if "mpc_target" in data else target
     cost_data = _typed(data.get("cost", {}), "cost", dict)
     cost = CostSpec(
         stage_weights=tuple(_vector(cost_data.get("stage", [1.0] * sys_.q), "cost")),
@@ -382,7 +388,7 @@ def scenario_from_dict(data: dict, name: str | None = None) -> Scenario:
         sys=sys_,
         x=_vector(data["x0"], "x0"),
         horizon=_typed(data.get("mpc_horizon", 5), "mpc_horizon", int),
-        target=target,
+        target=mpc_target,
         cost=cost,
         enforce_terminal=_typed(data.get("enforce_terminal", False), "enforce_terminal", bool),
         cycle_through_all=_typed(data.get("cycle_through_all", False), "cycle_through_all", bool),

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import CACHE_SIZE, Polytope, _Value
+from .geometry import CACHE_SIZE, MEMBERSHIP_TOL, Polytope, _Value
 
 
 # Upper waiting bound used when a signal has no effective dwell limit.
@@ -41,10 +41,10 @@ def _compile(name: str, body: list[str], scope: dict) -> Callable:
     return scope["f"]
 
 
-def _child_step(M: np.ndarray | None, X: Polytope | None, tol: float) -> Callable:
+def _child_step(M: np.ndarray | None, X: Polytope | None) -> Callable:
     """x -> M x as straight-line code, each row's a.x summed left to right from
     0.0 with `repr` literals (the same floats); with X, x -> y = M x when
-    `X.contains(y, tol)`, else None; with X and no M, x -> `X.contains(x, tol)`.
+    `X.contains(y)`, else None; with X and no M, x -> `X.contains(x)`.
 
     Each row of X sums only its nonzero terms: for finite y the others are
     +-0, so the verdict is `contains`' (a box compares one axis per row).  A
@@ -66,11 +66,11 @@ def _child_step(M: np.ndarray | None, X: Polytope | None, tol: float) -> Callabl
         hit, miss = y, "None"
     for row, b in X._rows:
         terms = " + ".join(f"({a!r}) * y{k}" for k, a in enumerate(row) if a) or "0.0"
-        body.append(f"if not {terms} <= {b + tol!r}: return {miss}")
+        body.append(f"if not {terms} <= {b + MEMBERSHIP_TOL!r}: return {miss}")
     loose = [k for k in range(n) if not (np.any(X.H[:, k] > 0.0) and np.any(X.H[:, k] < 0.0))]
     if loose:  # their sum lies between -inf and inf (1e999) only when each is finite
         body.append(f"if not -1e999 < {' + '.join(f'y{k}' for k in loose)} < 1e999: "
-                    f"return {hit} if contains({y}, {tol!r}) else {miss}")
+                    f"return {hit} if contains({y}) else {miss}")
     return _compile("membership" if M is None else "child step", [*body, f"return {hit}"],
                     {"contains": X.contains})
 
@@ -78,7 +78,7 @@ def _child_step(M: np.ndarray | None, X: Polytope | None, tol: float) -> Callabl
 @lru_cache(maxsize=CACHE_SIZE)
 def _product(shape: tuple[int, int], data: bytes) -> Callable[[Sequence[float]], tuple[float, ...]]:
     """x -> M x for the matrix M of that shape and those bytes (`_child_step`, no X)."""
-    return _child_step(np.frombuffer(data).reshape(shape), None, 0.0)
+    return _child_step(np.frombuffer(data).reshape(shape), None)
 
 
 def total_load(x: Iterable[float]) -> float:

@@ -34,8 +34,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from swmpc.controller import STATE_TOL, TERMINAL_TOL, CostSpec, OcpProblem
-from swmpc.geometry import Polytope, PolytopeUnion
+from swmpc.controller import CostSpec, OcpProblem
+from swmpc.geometry import MEMBERSHIP_TOL, Polytope, PolytopeUnion
 from swmpc.switched import RuleState, SwitchedSystem, packs
 
 HIT_AND_RUN_BURN_IN = 100
@@ -221,8 +221,8 @@ def admissible_costs(problem: OcpProblem) -> list[tuple[float, tuple[int, ...]]]
     sys_ = problem.sys
     N = problem.horizon
     matrices = [np.asarray(A).tolist() for A in sys_.matrices]
-    member_state = _member(sys_.state_set, STATE_TOL)
-    member_target = _member(problem.target, TERMINAL_TOL)
+    member_state = _member(sys_.state_set, MEMBERSHIP_TOL)
+    member_target = _member(problem.target, MEMBERSHIP_TOL)
     dist = _distance(problem.target)
     x0 = problem.x
     if not member_state(x0):

@@ -174,6 +174,18 @@ class TestSimulate:
         assert err.startswith("error: ") and message in err
         assert not out.exists()
 
+    def test_failed_rerun_leaves_no_stale_file(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["simulate", "--scenario", "illustrative", "--steps", "2", "--out", str(out)]) == 0
+        assert sorted(f.name for f in out.iterdir()) == ["schedule.csv", "trajectory.csv"]
+        infeasible = write_scenario(
+            tmp_path, matrices=[[[2.0]]], waiting=[[1, 1000]], enforce_terminal=True, mpc_horizon=2,
+            cost={"stage": [1.0], "terminal": 1.0, "consecutive": [0.0]},
+        )
+        assert main(["simulate", "--scenario", str(infeasible), "--out", str(out)]) == 2
+        assert "infeasible at step 0" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_time_column_units(self, tmp_path):
         main(["simulate", "--scenario", "cancer", "--strategy", "cycle", "--steps", "4", "--out", str(tmp_path)])
         rows = read_rows(tmp_path / "trajectory.csv")
@@ -352,6 +364,28 @@ class TestSimulate:
         rc = main(["simulate", "--scenario", str(scen), "--out", str(tmp_path)])
         assert rc == 1
         assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [3, [], {}, {"H": [[1.0]]}, {"parts": [[1.0]]}])
+    def test_malformed_mpc_target_names_the_key(self, tmp_path, capsys, value):
+        scen = write_scenario(tmp_path, mpc_target=value)
+        out = tmp_path / "run"
+        assert main(["simulate", "--scenario", str(scen), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: scenario key 'mpc_target' needs ")
+        assert not out.exists()
+
+    def test_mpc_target_steers_and_target_is_analyzed(self, tmp_path):
+        # the MPC steers to [2, 3]; `analyze` certifies [-1, 1], the file's
+        # `target`, which an older file without `mpc_target` steered to as well
+        box = {"H": [[1.0], [-1.0]], "h": [3.0, -2.0]}
+        runs = {}
+        for label, overrides in (("mpc", {"mpc_target": box}), ("old", {}), ("box", {"target": box})):
+            scen = write_scenario(tmp_path, **overrides)
+            out = tmp_path / label
+            assert main(["simulate", "--scenario", str(scen), "--out", str(out)]) == 0
+            runs[label] = (out / "trajectory.csv").read_bytes()
+            assert load_scenario(str(scen)).analysis_target.parts[0].h.tolist() == (
+                [3.0, -2.0] if label == "box" else [1.0, 1.0])
+        assert runs["mpc"] == runs["box"] != runs["old"]
 
     @pytest.mark.parametrize("source", ["viral-1", "file"])
     def test_case_outside_cancer_is_config_error(self, tmp_path, capsys, source):
@@ -598,6 +632,24 @@ class TestCompare:
         assert calls == []
         assert not out.exists()
 
+    def test_rerun_leaves_no_stale_trajectory(self, tmp_path, capsys):
+        # a failed strategy writes no trajectory, and an earlier run's must go too
+        out = tmp_path / "run"
+        assert main(["compare", "--scenario", "viral-1", "--steps", "2", "--out", str(out)]) == 0
+        files = ["index.csv", *(f"trajectory_{s}.csv" for s in ("swatch", "vf", "optimal", "swmpc"))]
+        assert sorted(f.name for f in out.iterdir()) == sorted(files)
+        data = scenario_to_dict(builtin_scenario("viral-1"))
+        data["matrices"][0][0][1] = -1e-9
+        negative = tmp_path / "negative.json"
+        negative.write_text(json.dumps(data))
+        assert main(["compare", "--scenario", str(negative), "--steps", "2", "--out", str(out)]) == 0
+        rows = {r["strategy"]: r["index"] for r in read_rows(out / "index.csv")}
+        assert rows["optimal"].startswith("error: ")
+        assert sorted(f.name for f in out.iterdir()) == sorted(set(files) - {"trajectory_optimal.csv"})
+        assert main(["compare", "--scenario", "viral-1", "-N", "0", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: horizon must be >= 1\n"
+        assert list(out.iterdir()) == []
+
     def test_three_drug_scenario_rejected(self, tmp_path, capsys):
         out = tmp_path / "run"
         rc = main(["compare", "--scenario", "cancer", "--out", str(out)])
@@ -776,9 +828,11 @@ class TestAnalyze:
     @pytest.mark.parametrize("source", ["export", "unbounded"])
     def test_rejected_target_writes_no_file(self, tmp_path, capsys, source):
         if source == "export":
-            # an exported `illustrative` holds its MPC target, the origin alone
+            # an exported `illustrative` whose analyzed target is the origin alone
             assert main(["export-scenario", "--scenario", "illustrative", "--out", str(tmp_path)]) == 0
             scen, message = tmp_path / "illustrative.json", "0 must be an interior point of omega"
+            scen.write_text(json.dumps({**json.loads(scen.read_text()),
+                                        "target": Polytope.origin(2).to_dict()}))
         else:
             scen = write_scenario(tmp_path, target={"H": [[1.0]], "h": [1.0]})
             message = "omega part 0 is unbounded"
@@ -786,6 +840,20 @@ class TestAnalyze:
         assert main(["analyze", "--scenario", str(scen), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("scenario", ["illustrative", "cancer", "cancer --case 2", "viral-1", "viral-2"])
+    def test_an_export_analyzes_as_the_builtin(self, tmp_path, capsys, scenario):
+        # the file's `target` is the analyzed set, its `mpc_target` the MPC's
+        name, *case = scenario.split()
+        assert main(["export-scenario", "--scenario", name, *case, "--out", str(tmp_path)]) == 0
+        exported = capsys.readouterr().out.removeprefix("wrote ").strip()
+        runs = []
+        for source, flags in ((name, case), (exported, [])):
+            out = tmp_path / f"run-{len(runs)}"
+            assert main(["analyze", "--scenario", source, *flags, "--kmax", "1", "--out", str(out)]) == 0
+            files = {f: (out / f).read_bytes() for f in ("sets.json", "certificate.txt")}
+            runs.append((files, capsys.readouterr().out))
+        assert runs[0] == runs[1]
 
     def test_second_controllable_set_makes_no_lp(self, lp_calls):
         sys_ = build_illustrative_system()

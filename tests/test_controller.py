@@ -30,9 +30,9 @@ from swmpc import (
     validate_waiting,
 )
 from swmpc.controller import (
-    STATE_TOL, TERMINAL_TOL, _build_context, _child_step, _context, _member, _target_norm_radius
+    _build_context, _child_step, _context, _member, _target_norm_radius
 )
-from swmpc.geometry import UNIT_NORM_TOL, as_union
+from swmpc.geometry import MEMBERSHIP_TOL, UNIT_NORM_TOL, as_union
 from swmpc.scenarios import scenario_from_dict, scenario_to_dict
 from swmpc.switched import CACHE_SIZE, UNBOUNDED_DWELL, SwitchingRule
 
@@ -829,9 +829,10 @@ class TestSearchContext:
         assert all(P.box_bounds is not None for P in boxes)
         assert 0.0 < abs(np.linalg.norm(boxes[-2].H[0]) - 1.0) <= UNIT_NORM_TOL
         verdicts = set()
-        for tol in (STATE_TOL, TERMINAL_TOL):
+        tol = MEMBERSHIP_TOL
+        for _ in range(2):  # two draws of points per box
             for P in boxes:
-                member, union_member = _child_step(None, P, tol), _member(as_union(P), tol)
+                member, union_member = _child_step(None, P), _member(as_union(P))
                 for x in _membership_points(P, tol, rng):
                     expected = P.contains(x, tol)
                     assert member(x) is expected, (P.H.tolist(), P.h.tolist(), x)
@@ -841,8 +842,8 @@ class TestSearchContext:
         # 0 * inf = NaN in another row's sum rejects any non-finite coordinate
         # in n >= 2; in 1-D, +inf passes a lower-bound-only row
         orthant = Polytope.nonnegative_orthant(2)
-        assert not _child_step(None, orthant, STATE_TOL)((math.inf, 1.0))
-        assert _child_step(None, Polytope.box([-1.0], [math.inf]), STATE_TOL)((math.inf,))
+        assert not _child_step(None, orthant)((math.inf, 1.0))
+        assert _child_step(None, Polytope.box([-1.0], [math.inf]))((math.inf,))
 
     def test_union_membership_matches_contains(self):
         rng = np.random.default_rng(7)
@@ -853,11 +854,11 @@ class TestSearchContext:
                 Polytope.nonnegative_orthant(2),
             )
         )
-        member = _member(union, TERMINAL_TOL)
+        member = _member(union)
         for _ in range(2000):
             values = rng.choice([-3.0, -1.0, -1e-10, 0.0, 1e-10, 0.5, 1.0, math.inf, math.nan], 2)
             x = tuple(float(v) for v in values)
-            assert member(x) is union.contains(x, TERMINAL_TOL), x
+            assert member(x) is union.contains(x, MEMBERSHIP_TOL), x
 
     @staticmethod
     def _loop_matches_fresh_solves(template, state, steps) -> int:
@@ -1014,7 +1015,7 @@ def _carried_end(template, state) -> str | None:
     if branch is None:
         return None
     leaf = branch.leaf
-    if not sys_.state_set.contains(leaf, STATE_TOL):
+    if not sys_.state_set.contains(leaf, MEMBERSHIP_TOL):
         return "X"
     rule = SwitchingRule(sys_, template.cycle_through_all)
     sig, length, used = replace(template, x=state.x, run=state.run).run
@@ -1029,7 +1030,7 @@ def _carried_end(template, state) -> str | None:
     if not keys:
         return "last"
     y = sys_.product(min(keys)[1])(leaf)
-    if template.enforce_terminal and not template.target.contains(y, TERMINAL_TOL):
+    if template.enforce_terminal and not template.target.contains(y, MEMBERSHIP_TOL):
         return "terminal"
     return "taken"
 
@@ -1219,7 +1220,7 @@ class TestChildStep:
         n = X.dim
         classes = set()
         for M, preimage in ((np.eye(n), tuple), (2.0 * np.eye(n), _doubled_preimage)):
-            step = _child_step(M, X, tol)
+            step = _child_step(M, X)
             for p in points:
                 p = tuple(map(float, p))
                 x = preimage(p)
@@ -1239,29 +1240,30 @@ class TestChildStep:
     def test_boxes_match_the_row_sums(self):
         rng = np.random.default_rng(29)
         classes = set()
-        for tol in (STATE_TOL, TERMINAL_TOL):
+        tol = MEMBERSHIP_TOL
+        for _ in range(2):  # two draws of points per box
             for P in _membership_boxes():
                 classes |= self._check(P, tol, _membership_points(P, tol, rng))
         assert classes == {(True, True), (False, True), (True, False), (False, False)}
         # in 1-D, +inf passes a lower-bound-only row; in the orthant of R^2 the
         # other row's 0 * inf is NaN
-        step = _child_step(np.eye(1), Polytope.box([-1.0], [math.inf]), STATE_TOL)
+        step = _child_step(np.eye(1), Polytope.box([-1.0], [math.inf]))
         assert step((math.inf,)) == (math.inf,)
-        assert _child_step(2.0 * np.eye(2), Polytope.nonnegative_orthant(2), STATE_TOL)((1.5e308, 1.0)) is None
+        assert _child_step(2.0 * np.eye(2), Polytope.nonnegative_orthant(2))((1.5e308, 1.0)) is None
 
     def test_polygons_match_the_row_sums(self):
         rng = np.random.default_rng(37)
         for X in POLYGONS:
-            classes = self._check(X, STATE_TOL, _polygon_points(X, STATE_TOL, rng))
+            classes = self._check(X, MEMBERSHIP_TOL, _polygon_points(X, MEMBERSHIP_TOL, rng))
             assert {(True, True), (False, True), (False, False)} <= classes
         # y = (0, -inf) passes every row's nonzero terms of both wedges, but
         # the second one's 0 * -inf is NaN
         x = (0.0, -1.5e308)
         wedge, cut = POLYGONS[1], POLYGONS[2]
-        assert wedge.contains((0.0, -math.inf), STATE_TOL)
-        assert _child_step(2.0 * np.eye(2), wedge, STATE_TOL)(x) == (0.0, -math.inf)
-        assert not cut.contains((0.0, -math.inf), STATE_TOL)
-        assert _child_step(2.0 * np.eye(2), cut, STATE_TOL)(x) is None
+        assert wedge.contains((0.0, -math.inf), MEMBERSHIP_TOL)
+        assert _child_step(2.0 * np.eye(2), wedge)(x) == (0.0, -math.inf)
+        assert not cut.contains((0.0, -math.inf), MEMBERSHIP_TOL)
+        assert _child_step(2.0 * np.eye(2), cut)(x) is None
 
     def test_random_matrices_and_state_sets(self):
         rng = np.random.default_rng(43)
@@ -1273,12 +1275,12 @@ class TestChildStep:
             X = Polytope(H, rng.normal(size=H.shape[0]))
             M = rng.normal(size=(n, n))
             M[rng.random((n, n)) < 0.3] = rng.choice((0.0, -0.0, 1e308))
-            step = _child_step(M, X, STATE_TOL)
+            step = _child_step(M, X)
             for _ in range(40):
                 x = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n)
                 x[rng.random(n) < 0.2] = rng.choice(STATES)
                 x = tuple(x.tolist())
-                expected, got = _reference_step(M, X, STATE_TOL, x), step(x)
+                expected, got = _reference_step(M, X, MEMBERSHIP_TOL, x), step(x)
                 assert (got is None) is (expected is None), (M.tolist(), H.tolist(), x)
                 assert got is None or bits(got) == bits(expected)
 

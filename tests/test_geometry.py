@@ -130,6 +130,12 @@ class TestPolytope:
         assert not orthant.is_bounded
         assert Polytope.box([-1, -1], [1, 1]).is_bounded
 
+    def test_is_empty_reads_the_kept_verdict_and_a_box_needs_no_lp(self, monkeypatch):
+        monkeypatch.setattr(swmpc.geometry, "linprog", lambda *a, **k: pytest.fail("an LP"))
+        crossed = Polytope(np.array([[1.0], [-1.0]]), np.array([1.0, -2.0]))  # 2 <= x <= 1
+        for P, empty in ((Polytope.box([-1, -2], [1, 2]), False), (crossed, True)):
+            assert P.is_empty() is empty is not P._nonempty
+
     def test_box_boundedness_needs_no_lp(self, monkeypatch):
         monkeypatch.setattr(swmpc.geometry, "linprog", lambda *a, **k: pytest.fail("an LP"))
         assert Polytope.box([-1, -2], [1, 2]).is_bounded
@@ -1071,11 +1077,12 @@ class TestRadiusDecision:
                 by_ldp += not used_lp
         assert in_band >= 40 and by_ldp >= 20
 
-    def test_zero_row_and_unbounded_region_read_the_lp(self, lp_count):
-        # a zero row's LP constraint 0 <= h is not shifted by eps
+    def test_zero_row_is_decided_and_unbounded_region_reads_the_lp(self, lp_count):
+        # a zero row's LP constraint 0 <= h is not shifted by eps, yet both
+        # certificates still prove what the LP would find
         P = Polytope(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [0.0, 0.0]]),
                      np.array([1.0, 1.0, 1.0, 1.0, 0.5]))
-        assert self._decide(P, 10.0, lp_count) == (True, True, True)
+        assert self._decide(P, 10.0, lp_count) == (True, True, False)
         assert self._decide(Polytope.box([-1, -1], [1, 1]), math.inf, lp_count) == (True, True, True)
         assert self._decide(Polytope.box([-1, -1], [1, 1]), 10.0, lp_count) == (True, True, False)
 
@@ -1090,6 +1097,42 @@ class TestRadiusDecision:
         triangle = Polytope([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], [0.0, 0.0, 1.0])
         assert _radius_at_least(triangle, EMPTY_TOL, 10.0)
         assert (len(solves), len(lp_count)) == (1, 1)
+
+    def test_agrees_with_zero_rows(self, lp_count):
+        # pieces of a cube, each with one zero row whose bound h_i lies below
+        # -BAND, in (-BAND, 0), at 0, in (0, eps + BAND) or far above: the LP
+        # reads the row as 0 <= h_i, the least-distance solve as eps <= h_i
+        rng = np.random.default_rng(52)
+        cubes = _cubes(1.0)
+        kinds = {
+            "below -BAND": lambda: -(10.0 ** rng.uniform(-6.5, 0.0)),
+            "small negative": lambda: -(10.0 ** rng.uniform(-12.0, -7.5)),
+            "zero": lambda: 0.0,
+            "within eps + BAND": lambda: (EMPTY_TOL + BAND) * rng.uniform(0.0, 0.99),
+            "large": lambda: rng.uniform(0.5, 2.0),
+        }
+        outcomes, by_ldp = {kind: [] for kind in kinds}, {kind: 0 for kind in kinds}
+        for trial in range(300):
+            kind = list(kinds)[trial % len(kinds)]
+            n = int(rng.integers(2, 5))
+            box = cubes[n]
+            H, h = _random_rows(rng, n, int(rng.integers(n + 1, 2 * n + 3)),
+                                rng.uniform(-0.5, 0.5, size=n), -0.45, 0.6)
+            P = cut(box, np.vstack([H, np.zeros(n)]), np.append(h, kinds[kind]()))
+            assert not P.H[-1].any()
+            got, want, used_lp = self._decide(P, _bound(box), lp_count)
+            assert got == want, (kind, P.h[-1])
+            outcomes[kind].append(want)
+            by_ldp[kind] += not used_lp
+        # HiGHS's feasibility tolerance (1e-7) can read a small negative bound
+        # as met; no certificate says "yes" there, so the LP decides
+        assert not any(outcomes["below -BAND"])
+        assert 0.2 < np.mean(outcomes["large"]) < 0.8
+        assert any(outcomes["zero"]) and any(outcomes["within eps + BAND"])
+        # a bound below -BAND is its own Farkas vector, and a far one leaves
+        # the decision to the other rows
+        assert by_ldp["below -BAND"] == len(outcomes["below -BAND"])
+        assert by_ldp["large"] >= 0.9 * len(outcomes["large"])
 
     @pytest.fixture
     def nnls_count(self, monkeypatch):
@@ -1188,13 +1231,13 @@ class TestNormBound:
 
 
 class TestPruneEmpty:
-    """`PolytopeUnion.prune_empty`'s decisions against `Polytope.is_empty`."""
+    """`PolytopeUnion.prune_empty`'s decisions against the Chebyshev LP."""
 
     @staticmethod
     def _parts(rng, n, count):
         """Parts in R^n of three kinds, radius drawn about EMPTY_TOL (cut cubes
         with a solved norm bound, thin boxes, and preimages), each with
-        `not is_empty()` of a fresh copy."""
+        `chebyshev_radius >= EMPTY_TOL` of a fresh copy."""
         parts, nonempty = [], []
         while len(parts) < count:
             delta = 10.0 ** rng.uniform(-6.5, -1.0) * rng.choice([-1.0, 1.0])
@@ -1219,7 +1262,7 @@ class TestPruneEmpty:
                 nonempty.append(radius >= EMPTY_TOL)
         return parts, nonempty
 
-    def test_decisions_equal_is_empty_outside_the_band(self, monkeypatch):
+    def test_decisions_equal_the_lp_outside_the_band(self, monkeypatch):
         rng = np.random.default_rng(8)
         calls = []
         real = swmpc.geometry.linprog
@@ -1605,12 +1648,12 @@ class TestFeasibleRegionIsControllableSet:
     dwell and cycle rules do not bind; where they do, they only remove paths,
     so x0 outside S_N is still infeasible.
 
-    The two sides use different tolerances.  `solve_ocp` checks A_path x0
-    against the target's unit rows within TERMINAL_TOL = 1e-9, and
-    `PolytopeUnion.contains` checks x0 against the unit rows of H A_path
-    within MEMBERSHIP_TOL = 1e-9.  A point whose membership in S_N changes
-    between the tolerances -1e-6 and 1e-6 is near a boundary, where the two
-    may differ, so those points are counted apart.  Elsewhere the
+    The two sides apply one band, MEMBERSHIP_TOL = 1e-9, to different rows.
+    `solve_ocp` checks A_path x0 against the target's unit rows, and
+    `PolytopeUnion.contains` checks x0 against the unit rows of H A_path.
+    A point whose membership in S_N changes between the tolerances -1e-6
+    and 1e-6 is near a boundary, where the two may differ, so those points
+    are counted apart.  Elsewhere the
     controller decides with a margin of at least 1e-6 times the least
     singular value of A_path, above 0.1 for these matrices, so far above
     both tolerances that a disagreement there is a defect.

@@ -1,3 +1,4 @@
+import json
 import re
 from dataclasses import replace
 
@@ -189,6 +190,28 @@ class TestScenarioSchema:
         a = simulate(scen.sys, scen.x0, path).states
         b = simulate(again.sys, again.x0, path).states
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("name, case", [
+        ("viral-1", None), ("viral-2", None), ("cancer", None), ("cancer", 2), ("illustrative", None),
+    ])
+    def test_every_builtin_round_trips_to_an_equal_scenario(self, name, case):
+        scen = builtin_scenario(name, case)
+        data = json.loads(json.dumps(scenario_to_dict(scen)))
+        assert scenario_from_dict(data) == scen
+        # `target` is the analyzed set, and `mpc_target` is written where the MPC's differs
+        assert scenario_from_dict(data).analysis_target == scen.analysis_target
+        assert scen.mpc.target != scen.analysis_target and "mpc_target" in data
+
+    def test_a_file_without_mpc_target_loads_one_target_for_both(self):
+        # an older export wrote the MPC's target as `target`, and nothing else
+        scen = builtin_scenario("viral-1")
+        data = scenario_to_dict(scen)
+        data["target"] = data.pop("mpc_target")
+        old = scenario_from_dict(data)
+        assert old.mpc == scen.mpc
+        assert old.analysis_target == scen.mpc.target
+        assert "mpc_target" not in scenario_to_dict(old)
+        assert scenario_from_dict(scenario_to_dict(old)) == old
 
     @pytest.mark.parametrize("name", ["viral-1", "viral-2", "cancer", "illustrative"])
     def test_an_export_has_no_enforce_waiting_key(self, name):
