@@ -16,6 +16,7 @@ from swmpc import (
     packs,
     run_closed_loop,
     swatch_strategy,
+    total_load,
     virologic_failure_strategy,
 )
 
@@ -36,7 +37,7 @@ def viral_tables():
         print(f"\nviral scenario {sid} ({label}), {time.time() - t0:.1f}s")
         for name, value in rows.items():
             print(f"  {name:8s} {value:12.1f}")
-        print(f"  final total load under SwMPC: {float(np.sum(record.states[-1])):.3f}")
+        print(f"  final total load under SwMPC: {total_load(record.states[-1]):.3f}")
 
 
 def cancer_cycle():
@@ -46,8 +47,8 @@ def cancer_cycle():
     blocks = [(names[p.signal], p.length) for p in packs(record.signals)]
     print("\ncancer schedule under dwell bounds and full drug coverage:")
     print("  " + " ".join(f"({d},{h})" for d, h in blocks[:6]) + " ...")
-    totals = record.states.sum(axis=1)
-    print(f"  total live cells: {totals[0]:.0f} -> {totals[-1]:.1f} after {len(record.signals)} half-days")
+    first, last = total_load(record.states[0]), total_load(record.states[-1])
+    print(f"  total live cells: {first:.0f} -> {last:.1f} after {len(record.signals)} half-days")
 
 
 def cancer_cases():
@@ -55,10 +56,10 @@ def cancer_cases():
     for case in (1, 2, 3):
         scen = builtin_scenario("cancer", case=case)
         record = run_closed_loop(scen.mpc, 72)
-        totals = record.states.sum(axis=1)
         longest = max(p.length for p in packs(record.signals) if p.signal == 1)
         print(
-            f"  case {case}: final total {totals[-1]:8.1f}, longest combination-drug run {longest}"
+            f"  case {case}: final total {total_load(record.states[-1]):8.1f}, "
+            f"longest combination-drug run {longest}"
         )
 
 

@@ -14,6 +14,7 @@ import argparse
 import csv
 import functools
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -197,7 +198,7 @@ def cmd_export_scenario(args) -> int:
     scen = load_scenario(args.scenario, case=args.case)
     data = scenario_to_dict(scen)
     out = Path(args.out)
-    if out.is_dir():
+    if out.is_dir() or args.out[-1:] in (os.sep, os.altsep):  # Path drops a trailing separator
         out = out / f"{scen.name}.json"
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(data, indent=1))
@@ -225,7 +226,9 @@ def _build_parser() -> argparse.ArgumentParser:
             required=True,
             help=f"built-in name ({', '.join(builtin_names())}) or scenario JSON path",
         )
-        p.add_argument("--out", default=".", help="output directory (or file for export)")
+        p.add_argument("--out", default=".", help=(
+            "output directory; for export-scenario the JSON file, or a directory (existing, "
+            "or a path ending in a separator) that gets <name>.json"))
         p.add_argument(
             "--case",
             type=int,

@@ -18,9 +18,10 @@ difference decide radius >= eps by a checked least-distance solve
 decide; a part keeps its verdict.  The invariance check's counterexample is the
 LP's center.  The region difference tries the parts in list order, on pieces
 kept as raw (H, h) unit rows.  Both solvers are scipy's compiled kernels behind
-private modules that a scipy release may move: each LP is one `linprog` call on
-HiGHS (`scipy.optimize._highspy`), one solver per thread, each LP a fresh
-model; each least-distance solve is one `nnls` call
+private modules that a scipy release may move: each LP, read by `_minimize`
+(which decides zero rows itself), is one array passModel call into HiGHS
+(`scipy.optimize._highspy`, checked by `TestLpKernel`), one solver per thread,
+each LP a fresh model; each least-distance solve is one `nnls` call
 (`scipy.optimize._slsqplib`), without the public wrapper's checks.  scipy is
 imported on the first of either, so a run that makes neither (a controller loop
 on a box or halfspace target) never loads it.
@@ -45,7 +46,6 @@ if TYPE_CHECKING:
 EMPTY_TOL = 1e-9
 MEMBERSHIP_TOL = 1e-9
 INTERIOR_INFLATION = 1e-6
-PRUNE_TOL = 1e-9
 UNIT_NORM_TOL = 4e-16
 # a least-distance emptiness decision needs its certificate to hold with this
 # margin on either side of eps; closer to eps it falls back to the LP
@@ -102,10 +102,10 @@ def _scipy():
 
 def linprog(c, A_ub, b_ub) -> OptimizeResult:
     """min c.x s.t. A_ub x <= b_ub, x free, on this thread's HiGHS solver, made
-    with `milp`'s one effective option (no console log).  passModel hands it
-    each LP as a new model, A_ub column-wise with its nonzeros in CSC order as
-    `milp` passed it, and no basis carries over.  Status is 0, 2 or 3 for
-    optimal, infeasible or unbounded (x and fun only with 0), else 4.
+    with `milp`'s one effective option (no console log).  One array passModel
+    call hands it each LP as a new model, A_ub column-wise with its nonzeros in
+    CSC order as `milp` passed it, and no basis carries over.  Status is 0, 2 or
+    3 for optimal, infeasible or unbounded (x and fun only with 0), else 4.
     Non-finite data raises ValueError."""
     c, A, b = (np.asarray(v, dtype=float) for v in (c, A_ub, b_ub))
     if not (np.isfinite(c).all() and np.isfinite(A).all() and np.isfinite(b).all()):
@@ -117,19 +117,12 @@ def linprog(c, A_ub, b_ub) -> OptimizeResult:
         options.log_to_console = False
         highs = _THREAD.highs = core._Highs()
         highs.passOptions(options)
-    lp, (m, n) = core.HighsLp(), A.shape
-    lp.num_col_, lp.num_row_, lp.col_cost_, lp.row_upper_ = n, m, c.tolist(), b.tolist()
-    lp.col_lower_, lp.col_upper_, lp.row_lower_ = [-math.inf] * n, [math.inf] * n, [-math.inf] * m
-    start, index, value = [0], [], []
-    for col in A.T.tolist():
-        rows = [i for i, a in enumerate(col) if a]  # 0.0 and -0.0 are not stored
-        index += rows
-        value += [col[i] for i in rows]
-        start.append(len(index))
-    matrix = lp.a_matrix_
-    matrix.format_, matrix.num_col_, matrix.num_row_ = core.MatrixFormat.kColwise, n, m
-    matrix.start_, matrix.index_, matrix.value_ = start, index, value
-    if highs.passModel(lp) == core.HighsStatus.kError:
+    (m, n), nz = A.shape, A.T != 0.0  # 0.0 and -0.0 are not stored
+    col, row = np.nonzero(nz)  # CSC order: column by column, rows ascending
+    start, free = np.searchsorted(col, np.arange(n)).astype(np.int32), np.full(n, math.inf)
+    if highs.passModel(n, m, row.size, core.MatrixFormat.kColwise, core.ObjSense.kMinimize, 0.0, c,
+                       -free, free, np.full(m, -math.inf), b, start, row.astype(np.int32),
+                       A.T[nz], np.zeros(n, np.int32)) == core.HighsStatus.kError:
         model_status = core.HighsModelStatus.kModelError
     else:
         highs.run()
@@ -141,13 +134,19 @@ def linprog(c, A_ub, b_ub) -> OptimizeResult:
     return res
 
 
-def _lp(c, A_ub, b_ub):
-    """`linprog`'s result, of status 0 (optimal), 2 (infeasible) or 3 (unbounded);
-    any other HiGHS outcome raises NumericalError rather than pass for a verdict."""
-    res = linprog(c, A_ub, b_ub)
+def _minimize(c, A_ub, b_ub) -> tuple[float, np.ndarray | None]:
+    """`linprog`'s (fun, x), (-inf, None) if unbounded, (inf, None) if infeasible;
+    any other outcome raises NumericalError.  A zero row is decided exactly, as
+    HiGHS's tolerance would read 0 <= b_i < 0 as met: dropped when b_i >= 0,
+    else infeasible with no solve, unless c is not finite (`linprog` rejects it)."""
+    A, b = np.asarray(A_ub, dtype=float), np.asarray(b_ub, dtype=float)
+    rows = A.any(axis=1)  # (A, b) are a polytope's rows, finite by construction
+    if (b[~rows] < 0.0).any() and np.isfinite(c).all():
+        return math.inf, None
+    res = linprog(c, A[rows], b[rows])
     if res.status not in (0, 2, 3):
         raise NumericalError(f"LP failed with status {res.status}: {res.message}")
-    return res
+    return (res.fun, res.x) if res.status == 0 else (math.inf if res.status == 2 else -math.inf, None)
 
 
 def nnls(A, b):
@@ -344,22 +343,11 @@ class Polytope(_Value):
 
     @cached_property
     def chebyshev_ball(self) -> tuple[float, np.ndarray | None]:
-        """(radius, center) of the largest inscribed ball, from one LP.
-
-        The radius is -inf if the polytope is infeasible and inf if it is
-        unbounded; the center is None in both cases.
-        """
-        n = self.dim
-        r_col = np.where(np.linalg.norm(self.H, axis=1) > 0.0, 1.0, 0.0)
-        A = np.hstack([self.H, r_col[:, None]])
-        c = np.zeros(n + 1)
-        c[-1] = -1.0
-        res = _lp(c, A, self.h)
-        if res.status == 3:  # unbounded radius
-            return math.inf, None
-        if res.status != 0:
-            return -math.inf, None
-        return float(res.x[-1]), np.asarray(res.x[:n], dtype=float)
+        """(radius, center) of the largest inscribed ball, from one LP; the radius
+        is -inf if the polytope is empty and inf if unbounded, with center None."""
+        A = np.hstack([self.H, self.H.any(axis=1)[:, None]])  # a zero row stays a zero row
+        fun, x = _minimize(np.append(np.zeros(self.dim), -1.0), A, self.h)
+        return (-fun, None) if x is None else (float(x[-1]), x[:-1])
 
     @property
     def chebyshev_radius(self) -> float:
@@ -376,13 +364,7 @@ class Polytope(_Value):
 
     def support(self, a: Sequence[float]) -> float:
         """sup a.x over the polytope; inf if unbounded, -inf if empty."""
-        a = np.asarray(a, dtype=float)
-        res = _lp(-a, self.H, self.h)
-        if res.status == 3:
-            return math.inf
-        if res.status != 0:
-            return -math.inf
-        return float(-res.fun)
+        return -_minimize(-np.asarray(a, dtype=float), self.H, self.h)[0]
 
     @property
     def is_bounded(self) -> bool:
@@ -445,7 +427,8 @@ class Polytope(_Value):
 
     def pruned(self) -> "Polytope":
         """Drop inequality rows that are redundant for the feasible set: a row
-        whose maximum over the other rows lies within PRUNE_TOL of its bound.
+        whose maximum over the other rows lies within MEMBERSHIP_TOL of its bound,
+        the band that `contains` allows.
         A row takes that LP unless a witness keeps it: with 0 strictly inside
         (every h_i > 0), if (h_i + margin) a_i, with margin WITNESS_MARGIN times
         max(1, max h), satisfies every other row, the LP's maximum exceeds h_i by
@@ -463,8 +446,8 @@ class Polytope(_Value):
             if len(keep) <= 1:
                 break
             others = [j for j in keep if j != i]
-            res = _lp(-H[i], H[others], h[others])
-            if res.status == 0 and -res.fun <= h[i] + PRUNE_TOL:
+            fun, x = _minimize(-H[i], H[others], h[others])
+            if x is not None and -fun <= h[i] + MEMBERSHIP_TOL:
                 keep = others
         out = self if len(keep) == m else Polytope(H[keep], h[keep])
         if out is not self and out.box_bounds is None:
@@ -481,7 +464,7 @@ class Polytope(_Value):
         preimage of the pruned rows is already pruned: it is marked as its own
         pruned copy and takes no redundancy LP, and its rows, checked and scaled
         as `__post_init__`'s, skip its duplicate search (no two pruned rows lie
-        within PRUNE_TOL, so none round to the same bits).  Its points x have
+        within MEMBERSHIP_TOL, so none round to the same bits).  Its points x have
         ||x|| <= ||A x|| / sigma_min(A), so a norm bound R here gives R /
         sigma_min(A) there, with sigma_min(A) padded down.
         """

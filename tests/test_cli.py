@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -989,6 +990,13 @@ class TestExport:
         rc = main(["simulate", "--scenario", str(exported), "--strategy", "swmpc", "--out", str(out)])
         assert rc == 0
         assert (out / "trajectory.csv").exists()
+
+    def test_out_ending_in_a_separator_is_a_new_directory(self, tmp_path, capsys):
+        out = tmp_path / "new" / "exports"
+        assert main(["export-scenario", "--scenario", "cancer", "--out", f"{out}{os.sep}"]) == 0
+        assert capsys.readouterr().out == f"wrote {out / 'cancer.json'}\n"
+        assert [p.name for p in out.iterdir()] == ["cancer.json"]
+        assert json.loads((out / "cancer.json").read_text())["kind"] == "cancer"
 
     def test_exported_cancer_reruns_byte_identical(self, tmp_path):
         assert main(["export-scenario", "--scenario", "cancer", "--out", str(tmp_path)]) == 0

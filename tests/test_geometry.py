@@ -38,7 +38,6 @@ from swmpc.geometry import (
     GeometryCapError,
     NumericalError,
     _least_distance,
-    _lp,
     _norm_bound,
     _radius_at_least,
     _uncovered_pieces,
@@ -249,6 +248,32 @@ class TestPolytope:
         # nonzero, so only a zero row with a negative bound makes it infeasible
         assert Polytope([[1.0], [-1.0]], [-1.0, -1.0]).chebyshev_radius == -1.0
         assert Polytope([[0.0, 0.0], [1.0, 0.0]], [-1.0, 1.0]).chebyshev_ball == (-math.inf, None)
+
+    @pytest.mark.parametrize("bound", [-9e-8, -1e-12, -5e-324])
+    def test_zero_row_just_below_zero_is_empty_without_an_lp(self, monkeypatch, bound):
+        # 0 <= bound fails, though within HiGHS's feasibility tolerance (1e-7)
+        monkeypatch.setattr(swmpc.geometry, "linprog", lambda *a, **k: pytest.fail("an LP"))
+        P = cut(Polytope.box([-1, -2], [1, 2]), [0.0, 0.0], bound)
+        assert P.chebyshev_ball == (-math.inf, None)
+        assert P.support([1.0, 0.5]) == -math.inf
+        assert not P.is_bounded
+
+    def test_zero_row_at_zero_never_reaches_the_lp(self, monkeypatch):
+        matrices = []
+        real = swmpc.geometry.linprog
+
+        def recording(c, A_ub, b_ub):
+            matrices.append(np.asarray(A_ub))
+            return real(c, A_ub, b_ub)
+
+        monkeypatch.setattr(swmpc.geometry, "linprog", recording)
+        box = Polytope.box([-1, -2], [1, 2])
+        P = cut(box, [0.0, 0.0], 0.0)
+        radius = Polytope(box.H, box.h).chebyshev_radius
+        assert struct.pack("<d", P.chebyshev_radius) == struct.pack("<d", radius)
+        assert P.support([1.0, 0.5]) == 2.0
+        assert P.pruned() == box  # the zero row's own LP has cost 0, so it is redundant
+        assert matrices and all(A.any(axis=1).all() for A in matrices)
 
     def test_pruning_stops_at_one_row(self, monkeypatch):
         calls = []
@@ -1124,9 +1149,10 @@ class TestRadiusDecision:
             assert got == want, (kind, P.h[-1])
             outcomes[kind].append(want)
             by_ldp[kind] += not used_lp
-        # HiGHS's feasibility tolerance (1e-7) can read a small negative bound
-        # as met; no certificate says "yes" there, so the LP decides
-        assert not any(outcomes["below -BAND"])
+        # no certificate decides a small negative bound, so the LP does; it
+        # reads the zero row exactly, where HiGHS's feasibility tolerance
+        # (1e-7) would read 0 <= h_i as met
+        assert not any(outcomes["below -BAND"]) and not any(outcomes["small negative"])
         assert 0.2 < np.mean(outcomes["large"]) < 0.8
         assert any(outcomes["zero"]) and any(outcomes["within eps + BAND"])
         # a bound below -BAND is its own Farkas vector, and a far one leaves
@@ -1292,20 +1318,21 @@ class TestPruneEmpty:
 
 
 class TestLpKernel:
-    """`_lp` (HiGHS through scipy's bundled bindings) against `linprog(method="highs")`, bit for bit."""
+    """`geometry.linprog` (HiGHS through scipy's bundled bindings) against
+    `linprog(method="highs")`, bit for bit."""
 
     @staticmethod
     def _recorded(monkeypatch):
-        """The (c, A_ub, b_ub) of each LP that geometry solves, with `_lp`'s result."""
+        """The (c, A_ub, b_ub) of each LP that geometry solves, with `linprog`'s result."""
         lps = []
-        real = swmpc.geometry._lp
+        real = swmpc.geometry.linprog
 
         def recording(c, A_ub, b_ub):
             res = real(c, A_ub, b_ub)
             lps.append((c, A_ub, b_ub, res))
             return res
 
-        monkeypatch.setattr(swmpc.geometry, "_lp", recording)
+        monkeypatch.setattr(swmpc.geometry, "linprog", recording)
         return lps
 
     def test_same_status_x_and_fun_as_linprog(self, monkeypatch):
@@ -1327,6 +1354,16 @@ class TestLpKernel:
         assert halfplane.chebyshev_radius == math.inf  # unbounded
         statuses = [res.status for *_, res in lps]
         assert kinds > 600 and statuses[kinds:] == [2, 3, 3]
+        # model shapes that no polytope LP has: an all-zero column (a free
+        # variable that no row names), -0.0 entries (not stored) and no rows
+        for c, A_ub, b_ub in (
+            ([1.0, 0.0, -1.0], [[-1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, -1.0]], [1.0, 2.0, 0.5]),
+            ([1.0, 2.0], [[-1.0, -0.0], [-0.0, -1.0], [1.0, 1.0]], [1.0, 1.0, 3.0]),
+            ([0.0, 0.0], np.zeros((0, 2)), np.zeros(0)),
+            ([1.0, 0.0], np.zeros((0, 2)), np.zeros(0)),
+        ):
+            swmpc.geometry.linprog(np.array(c), np.array(A_ub), np.array(b_ub))
+        assert [res.status for *_, res in lps[kinds + 3:]] == [0, 0, 0, 3]
         for c, A_ub, b_ub, res in lps:
             ref = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=[(None, None)] * len(c), method="highs")
             assert res.status == ref.status
@@ -1384,7 +1421,7 @@ class StubHighs:
     def __init__(self, status):
         self.status = status
 
-    def passModel(self, lp):
+    def passModel(self, *model):
         return HighsStatus.kOk
 
     def run(self):
@@ -1435,26 +1472,27 @@ class TestLpSolver:
         c = np.array([1.0, 0.0])
         with_nan = b.copy()
         with_nan[1] = math.nan
-        assert _lp(c, A, b).status == 0
+        assert swmpc.geometry.linprog(c, A, b).status == 0
         with pytest.raises(ValueError):
-            _lp(c, A, with_nan)
+            swmpc.geometry.linprog(c, A, with_nan)
         for k, bad in ((0, math.inf), (2, -math.inf), (3, math.nan)):
             A_bad, b_bad, c_bad = A.copy(), b.copy(), c.copy()
             A_bad[k, 1] = bad
             with pytest.raises(ValueError):
-                _lp(c, A_bad, b)
+                swmpc.geometry.linprog(c, A_bad, b)
             b_bad[k] = bad
             with pytest.raises(ValueError):
-                _lp(c, A, b_bad)
+                swmpc.geometry.linprog(c, A, b_bad)
             c_bad[k % 2] = bad
             with pytest.raises(ValueError):
-                _lp(c_bad, A, b)
+                swmpc.geometry.linprog(c_bad, A, b)
         with pytest.raises(ValueError):
             Polytope.box([-1.0, -1.0], [1.0, 1.0]).support([math.nan, 0.0])
 
     def test_reuse_carries_no_state_between_lps_or_threads(self, monkeypatch):
         # the LPs of `TestLpKernel`, solved in order, then in reverse order
         # and from other threads, each of which makes a solver of its own
+        kernel = swmpc.geometry.linprog  # unwrapped, so a re-solve records nothing
         lps = TestLpKernel._recorded(monkeypatch)
         rng = np.random.default_rng(17)
         for _ in range(60):
@@ -1472,7 +1510,7 @@ class TestLpSolver:
         solver = swmpc.geometry._THREAD.highs
 
         def solve(order):
-            return {i: _result_bits(swmpc.geometry.linprog(*lps[i][:3])) for i in order}
+            return {i: _result_bits(kernel(*lps[i][:3])) for i in order}
 
         reverse = solve(reversed(range(len(lps))))
         assert swmpc.geometry._THREAD.highs is solver
